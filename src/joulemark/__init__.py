@@ -85,7 +85,6 @@ from .stats import (
 )
 from .trace import (
     MeasurementWindow,
-    PowerSample,
     PowerTrace,
     ShuntConfig,
     TraceFormatError,

@@ -2,10 +2,11 @@
 
 The DAQ has a fixed aggregate sampling budget that is split evenly across
 enabled channels: the single-channel (relay) wiring gets the full rate,
-the two-channel (trigger) wiring halves it.  Samples are consumed through
-a pull-based SampleStream obtained from one of three sources: replay of a
-trace CSV file, an in-process simulated session, or a live text stream in
-the same CSV format (stdin by default).
+the two-channel (trigger) wiring halves it.  Samples are consumed in
+PowerTrace blocks through a pull-based SampleStream obtained from one of
+three sources: replay of a trace CSV file, an in-process simulated
+session, or a live text stream in the same CSV format (stdin by default),
+parsed by the trace module's one reader, iter_trace_chunks.
 
 Live streams cannot be re-read; replay sources may be reopened at will.
 """
@@ -15,15 +16,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
 from .trace import (
-    PowerSample,
+    CHUNK_ROWS,
     PowerTrace,
-    ShuntConfig,
-    TraceFormatError,
+    concat_traces,
+    iter_trace_chunks,
     read_trace_csv,
 )
 
@@ -86,128 +87,60 @@ def channel_rate(config: AcquisitionConfig) -> float:
 
 
 class SampleStream:
-    """Pull-based sample source; single consumer, delivered in index order."""
+    """Pull-based sample source; single consumer, delivered in index order.
 
-    def __init__(self, config: AcquisitionConfig, rate_hz: float, shunt: ShuntConfig, has_trigger: bool):
+    ``chunks`` yields PowerTrace blocks of one trace: the first gives the
+    rate, shunt and channel layout, and any block may be empty.
+    """
+
+    def __init__(self, config: AcquisitionConfig, chunks: Iterator[PowerTrace]):
         self.config = config
-        self.rate_hz = rate_hz
-        self.shunt = shunt
-        self.has_trigger = has_trigger
+        self._chunks = chunks
         self.position = 0
         self.exhausted = False
+        self._chunk = self._pull()
+        self._offset = 0
+        self.rate_hz = self._chunk.rate_hz
+        self.shunt = self._chunk.shunt
+        self.has_trigger = self._chunk.has_trigger
 
-    def read_block(self, n: int) -> list[PowerSample]:
-        """Up to n samples; empty only when the source is exhausted."""
+    def _pull(self) -> PowerTrace | None:
+        try:
+            return next(self._chunks, None)
+        except OSError as exc:
+            raise StreamError(str(exc), self.position) from exc
+
+    def read_block(self, n: int) -> PowerTrace:
+        """Up to n samples from ``position`` on; fewer only at the end of the
+        source, and zero-length once it is exhausted."""
         if n < 1:
             raise ValueError(f"block size must be >= 1, got {n}")
-        if self.exhausted:
-            return []
-        block = self._next(n)
-        self.position += len(block)
-        if len(block) < n:
-            self.exhausted = True
-        return block
-
-    def _next(self, n: int) -> list[PowerSample]:
-        raise NotImplementedError
-
-
-class _ArrayStream(SampleStream):
-    def __init__(self, config: AcquisitionConfig, trace: PowerTrace):
-        super().__init__(config, trace.rate_hz, trace.shunt, trace.has_trigger)
-        self._trace = trace
-
-    def _next(self, n: int) -> list[PowerSample]:
-        lo = self.position
-        hi = min(lo + n, len(self._trace))
-        return [self._trace.sample(i) for i in range(lo, hi)]
-
-
-class _TextStream(SampleStream):
-    def __init__(self, config: AcquisitionConfig, fileobj: TextIO):
-        self._file = fileobj
-        self._lineno = 0
-        meta, has_trigger = self._read_preamble()
-        shunt = ShuntConfig(vf=meta["vf"], rs=meta["rs"])
-        super().__init__(config, meta["rate_hz"], shunt, has_trigger)
-
-    def _readline(self) -> str:
-        try:
-            line = self._file.readline()
-        except OSError as exc:
-            raise StreamError(str(exc), getattr(self, "position", 0)) from exc
-        if line:
-            self._lineno += 1
-        return line
-
-    def _read_preamble(self) -> tuple[dict[str, float], bool]:
-        meta: dict[str, float] = {}
-        while True:
-            line = self._readline()
-            if not line:
-                raise TraceFormatError("stream ended before header", self._lineno)
-            text = line.rstrip("\n")
-            if text.startswith("#"):
-                body = text[1:].strip()
-                if "=" not in body:
-                    raise TraceFormatError(
-                        f"preamble line is not 'key=value': {text!r}", self._lineno
-                    )
-                key, value = body.split("=", 1)
-                try:
-                    meta[key.strip()] = float(value)
-                except ValueError:
-                    raise TraceFormatError(
-                        f"preamble {key.strip()!r} is not a number", self._lineno
-                    ) from None
+        # (chunk, lo, hi) slices; the first is empty, so that a block with
+        # no samples still concatenates
+        parts = [(self._chunk, self._offset, self._offset)]
+        need = n
+        while need and not self.exhausted:
+            if self._offset == len(self._chunk):
+                chunk = self._pull()
+                if chunk is None:
+                    self.exhausted = True
+                else:
+                    self._chunk, self._offset = chunk, 0
                 continue
-            if text == "t_s,vs_v":
-                has_trigger = False
-            elif text == "t_s,vs_v,trig_v":
-                has_trigger = True
-            else:
-                raise TraceFormatError(f"unrecognized header: {text!r}", self._lineno)
-            for key in ("rate_hz", "vf", "rs"):
-                if key not in meta:
-                    raise TraceFormatError(
-                        f"preamble is missing '# {key}=...'", self._lineno
-                    )
-            if not meta["rate_hz"] > 0:
-                raise TraceFormatError(
-                    f"non-positive rate_hz: {meta['rate_hz']}", self._lineno
-                )
-            return meta, has_trigger
-
-    def _next(self, n: int) -> list[PowerSample]:
-        out: list[PowerSample] = []
-        ncols = 3 if self.has_trigger else 2
-        while len(out) < n:
-            line = self._readline()
-            if not line:
-                break
-            text = line.rstrip("\n")
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != ncols:
-                raise TraceFormatError(
-                    f"expected {ncols} columns, got {len(parts)}", self._lineno
-                )
-            index = self.position + len(out)
-            try:
-                t = float(parts[0])
-                vs = float(parts[1])
-                trig = float(parts[2]) if ncols == 3 else None
-            except ValueError:
-                raise TraceFormatError("non-numeric row", self._lineno) from None
-            if abs(t - index / self.rate_hz) > 1e-9:
-                raise TraceFormatError(
-                    f"t_s={t!r} deviates from uniform grid value "
-                    f"{index / self.rate_hz!r}",
-                    self._lineno,
-                )
-            out.append(PowerSample(index=index, vs=vs, trig=trig))
-        return out
+            stop = min(self._offset + need, len(self._chunk))
+            parts.append((self._chunk, self._offset, stop))
+            need -= stop - self._offset
+            self._offset = stop
+        self.position += n - need
+        trig = None
+        if self.has_trigger:
+            trig = np.concatenate([c.trig[lo:hi] for c, lo, hi in parts])
+        return PowerTrace(
+            rate_hz=self.rate_hz,
+            vs=np.concatenate([c.vs[lo:hi] for c, lo, hi in parts]),
+            trig=trig,
+            shunt=self.shunt,
+        )
 
 
 def open_source(config: AcquisitionConfig) -> SampleStream:
@@ -220,21 +153,19 @@ def open_source(config: AcquisitionConfig) -> SampleStream:
     if source is None:
         raise ValueError("config has no source")
     if isinstance(source, ReplaySource):
-        trace = read_trace_csv(source.path)
-        _check_channels(config, trace.channels)
-        return _ArrayStream(config, trace)
-    if isinstance(source, SimulatorSource):
+        chunks = iter((read_trace_csv(source.path),))
+    elif isinstance(source, SimulatorSource):
         from .simulate import simulate_session  # deferred: avoids import cycle
 
-        trace, _ = simulate_session(source.scenario)
-        _check_channels(config, trace.channels)
-        return _ArrayStream(config, trace)
-    if isinstance(source, StreamSource):
+        chunks = iter((simulate_session(source.scenario)[0],))
+    elif isinstance(source, StreamSource):
         fileobj = source.fileobj if source.fileobj is not None else sys.stdin
-        stream = _TextStream(config, fileobj)
-        _check_channels(config, 2 if stream.has_trigger else 1)
-        return stream
-    raise TypeError(f"unrecognized source: {source!r}")
+        chunks = iter_trace_chunks(fileobj, CHUNK_ROWS)
+    else:
+        raise TypeError(f"unrecognized source: {source!r}")
+    stream = SampleStream(config, chunks)
+    _check_channels(config, 2 if stream.has_trigger else 1)
+    return stream
 
 
 def _check_channels(config: AcquisitionConfig, found: int) -> None:
@@ -246,18 +177,7 @@ def _check_channels(config: AcquisitionConfig, found: int) -> None:
 
 def read_all(stream: SampleStream, block: int = 8192) -> PowerTrace:
     """Drain a stream into a PowerTrace (block size does not affect content)."""
-    vs: list[float] = []
-    trig: list[float] = []
-    while True:
-        samples = stream.read_block(block)
-        if not samples:
-            break
-        vs.extend(s.vs for s in samples)
-        if stream.has_trigger:
-            trig.extend(s.trig for s in samples)
-    return PowerTrace(
-        rate_hz=stream.rate_hz,
-        vs=np.asarray(vs, dtype=np.float64),
-        trig=np.asarray(trig, dtype=np.float64) if stream.has_trigger else None,
-        shunt=stream.shunt,
-    )
+    blocks = [stream.read_block(block)]
+    while len(blocks[-1]):
+        blocks.append(stream.read_block(block))
+    return concat_traces(blocks)

@@ -13,10 +13,11 @@ and ``vs`` the measured drop across the shunt.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,15 +51,6 @@ class ShuntConfig:
             raise ValueError(f"source voltage must be positive, got {self.vf}")
         if not (math.isfinite(self.rs) and self.rs > 0.0):
             raise ValueError(f"shunt resistance must be positive, got {self.rs}")
-
-
-@dataclass(frozen=True)
-class PowerSample:
-    """One sample: ordinal index, shunt voltage, optional trigger voltage."""
-
-    index: int
-    vs: float
-    trig: float | None = None
 
 
 @dataclass(frozen=True)
@@ -123,14 +115,6 @@ class PowerTrace:
     def power_w(self) -> np.ndarray:
         """Instantaneous power per sample, in watts."""
         return sample_to_power(self.vs, self.shunt)
-
-    def sample(self, i: int) -> PowerSample:
-        trig = float(self.trig[i]) if self.trig is not None else None
-        return PowerSample(index=i, vs=float(self.vs[i]), trig=trig)
-
-    def itersamples(self) -> Iterator[PowerSample]:
-        for i in range(len(self)):
-            yield self.sample(i)
 
 
 def sample_to_power(vs, shunt: ShuntConfig):
@@ -259,71 +243,140 @@ def _parse_float(text: str, what: str, line: int) -> float:
         raise TraceFormatError(f"{what} is not a number: {text!r}", line) from None
 
 
+# Lines per block of iter_trace_chunks for the readers.  Blocks of 4096 to
+# 262144 lines parse a 1.2M-row trace equally fast; larger blocks hold more
+# memory per block and, at 65536, raised the peak RSS of repeated CLI runs.
+CHUNK_ROWS = 16384
+
+
+def _read_header(lines: Iterator[str]) -> tuple[PowerTrace, int]:
+    """Consume the preamble and header; return an empty trace carrying the
+    rate, shunt and channel layout, and the header's line number."""
+    meta: dict[str, float] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.rstrip("\n")
+        if text.startswith("#"):
+            body = text[1:].strip()
+            if "=" not in body:
+                raise TraceFormatError(
+                    f"preamble line is not 'key=value': {text!r}", lineno
+                )
+            key, value = body.split("=", 1)
+            meta[key.strip()] = _parse_float(
+                value.strip(), f"preamble {key.strip()!r}", lineno
+            )
+            continue
+        if text == _HEADER_1CH:
+            trig = None
+        elif text == _HEADER_2CH:
+            trig = np.empty(0)
+        else:
+            raise TraceFormatError(f"unrecognized header: {text!r}", lineno)
+        for key in ("rate_hz", "vf", "rs"):
+            if key not in meta:
+                raise TraceFormatError(f"preamble is missing '# {key}=...'", lineno)
+        rate = meta["rate_hz"]
+        if not rate > 0:
+            raise TraceFormatError(f"non-positive rate_hz: {rate}", lineno)
+        shunt = ShuntConfig(vf=meta["vf"], rs=meta["rs"])
+        return PowerTrace(rate_hz=rate, vs=np.empty(0), trig=trig, shunt=shunt), lineno
+    raise TraceFormatError("file has no header line")
+
+
+def _parse_rows(
+    lines: list[str], first_line: int, row: int, ncols: int, rate: float
+) -> np.ndarray:
+    """Parse data lines one by one: the reference for every row error.
+
+    ``first_line`` is the line number of ``lines[0]`` and ``row`` the sample
+    index of its first row.  Returns the rows as a (k, ncols) array.
+    """
+    out: list[list[float]] = []
+    for lineno, raw in enumerate(lines, start=first_line):
+        text = raw.rstrip("\n")
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != ncols:
+            raise TraceFormatError(f"expected {ncols} columns, got {len(parts)}", lineno)
+        t = _parse_float(parts[0], "t_s", lineno)
+        expected_t = row / rate
+        if abs(t - expected_t) > TIME_GRID_TOLERANCE_S:
+            raise TraceFormatError(
+                f"t_s={t!r} deviates from uniform grid value {expected_t!r}", lineno
+            )
+        values = [t, _parse_float(parts[1], "vs_v", lineno)]
+        if ncols == 3:
+            values.append(_parse_float(parts[2], "trig_v", lineno))
+        out.append(values)
+        row += 1
+    return np.array(out, dtype=np.float64).reshape(-1, ncols)
+
+
+def _parse_block(lines: list[str], row: int, ncols: int, rate: float) -> np.ndarray | None:
+    """Vectorised parse of data lines; None if any check fails, so that the
+    caller re-parses with :func:`_parse_rows` and gets its verdict."""
+    nonblank = len(lines) - lines.count("\n")
+    if nonblank == 0:
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (nonblank, ncols):
+        return None
+    # (row + arange) / rate is the per-line row / rate, bit for bit
+    expected_t = (row + np.arange(nonblank)) / rate
+    if np.any(np.abs(data[:, 0] - expected_t) > TIME_GRID_TOLERANCE_S):
+        return None
+    return data
+
+
+def iter_trace_chunks(fileobj: Iterable[str], n: int) -> Iterator[PowerTrace]:
+    """Parse trace CSV text, yielding it as consecutive PowerTrace blocks.
+
+    The first block is empty: it carries the preamble's rate and shunt and
+    the header's channel layout, so that a trace without rows still
+    describes itself.  Each later block holds the rows of the next ``n``
+    lines (fewer than ``n`` samples where lines are blank).  Errors are
+    :class:`TraceFormatError` with the file's line number.  Only one block
+    of lines is held at a time.
+    """
+    if n < 1:
+        raise ValueError(f"block size must be >= 1, got {n}")
+    lines = iter(fileobj)
+    head, lineno = _read_header(lines)
+    yield head
+    ncols = head.channels + 1
+    row = 0
+    while block := list(itertools.islice(lines, n)):
+        data = _parse_block(block, row, ncols, head.rate_hz)
+        if data is None:
+            data = _parse_rows(block, lineno + 1, row, ncols, head.rate_hz)
+        lineno += len(block)
+        row += len(data)
+        yield PowerTrace(
+            rate_hz=head.rate_hz,
+            vs=data[:, 1],
+            trig=data[:, 2] if ncols == 3 else None,
+            shunt=head.shunt,
+        )
+
+
+def concat_traces(blocks: Sequence[PowerTrace]) -> PowerTrace:
+    """Join consecutive blocks of one trace; the first gives rate, shunt and
+    channel layout."""
+    first = blocks[0]
+    trig = np.concatenate([b.trig for b in blocks]) if first.has_trigger else None
+    return PowerTrace(
+        rate_hz=first.rate_hz,
+        vs=np.concatenate([b.vs for b in blocks]),
+        trig=trig,
+        shunt=first.shunt,
+    )
+
+
 def read_trace_csv(path: str | Path) -> PowerTrace:
     """Parse a trace CSV, verifying the preamble, header and time grid."""
-    path = Path(path)
-    meta: dict[str, float] = {}
-    header: str | None = None
-    vs: list[float] = []
-    trig: list[float] = []
-    ncols = 0
-    rate = None
-    row = 0
-    with path.open("r") as f:
-        for lineno, raw in enumerate(f, start=1):
-            text = raw.rstrip("\n")
-            if header is None:
-                if text.startswith("#"):
-                    body = text[1:].strip()
-                    if "=" not in body:
-                        raise TraceFormatError(
-                            f"preamble line is not 'key=value': {text!r}", lineno
-                        )
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = _parse_float(
-                        value.strip(), f"preamble {key.strip()!r}", lineno
-                    )
-                    continue
-                if text == _HEADER_1CH:
-                    ncols = 2
-                elif text == _HEADER_2CH:
-                    ncols = 3
-                else:
-                    raise TraceFormatError(f"unrecognized header: {text!r}", lineno)
-                for key in ("rate_hz", "vf", "rs"):
-                    if key not in meta:
-                        raise TraceFormatError(
-                            f"preamble is missing '# {key}=...'", lineno
-                        )
-                rate = meta["rate_hz"]
-                if not rate > 0:
-                    raise TraceFormatError(f"non-positive rate_hz: {rate}", lineno)
-                header = text
-                continue
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != ncols:
-                raise TraceFormatError(
-                    f"expected {ncols} columns, got {len(parts)}", lineno
-                )
-            t = _parse_float(parts[0], "t_s", lineno)
-            expected_t = row / rate
-            if abs(t - expected_t) > TIME_GRID_TOLERANCE_S:
-                raise TraceFormatError(
-                    f"t_s={t!r} deviates from uniform grid value {expected_t!r}",
-                    lineno,
-                )
-            vs.append(_parse_float(parts[1], "vs_v", lineno))
-            if ncols == 3:
-                trig.append(_parse_float(parts[2], "trig_v", lineno))
-            row += 1
-    if header is None:
-        raise TraceFormatError("file has no header line")
-    shunt = ShuntConfig(vf=meta["vf"], rs=meta["rs"])
-    return PowerTrace(
-        rate_hz=rate,
-        vs=np.asarray(vs, dtype=np.float64),
-        trig=np.asarray(trig, dtype=np.float64) if ncols == 3 else None,
-        shunt=shunt,
-    )
+    with Path(path).open("r") as f:
+        return concat_traces(list(iter_trace_chunks(f, CHUNK_ROWS)))

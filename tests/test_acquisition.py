@@ -2,12 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from chunking import chunk_rows
 
 from joulemark.acquisition import (
     AcquisitionConfig,
     ChannelMismatchError,
     ReplaySource,
     SimulatorSource,
+    StreamError,
     StreamSource,
     channel_rate,
     open_source,
@@ -16,6 +18,20 @@ from joulemark.acquisition import (
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import TRIGGER, Scenario, WorkloadProfile
 from joulemark.trace import PowerTrace, ShuntConfig, TraceFormatError, write_trace_csv
+
+
+class FailingText(io.StringIO):
+    """Text whose line ``fail_at_line`` (0-based) cannot be read."""
+
+    def __init__(self, text: str, fail_at_line: int):
+        super().__init__(text)
+        self._left = fail_at_line
+
+    def __next__(self) -> str:
+        if self._left == 0:
+            raise OSError("device unplugged")
+        self._left -= 1
+        return super().__next__()
 
 
 def sample_trace(n=10_000, with_trigger=True, rate=20_000.0) -> PowerTrace:
@@ -103,7 +119,7 @@ class TestSimulatorSource:
         total = 0
         while True:
             block = stream.read_block(1_024)
-            if not block:
+            if not len(block):
                 break
             total += len(block)
         assert total == 10_000
@@ -124,9 +140,11 @@ class TestReadBlock:
         assert stream.exhausted
 
     def test_read_after_exhaustion_is_empty(self, tmp_path):
-        _, stream = self._stream(tmp_path, n=10)
+        trace, stream = self._stream(tmp_path, n=10)
         assert len(stream.read_block(100)) == 10
-        assert stream.read_block(100) == []
+        empty = stream.read_block(100)
+        assert len(empty) == 0 and len(empty.trig) == 0
+        assert (empty.rate_hz, empty.shunt) == (trace.rate_hz, trace.shunt)
         assert stream.exhausted
 
     def test_rejects_non_positive_block(self, tmp_path):
@@ -135,14 +153,18 @@ class TestReadBlock:
             stream.read_block(0)
 
     def test_indices_are_global_and_gapless(self, tmp_path):
-        _, stream = self._stream(tmp_path, n=1_000)
-        indices = []
+        trace, stream = self._stream(tmp_path, n=1_000)
         while True:
+            start = stream.position
             block = stream.read_block(123)
-            if not block:
+            if not len(block):
                 break
-            indices.extend(s.index for s in block)
-        assert indices == list(range(1_000))
+            # the block holds samples start.. of the source, and position
+            # moves past exactly them
+            assert stream.position == start + len(block)
+            assert block.vs.tobytes() == trace.vs[start : stream.position].tobytes()
+            assert block.trig.tobytes() == trace.trig[start : stream.position].tobytes()
+        assert stream.position == 1_000
 
     def test_concatenation_is_block_size_independent(self, tmp_path):
         trace, _ = self._stream(tmp_path, n=2_000)
@@ -151,15 +173,18 @@ class TestReadBlock:
         reference = None
         for _ in range(5):
             stream = open_source(AcquisitionConfig(40_000.0, 2, ReplaySource(path)))
-            collected = []
+            vs, trig = [], []
             while True:
                 block = stream.read_block(int(rng.integers(1, 700)))
-                if not block:
+                if not len(block):
                     break
-                collected.extend(block)
+                vs.append(block.vs)
+                trig.append(block.trig)
+            collected = (np.concatenate(vs).tobytes(), np.concatenate(trig).tobytes())
             if reference is None:
                 reference = collected
             assert collected == reference
+        assert reference == (trace.vs.tobytes(), trace.trig.tobytes())
 
     def test_rebuilt_file_is_byte_identical(self, tmp_path):
         # oracle: byte-for-byte comparison of source and round-tripped file
@@ -200,9 +225,27 @@ class TestStreamSource:
         stream = open_source(
             AcquisitionConfig(40_000.0, 1, StreamSource(io.StringIO("\n".join(lines))))
         )
-        with pytest.raises(TraceFormatError):
-            while stream.read_block(8):
+        with pytest.raises(TraceFormatError) as err:
+            while len(stream.read_block(8)):
                 pass
+        assert err.value.line == 31
+
+    @pytest.mark.parametrize("fail_at_line", [2, 4 + 37])
+    def test_read_error_reports_first_undelivered_sample(self, tmp_path, fail_at_line):
+        trace = sample_trace(n=100, with_trigger=False)
+        fileobj = FailingText(self._csv_text(trace, tmp_path), fail_at_line)
+        delivered = []
+        with chunk_rows(10), pytest.raises(StreamError) as err:
+            stream = open_source(AcquisitionConfig(40_000.0, 1, StreamSource(fileobj)))
+            while len(block := stream.read_block(8)):
+                delivered.append(block.vs)
+        position = sum(map(len, delivered))
+        # rows 30-39 fail while filling the block from sample 24 on
+        assert position == (24 if fail_at_line > 4 else 0)
+        assert err.value.position == position
+        assert isinstance(err.value.__cause__, OSError)
+        if delivered:
+            assert np.concatenate(delivered).tobytes() == trace.vs[:position].tobytes()
 
     def test_stream_without_source_errors(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_campaigns import REFERENCE_CAMPAIGNS as PRINTED_CAMPAIGNS
 
 from joulemark.stats import (
     InsufficientSamplesError,
@@ -12,15 +13,10 @@ from joulemark.stats import (
     variation_pct,
 )
 
-# Five-run oscilloscope energy campaigns used as the cross-check dataset;
-# reference_mean/reference_me are the published summary values for the same
-# samples (t-based margin of error, 95% confidence, df = 4).
+# The published campaigns as floats: size -> (samples, mean, margin of error).
 REFERENCE_CAMPAIGNS = {
-    1000: ([26.712, 29.644, 27.567, 28.623, 27.453], 28.000, 1.421),
-    1500: ([93.514, 91.412, 92.680, 95.338, 86.597], 91.908, 4.090),
-    2000: ([196.19, 192.67, 190.57, 193.42, 192.79], 193.13, 2.507),
-    2500: ([374.79, 382.81, 381.47, 382.68, 373.81], 379.11, 5.509),
-    3000: ([643.40, 652.17, 645.31, 643.32, 649.38], 646.71, 4.860),
+    size: ([float(x) for x in samples], float(mean), float(me))
+    for size, samples, mean, me in PRINTED_CAMPAIGNS
 }
 
 

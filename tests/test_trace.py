@@ -10,6 +10,7 @@ from joulemark.trace import (
     TraceFormatError,
     downsample,
     index_at_or_after,
+    iter_trace_chunks,
     power_to_shunt_volts,
     read_trace_csv,
     sample_to_power,
@@ -99,12 +100,6 @@ class TestPowerTrace:
         trace = PowerTrace(rate_hz=40_000.0, vs=np.zeros(10))
         with pytest.raises(ValueError):
             trace.vs[0] = 1.0
-
-    def test_sample_accessors(self):
-        trace = PowerTrace(rate_hz=10.0, vs=np.array([0.1, 0.2]), trig=np.array([0.0, 1.8]))
-        s = trace.sample(1)
-        assert (s.index, s.vs, s.trig) == (1, 0.2, 1.8)
-        assert [p.index for p in trace.itersamples()] == [0, 1]
 
     def test_times_follow_index_over_rate(self):
         trace = PowerTrace(rate_hz=20_000.0, vs=np.zeros(5))
@@ -201,6 +196,20 @@ class TestTraceCsv:
         write_trace_csv(trace, a)
         write_trace_csv(read_trace_csv(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_chunks_deliver_rows_in_order(self, tmp_path):
+        trace = PowerTrace(rate_hz=10.0, vs=np.array([0.1, 0.2]), trig=np.array([0.0, 1.8]))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        with path.open() as f:
+            head, *blocks = iter_trace_chunks(f, 1)
+        assert (len(head), head.rate_hz, head.has_trigger) == (0, 10.0, True)
+        assert [(b.vs.tolist(), b.trig.tolist()) for b in blocks] == [
+            ([0.1], [0.0]),
+            ([0.2], [1.8]),
+        ]
+        with path.open() as f, pytest.raises(ValueError, match="block size"):
+            next(iter_trace_chunks(f, 0))
 
     def test_rejects_unknown_header(self, tmp_path):
         path = tmp_path / "t.csv"
