@@ -313,7 +313,9 @@ def _parse_rows(
     return np.array(out, dtype=np.float64).reshape(-1, ncols)
 
 
-def _parse_block(lines: list[str], row: int, ncols: int, rate: float) -> np.ndarray | None:
+def _parse_block(
+    lines: list[str], row: int, ncols: int, rate: float
+) -> np.ndarray | None:
     """Vectorised parse of data lines; None if any check fails, so that the
     caller re-parses with :func:`_parse_rows` and gets its verdict."""
     nonblank = len(lines) - lines.count("\n")
