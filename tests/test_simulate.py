@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joulemark.acquisition import AcquisitionConfig
 from joulemark.energy import integrate_energy
@@ -28,7 +31,9 @@ from joulemark.simulate import (
     scenario_to_dict,
     simulate_session,
 )
-from joulemark.trace import MeasurementWindow, validate_trace
+from joulemark.trace import MeasurementWindow, ShuntConfig, validate_trace
+
+GOLDEN_SCENARIO = Path(__file__).with_name("golden_scenario.json")
 
 
 def pair(t_on: float, t_off: float, port: int = 40) -> tuple[GpioCommand, GpioCommand]:
@@ -469,3 +474,96 @@ class TestScenarioJson:
         obj["gpio"][1]["action"] = "activate"
         with pytest.raises(ScenarioError):
             scenario_from_dict(obj)
+
+
+def every_block_scenario() -> Scenario:
+    """All three shapes, two ports and every optional block off its default."""
+    return Scenario.create(
+        duration_s=2.0,
+        circuit=TRIGGER,
+        workload=WorkloadProfile(
+            (
+                WorkloadSegment(0.0, 0.5, ConstantPower(3.0)),
+                WorkloadSegment(0.5, 1.25, RampPower(2.0, 7.5)),
+                WorkloadSegment(1.25, 2.0, SpikyPower(1.0, 4.0, 0.1)),
+            )
+        ),
+        gpio=GpioCommandLog(pair(0.25, 0.75) + pair(1.0, 1.5, port=43)),
+        aggregate_rate_hz=20_000.0,
+        shunt=ShuntConfig(vf=5.0, rs=0.05),
+        switching=SwitchingModel(
+            nominal_latency_s=1e-4, full_confidence_s=2e-4, floor_hit_prob=0.5
+        ),
+        noise=NoiseModel(idle_power_bound_w=0.002),
+        logic_high_v=3.3,
+        seed=11,
+    )
+
+
+class TestScenarioFormat:
+    def test_saved_bytes_match_golden_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_scenario(every_block_scenario(), path)
+        assert path.read_bytes() == GOLDEN_SCENARIO.read_bytes()
+
+    def test_golden_file_loads_to_the_scenario(self):
+        assert load_scenario(GOLDEN_SCENARIO) == every_block_scenario()
+
+
+watts = st.floats(0.0, 1e3)
+positive = st.floats(1e-3, 10.0)
+
+
+@st.composite
+def shapes(draw):
+    kind = draw(st.sampled_from(["constant", "ramp", "spiky"]))
+    if kind == "constant":
+        return ConstantPower(draw(watts))
+    if kind == "ramp":
+        return RampPower(draw(watts), draw(watts))
+    base = draw(watts)
+    return SpikyPower(base, base + draw(watts), draw(positive))
+
+
+@st.composite
+def scenarios(draw):
+    segments, cursor = [], 0.0
+    for shape in draw(st.lists(shapes(), max_size=4)):
+        start = cursor + draw(st.floats(0.0, 1.0))
+        cursor = start + draw(positive)
+        segments.append(WorkloadSegment(start, cursor, shape))
+    cmds, t = [], 0.0
+    for port in draw(st.lists(st.integers(0, 255), max_size=4)):
+        t_on = t + draw(st.floats(0.0, 1.0))
+        t = t_on + draw(st.floats(0.0, 1.0))
+        cmds.extend(pair(t_on, t, port=port))
+    circuit = draw(st.sampled_from([RELAY, TRIGGER]))
+    return Scenario.create(
+        duration_s=max(cursor, t) + draw(positive),
+        circuit=circuit,
+        workload=WorkloadProfile(tuple(segments)),
+        gpio=GpioCommandLog(tuple(cmds)),
+        aggregate_rate_hz=draw(st.floats(1.0, 1e6)),
+        shunt=ShuntConfig(vf=draw(positive), rs=draw(positive)),
+        switching=draw(
+            st.one_of(
+                st.none(),
+                st.builds(
+                    SwitchingModel,
+                    nominal_latency_s=st.floats(0.0, 1e-2),
+                    full_confidence_s=positive,
+                    floor_hit_prob=st.floats(0.0, 1.0),
+                ),
+            )
+        ),
+        noise=draw(st.builds(NoiseModel, idle_power_bound_w=st.floats(0.0, 1.0))),
+        logic_high_v=draw(positive),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_scenario_json_round_trip(scenario):
+    obj = json.loads(json.dumps(scenario_to_dict(scenario)))
+    assert scenario_from_dict(obj) == scenario
