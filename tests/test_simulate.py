@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joulemark.acquisition import AcquisitionConfig
+from joulemark.acquisition import channel_rate
 from joulemark.energy import integrate_energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import (
@@ -34,6 +36,20 @@ from joulemark.simulate import (
 from joulemark.trace import MeasurementWindow, ShuntConfig, validate_trace
 
 GOLDEN_SCENARIO = Path(__file__).with_name("golden_scenario.json")
+MISSING = object()
+
+# JSON path, the keys that reach it in scenario_to_dict(every_block_scenario()),
+# and the bad value put there (MISSING: the key is deleted)
+MALFORMED_FIELDS = [
+    ("$.workload[0].watts", ("workload", 0, "watts"), "x"),
+    ("$.workload[1].start_s", ("workload", 1, "start_s"), None),
+    ("$.gpio[2].t_s", ("gpio", 2, "t_s"), "x"),
+    ("$.gpio[3].port", ("gpio", 3, "port"), 43.0),
+    ("$.shunt.vf", ("shunt", "vf"), True),
+    ("$.switching.floor_hit_prob", ("switching", "floor_hit_prob"), "x"),
+    ("$.noise.idle_power_bound_w", ("noise", "idle_power_bound_w"), []),
+    ("$.workload[2].period_s", ("workload", 2, "period_s"), MISSING),
+]
 
 
 def pair(t_on: float, t_off: float, port: int = 40) -> tuple[GpioCommand, GpioCommand]:
@@ -183,17 +199,6 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="overlap"):
             one_window_scenario(RELAY, gpio=gpio).validate()
 
-    def test_channel_layout_must_match_circuit(self):
-        scenario = Scenario(
-            duration_s=1.0,
-            circuit=RELAY,
-            config=AcquisitionConfig(aggregate_rate_hz=40_000.0, channels=2),
-            workload=WorkloadProfile(),
-            gpio=GpioCommandLog(),
-        )
-        with pytest.raises(ScenarioError, match="channel"):
-            scenario.validate()
-
     def test_workload_past_duration_rejected(self):
         scenario = one_window_scenario(
             TRIGGER, workload=WorkloadProfile.constant(1.0, 0.0, 5.0)
@@ -204,6 +209,23 @@ class TestScenarioValidation:
     def test_unknown_circuit_rejected(self):
         with pytest.raises(ScenarioError):
             one_window_scenario("oscilloscope")
+
+
+class TestScenarioConstruction:
+    def test_constructor_takes_the_circuit_switching_default(self):
+        scenario = Scenario(duration_s=1.0, circuit=TRIGGER)
+        assert scenario.switching == SwitchingModel.trigger_default()
+        assert scenario == Scenario.create(
+            1.0, TRIGGER, WorkloadProfile(), GpioCommandLog()
+        )
+
+    @pytest.mark.parametrize(
+        "circuit,channels,rate", [(RELAY, 1, 40_000.0), (TRIGGER, 2, 20_000.0)]
+    )
+    def test_channel_layout_follows_circuit(self, circuit, channels, rate):
+        config = Scenario(duration_s=1.0, circuit=circuit).config
+        assert config.channels == channels
+        assert channel_rate(config) == rate
 
 
 class TestSimulateTrigger:
@@ -461,6 +483,29 @@ class TestScenarioJson:
         obj["seed"] = 1.5
         with pytest.raises(ScenarioError, match=r"\$\.seed"):
             scenario_from_dict(obj)
+
+    @pytest.mark.parametrize("rate", [0.0, -40_000.0])
+    def test_non_positive_rate_is_a_scenario_error(self, rate):
+        obj = scenario_to_dict(self._scenario())
+        obj["aggregate_rate_hz"] = rate
+        with pytest.raises(ScenarioError, match="aggregate rate must be positive"):
+            scenario_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "path,keys,value", MALFORMED_FIELDS, ids=[case[0] for case in MALFORMED_FIELDS]
+    )
+    def test_malformed_field_is_named_once(self, path, keys, value):
+        obj = scenario_to_dict(every_block_scenario())
+        block = functools.reduce(operator.getitem, keys[:-1], obj)
+        if value is MISSING:
+            del block[keys[-1]]
+        else:
+            block[keys[-1]] = value
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(obj)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert message.count("$") == 1
 
     def test_dangling_activate_is_a_scenario_error(self):
         obj = scenario_to_dict(self._scenario())
