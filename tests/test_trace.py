@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from joulemark import trace as trace_module
+from joulemark.cli import _write_skyline_csv
 from joulemark.trace import (
     MeasurementWindow,
     PowerTrace,
@@ -249,3 +251,61 @@ class TestTraceCsv:
         )
         with pytest.raises(TraceFormatError, match="columns"):
             read_trace_csv(path)
+
+
+class TestCsvGoldenBytes:
+    """Exact bytes of the trace and skyline writers, pinned on small traces
+    that hold -0.0, subnormals, huge values and a non-integer rate."""
+
+    VS = [0.0, -0.0, 5e-324, 1e300, -0.0123456789, 0.1]
+    TRIG = [1.8, 0.0, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 0.3]
+
+    ONE_CHANNEL = (
+        "# rate_hz=3.3\n# vf=12.0\n# rs=0.1\nt_s,vs_v\n"
+        "0.0,0.0\n"
+        "0.30303030303030304,-0.0\n"
+        "0.6060606060606061,5e-324\n"
+        "0.9090909090909092,1e+300\n"
+        "1.2121212121212122,-0.0123456789\n"
+        "1.5151515151515151,0.1\n"
+    )
+    TWO_CHANNEL = (
+        "# rate_hz=7.77\n# vf=12.0\n# rs=0.1\nt_s,vs_v,trig_v\n"
+        "0.0,0.0,1.8\n"
+        "0.1287001287001287,-0.0,0.0\n"
+        "0.2574002574002574,5e-324,-0.0\n"
+        "0.3861003861003861,1e+300,2.2250738585072014e-308\n"
+        "0.5148005148005148,-0.0123456789,1.7976931348623157e+308\n"
+        "0.6435006435006435,0.1,0.3\n"
+    )
+    SKYLINE = (
+        "t_s,watts\n"
+        "0.0,0.0\n"
+        "0.30303030303030304,-0.0\n"
+        "0.6060606060606061,5.93e-322\n"
+        "0.9090909090909092,1.2e+302\n"
+        "1.2121212121212122,-1.481481468\n"
+        "1.5151515151515151,12.000000000000002\n"
+    )
+
+    @pytest.fixture(params=[None, 1, 4], ids=["default-rows", "rows-1", "rows-4"])
+    def rows(self, request, monkeypatch):
+        """Run each case at the default block size and at block sizes that
+        split the six rows into whole and partial blocks."""
+        if request.param is not None:
+            monkeypatch.setattr(trace_module, "CHUNK_ROWS", request.param)
+
+    def test_one_channel_trace(self, tmp_path, rows):
+        path = tmp_path / "one.csv"
+        write_trace_csv(PowerTrace(rate_hz=3.3, vs=self.VS), path)
+        assert path.read_bytes() == self.ONE_CHANNEL.encode()
+
+    def test_two_channel_trace(self, tmp_path, rows):
+        path = tmp_path / "two.csv"
+        write_trace_csv(PowerTrace(rate_hz=7.77, vs=self.VS, trig=self.TRIG), path)
+        assert path.read_bytes() == self.TWO_CHANNEL.encode()
+
+    def test_skyline_of_one_channel_trace(self, tmp_path, rows):
+        path = tmp_path / "skyline.csv"
+        _write_skyline_csv(PowerTrace(rate_hz=3.3, vs=self.VS), path)
+        assert path.read_bytes() == self.SKYLINE.encode()
