@@ -26,7 +26,14 @@ from .segment import (
 )
 from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
 from .stats import CampaignSummary, summarize_campaign
-from .trace import PowerTrace, ShuntConfig, read_trace_csv, validate_trace, write_trace_csv
+from .trace import (
+    PowerTrace,
+    ShuntConfig,
+    read_trace_csv,
+    validate_trace,
+    write_csv_rows,
+    write_trace_csv,
+)
 
 
 @dataclass
@@ -69,12 +76,9 @@ class SessionReport:
 
 
 def _write_skyline_csv(trace: PowerTrace, path: Path) -> None:
-    rate = trace.rate_hz
-    power = trace.power_w().tolist()
     with path.open("w", newline="\n") as f:
         f.write("t_s,watts\n")
-        for i, watts in enumerate(power):
-            f.write(f"{i / rate!r},{watts!r}\n")
+        write_csv_rows(f, trace.rate_hz, [trace.power_w()])
 
 
 def _analyze_trace(

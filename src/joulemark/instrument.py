@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -59,7 +60,7 @@ class GpioCommand:
     def __post_init__(self):
         if self.action not in _ACTIONS:
             raise ValueError(f"action must be one of {_ACTIONS}, got {self.action!r}")
-        if self.t_s < 0:
+        if not self.t_s >= 0:  # also rejects NaN, which no ordering check sees
             raise ValueError(f"command time must be >= 0, got {self.t_s}")
 
 
@@ -68,6 +69,10 @@ class GpioCommandLog:
     """Time-ordered toggle commands, strictly alternating per port."""
 
     entries: tuple[GpioCommand, ...] = ()
+
+    def __post_init__(self):
+        # held as a tuple, so the pairing that windows() caches stays true
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @classmethod
     def from_entries(cls, entries: Iterable[GpioCommand]) -> "GpioCommandLog":
@@ -108,7 +113,15 @@ class GpioCommandLog:
             )
 
     def windows(self) -> list[tuple[float, float, int]]:
-        """Pair up commands into (t_on, t_off, port), sorted by t_on."""
+        """Pair up commands into (t_on, t_off, port), sorted by t_on.
+
+        The log is validated and paired on the first call only; every call
+        returns a new list.  An invalid log raises on every call.
+        """
+        return list(self._pairs)
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[float, float, int], ...]:
         self.validate()
         open_at: dict[int, float] = {}
         out: list[tuple[float, float, int]] = []
@@ -118,7 +131,7 @@ class GpioCommandLog:
             else:
                 out.append((open_at.pop(cmd.port), cmd.t_s, cmd.port))
         out.sort(key=lambda w: (w[0], w[1]))
-        return out
+        return tuple(out)
 
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)

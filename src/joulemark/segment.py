@@ -10,6 +10,7 @@ classify each expected toggle as a hit or a miss.
 
 from __future__ import annotations
 
+import heapq
 import json
 import warnings
 from dataclasses import dataclass
@@ -164,22 +165,34 @@ def match_toggles(
 ) -> HitMissReport:
     """Greedy in-order matching of commanded toggles to recovered windows.
 
-    Each commanded pair matches the earliest unmatched window whose start
-    lies within tolerance_s of the commanded start (the default covers
-    twice the relay actuation latency).  Unmatched pairs are misses.
+    Each commanded pair, in order of its start t_on, takes the lowest-index
+    unmatched window whose ``begin / rate_hz`` lies within tolerance_s of
+    t_on (the default covers twice the relay actuation latency).  Unmatched
+    pairs are misses.
+
+    Runs in O((n + m) log m) for n pairs and m windows: the windows are
+    sorted once by start, and one sweep over the pairs, whose starts never
+    decrease, moves each window into a heap keyed by its index when it
+    comes within tolerance_s from above and drops it for good once it is
+    more than tolerance_s behind.  Both tests are written as
+    ``begin / rate_hz - t_on`` against tolerance_s, so that they round as
+    ``abs(begin / rate_hz - t_on) <= tolerance_s`` does.
     """
     pairs = intended.windows()
-    taken = [False] * len(found)
+    starts = [w.begin / rate_hz for w in found]
+    order = sorted(range(len(found)), key=starts.__getitem__)
+    unmatched: list[int] = []  # indices of windows not yet above tolerance
+    entered = 0  # windows of `order` moved into `unmatched` so far
     verdicts: list[ToggleVerdict] = []
     for t_on, t_off, port in pairs:
-        matched = None
-        for i, w in enumerate(found):
-            if taken[i]:
-                continue
-            if abs(w.begin / rate_hz - t_on) <= tolerance_s:
-                matched = i
-                taken[i] = True
-                break
+        while entered < len(order) and not (
+            starts[order[entered]] - t_on > tolerance_s
+        ):
+            heapq.heappush(unmatched, order[entered])
+            entered += 1
+        while unmatched and not starts[unmatched[0]] - t_on >= -tolerance_s:
+            heapq.heappop(unmatched)
+        matched = heapq.heappop(unmatched) if unmatched else None
         verdicts.append(
             ToggleVerdict(
                 port=port,

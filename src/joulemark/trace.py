@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -216,24 +216,42 @@ _HEADER_1CH = "t_s,vs_v"
 _HEADER_2CH = "t_s,vs_v,trig_v"
 
 
+# Rows per block of the CSV writers and of iter_trace_chunks for the
+# readers.  Blocks of 4096 to 262144 lines parse a 1.2M-row trace equally
+# fast; larger blocks hold more memory per block and, at 65536, raised the
+# peak RSS of repeated CLI runs.
+CHUNK_ROWS = 16384
+
+
 def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
     """Write a trace in the canonical CSV format (deterministic bytes)."""
     path = Path(path)
-    rate = trace.rate_hz
     with path.open("w", newline="\n") as f:
-        f.write(f"# rate_hz={rate!r}\n")
+        f.write(f"# rate_hz={trace.rate_hz!r}\n")
         f.write(f"# vf={trace.shunt.vf!r}\n")
         f.write(f"# rs={trace.shunt.rs!r}\n")
         if trace.trig is not None:
             f.write(_HEADER_2CH + "\n")
-            vs, trig = trace.vs.tolist(), trace.trig.tolist()
-            for i in range(len(vs)):
-                f.write(f"{i / rate!r},{vs[i]!r},{trig[i]!r}\n")
+            write_csv_rows(f, trace.rate_hz, [trace.vs, trace.trig])
         else:
             f.write(_HEADER_1CH + "\n")
-            vs = trace.vs.tolist()
-            for i in range(len(vs)):
-                f.write(f"{i / rate!r},{vs[i]!r}\n")
+            write_csv_rows(f, trace.rate_hz, [trace.vs])
+
+
+def write_csv_rows(f: TextIO, rate_hz: float, columns: Sequence[np.ndarray]) -> None:
+    """Write row i as ``i / rate_hz`` and the i-th value of each column,
+    every number as its ``repr``, comma-separated.
+
+    Rows are converted to Python floats and written CHUNK_ROWS at a time, so
+    a long trace is never held as one list of floats.
+    """
+    n = len(columns[0])
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        cells = [[i / rate_hz for i in range(start, stop)]]
+        cells += [column[start:stop].tolist() for column in columns]
+        rows = zip(*[map(repr, cell) for cell in cells])
+        f.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
@@ -241,12 +259,6 @@ def _parse_float(text: str, what: str, line: int) -> float:
         return float(text)
     except ValueError:
         raise TraceFormatError(f"{what} is not a number: {text!r}", line) from None
-
-
-# Lines per block of iter_trace_chunks for the readers.  Blocks of 4096 to
-# 262144 lines parse a 1.2M-row trace equally fast; larger blocks hold more
-# memory per block and, at 65536, raised the peak RSS of repeated CLI runs.
-CHUNK_ROWS = 16384
 
 
 def _read_header(lines: Iterator[str]) -> tuple[PowerTrace, int]:

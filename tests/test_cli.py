@@ -56,6 +56,22 @@ class TestSimulateCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_validates_the_gpio_log_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = GpioCommandLog.validate
+
+        def counted(log):
+            calls.append(log)
+            return validate(log)
+
+        monkeypatch.setattr(GpioCommandLog, "validate", counted)
+        scenario = write_scenario(tmp_path)
+        code = main(
+            ["simulate", str(scenario), "--out-trace", str(tmp_path / "o.csv"), "--out-truth", str(tmp_path / "t.json")]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_invalid_scenario_names_entry(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         obj = json.loads(path.read_text())

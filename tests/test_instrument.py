@@ -184,6 +184,35 @@ class TestCommandLog:
         )
         assert log.windows() == [(0.1, 0.3, 40), (0.2, 0.4, 43)]
 
+    def test_windows_returns_a_new_list_each_call(self):
+        log = GpioCommandLog(
+            (GpioCommand(0.1, 40, ACTIVATE), GpioCommand(0.2, 40, DEACTIVATE))
+        )
+        first = log.windows()
+        first.clear()
+        assert log.windows() == [(0.1, 0.2, 40)]
+        assert log.windows() is not log.windows()
+
+    def test_invalid_log_raises_on_every_call(self):
+        log = GpioCommandLog((GpioCommand(0.1, 40, ACTIVATE),))
+        for _ in range(2):
+            with pytest.raises(DanglingWindowError):
+                log.windows()
+
+    def test_entries_are_held_as_a_tuple(self):
+        entries = [GpioCommand(0.1, 40, ACTIVATE), GpioCommand(0.2, 40, DEACTIVATE)]
+        log = GpioCommandLog(entries)
+        entries.clear()
+        assert log.entries == (
+            GpioCommand(0.1, 40, ACTIVATE),
+            GpioCommand(0.2, 40, DEACTIVATE),
+        )
+        assert log == GpioCommandLog.from_entries(log.entries)
+
+    def test_nan_command_time_is_rejected(self):
+        with pytest.raises(ValueError, match="command time"):
+            GpioCommand(float("nan"), 40, ACTIVATE)
+
     def test_csv_round_trip(self, tmp_path):
         log = GpioCommandLog(
             (

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import (
     SegmentationParams,
+    ToggleVerdict,
     TraceTruncationWarning,
     WrongModeError,
     match_toggles,
@@ -242,6 +245,99 @@ class TestMatchToggles:
         d = report.to_json_dict()
         assert d["expected"] == 1 and d["misses"] == 1
         assert d["verdicts"][0]["hit"] is False
+
+
+def greedy_verdicts(intended, found, rate_hz, tolerance_s=1e-3):
+    """Reference matcher: for each pair in order, scan every window and take
+    the first unmatched one within tolerance_s."""
+    taken = [False] * len(found)
+    verdicts = []
+    for t_on, t_off, port in intended.windows():
+        matched = None
+        for i, w in enumerate(found):
+            if taken[i]:
+                continue
+            if abs(w.begin / rate_hz - t_on) <= tolerance_s:
+                matched = i
+                taken[i] = True
+                break
+        verdicts.append(ToggleVerdict(port, t_on, t_off, matched is not None, matched))
+    return tuple(verdicts)
+
+
+@st.composite
+def gpio_logs(draw):
+    """Logs over one to three ports; times on a coarse grid, so starts and
+    ends repeat within and across ports."""
+    step = draw(st.sampled_from([0.01, 0.001, 0.05, 0.3]))
+    commands = []
+    for port in draw(st.lists(st.sampled_from([40, 43, 46]), min_size=1, max_size=3, unique=True)):
+        ticks = sorted(draw(st.lists(st.integers(0, 400), max_size=16)))
+        ticks = ticks[: len(ticks) // 2 * 2]
+        for k, tick in enumerate(ticks):
+            commands.append(GpioCommand(tick * step, port, ACTIVATE if k % 2 == 0 else DEACTIVATE))
+    # stable: each port keeps its activate before its deactivate at equal times
+    commands.sort(key=lambda c: c.t_s)
+    return GpioCommandLog(tuple(commands))
+
+
+@st.composite
+def match_cases(draw):
+    """A log and windows in random order, some placed on the tolerance edges
+    of the commanded starts after division by the rate."""
+    log = draw(gpio_logs())
+    rate = draw(st.sampled_from([20_000.0, 10_000.0, 3.3, 7.77, 44_100.0, 1e6]))
+    tolerance = draw(st.sampled_from([1e-3, 5e-4, 2.5e-3, 0.0, -1e-3, 0.1, 1e9]))
+    begins = draw(st.lists(st.integers(0, int(130 * rate)), max_size=6))
+    for t_on, _, _ in log.windows():
+        for edge in (t_on - tolerance, t_on, t_on + tolerance):
+            if draw(st.booleans()):
+                near = int(edge * rate) if abs(edge) < 1e6 else 0
+                begins += [b for b in range(near - 1, near + 3) if b >= 0]
+    begins = draw(st.permutations(begins))
+    found = [MeasurementWindow(b, b + draw(st.integers(1, 50))) for b in begins]
+    return log, found, rate, tolerance
+
+
+class TestMatchTogglesAgainstGreedy:
+    @settings(max_examples=400, deadline=None)
+    @given(match_cases())
+    @example(
+        (
+            # the lowest-index candidate is not the earliest-starting one
+            GpioCommandLog(
+                (
+                    GpioCommand(0.07, 40, ACTIVATE),
+                    GpioCommand(0.07, 43, ACTIVATE),
+                    GpioCommand(0.1, 40, DEACTIVATE),
+                    GpioCommand(0.2, 43, DEACTIVATE),
+                )
+            ),
+            [MeasurementWindow(1410, 1500), MeasurementWindow(1400, 1430)],
+            20_000.0,
+            1e-3,
+        )
+    )
+    def test_verdicts_equal_the_greedy_reference(self, case):
+        log, found, rate, tolerance = case
+        report = match_toggles(log, found, rate, tolerance)
+        assert report.verdicts == greedy_verdicts(log, found, rate, tolerance)
+        assert report.hits == sum(v.hit for v in report.verdicts)
+
+    def test_4000_toggles_against_reversed_windows(self):
+        rng = np.random.default_rng(4000)
+        rate = 20_000.0
+        starts = np.cumsum(rng.integers(20, 400, size=4_000)) / 1_000
+        cmds = []
+        for t in starts.tolist():
+            cmds.extend(pair(t, t + 0.01))
+        log = GpioCommandLog(tuple(cmds))
+        begins = (starts * rate).astype(int) + rng.integers(-30, 30, size=len(starts))
+        found = [MeasurementWindow(int(b), int(b) + 200) for b in begins[rng.random(len(begins)) < 0.9]]
+        found.reverse()
+        report = match_toggles(log, found, rate)
+        assert report.verdicts == greedy_verdicts(log, found, rate)
+        assert 0 < report.misses < report.expected
 
 
 class TestWindowsCsv:
