@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .instrument import GpioCommandLog
-from .trace import MeasurementWindow, PowerTrace
+from .trace import CHUNK_ROWS, MeasurementWindow, PowerTrace, sample_to_power
 
 
 class WrongModeError(ValueError):
@@ -78,7 +78,11 @@ def segment_relay(
             "relay segmentation expects a single-channel trace; "
             "this trace has a trigger channel"
         )
-    active = np.abs(trace.power_w()) >= params.relay_threshold_w
+    # power in blocks, so that no float temporary as long as the trace is made
+    active = np.empty(len(trace), dtype=bool)
+    for start in range(0, len(trace), CHUNK_ROWS):
+        power = sample_to_power(trace.vs[start : start + CHUNK_ROWS], trace.shunt)
+        active[start : start + CHUNK_ROWS] = np.abs(power) >= params.relay_threshold_w
     runs = _runs(active)
     merged: list[tuple[int, int]] = []
     for start, end in runs:

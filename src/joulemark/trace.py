@@ -216,26 +216,27 @@ _HEADER_1CH = "t_s,vs_v"
 _HEADER_2CH = "t_s,vs_v,trig_v"
 
 
-# Rows per block of the CSV writers and of iter_trace_chunks for the
-# readers.  Blocks of 4096 to 262144 lines parse a 1.2M-row trace equally
-# fast; larger blocks hold more memory per block and, at 65536, raised the
-# peak RSS of repeated CLI runs.
+# Rows per block of the CSV writers, of iter_trace_chunks for the readers
+# and of the relay segmenter's power.  Blocks of 4096 to 262144 lines parse
+# a 1.2M-row trace equally fast; larger blocks hold more memory per block
+# and, at 65536, raised the peak RSS of repeated CLI runs.
 CHUNK_ROWS = 16384
 
 
 def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
     """Write a trace in the canonical CSV format (deterministic bytes)."""
     path = Path(path)
+    rate = trace.rate_hz
     with path.open("w", newline="\n") as f:
-        f.write(f"# rate_hz={trace.rate_hz!r}\n")
+        f.write(f"# rate_hz={rate!r}\n")
         f.write(f"# vf={trace.shunt.vf!r}\n")
         f.write(f"# rs={trace.shunt.rs!r}\n")
         if trace.trig is not None:
             f.write(_HEADER_2CH + "\n")
-            write_csv_rows(f, trace.rate_hz, [trace.vs, trace.trig])
+            write_csv_rows(f, rate, [trace.vs, trace.trig])
         else:
             f.write(_HEADER_1CH + "\n")
-            write_csv_rows(f, trace.rate_hz, [trace.vs])
+            write_csv_rows(f, rate, [trace.vs])
 
 
 def write_csv_rows(f: TextIO, rate_hz: float, columns: Sequence[np.ndarray]) -> None:

@@ -23,7 +23,13 @@ from joulemark.simulate import (
     WorkloadProfile,
     simulate_session,
 )
-from joulemark.trace import MeasurementWindow, PowerTrace, ShuntConfig, power_to_shunt_volts
+from joulemark.trace import (
+    CHUNK_ROWS,
+    MeasurementWindow,
+    PowerTrace,
+    ShuntConfig,
+    power_to_shunt_volts,
+)
 
 SHUNT = ShuntConfig()
 
@@ -82,6 +88,16 @@ class TestSegmentRelay:
     def test_rejects_two_channel_trace(self):
         with pytest.raises(WrongModeError):
             segment_relay(trigger_trace(np.zeros(100)))
+
+    def test_windows_across_power_blocks(self):
+        power = np.zeros(2 * CHUNK_ROWS + 50)
+        power[CHUNK_ROWS - 10 : CHUNK_ROWS + 10] = 12.0
+        power[2 * CHUNK_ROWS - 1 : 2 * CHUNK_ROWS + 2] = 12.0  # 3 samples: dropped
+        power[2 * CHUNK_ROWS + 20 : 2 * CHUNK_ROWS + 40] = -12.0
+        assert segment_relay(relay_trace(power)) == [
+            MeasurementWindow(CHUNK_ROWS - 10, CHUNK_ROWS + 10),
+            MeasurementWindow(2 * CHUNK_ROWS + 20, 2 * CHUNK_ROWS + 40),
+        ]
 
     def test_recovers_simulated_window_near_command(self):
         scenario = Scenario.create(
