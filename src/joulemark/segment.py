@@ -185,7 +185,7 @@ def match_toggles(
     pairs = intended.windows()
     starts = [w.begin / rate_hz for w in found]
     order = sorted(range(len(found)), key=starts.__getitem__)
-    unmatched: list[int] = []  # indices of windows not yet above tolerance
+    unmatched: list[int] = []  # heap of entered, unmatched window indices
     entered = 0  # windows of `order` moved into `unmatched` so far
     verdicts: list[ToggleVerdict] = []
     for t_on, t_off, port in pairs:
