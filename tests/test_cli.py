@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from joulemark.simulate import (
     save_scenario,
 )
 from joulemark.trace import read_trace_csv
+
+DEMO_SCENARIOS = sorted(Path(__file__).parent.parent.joinpath("demos", "scenarios").glob("*.json"))
+GOLDEN_SIMULATE = json.loads(Path(__file__).with_name("golden_simulate.json").read_text())
 
 
 def write_scenario(tmp_path, circuit=TRIGGER, noise_bound=0.001, seed=11):
@@ -82,6 +87,28 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "entry 1" in capsys.readouterr().err
+
+
+class TestSimulateGoldenBytes:
+    """Length and sha256 of the trace CSV and truth JSON that CLI simulate
+    writes for each demo scenario, as the simulator wrote them before its
+    workload was evaluated in blocks."""
+
+    def test_every_demo_scenario_has_a_golden_entry(self):
+        assert sorted(p.stem for p in DEMO_SCENARIOS) == sorted(GOLDEN_SIMULATE)
+
+    @pytest.mark.parametrize("scenario", DEMO_SCENARIOS, ids=lambda p: p.stem)
+    def test_trace_and_truth_bytes(self, tmp_path, scenario):
+        trace_path, truth_path = tmp_path / "trace.csv", tmp_path / "truth.json"
+        code = main(
+            ["simulate", str(scenario), "--out-trace", str(trace_path), "--out-truth", str(truth_path)]
+        )
+        assert code == 0
+        golden = GOLDEN_SIMULATE[scenario.stem]
+        for kind, path in (("trace", trace_path), ("truth", truth_path)):
+            data = path.read_bytes()
+            assert len(data) == golden[f"{kind}_bytes"], kind
+            assert hashlib.sha256(data).hexdigest() == golden[f"{kind}_sha256"], kind
 
 
 class TestAnalyzeCommand:

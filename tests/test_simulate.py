@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunking import chunk_rows
+
 from joulemark.acquisition import channel_rate
 from joulemark.energy import integrate_energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
@@ -16,6 +19,8 @@ from joulemark.simulate import (
     RELAY,
     TRIGGER,
     ConstantPower,
+    GroundTruth,
+    GroundTruthEntry,
     NoiseModel,
     RampPower,
     Scenario,
@@ -33,7 +38,14 @@ from joulemark.simulate import (
     scenario_to_dict,
     simulate_session,
 )
-from joulemark.trace import MeasurementWindow, ShuntConfig, validate_trace
+from joulemark.trace import (
+    MeasurementWindow,
+    PowerTrace,
+    ShuntConfig,
+    index_at_or_after,
+    power_to_shunt_volts,
+    validate_trace,
+)
 
 GOLDEN_SCENARIO = Path(__file__).with_name("golden_scenario.json")
 MISSING = object()
@@ -612,3 +624,97 @@ def scenarios(draw):
 def test_scenario_json_round_trip(scenario):
     obj = json.loads(json.dumps(scenario_to_dict(scenario)))
     assert scenario_from_dict(obj) == scenario
+
+
+def whole_array_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
+    """Reference simulator: the workload evaluated over the whole session at
+    once and every realized window copied in, as simulate_session did before
+    it worked in blocks."""
+    scenario.validate()
+    rate = channel_rate(scenario.config)
+    n = int(round(scenario.duration_s * rate))
+    rng = np.random.default_rng(scenario.seed)
+    t = np.arange(n) / rate
+    vs_true = power_to_shunt_volts(scenario.workload.power_at(t), scenario.shunt)
+    latency = scenario.switching.nominal_latency_s
+    entries = []
+    for t_on, t_off, port in scenario.gpio.windows():
+        hit = bool(rng.random() < hit_probability(t_off - t_on, scenario.switching))
+        realized = None
+        if hit:
+            b = index_at_or_after(t_on + latency, rate)
+            e = min(index_at_or_after(t_off + latency, rate), n)
+            if e - b >= 1:
+                realized = MeasurementWindow(b, e)
+        entries.append(
+            GroundTruthEntry(port, t_on, t_off, hit, realized, scenario.workload.integral(t_on, t_off))
+        )
+    windows = [e.realized for e in entries if e.realized is not None]
+    if scenario.circuit == RELAY:
+        vs = power_to_shunt_volts(scenario.noise.draw_power(rng, n), scenario.shunt)
+        for w in windows:
+            vs[w.begin : w.end] = vs_true[w.begin : w.end]
+        trace = PowerTrace(rate_hz=rate, vs=vs, shunt=scenario.shunt)
+    else:
+        trig = np.zeros(n)
+        for w in windows:
+            trig[w.begin : w.end] = scenario.logic_high_v
+        trace = PowerTrace(rate_hz=rate, vs=vs_true, trig=trig, shunt=scenario.shunt)
+    return trace, GroundTruth(rate_hz=rate, seed=scenario.seed, entries=tuple(entries))
+
+
+@st.composite
+def short_sessions(draw):
+    """Sessions of 1 to 2,000 samples per channel: up to four segments of any
+    shape and one to six toggle pairs, placed anywhere in the session."""
+    circuit = draw(st.sampled_from([RELAY, TRIGGER]))
+    aggregate = draw(st.floats(10.0, 1e5))
+    rate = aggregate / (1 if circuit == RELAY else 2)
+    duration = draw(st.integers(1, 2_000)) / rate
+    times = st.floats(0.0, duration)
+    segments = []
+    bounds = sorted(draw(st.lists(times, max_size=8, unique=True)))
+    for start, end in zip(bounds[::2], bounds[1::2]):
+        segments.append(WorkloadSegment(start, end, draw(shapes())))
+    cmds = []
+    edges = sorted(draw(st.lists(times, min_size=2, max_size=12)))
+    for t_on, t_off in zip(edges[::2], edges[1::2]):
+        cmds.extend(pair(t_on, t_off))
+    return Scenario(
+        duration_s=duration,
+        circuit=circuit,
+        aggregate_rate_hz=aggregate,
+        shunt=ShuntConfig(vf=draw(positive), rs=draw(positive)),
+        workload=WorkloadProfile(tuple(segments)),
+        gpio=GpioCommandLog(tuple(cmds)),
+        switching=draw(
+            st.one_of(
+                st.none(),
+                st.builds(
+                    SwitchingModel,
+                    nominal_latency_s=st.floats(0.0, duration),
+                    full_confidence_s=positive,
+                    floor_hit_prob=st.floats(0.0, 1.0),
+                ),
+            )
+        ),
+        noise=NoiseModel(draw(st.floats(0.0, 1.0))),
+        logic_high_v=draw(positive),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_sessions(), st.sampled_from([1, 3, 7, 64, None]))
+def test_simulation_matches_whole_array_reference(scenario, rows):
+    """Bit for bit, at the default block size and at blocks that put window
+    and segment edges inside and across blocks."""
+    with chunk_rows(rows) if rows else contextlib.nullcontext():
+        trace, truth = simulate_session(scenario)
+    ref_trace, ref_truth = whole_array_session(scenario)
+    assert truth == ref_truth
+    assert (trace.rate_hz, trace.shunt) == (ref_trace.rate_hz, ref_trace.shunt)
+    assert trace.vs.tobytes() == ref_trace.vs.tobytes()
+    assert trace.has_trigger == ref_trace.has_trigger
+    if trace.has_trigger:
+        assert trace.trig.tobytes() == ref_trace.trig.tobytes()
