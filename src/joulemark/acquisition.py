@@ -20,13 +20,8 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
-from .trace import (
-    CHUNK_ROWS,
-    PowerTrace,
-    concat_traces,
-    iter_trace_chunks,
-    read_trace_csv,
-)
+from . import trace as trace_module
+from .trace import PowerTrace, concat_traces, iter_trace_chunks, read_trace_csv
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import Scenario
@@ -135,12 +130,8 @@ class SampleStream:
         trig = None
         if self.has_trigger:
             trig = np.concatenate([c.trig[lo:hi] for c, lo, hi in parts])
-        return PowerTrace(
-            rate_hz=self.rate_hz,
-            vs=np.concatenate([c.vs[lo:hi] for c, lo, hi in parts]),
-            trig=trig,
-            shunt=self.shunt,
-        )
+        vs = np.concatenate([c.vs[lo:hi] for c, lo, hi in parts])
+        return PowerTrace._adopt(self.rate_hz, vs, trig, self.shunt)
 
 
 def open_source(config: AcquisitionConfig) -> SampleStream:
@@ -160,7 +151,7 @@ def open_source(config: AcquisitionConfig) -> SampleStream:
         chunks = iter((simulate_session(source.scenario)[0],))
     elif isinstance(source, StreamSource):
         fileobj = source.fileobj if source.fileobj is not None else sys.stdin
-        chunks = iter_trace_chunks(fileobj, CHUNK_ROWS)
+        chunks = iter_trace_chunks(fileobj, trace_module.CHUNK_ROWS)
     else:
         raise TypeError(f"unrecognized source: {source!r}")
     stream = SampleStream(config, chunks)

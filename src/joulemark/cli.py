@@ -30,6 +30,7 @@ from .trace import (
     PowerTrace,
     ShuntConfig,
     read_trace_csv,
+    sample_to_power,
     validate_trace,
     write_csv_rows,
     write_trace_csv,
@@ -75,10 +76,24 @@ class SessionReport:
         }
 
 
+class _PowerColumn:
+    """A trace's power as a column whose slices are computed when taken, so
+    that the skyline writer holds one block of watts at a time."""
+
+    def __init__(self, trace: PowerTrace):
+        self.trace = trace
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    def __getitem__(self, rows: slice):
+        return sample_to_power(self.trace.vs[rows], self.trace.shunt)
+
+
 def _write_skyline_csv(trace: PowerTrace, path: Path) -> None:
     with path.open("w", newline="\n") as f:
         f.write("t_s,watts\n")
-        write_csv_rows(f, trace.rate_hz, [trace.power_w()])
+        write_csv_rows(f, trace.rate_hz, [_PowerColumn(trace)])
 
 
 def _analyze_trace(
@@ -130,18 +145,14 @@ def _cmd_analyze(args) -> int:
         for v in validation.violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
-    if args.rate is not None:
-        trace = PowerTrace(
-            rate_hz=args.rate, vs=trace.vs, trig=trace.trig, shunt=trace.shunt
-        )
-    if args.vf is not None or args.shunt_r is not None:
+    if args.rate is not None or args.vf is not None or args.shunt_r is not None:
         shunt = ShuntConfig(
             vf=args.vf if args.vf is not None else trace.shunt.vf,
             rs=args.shunt_r if args.shunt_r is not None else trace.shunt.rs,
         )
-        trace = PowerTrace(
-            rate_hz=trace.rate_hz, vs=trace.vs, trig=trace.trig, shunt=shunt
-        )
+        rate = args.rate if args.rate is not None else trace.rate_hz
+        # the read trace's arrays are read-only and go no further: share them
+        trace = PowerTrace._adopt(rate, trace.vs, trace.trig, shunt)
     params = SegmentationParams(
         relay_threshold_w=args.threshold_w,
         min_window_samples=args.min_window,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .instrument import GpioCommandLog
-from .trace import CHUNK_ROWS, MeasurementWindow, PowerTrace, sample_to_power
+from .trace import MeasurementWindow, PowerTrace, row_blocks, sample_to_power
 
 
 class WrongModeError(ValueError):
@@ -80,9 +80,9 @@ def segment_relay(
         )
     # power in blocks, so that no float temporary as long as the trace is made
     active = np.empty(len(trace), dtype=bool)
-    for start in range(0, len(trace), CHUNK_ROWS):
-        power = sample_to_power(trace.vs[start : start + CHUNK_ROWS], trace.shunt)
-        active[start : start + CHUNK_ROWS] = np.abs(power) >= params.relay_threshold_w
+    for start, stop in row_blocks(len(trace)):
+        power = sample_to_power(trace.vs[start:stop], trace.shunt)
+        active[start:stop] = np.abs(power) >= params.relay_threshold_w
     runs = _runs(active)
     merged: list[tuple[int, int]] = []
     for start, end in runs:

@@ -43,7 +43,7 @@ from .trace import (
     PowerTrace,
     ShuntConfig,
     index_at_or_after,
-    power_to_shunt_volts,
+    row_blocks,
 )
 
 RELAY = "relay"
@@ -465,10 +465,6 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
             f"session of {scenario.duration_s}s at {rate}Hz has no samples"
         )
     rng = np.random.default_rng(scenario.seed)
-    t = np.arange(n) / rate
-    power_true = scenario.workload.power_at(t)
-    vs_true = power_to_shunt_volts(power_true, scenario.shunt)
-
     latency = scenario.switching.nominal_latency_s
     entries: list[GroundTruthEntry] = []
     for t_on, t_off, port in scenario.gpio.windows():
@@ -493,20 +489,30 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
 
     realized_windows = [e.realized for e in entries if e.realized is not None]
     if scenario.circuit == RELAY:
-        # idle: probes read the same node, so only noise reaches the DAQ
-        vs = power_to_shunt_volts(
-            scenario.noise.draw_power(rng, n), scenario.shunt
-        )
+        # idle: probes read the same node, so only noise reaches the DAQ;
+        # inside realized windows they read the workload
+        vs = scenario.noise.draw_power(rng, n)
+        live = np.zeros(n, dtype=bool)
         for w in realized_windows:
-            vs[w.begin : w.end] = vs_true[w.begin : w.end]
-        trace = PowerTrace(rate_hz=rate, vs=vs, trig=None, shunt=scenario.shunt)
+            live[w.begin : w.end] = True
+        trig = None
     else:
+        vs = np.empty(n)
+        live = None
         trig = np.zeros(n)
         for w in realized_windows:
             trig[w.begin : w.end] = scenario.logic_high_v
-        trace = PowerTrace(
-            rate_hz=rate, vs=vs_true, trig=trig, shunt=scenario.shunt
-        )
+    # watts where the DAQ reads the workload, block by block, then the whole
+    # block converted to shunt volts in place, in power_to_shunt_volts order
+    shunt = scenario.shunt
+    for start, stop in row_blocks(n):
+        block = vs[start:stop]
+        t = np.arange(start, stop) / rate
+        read = slice(None) if live is None else live[start:stop]
+        block[read] = scenario.workload.power_at(t[read])
+        block *= shunt.rs
+        block /= shunt.vf
+    trace = PowerTrace._adopt(rate, vs, trig, shunt)
     truth = GroundTruth(rate_hz=rate, seed=scenario.seed, entries=tuple(entries))
     return trace, truth
 

@@ -77,10 +77,14 @@ class MeasurementWindow:
 class PowerTrace:
     """Uniformly sampled shunt-voltage (and optional trigger) time series.
 
-    Arrays are normalized to read-only float64 on construction.  Structural
-    invariants (positive rate, finite values, matching channel lengths) are
-    checked by :func:`validate_trace`, not at construction, so that invalid
-    traces can be represented and reported on.
+    The constructor copies the arrays it is given into read-only float64
+    arrays of its own, so a caller's later writes never reach the trace.
+    Traces the package builds itself (read from CSV, drained from a stream,
+    simulated) adopt their freshly built arrays instead of copying them;
+    those arrays are read-only too.  Structural invariants (positive rate,
+    finite values, matching channel lengths) are checked by
+    :func:`validate_trace`, not at construction, so that invalid traces can
+    be represented and reported on.
     """
 
     rate_hz: float
@@ -96,6 +100,24 @@ class PowerTrace:
             trig = np.array(self.trig, dtype=np.float64, copy=True).reshape(-1)
             trig.flags.writeable = False
             object.__setattr__(self, "trig", trig)
+
+    @classmethod
+    def _adopt(
+        cls,
+        rate_hz: float,
+        vs: np.ndarray,
+        trig: np.ndarray | None,
+        shunt: ShuntConfig,
+    ) -> "PowerTrace":
+        """A trace that takes the given 1-D float64 arrays as they are, with
+        no copy, and makes them read-only.  Only for arrays the package has
+        just built and nothing else writes to, or arrays of another trace."""
+        trace = object.__new__(cls)
+        for name, value in (("rate_hz", rate_hz), ("vs", vs), ("trig", trig), ("shunt", shunt)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(trace, name, value)
+        return trace
 
     @property
     def has_trigger(self) -> bool:
@@ -216,11 +238,21 @@ _HEADER_1CH = "t_s,vs_v"
 _HEADER_2CH = "t_s,vs_v,trig_v"
 
 
-# Rows per block of the CSV writers, of iter_trace_chunks for the readers
-# and of the relay segmenter's power.  Blocks of 4096 to 262144 lines parse
-# a 1.2M-row trace equally fast; larger blocks hold more memory per block
-# and, at 65536, raised the peak RSS of repeated CLI runs.
+# Rows per block of every blocked loop in the package: the CSV writers,
+# iter_trace_chunks for the readers, the simulator's workload and the relay
+# segmenter's power.  Each reads it from here at call time (row_blocks, or
+# read_trace_csv and the stream source), so patching it here resizes all of
+# them.  Blocks of 4096 to 262144 lines parse a 1.2M-row trace equally
+# fast; larger blocks hold more memory per block and, at 65536, raised the
+# peak RSS of repeated CLI runs.
 CHUNK_ROWS = 16384
+
+
+def row_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """[start, stop) of consecutive blocks of CHUNK_ROWS rows covering n rows."""
+    step = CHUNK_ROWS
+    for start in range(0, n, step):
+        yield start, min(start + step, n)
 
 
 def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
@@ -244,11 +276,10 @@ def write_csv_rows(f: TextIO, rate_hz: float, columns: Sequence[np.ndarray]) -> 
     every number as its ``repr``, comma-separated.
 
     Rows are converted to Python floats and written CHUNK_ROWS at a time, so
-    a long trace is never held as one list of floats.
+    a long trace is never held as one list of floats.  A column may be any
+    object whose slices are arrays, such as one computed block by block.
     """
-    n = len(columns[0])
-    for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
+    for start, stop in row_blocks(len(columns[0])):
         cells = [[i / rate_hz for i in range(start, stop)]]
         cells += [column[start:stop].tolist() for column in columns]
         rows = zip(*[map(repr, cell) for cell in cells])
@@ -383,12 +414,8 @@ def concat_traces(blocks: Sequence[PowerTrace]) -> PowerTrace:
     channel layout."""
     first = blocks[0]
     trig = np.concatenate([b.trig for b in blocks]) if first.has_trigger else None
-    return PowerTrace(
-        rate_hz=first.rate_hz,
-        vs=np.concatenate([b.vs for b in blocks]),
-        trig=trig,
-        shunt=first.shunt,
-    )
+    vs = np.concatenate([b.vs for b in blocks])
+    return PowerTrace._adopt(first.rate_hz, vs, trig, first.shunt)
 
 
 def read_trace_csv(path: str | Path) -> PowerTrace:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from joulemark import cli
 from joulemark.cli import main
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import (
@@ -15,7 +16,7 @@ from joulemark.simulate import (
     WorkloadProfile,
     save_scenario,
 )
-from joulemark.trace import read_trace_csv
+from joulemark.trace import PowerTrace, ShuntConfig, read_trace_csv, write_trace_csv
 
 DEMO_SCENARIOS = sorted(Path(__file__).parent.parent.joinpath("demos", "scenarios").glob("*.json"))
 GOLDEN_SIMULATE = json.loads(Path(__file__).with_name("golden_simulate.json").read_text())
@@ -163,6 +164,57 @@ class TestAnalyzeCommand:
         report = json.loads(report_path.read_text())
         assert report["hit_miss"]["expected"] == 1
         assert report["hit_miss"]["hits"] == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"--rate": "25000.0"},
+            {"--vf": "5.0"},
+            {"--rate": "25000.0", "--vf": "5.0", "--shunt-r": "0.25"},
+        ],
+        ids=["rate", "vf", "all"],
+    )
+    def test_overrides_share_the_read_trace(self, tmp_path, monkeypatch, overrides):
+        """An overridden analysis writes the bytes of an analysis of a file
+        that holds the same samples at the new rate, supply and shunt, and
+        the trace it analyzes shares the read trace's arrays."""
+        trace_path = self._simulate(tmp_path)
+        trace = read_trace_csv(trace_path)
+        relabelled = tmp_path / "relabelled.csv"
+        write_trace_csv(
+            PowerTrace(
+                rate_hz=float(overrides.get("--rate", trace.rate_hz)),
+                vs=trace.vs,
+                trig=trace.trig,
+                shunt=ShuntConfig(
+                    vf=float(overrides.get("--vf", trace.shunt.vf)),
+                    rs=float(overrides.get("--shunt-r", trace.shunt.rs)),
+                ),
+            ),
+            relabelled,
+        )
+        expected = tmp_path / "expected.json"
+        assert main(["analyze", str(relabelled), "--mode", "trigger", "--out", str(expected)]) == 0
+
+        seen = {}
+        read, analyze = cli.read_trace_csv, cli._analyze_trace
+        monkeypatch.setattr(cli, "read_trace_csv", lambda path: seen.setdefault("read", read(path)))
+        monkeypatch.setattr(
+            cli, "_analyze_trace", lambda trace, *a: analyze(seen.setdefault("analyzed", trace), *a)
+        )
+        out = tmp_path / "overridden.json"
+        flags = [part for pair in overrides.items() for part in pair]
+        assert main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), *flags]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert (
+            out.with_suffix(".skyline.csv").read_bytes()
+            == expected.with_suffix(".skyline.csv").read_bytes()
+        )
+        analyzed = seen["analyzed"]
+        assert analyzed is not seen["read"]
+        assert np.shares_memory(analyzed.vs, seen["read"].vs)
+        assert np.shares_memory(analyzed.trig, seen["read"].trig)
+        assert not analyzed.vs.flags.writeable and not analyzed.trig.flags.writeable
 
     def test_mode_channel_mismatch_fails(self, tmp_path, capsys):
         trace_path = self._simulate(tmp_path, circuit=RELAY)  # 1-channel trace

@@ -1,0 +1,106 @@
+"""Peak memory of the stages that see a whole trace, as multiples of the
+trace's own bytes (the sum of its channels' array sizes).
+
+tracemalloc counts numpy's data buffers, so every trace-length temporary
+adds a whole multiple: 1x per relay channel, 0.5x per trigger channel.  The
+stages run in blocks of 512 rows, which keeps each block's own objects
+(lines, floats, strings) small next to a 100,000-sample trace.  Measured
+peaks, and in brackets the same stage when every array was built whole and
+the trace copied what it was given:
+
+- simulate_session: relay 1.16x, the shunt channel and its one-byte window
+  mask (5.0x); trigger 1.01x (3.0x);
+- read_trace_csv: 2.1x, the parsed blocks and their concatenation, which
+  the trace adopts (3.05x);
+- the skyline writer: relay 0.13x, trigger 0.06x, one block of watts and
+  its text (1.12x and 0.56x).
+
+Each bound sits below the peak one more trace-length array would give.
+"""
+
+import tracemalloc
+
+import pytest
+
+from chunking import chunk_rows
+from joulemark.cli import _write_skyline_csv
+from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
+from joulemark.simulate import RELAY, TRIGGER, Scenario, WorkloadProfile, simulate_session
+from joulemark.trace import read_trace_csv, write_trace_csv
+
+SAMPLES = 100_000
+BLOCK_ROWS = 512
+
+
+def session(circuit: str, samples: int = SAMPLES) -> Scenario:
+    """``samples`` samples per channel, four windows of half a second each."""
+    duration = 10.0
+    cmds = []
+    for k in range(4):
+        cmds += [GpioCommand(1.0 + 2 * k, 40, ACTIVATE), GpioCommand(1.5 + 2 * k, 40, DEACTIVATE)]
+    return Scenario(
+        duration_s=duration,
+        circuit=circuit,
+        aggregate_rate_hz=samples / duration * (1 if circuit == RELAY else 2),
+        workload=WorkloadProfile.constant(12.0, 0.0, duration),
+        gpio=GpioCommandLog(tuple(cmds)),
+        seed=3,
+    )
+
+
+def trace_bytes(trace) -> int:
+    return trace.vs.nbytes + (trace.trig.nbytes if trace.has_trigger else 0)
+
+
+def peak_bytes(fn, *args):
+    """fn(*args) and the most memory it held at once above what was held
+    before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def warm_up(tmp_path_factory):
+    """Run every stage once on a small trace first, so that the imports and
+    caches a first call sets up are not counted."""
+    path = tmp_path_factory.mktemp("warm-up") / "trace.csv"
+    for circuit in (RELAY, TRIGGER):
+        trace, _ = simulate_session(session(circuit, samples=100))
+        write_trace_csv(trace, path)
+        _write_skyline_csv(read_trace_csv(path), path.with_suffix(".skyline.csv"))
+
+
+@pytest.fixture(params=[RELAY, TRIGGER])
+def simulated(request):
+    with chunk_rows(BLOCK_ROWS):
+        (trace, _), peak = peak_bytes(simulate_session, session(request.param))
+    assert len(trace) == SAMPLES
+    return request.param, trace, peak
+
+
+def test_simulate_session_holds_the_trace_once(simulated):
+    _, trace, peak = simulated
+    assert peak <= 1.3 * trace_bytes(trace)
+
+
+def test_read_trace_csv_holds_blocks_and_one_concatenation(simulated, tmp_path):
+    _, trace, _ = simulated
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    with chunk_rows(BLOCK_ROWS):
+        read, peak = peak_bytes(read_trace_csv, path)
+    assert read.vs.tobytes() == trace.vs.tobytes()
+    assert peak <= 2.3 * trace_bytes(read)
+
+
+def test_skyline_writer_holds_one_block_of_watts(simulated, tmp_path):
+    _, trace, _ = simulated
+    with chunk_rows(BLOCK_ROWS):
+        _, peak = peak_bytes(_write_skyline_csv, trace, tmp_path / "skyline.csv")
+    assert peak <= 0.3 * trace_bytes(trace)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chunking import chunk_rows
+
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import (
     SegmentationParams,
@@ -97,6 +99,21 @@ class TestSegmentRelay:
         assert segment_relay(relay_trace(power)) == [
             MeasurementWindow(CHUNK_ROWS - 10, CHUNK_ROWS + 10),
             MeasurementWindow(2 * CHUNK_ROWS + 20, 2 * CHUNK_ROWS + 40),
+        ]
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_windows_across_shrunk_power_blocks(self, rows):
+        power = np.zeros(60)
+        power[5:13] = 12.0
+        power[15:17] = 12.0  # merged across a 2-sample gap
+        power[30:33] = -12.0  # 3 samples: dropped
+        power[40:59] = 0.004 + 0.002 * (np.arange(19) % 2)  # every other sample active
+        trace = relay_trace(power)
+        with chunk_rows(rows):
+            windows = segment_relay(trace)
+        assert windows == segment_relay(trace) == [
+            MeasurementWindow(5, 17),
+            MeasurementWindow(41, 58),
         ]
 
     def test_recovers_simulated_window_near_command(self):

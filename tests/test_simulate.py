@@ -712,7 +712,7 @@ def test_simulation_matches_whole_array_reference(scenario, rows):
     with chunk_rows(rows) if rows else contextlib.nullcontext():
         trace, truth = simulate_session(scenario)
     ref_trace, ref_truth = whole_array_session(scenario)
-    assert truth == ref_truth
+    assert repr(truth) == repr(ref_truth)  # a nan true_joules equals itself
     assert (trace.rate_hz, trace.shunt) == (ref_trace.rate_hz, ref_trace.shunt)
     assert trace.vs.tobytes() == ref_trace.vs.tobytes()
     assert trace.has_trigger == ref_trace.has_trigger

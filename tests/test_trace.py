@@ -1,15 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from joulemark import trace as trace_module
+from joulemark.acquisition import AcquisitionConfig, ReplaySource, open_source, read_all
 from joulemark.cli import _write_skyline_csv
+from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
+from joulemark.simulate import RELAY, TRIGGER, Scenario, simulate_session
 from joulemark.trace import (
     MeasurementWindow,
     PowerTrace,
     ShuntConfig,
     TraceFormatError,
+    concat_traces,
     downsample,
     index_at_or_after,
     iter_trace_chunks,
@@ -102,6 +107,43 @@ class TestPowerTrace:
         trace = PowerTrace(rate_hz=40_000.0, vs=np.zeros(10))
         with pytest.raises(ValueError):
             trace.vs[0] = 1.0
+
+    def test_constructor_copies_the_callers_arrays(self):
+        vs, trig = np.arange(6.0), np.full(6, 1.8)
+        trace = PowerTrace(rate_hz=10.0, vs=vs, trig=trig)
+        vs[:] = -1.0
+        trig[:] = -1.0
+        assert trace.vs.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert trace.trig.tolist() == [1.8] * 6
+        assert vs.flags.writeable and trig.flags.writeable
+
+    def test_every_trace_the_package_builds_is_read_only(self, tmp_path):
+        two_channel = PowerTrace(rate_hz=10.0, vs=np.arange(40.0), trig=np.ones(40))
+        path = tmp_path / "t.csv"
+        write_trace_csv(two_channel, path)
+        with path.open() as f:
+            blocks = list(iter_trace_chunks(f, 16))
+        stream = open_source(AcquisitionConfig(20.0, 2, ReplaySource(path)))
+        scenario = Scenario(duration_s=0.5, circuit=RELAY, gpio=GpioCommandLog(
+            (GpioCommand(0.1, 40, ACTIVATE), GpioCommand(0.2, 40, DEACTIVATE))
+        ))
+        traces = [
+            two_channel,
+            *blocks,
+            concat_traces(blocks),
+            read_trace_csv(path),
+            downsample(two_channel, 3),
+            stream.read_block(7),
+            read_all(stream),
+            simulate_session(scenario)[0],
+            simulate_session(replace(scenario, circuit=TRIGGER, switching=None))[0],
+        ]
+        for trace in traces:
+            for array in (trace.vs, trace.trig):
+                if array is not None:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[:1] = 0.0
 
     def test_times_follow_index_over_rate(self):
         trace = PowerTrace(rate_hz=20_000.0, vs=np.zeros(5))
