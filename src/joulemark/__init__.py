@@ -10,9 +10,6 @@ intervals.
 from .acquisition import (
     AcquisitionConfig,
     ChannelMismatchError,
-    ReplaySource,
-    SampleStream,
-    SimulatorSource,
     StreamSource,
     channel_rate,
     open_source,

@@ -184,8 +184,7 @@ def _cmd_campaign(args) -> int:
     for run in range(args.runs):
         run_scenario = scenario.with_seed(scenario.seed + run)
         trace, _ = simulate_session(run_scenario)
-        mode = RELAY if run_scenario.circuit == RELAY else TRIGGER
-        report = _analyze_trace(trace, mode, params, 1e-3, expected=None)
+        report = _analyze_trace(trace, run_scenario.circuit, params, 1e-3, expected=None)
         joules.append(sum(r.joules for r in report.results))
     summary = summarize_campaign(joules, args.confidence)
     out = Path(args.out)

@@ -12,13 +12,11 @@ windows that share a boundary sample therefore telescope exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .trace import MeasurementWindow, PowerTrace, ShuntConfig, downsample
+from .trace import MeasurementWindow, PowerTrace, downsample
 
 
 class DegenerateWindowError(ValueError):
@@ -51,15 +49,8 @@ class EnergyResult:
             "mean_watts": self.mean_watts,
         }
 
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
-
-def integrate_energy(
-    trace: PowerTrace,
-    window: MeasurementWindow,
-    shunt: ShuntConfig | None = None,
-) -> EnergyResult:
+def integrate_energy(trace: PowerTrace, window: MeasurementWindow) -> EnergyResult:
     """Trapezoidal energy of one window; negative samples integrate as-is."""
     if window.end > len(trace):
         raise ValueError(
@@ -69,10 +60,9 @@ def integrate_energy(
         raise DegenerateWindowError(
             f"window [{window.begin}, {window.end}) has fewer than 2 samples"
         )
-    shunt = shunt if shunt is not None else trace.shunt
     dt = 1.0 / trace.rate_hz
     segment = trace.vs[window.begin : window.end]
-    joules = (shunt.vf / shunt.rs) * float(np.trapezoid(segment, dx=dt))
+    joules = (trace.shunt.vf / trace.shunt.rs) * float(np.trapezoid(segment, dx=dt))
     duration = window.duration_s(trace.rate_hz)
     return EnergyResult(
         joules=joules,
@@ -83,9 +73,7 @@ def integrate_energy(
     )
 
 
-def integrate_full(
-    trace: PowerTrace, shunt: ShuntConfig | None = None
-) -> EnergyResult:
+def integrate_full(trace: PowerTrace) -> EnergyResult:
     """Energy of the whole trace.
 
     With the relay circuit this relies on idle noise being zero-mean: the
@@ -96,7 +84,7 @@ def integrate_full(
         raise DegenerateWindowError(
             f"trace has {len(trace)} samples; need at least 2"
         )
-    return integrate_energy(trace, MeasurementWindow(0, len(trace)), shunt)
+    return integrate_energy(trace, MeasurementWindow(0, len(trace)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +109,6 @@ def compare_resolution(
     hi_res: PowerTrace,
     factor: int,
     window: MeasurementWindow | None = None,
-    shunt: ShuntConfig | None = None,
 ) -> ResolutionComparison:
     """Integrate a window at full rate and after decimation by `factor`.
 
@@ -147,8 +134,8 @@ def compare_resolution(
             f"window collapses to {len(lo_window)} sample(s) after decimation"
         )
     lo_res = downsample(hi_res, factor)
-    e_hi = integrate_energy(hi_res, window, shunt).joules
-    e_lo = integrate_energy(lo_res, lo_window, shunt).joules
+    e_hi = integrate_energy(hi_res, window).joules
+    e_lo = integrate_energy(lo_res, lo_window).joules
     if e_hi == 0.0:
         rel = 0.0 if e_lo == 0.0 else float("inf")
     else:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 KNOWN_PINS: tuple[int, ...] = (40, 43, 46, 49, 52, 55, 58, 50)
 
@@ -73,10 +73,6 @@ class GpioCommandLog:
     def __post_init__(self):
         # held as a tuple, so the pairing that windows() caches stays true
         object.__setattr__(self, "entries", tuple(self.entries))
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[GpioCommand]) -> "GpioCommandLog":
-        return cls(tuple(entries))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -11,7 +11,6 @@ classify each expected toggle as a hit or a miss.
 from __future__ import annotations
 
 import heapq
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,9 +155,6 @@ class HitMissReport:
             "misses": self.misses,
             "verdicts": [v.to_json_dict() for v in self.verdicts],
         }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
 
 def match_toggles(

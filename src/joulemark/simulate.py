@@ -214,8 +214,11 @@ class RampPower:
         return self.w0 + (self.w1 - self.w0) * (t / duration)
 
     def integral(self, a: float, b: float, duration: float) -> float:
-        slope = (self.w1 - self.w0) / duration
-        return self.w0 * (b - a) + 0.5 * slope * (b * b - a * a)
+        # the mean power over [a, b], the power at its midpoint, times b - a:
+        # unlike a slope, the midpoint's fraction of a subnormal duration
+        # stays finite
+        mid = (a + b) / (2 * duration)
+        return (b - a) * (self.w0 + (self.w1 - self.w0) * mid)
 
 
 @dataclass(frozen=True)

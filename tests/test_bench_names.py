@@ -1,0 +1,70 @@
+"""The benchmark under ``bench/`` calls and wraps joulemark by name.  Every
+name it reaches must resolve, so that removing one fails here first rather
+than in a benchmark run."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import joulemark
+import joulemark.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+_spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+@pytest.mark.parametrize("module_name, path", tracing.TRACED)
+def test_traced_functions_resolve(module_name, path):
+    owner = importlib.import_module(module_name)
+    *owners, attr = path.split(".")
+    for part in owners:
+        owner = getattr(owner, part)
+    # the tracer replaces the attribute where it is defined
+    assert callable(getattr(owner, attr)) and attr in vars(owner)
+
+
+def test_tracer_installs_and_restores_its_wrappers():
+    before = {name: getattr(joulemark, name) for name in ("open_source", "read_all")}
+    with tracing.Tracer().job(0):
+        assert joulemark.read_all is not before["read_all"]
+    assert {name: getattr(joulemark, name) for name in before} == before
+
+
+def _package_names(source: str) -> set[tuple[str, ...]]:
+    """Attribute chains rooted at ``joulemark`` or a local alias of it."""
+    tree = ast.parse(source)
+    roots = {"joulemark"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            if node.value.id in roots:
+                roots.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in roots:
+            chains.add(tuple(reversed(parts)))
+    return chains
+
+
+WORKLOAD_NAMES = sorted(_package_names((BENCH / "workloads.py").read_text()))
+
+
+def test_workloads_use_the_package():
+    assert ("open_source",) in WORKLOAD_NAMES and ("cli", "main") in WORKLOAD_NAMES
+
+
+@pytest.mark.parametrize("chain", WORKLOAD_NAMES, ids=".".join)
+def test_workload_names_resolve(chain):
+    # a longer chain's prefix is resolved too: Scenario.create, cli.main
+    value = joulemark
+    for part in chain:
+        value = getattr(value, part)

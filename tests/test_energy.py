@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,8 +58,9 @@ class TestIntegrateEnergy:
         )
 
     def test_explicit_shunt_overrides_trace_shunt(self):
-        trace = trace_of(np.full(11, 0.1), 10.0)
-        doubled = integrate_energy(trace, MeasurementWindow(0, 11), ShuntConfig(vf=24.0, rs=0.1))
+        # an override is a trace with the other shunt, as CLI analyze builds it
+        trace = replace(trace_of(np.full(11, 0.1), 10.0), shunt=ShuntConfig(vf=24.0, rs=0.1))
+        doubled = integrate_energy(trace, MeasurementWindow(0, 11))
         assert doubled.joules == pytest.approx(24.0, rel=1e-12)
 
     def test_rejects_windows_without_a_trapezoid(self):

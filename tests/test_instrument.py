@@ -207,7 +207,7 @@ class TestCommandLog:
             GpioCommand(0.1, 40, ACTIVATE),
             GpioCommand(0.2, 40, DEACTIVATE),
         )
-        assert log == GpioCommandLog.from_entries(log.entries)
+        assert log == GpioCommandLog(log.entries)
 
     def test_nan_command_time_is_rejected(self):
         with pytest.raises(ValueError, match="command time"):

@@ -12,6 +12,7 @@ the trace copied what it was given:
   mask (5.0x); trigger 1.01x (3.0x);
 - read_trace_csv: 2.1x, the parsed blocks and their concatenation, which
   the trace adopts (3.05x);
+- read_all of a stream: 2.1x, the same blocks and concatenation;
 - the skyline writer: relay 0.13x, trigger 0.06x, one block of watts and
   its text (1.12x and 0.56x).
 
@@ -23,6 +24,7 @@ import tracemalloc
 import pytest
 
 from chunking import chunk_rows
+from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
 from joulemark.cli import _write_skyline_csv
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import RELAY, TRIGGER, Scenario, WorkloadProfile, simulate_session
@@ -95,6 +97,22 @@ def test_read_trace_csv_holds_blocks_and_one_concatenation(simulated, tmp_path):
     write_trace_csv(trace, path)
     with chunk_rows(BLOCK_ROWS):
         read, peak = peak_bytes(read_trace_csv, path)
+    assert read.vs.tobytes() == trace.vs.tobytes()
+    assert peak <= 2.3 * trace_bytes(read)
+
+
+def drain_stream(path, channels: int):
+    with open(path) as f:
+        config = AcquisitionConfig(channels=channels, source=StreamSource(f))
+        return read_all(open_source(config))
+
+
+def test_read_all_of_a_stream_holds_blocks_and_one_concatenation(simulated, tmp_path):
+    _, trace, _ = simulated
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    with chunk_rows(BLOCK_ROWS):
+        read, peak = peak_bytes(drain_stream, path, trace.channels)
     assert read.vs.tobytes() == trace.vs.tobytes()
     assert peak <= 2.3 * trace_bytes(read)
 

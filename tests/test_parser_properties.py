@@ -50,9 +50,9 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("parser") / "t.csv"
 
 
-def read_stream(text: str, channels: int, block: int) -> PowerTrace:
+def read_stream(text: str, channels: int) -> PowerTrace:
     config = AcquisitionConfig(channels=channels, source=StreamSource(io.StringIO(text)))
-    return read_all(open_source(config), block=block)
+    return read_all(open_source(config))
 
 
 def assert_same_bits(got: PowerTrace, want: PowerTrace) -> None:
@@ -73,11 +73,11 @@ def test_file_round_trip_keeps_bits(csv_path, trace, rows):
 
 
 @settings(deadline=None)
-@given(trace=traces(), rows=st.integers(1, 8), block=st.integers(1, 50))
-def test_stream_read_all_keeps_bits_for_any_block(csv_path, trace, rows, block):
+@given(trace=traces(), rows=st.integers(1, 8))
+def test_stream_read_all_keeps_bits_for_any_block(csv_path, trace, rows):
     write_trace_csv(trace, csv_path)
     with chunk_rows(rows):
-        assert_same_bits(read_stream(csv_path.read_text(), trace.channels, block), trace)
+        assert_same_bits(read_stream(csv_path.read_text(), trace.channels), trace)
 
 
 def _corrupt(line: str, kind: str, rate: float, row: int) -> str:
@@ -116,7 +116,7 @@ def test_both_readers_report_a_bad_row_at_its_line(csv_path, trace, data, kind, 
         with pytest.raises(TraceFormatError) as from_file:
             read_trace_csv(csv_path)
         with pytest.raises(TraceFormatError) as from_stream:
-            read_stream(text, trace.channels, block=7)
+            read_stream(text, trace.channels)
     assert from_file.value.line == bad + 1
     assert from_stream.value.line == bad + 1
     assert str(from_stream.value) == str(from_file.value)
@@ -128,7 +128,7 @@ def test_value_only_float_accepts_is_read_on_both_paths(csv_path):
     text = "# rate_hz=10.0\n# vf=12.0\n# rs=0.1\nt_s,vs_v\n0.0,1_000\n0.1,2.5\n"
     csv_path.write_text(text)
     assert read_trace_csv(csv_path).vs.tolist() == [1000.0, 2.5]
-    assert read_stream(text, 1, block=1).vs.tolist() == [1000.0, 2.5]
+    assert read_stream(text, 1).vs.tolist() == [1000.0, 2.5]
 
 
 def test_valid_blocks_take_the_vectorised_path(csv_path):
@@ -143,4 +143,4 @@ def test_valid_blocks_take_the_vectorised_path(csv_path):
         trace_module, "_parse_rows", side_effect=AssertionError("per-line parse")
     ):
         assert_same_bits(read_trace_csv(csv_path), trace)
-        assert_same_bits(read_stream(text, 2, block=5), trace)
+        assert_same_bits(read_stream(text, 2), trace)

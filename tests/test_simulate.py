@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,39 @@ class TestWorkloadShapes:
             analytic = shape.integral(a, b, duration)
             numeric = self._quadrature(shape, a, b, duration)
             assert analytic == pytest.approx(numeric, rel=1e-8, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        w0=st.floats(0.0, 1e3),
+        w1=st.floats(0.0, 1e3),
+        duration=st.one_of(
+            st.floats(5e-324, 1e3), st.just(2.2250738585e-313), st.just(5e-324)
+        ),
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    )
+    def test_ramp_integral_is_exact_and_finite(self, w0, w1, duration, ends):
+        # oracle: the closed form w0 (b - a) + (w1 - w0) (b^2 - a^2) / (2 d),
+        # evaluated exactly in rationals
+        a, b = sorted(min(x * duration, duration) for x in ends)
+        got = RampPower(w0, w1).integral(a, b, duration)
+        w0_, w1_, a_, b_, d_ = map(Fraction, (w0, w1, a, b, duration))
+        exact = w0_ * (b_ - a_) + (w1_ - w0_) * (b_ * b_ - a_ * a_) / (2 * d_)
+        assert math.isfinite(got)
+        # a few roundings relative to the largest power the ramp reaches, and
+        # half a subnormal step where the result itself is subnormal
+        bound = Fraction(1e-12) * (b_ - a_) * max(w0_, w1_) + Fraction(5e-324)
+        assert abs(Fraction(got) - exact) <= bound
+
+    def test_ramp_over_a_subnormal_duration_keeps_truth_finite(self):
+        d = 2.2250738585e-313
+        assert RampPower(0.0, 1.0).integral(0.0, d, d) == float(Fraction(d) / 2)
+        profile = WorkloadProfile(
+            (
+                WorkloadSegment(0.0, d, RampPower(0.0, 1.0)),
+                WorkloadSegment(1.0, 2.0, ConstantPower(3.0)),
+            )
+        )
+        assert profile.integral(0.0, 2.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_profile_integral_sums_segments(self):
         profile = WorkloadProfile(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from joulemark import trace as trace_module
-from joulemark.acquisition import AcquisitionConfig, ReplaySource, open_source, read_all
+from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
 from joulemark.cli import _write_skyline_csv
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import RELAY, TRIGGER, Scenario, simulate_session
@@ -123,7 +123,8 @@ class TestPowerTrace:
         write_trace_csv(two_channel, path)
         with path.open() as f:
             blocks = list(iter_trace_chunks(f, 16))
-        stream = open_source(AcquisitionConfig(20.0, 2, ReplaySource(path)))
+        with path.open() as f:
+            streamed = list(open_source(AcquisitionConfig(20.0, 2, StreamSource(f))))
         scenario = Scenario(duration_s=0.5, circuit=RELAY, gpio=GpioCommandLog(
             (GpioCommand(0.1, 40, ACTIVATE), GpioCommand(0.2, 40, DEACTIVATE))
         ))
@@ -133,8 +134,8 @@ class TestPowerTrace:
             concat_traces(blocks),
             read_trace_csv(path),
             downsample(two_channel, 3),
-            stream.read_block(7),
-            read_all(stream),
+            *streamed,
+            read_all(streamed),
             simulate_session(scenario)[0],
             simulate_session(replace(scenario, circuit=TRIGGER, switching=None))[0],
         ]
