@@ -229,11 +229,12 @@ def downsample(trace: PowerTrace, factor: int) -> PowerTrace:
 
 # --- trace CSV format -------------------------------------------------------
 #
-# A comment preamble of `# key=value` lines carries rate_hz, vf and rs, then
-# a header line `t_s,vs_v` (single channel) or `t_s,vs_v,trig_v` (with
-# trigger channel), then one row per sample.  t_s of row i must equal
-# i / rate_hz within TIME_GRID_TOLERANCE_S.
+# A comment preamble of `# key=value` lines carries rate_hz, vf and rs, each
+# finite and positive, then a header line `t_s,vs_v` (single channel) or
+# `t_s,vs_v,trig_v` (with trigger channel), then one row per sample.  t_s of
+# row i must equal i / rate_hz within TIME_GRID_TOLERANCE_S.
 
+_PREAMBLE_KEYS = ("rate_hz", "vf", "rs")
 _HEADER_1CH = "t_s,vs_v"
 _HEADER_2CH = "t_s,vs_v,trig_v"
 
@@ -275,15 +276,26 @@ def write_csv_rows(f: TextIO, rate_hz: float, columns: Sequence[np.ndarray]) -> 
     """Write row i as ``i / rate_hz`` and the i-th value of each column,
     every number as its ``repr``, comma-separated.
 
-    Rows are converted to Python floats and written CHUNK_ROWS at a time, so
-    a long trace is never held as one list of floats.  A column may be any
-    object whose slices are arrays, such as one computed block by block.
+    Rows are converted to text and written CHUNK_ROWS at a time, so a long
+    trace is never held as one list of strings.  A column may be any object
+    whose slices are arrays of floats, such as one computed block by block.
     """
     for start, stop in row_blocks(len(columns[0])):
-        cells = [[i / rate_hz for i in range(start, stop)]]
-        cells += [column[start:stop].tolist() for column in columns]
-        rows = zip(*[map(repr, cell) for cell in cells])
-        f.write("\n".join(map(",".join, rows)) + "\n")
+        cells = [map(repr, [i / rate_hz for i in range(start, stop)])]
+        cells += [_repr_block(column[start:stop]) for column in columns]
+        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _repr_block(block: np.ndarray) -> list[str]:
+    """The ``repr`` of each value of a block as float64, formatting each
+    distinct value once.  Sampled and simulated channels repeat a few values
+    (ADC codes, constant loads, two trigger levels), and ``repr`` costs far
+    more than the sort that finds the repeats.  Values are told apart by
+    their bits, so that -0.0 and 0.0 keep their own text."""
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
@@ -305,10 +317,12 @@ def _read_header(lines: Iterator[str]) -> tuple[PowerTrace, int]:
                 raise TraceFormatError(
                     f"preamble line is not 'key=value': {text!r}", lineno
                 )
-            key, value = body.split("=", 1)
-            meta[key.strip()] = _parse_float(
-                value.strip(), f"preamble {key.strip()!r}", lineno
-            )
+            key, value = (part.strip() for part in body.split("=", 1))
+            meta[key] = _parse_float(value, f"preamble {key!r}", lineno)
+            if key in _PREAMBLE_KEYS and not (math.isfinite(meta[key]) and meta[key] > 0):
+                raise TraceFormatError(
+                    f"preamble {key!r} must be finite and positive, got {value!r}", lineno
+                )
             continue
         if text == _HEADER_1CH:
             trig = None
@@ -316,12 +330,10 @@ def _read_header(lines: Iterator[str]) -> tuple[PowerTrace, int]:
             trig = np.empty(0)
         else:
             raise TraceFormatError(f"unrecognized header: {text!r}", lineno)
-        for key in ("rate_hz", "vf", "rs"):
+        for key in _PREAMBLE_KEYS:
             if key not in meta:
                 raise TraceFormatError(f"preamble is missing '# {key}=...'", lineno)
         rate = meta["rate_hz"]
-        if not rate > 0:
-            raise TraceFormatError(f"non-positive rate_hz: {rate}", lineno)
         shunt = ShuntConfig(vf=meta["vf"], rs=meta["rs"])
         return PowerTrace(rate_hz=rate, vs=np.empty(0), trig=trig, shunt=shunt), lineno
     raise TraceFormatError("file has no header line")

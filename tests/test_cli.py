@@ -305,6 +305,15 @@ class TestValidateCommand:
         code = main(["validate", str(trace_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("line, value", [(1, "rate_hz=inf"), (2, "vf=nan"), (3, "rs=0")])
+    def test_bad_preamble_value_exits_2_at_its_line(self, tmp_path, capsys, line, value):
+        trace_path = TestAnalyzeCommand()._simulate(tmp_path)
+        text = trace_path.read_text().splitlines()
+        text[line - 1] = f"# {value}"
+        trace_path.write_text("\n".join(text) + "\n")
+        assert main(["validate", str(trace_path)]) == 2
+        assert f"line {line}: preamble {value.split('=')[0]!r} must be finite" in capsys.readouterr().err
+
     def test_good_and_bad_scenarios(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         assert main(["validate", str(path)]) == 0

@@ -13,7 +13,9 @@ the trace copied what it was given:
 - read_trace_csv: 2.1x, the parsed blocks and their concatenation, which
   the trace adopts (3.05x);
 - read_all of a stream: 2.1x, the same blocks and concatenation;
-- the skyline writer: relay 0.13x, trigger 0.06x, one block of watts and
+- the trace writer: relay 0.14x, trigger 0.05x, one block of text and, per
+  column, its distinct values and the index that gathers them;
+- the skyline writer: relay 0.14x, trigger 0.05x, one block of watts and
   its text (1.12x and 0.56x).
 
 Each bound sits below the peak one more trace-length array would give.
@@ -115,6 +117,13 @@ def test_read_all_of_a_stream_holds_blocks_and_one_concatenation(simulated, tmp_
         read, peak = peak_bytes(drain_stream, path, trace.channels)
     assert read.vs.tobytes() == trace.vs.tobytes()
     assert peak <= 2.3 * trace_bytes(read)
+
+
+def test_trace_writer_holds_one_block_of_text(simulated, tmp_path):
+    _, trace, _ = simulated
+    with chunk_rows(BLOCK_ROWS):
+        _, peak = peak_bytes(write_trace_csv, trace, tmp_path / "trace.csv")
+    assert peak <= 0.3 * trace_bytes(trace)
 
 
 def test_skyline_writer_holds_one_block_of_watts(simulated, tmp_path):

@@ -1,12 +1,17 @@
+import io
 import math
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from chunking import chunk_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joulemark import trace as trace_module
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
-from joulemark.cli import _write_skyline_csv
+from joulemark.cli import _PowerColumn, _write_skyline_csv
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import RELAY, TRIGGER, Scenario, simulate_session
 from joulemark.trace import (
@@ -22,6 +27,7 @@ from joulemark.trace import (
     read_trace_csv,
     sample_to_power,
     validate_trace,
+    write_csv_rows,
     write_trace_csv,
 )
 
@@ -208,6 +214,29 @@ class TestIndexAtOrAfter:
         assert index_at_or_after(-0.5, 20_000.0) == 0
 
 
+# a rate, supply voltage or shunt resistance that is not finite and positive
+BAD_PREAMBLE_VALUES = [
+    ("rate_hz", "inf"),
+    ("rate_hz", "nan"),
+    ("rate_hz", "0"),
+    ("rate_hz", "-20000.0"),
+    ("vf", "nan"),
+    ("vf", "-inf"),
+    ("vf", "-12.0"),
+    ("rs", "0"),
+    ("rs", "-0.0"),
+    ("rs", "inf"),
+]
+
+
+def preamble_with(key: str, value: str) -> tuple[str, int]:
+    """A one-channel trace CSV whose preamble gives ``key`` the text
+    ``value``, and the line that value is on."""
+    meta = {"rate_hz": "10.0", "vf": "12.0", "rs": "0.1", key: value}
+    text = "".join(f"# {k}={v}\n" for k, v in meta.items()) + "t_s,vs_v\n0.0,0.0\n"
+    return text, 1 + list(meta).index(key)
+
+
 class TestTraceCsv:
     def _trace(self, with_trigger: bool) -> PowerTrace:
         rng = np.random.default_rng(3)
@@ -295,6 +324,23 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError, match="columns"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("key, value", BAD_PREAMBLE_VALUES)
+    def test_rejects_preamble_value_at_its_line(self, tmp_path, key, value):
+        path = tmp_path / "t.csv"
+        text, line = preamble_with(key, value)
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=f"{key}.*finite and positive") as err:
+            read_trace_csv(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("key, value", BAD_PREAMBLE_VALUES)
+    def test_stream_rejects_preamble_value_at_its_line(self, key, value):
+        text, line = preamble_with(key, value)
+        config = AcquisitionConfig(channels=1, source=StreamSource(io.StringIO(text)))
+        with pytest.raises(TraceFormatError) as err:
+            read_all(open_source(config))
+        assert err.value.line == line
+
 
 class TestCsvGoldenBytes:
     """Exact bytes of the trace and skyline writers, pinned on small traces
@@ -352,3 +398,56 @@ class TestCsvGoldenBytes:
         path = tmp_path / "skyline.csv"
         _write_skyline_csv(PowerTrace(rate_hz=3.3, vs=self.VS), path)
         assert path.read_bytes() == self.SKYLINE.encode()
+
+
+def per_cell_csv_rows(f, rate_hz, columns):
+    """Reference writer: the ``repr`` of every cell, formatted one by one."""
+    for start, stop in trace_module.row_blocks(len(columns[0])):
+        cells = [[i / rate_hz for i in range(start, stop)]]
+        cells += [column[start:stop].tolist() for column in columns]
+        rows = zip(*[map(repr, cell) for cell in cells])
+        f.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def float_bits(*bits: int) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# values that share a repr but not their bits (NaNs), that differ in their
+# repr but compare equal (zeros), and the extremes of the format
+POOL = np.concatenate(
+    [
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.075, 1.8],
+        float_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001),
+    ]
+)
+
+
+@st.composite
+def repeating_columns(draw, rows: int) -> np.ndarray:
+    """``rows`` values, most of them from POOL, so that a block repeats
+    values; the rest from a few arbitrary floats."""
+    values = np.concatenate([POOL, draw(st.lists(st.floats(), min_size=1, max_size=4))])
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+    return values[picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 40),
+    width=st.integers(1, 3),
+    block=st.sampled_from([1, 3, 7, None]),
+    rate=st.floats(min_value=1e-3, max_value=1e7),
+)
+def test_writer_matches_per_cell_reference(data, rows, width, block, rate):
+    columns = [data.draw(repeating_columns(rows)) for _ in range(width)]
+    shunt = ShuntConfig(vf=data.draw(st.floats(1e-3, 1e3)), rs=data.draw(st.floats(1e-4, 10.0)))
+    power = _PowerColumn(PowerTrace(rate_hz=rate, vs=columns[0], shunt=shunt))
+    for written in (columns, [power]):
+        got, want = io.StringIO(), io.StringIO()
+        # the power of the extremes overflows, and of a signalling NaN is invalid
+        with chunk_rows(block) if block else nullcontext(), np.errstate(all="ignore"):
+            write_csv_rows(got, rate, written)
+            per_cell_csv_rows(want, rate, written)
+        assert got.getvalue() == want.getvalue()
