@@ -14,12 +14,18 @@ from joulemark.simulate import (
     NoiseModel,
     Scenario,
     WorkloadProfile,
+    load_scenario,
     save_scenario,
 )
 from joulemark.trace import PowerTrace, ShuntConfig, read_trace_csv, write_trace_csv
 
 DEMO_SCENARIOS = sorted(Path(__file__).parent.parent.joinpath("demos", "scenarios").glob("*.json"))
 GOLDEN_SIMULATE = json.loads(Path(__file__).with_name("golden_simulate.json").read_text())
+GOLDEN_ANALYZE = json.loads(Path(__file__).with_name("golden_analyze.json").read_text())
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_scenario(tmp_path, circuit=TRIGGER, noise_bound=0.001, seed=11):
@@ -110,6 +116,62 @@ class TestSimulateGoldenBytes:
             data = path.read_bytes()
             assert len(data) == golden[f"{kind}_bytes"], kind
             assert hashlib.sha256(data).hexdigest() == golden[f"{kind}_sha256"], kind
+
+
+class TestAnalyzeGoldenBytes:
+    """sha256 of the report and skyline that CLI analyze writes for each demo
+    scenario's simulated trace, with and without the scenario's own GPIO log
+    as --expected, as written before the analysis moved into the library."""
+
+    def test_every_demo_scenario_has_a_golden_entry(self):
+        assert sorted(GOLDEN_ANALYZE["analyze"]) == sorted(
+            f"{p.stem}{suffix}" for p in DEMO_SCENARIOS for suffix in ("", " --expected")
+        )
+
+    @pytest.mark.parametrize("expected", [False, True], ids=["plain", "expected"])
+    @pytest.mark.parametrize("scenario", DEMO_SCENARIOS, ids=lambda p: p.stem)
+    def test_report_and_skyline_bytes(self, tmp_path, scenario, expected):
+        trace_path = tmp_path / "trace.csv"
+        code = main(
+            ["simulate", str(scenario), "--out-trace", str(trace_path), "--out-truth", str(tmp_path / "t.json")]
+        )
+        assert code == 0
+        loaded = load_scenario(scenario)
+        flags = []
+        if expected:
+            loaded.gpio.write_csv(tmp_path / "expected.csv")
+            flags = ["--expected", str(tmp_path / "expected.csv")]
+        report, skyline = tmp_path / "report.json", tmp_path / "skyline.csv"
+        code = main(
+            ["analyze", str(trace_path), "--mode", loaded.circuit, "--out", str(report), "--skyline", str(skyline), *flags]
+        )
+        assert code == 0
+        golden = GOLDEN_ANALYZE["analyze"][scenario.stem + (" --expected" if expected else "")]
+        assert {"report_sha256": sha256_of(report), "skyline_sha256": sha256_of(skyline)} == golden
+
+
+class TestCampaignGoldenBytes:
+    """The CSV and stdout of a five-run CLI campaign of each demo scenario.
+
+    The margin of error and interval are pinned as numbers and the rest of
+    stdout as a digest, so that a change of the t quantile shows in the
+    golden file as exactly those values and the CSV's last cell."""
+
+    @pytest.mark.parametrize("scenario", DEMO_SCENARIOS, ids=lambda p: p.stem)
+    def test_csv_and_stdout(self, tmp_path, capsys, scenario):
+        out = tmp_path / "campaign.csv"
+        assert main(["campaign", str(scenario), "--runs", "5", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        report = json.loads(stdout)
+        # stdout is exactly what json writes for the values it holds
+        assert json.dumps(report, indent=2) + "\n" == stdout
+        campaign = report["campaign"]
+        me_j, ci = campaign.pop("me_j"), campaign.pop("ci")
+        rest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+        golden = GOLDEN_ANALYZE["campaign"][scenario.stem]
+        assert out.read_text() == golden["csv"]
+        assert (me_j, ci) == (golden["me_j"], golden["ci"])
+        assert rest == golden["stdout_sha256_without_me_j_and_ci"]
 
 
 class TestAnalyzeCommand:

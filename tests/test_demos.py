@@ -1,5 +1,8 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/ and
+prints what it printed when its digest was pinned."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +12,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN_STDOUT = json.loads(Path(__file__).with_name("golden_demos.json").read_text())
+
+
+def test_every_demo_has_a_golden_entry():
+    assert sorted(GOLDEN_STDOUT) == [demo.name for demo in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -20,7 +28,7 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path,
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_STDOUT[demo.name]
