@@ -16,9 +16,7 @@ from joulemark import (
     SpikyPower,
     WorkloadProfile,
     WorkloadSegment,
-    integrate_energy,
-    segment_relay,
-    segment_trigger,
+    analyze,
     simulate_session,
 )
 
@@ -36,15 +34,15 @@ workload = WorkloadProfile(
 )
 
 for circuit in ("relay", "trigger"):
-    scenario = Scenario.create(
+    scenario = Scenario(
         duration_s=3.2, circuit=circuit, workload=workload, gpio=gpio, seed=21
     )
     trace, truth = simulate_session(scenario)
-    windows = segment_relay(trace) if circuit == "relay" else segment_trigger(trace)
+    report = analyze(trace, circuit)
     print(f"{circuit}: per-channel rate {trace.rate_hz:.0f} Hz, "
-          f"{len(windows)} window(s) recovered")
-    for window, entry in zip(windows, truth.entries):
-        measured = integrate_energy(trace, window).joules
+          f"{len(report.results)} window(s) recovered")
+    for result, entry in zip(report.results, truth.entries):
+        measured = result.joules
         err_pct = 100 * abs(measured - entry.true_joules) / entry.true_joules
         print(
             f"  [{entry.begin_s:.2f}, {entry.end_s:.2f}] s: "

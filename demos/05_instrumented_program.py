@@ -10,9 +10,7 @@ from joulemark import (
     PortRegistry,
     Scenario,
     WorkloadProfile,
-    integrate_energy,
-    match_toggles,
-    segment_trigger,
+    analyze,
     simulate_session,
 )
 
@@ -41,7 +39,7 @@ print("exported commands:")
 for cmd in log.entries:
     print(f"  t={cmd.t_s:4.1f}s  port {cmd.port}  {cmd.action}")
 
-scenario = Scenario.create(
+scenario = Scenario(
     duration_s=2.5,
     circuit="trigger",
     workload=WorkloadProfile.constant(9.0, 0.0, 2.5),
@@ -49,11 +47,10 @@ scenario = Scenario.create(
     seed=4,
 )
 trace, _ = simulate_session(scenario)
-windows = segment_trigger(trace)
-report = match_toggles(log, windows, trace.rate_hz)
-print(f"recovered {len(windows)} windows; {report.hits}/{report.expected} toggles hit")
-for window in windows:
-    result = integrate_energy(trace, window)
+report = analyze(trace, "trigger", expected=log)
+matched = report.hit_miss
+print(f"recovered {len(report.results)} windows; {matched.hits}/{matched.expected} toggles hit")
+for result in report.results:
     print(
         f"  [{result.begin_s:.2f}, {result.end_s:.2f}] s -> "
         f"{result.joules:.3f} J ({result.mean_watts:.2f} W mean)"

@@ -42,9 +42,11 @@ from .instrument import (
 from .segment import (
     HitMissReport,
     SegmentationParams,
+    SessionReport,
     ToggleVerdict,
     TraceTruncationWarning,
     WrongModeError,
+    analyze,
     match_toggles,
     segment_relay,
     segment_trigger,

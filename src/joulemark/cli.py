@@ -10,22 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .energy import EnergyResult, integrate_energy
 from .instrument import DanglingWindowError, GpioCommandLog
-from .segment import (
-    HitMissReport,
-    SegmentationParams,
-    TraceTruncationWarning,
-    match_toggles,
-    segment_relay,
-    segment_trigger,
-)
+from .segment import SegmentationParams, analyze
 from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
-from .stats import CampaignSummary, summarize_campaign
+from .stats import summarize_campaign
 from .trace import (
     PowerTrace,
     ShuntConfig,
@@ -35,45 +25,6 @@ from .trace import (
     write_csv_rows,
     write_trace_csv,
 )
-
-
-@dataclass
-class SessionReport:
-    """Everything one analysis produced, self-describing enough to rerun."""
-
-    mode: str
-    rate_hz: float
-    shunt: ShuntConfig
-    params: SegmentationParams
-    match_tolerance_s: float
-    results: list[EnergyResult] = field(default_factory=list)
-    hit_miss: HitMissReport | None = None
-    campaign: CampaignSummary | None = None
-    warnings: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "rate_hz": self.rate_hz,
-            "shunt": {"vf": self.shunt.vf, "rs": self.shunt.rs},
-            "params": {
-                "relay_threshold_w": self.params.relay_threshold_w,
-                "min_window_samples": self.params.min_window_samples,
-                "trigger_logic_threshold_v": self.params.trigger_logic_threshold_v,
-                "match_tolerance_s": self.match_tolerance_s,
-            },
-            "results": [
-                {
-                    "window": {"begin_idx": r.window.begin, "end_idx": r.window.end},
-                    "energy": r.to_json_dict(),
-                }
-                for r in self.results
-            ],
-            "total_joules": sum(r.joules for r in self.results),
-            "hit_miss": self.hit_miss.to_json_dict() if self.hit_miss else None,
-            "campaign": self.campaign.to_json_dict() if self.campaign else None,
-            "warnings": self.warnings,
-        }
 
 
 class _PowerColumn:
@@ -94,37 +45,6 @@ def _write_skyline_csv(trace: PowerTrace, path: Path) -> None:
     with path.open("w", newline="\n") as f:
         f.write("t_s,watts\n")
         write_csv_rows(f, trace.rate_hz, [_PowerColumn(trace)])
-
-
-def _analyze_trace(
-    trace: PowerTrace,
-    mode: str,
-    params: SegmentationParams,
-    match_tolerance_s: float,
-    expected: GpioCommandLog | None,
-) -> SessionReport:
-    report = SessionReport(
-        mode=mode,
-        rate_hz=trace.rate_hz,
-        shunt=trace.shunt,
-        params=params,
-        match_tolerance_s=match_tolerance_s,
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TraceTruncationWarning)
-        if mode == RELAY:
-            windows = segment_relay(trace, params)
-        else:
-            windows = segment_trigger(trace, params)
-    report.warnings.extend(str(w.message) for w in caught)
-    report.results = [integrate_energy(trace, w) for w in windows]
-    if not windows:
-        report.warnings.append("no measurement windows found")
-    if expected is not None:
-        report.hit_miss = match_toggles(
-            expected, windows, trace.rate_hz, match_tolerance_s
-        )
-    return report
 
 
 def _cmd_simulate(args) -> int:
@@ -159,8 +79,12 @@ def _cmd_analyze(args) -> int:
         trigger_logic_threshold_v=args.trigger_threshold_v,
     )
     expected = GpioCommandLog.read_csv(args.expected) if args.expected else None
-    report = _analyze_trace(
-        trace, args.mode, params, args.match_tolerance_s, expected
+    report = analyze(
+        trace,
+        args.mode,
+        params,
+        expected=expected,
+        match_tolerance_s=args.match_tolerance_s,
     )
     out = Path(args.out)
     out.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -178,14 +102,13 @@ def _cmd_campaign(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
-    params = SegmentationParams()
     joules: list[float] = []
     report = None
     for run in range(args.runs):
         run_scenario = scenario.with_seed(scenario.seed + run)
         trace, _ = simulate_session(run_scenario)
-        report = _analyze_trace(trace, run_scenario.circuit, params, 1e-3, expected=None)
-        joules.append(sum(r.joules for r in report.results))
+        report = analyze(trace, run_scenario.circuit)
+        joules.append(report.total_joules)
     summary = summarize_campaign(joules, args.confidence)
     out = Path(args.out)
     with out.open("w", newline="\n") as f:

@@ -5,20 +5,31 @@ maximal runs of above-threshold power; run-length filtering provides the
 hysteresis.  Trigger-circuit traces carry the GPIO logic level on a second
 channel, so windows are simply the high-runs of that channel.
 Recovered windows can then be matched against the commanded toggle log to
-classify each expected toggle as a hit or a miss.
+classify each expected toggle as a hit or a miss.  ``analyze`` runs the
+whole pipeline: segment by mode, integrate each window, match.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import energy
+from .energy import EnergyResult
 from .instrument import GpioCommandLog
-from .trace import MeasurementWindow, PowerTrace, row_blocks, sample_to_power
+from .simulate import RELAY, TRIGGER
+from .stats import CampaignSummary
+from .trace import (
+    MeasurementWindow,
+    PowerTrace,
+    ShuntConfig,
+    row_blocks,
+    sample_to_power,
+)
 
 
 class WrongModeError(ValueError):
@@ -209,6 +220,89 @@ def match_toggles(
         misses=len(pairs) - hits,
         verdicts=tuple(verdicts),
     )
+
+
+@dataclass
+class SessionReport:
+    """Everything one analysis produced, self-describing enough to rerun."""
+
+    mode: str
+    rate_hz: float
+    shunt: ShuntConfig
+    params: SegmentationParams
+    match_tolerance_s: float
+    results: list[EnergyResult] = field(default_factory=list)
+    hit_miss: HitMissReport | None = None
+    campaign: CampaignSummary | None = None
+    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def total_joules(self) -> float:
+        return sum(r.joules for r in self.results)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "mode": self.mode,
+            "rate_hz": self.rate_hz,
+            "shunt": {"vf": self.shunt.vf, "rs": self.shunt.rs},
+            "params": {
+                "relay_threshold_w": self.params.relay_threshold_w,
+                "min_window_samples": self.params.min_window_samples,
+                "trigger_logic_threshold_v": self.params.trigger_logic_threshold_v,
+                "match_tolerance_s": self.match_tolerance_s,
+            },
+            "results": [
+                {
+                    "window": {"begin_idx": r.window.begin, "end_idx": r.window.end},
+                    "energy": r.to_json_dict(),
+                }
+                for r in self.results
+            ],
+            "total_joules": self.total_joules,
+            "hit_miss": self.hit_miss.to_json_dict() if self.hit_miss else None,
+            "campaign": self.campaign.to_json_dict() if self.campaign else None,
+            "warnings": self.warnings,
+        }
+
+
+def analyze(
+    trace: PowerTrace,
+    mode: str,
+    params: SegmentationParams = SegmentationParams(),
+    expected: GpioCommandLog | None = None,
+    match_tolerance_s: float = 1e-3,
+) -> SessionReport:
+    """Recover a trace's windows in `mode` (RELAY or TRIGGER), integrate
+    each, and, given the commanded toggles, match them to the windows.
+
+    Warnings raised while segmenting, such as a truncated trigger window,
+    and an analysis that finds no window are recorded in the report's
+    warnings instead of being emitted.
+    """
+    if mode not in (RELAY, TRIGGER):
+        raise ValueError(f"mode must be {RELAY!r} or {TRIGGER!r}, got {mode!r}")
+    report = SessionReport(
+        mode=mode,
+        rate_hz=trace.rate_hz,
+        shunt=trace.shunt,
+        params=params,
+        match_tolerance_s=match_tolerance_s,
+    )
+    segmenter = segment_relay if mode == RELAY else segment_trigger
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TraceTruncationWarning)
+        windows = segmenter(trace, params)
+    report.warnings.extend(str(w.message) for w in caught)
+    # looked up on its module at each call, as the segmenters are, so that a
+    # wrapper installed on the module (a profiler's, say) sees every window
+    report.results = [energy.integrate_energy(trace, w) for w in windows]
+    if not windows:
+        report.warnings.append("no measurement windows found")
+    if expected is not None:
+        report.hit_miss = match_toggles(
+            expected, windows, trace.rate_hz, match_tolerance_s
+        )
+    return report
 
 
 def write_windows_csv(

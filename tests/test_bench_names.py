@@ -11,6 +11,9 @@ import pytest
 
 import joulemark
 import joulemark.cli
+from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
+from joulemark.simulate import TRIGGER, Scenario, WorkloadProfile, simulate_session
+from joulemark.trace import write_trace_csv
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,6 +37,35 @@ def test_tracer_installs_and_restores_its_wrappers():
     with tracing.Tracer().job(0):
         assert joulemark.read_all is not before["read_all"]
     assert {name: getattr(joulemark, name) for name in before} == before
+
+
+def test_tracer_sees_every_stage_of_cli_analyze(tmp_path):
+    """The pipeline calls the traced functions through their modules, so a
+    traced CLI analysis records each stage and one integration per window."""
+    starts = (0.1, 0.3, 0.5)
+    log = GpioCommandLog(
+        tuple(
+            cmd
+            for t in starts
+            for cmd in (GpioCommand(t, 40, ACTIVATE), GpioCommand(t + 0.05, 40, DEACTIVATE))
+        )
+    )
+    scenario = Scenario(0.7, TRIGGER, workload=WorkloadProfile.constant(9.0, 0.0, 0.7), gpio=log, seed=3)
+    trace, truth = simulate_session(scenario)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    log.write_csv(tmp_path / "expected.csv")
+    tracer = tracing.Tracer()
+    with tracer.job(0):
+        code = joulemark.cli.main([
+            "analyze", str(tmp_path / "trace.csv"), "--mode", TRIGGER,
+            "--expected", str(tmp_path / "expected.csv"), "--out", str(tmp_path / "r.json"),
+        ])
+    assert code == 0
+    spans = [name for name, *_ in tracer.spans]
+    assert spans.count("segment.segment_trigger") == 1
+    assert spans.count("segment.match_toggles") == 1
+    assert spans.count("energy.integrate_energy") == truth.hits == len(starts)
+    assert tracer.counts[0]["energy.integrate_energy.calls"] == len(starts)
 
 
 def _package_names(source: str) -> set[tuple[str, ...]]:

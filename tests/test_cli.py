@@ -259,10 +259,10 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(relabelled), "--mode", "trigger", "--out", str(expected)]) == 0
 
         seen = {}
-        read, analyze = cli.read_trace_csv, cli._analyze_trace
+        read, analyze = cli.read_trace_csv, cli.analyze
         monkeypatch.setattr(cli, "read_trace_csv", lambda path: seen.setdefault("read", read(path)))
         monkeypatch.setattr(
-            cli, "_analyze_trace", lambda trace, *a: analyze(seen.setdefault("analyzed", trace), *a)
+            cli, "analyze", lambda trace, *a, **k: analyze(seen.setdefault("analyzed", trace), *a, **k)
         )
         out = tmp_path / "overridden.json"
         flags = [part for pair in overrides.items() for part in pair]

@@ -1,3 +1,6 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,12 +8,14 @@ from hypothesis import strategies as st
 
 from chunking import chunk_rows
 
+from joulemark.energy import integrate_energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import (
     SegmentationParams,
     ToggleVerdict,
     TraceTruncationWarning,
     WrongModeError,
+    analyze,
     match_toggles,
     segment_relay,
     segment_trigger,
@@ -371,6 +376,69 @@ class TestMatchTogglesAgainstGreedy:
         report = match_toggles(log, found, rate)
         assert report.verdicts == greedy_verdicts(log, found, rate)
         assert 0 < report.misses < report.expected
+
+
+class TestAnalyze:
+    def two_runs(self) -> PowerTrace:
+        trig = np.zeros(1000)
+        trig[100:300] = trig[500:800] = 1.8
+        vs = power_to_shunt_volts(np.linspace(5.0, 15.0, 1000), SHUNT)
+        return PowerTrace(rate_hz=20_000.0, vs=vs, trig=trig, shunt=SHUNT)
+
+    def test_signature_is_the_cli_pipeline(self):
+        params = inspect.signature(analyze).parameters
+        assert list(params) == ["trace", "mode", "params", "expected", "match_tolerance_s"]
+        assert params["params"].default == SegmentationParams()
+        assert params["expected"].default is None
+        assert params["match_tolerance_s"].default == 1e-3
+
+    def test_results_are_each_window_integrated(self):
+        power = np.concatenate(
+            [np.zeros(100), np.linspace(2.0, 20.0, 300), np.zeros(200), np.full(150, 7.0), np.zeros(50)]
+        )
+        trace = relay_trace(power)
+        params = SegmentationParams(relay_threshold_w=0.5)
+        report = analyze(trace, RELAY, params)
+        windows = segment_relay(trace, params)
+        assert len(windows) == 2
+        assert report.results == [integrate_energy(trace, w) for w in windows]
+        assert report.total_joules == sum(r.joules for r in report.results)
+        assert report.to_json_dict()["total_joules"] == report.total_joules
+        assert (report.mode, report.params, report.warnings) == (RELAY, params, [])
+
+    def test_trigger_results_are_each_window_integrated(self):
+        trace = self.two_runs()
+        report = analyze(trace, TRIGGER)
+        assert report.results == [integrate_energy(trace, w) for w in segment_trigger(trace)]
+
+    def test_truncated_window_is_a_report_warning(self):
+        trig = np.zeros(400)
+        trig[300:] = 1.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(trigger_trace(trig), TRIGGER)
+        assert [r.window for r in report.results] == [MeasurementWindow(300, 400)]
+        assert report.warnings == ["trace ends mid-window; final window truncated at trace end"]
+
+    def test_no_windows_is_a_report_warning(self):
+        report = analyze(relay_trace(np.zeros(500)), RELAY)
+        assert report.results == [] and report.total_joules == 0
+        assert report.warnings == ["no measurement windows found"]
+
+    def test_hit_miss_only_with_expected(self):
+        trace = self.two_runs()
+        assert analyze(trace, TRIGGER).hit_miss is None
+        log = GpioCommandLog((*pair(100 / 20_000, 300 / 20_000), *pair(0.045, 0.047)))
+        report = analyze(trace, TRIGGER, expected=log, match_tolerance_s=2e-4)
+        assert report.hit_miss == match_toggles(log, segment_trigger(trace), 20_000.0, 2e-4)
+        assert (report.hit_miss.hits, report.hit_miss.misses) == (1, 1)
+        assert report.to_json_dict()["params"]["match_tolerance_s"] == 2e-4
+
+    def test_wrong_mode_and_unknown_mode_are_rejected(self):
+        with pytest.raises(WrongModeError):
+            analyze(self.two_runs(), RELAY)
+        with pytest.raises(ValueError, match="mode"):
+            analyze(self.two_runs(), "both")
 
 
 class TestWindowsCsv:
