@@ -35,13 +35,38 @@ class TestTCritical:
         assert t_critical(4, 0.90) == pytest.approx(2.132, abs=1e-3)
         assert t_critical(4, 0.99) == pytest.approx(4.604, abs=1e-3)
 
-    def test_rejects_unsupported_confidence(self):
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    def test_rejects_confidence_outside_the_open_unit_interval(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
-            t_critical(4, 0.80)
+            t_critical(4, confidence)
 
     def test_rejects_zero_df(self):
         with pytest.raises(ValueError):
             t_critical(0, 0.95)
+
+    def test_rejects_non_integer_df(self):
+        with pytest.raises(ValueError, match="integer"):
+            t_critical(2.5, 0.95)
+
+    def test_any_confidence_inside_the_unit_interval(self):
+        # two-sided t table, df 4
+        assert t_critical(4, 0.80) == pytest.approx(1.533, abs=1e-3)
+        assert t_critical(4, 0.98) == pytest.approx(3.747, abs=1e-3)
+
+    def test_no_jump_past_df_30(self):
+        # t(0.975, 31) = 2.0395; a table that ends at df 30 fell to 1.960
+        assert t_critical(31, 0.95) == pytest.approx(2.0395, abs=1e-4)
+        values = [t_critical(df, 0.95) for df in range(1, 200)]
+        assert values == sorted(values, reverse=True)
+
+    def test_matches_scipy(self):
+        t = pytest.importorskip("scipy.stats").t
+        dfs = np.arange(1, 1001)
+        confidences = np.linspace(0.80, 0.999, 60)
+        expected = t.ppf(0.5 + confidences / 2, dfs[:, None])
+        ours = np.array([[t_critical(int(df), float(c)) for c in confidences] for df in dfs])
+        # the worst case, 1.5e-5, is at df 3
+        np.testing.assert_allclose(ours, expected, rtol=2e-5, atol=0)
 
 
 class TestSummarizeCampaign:
