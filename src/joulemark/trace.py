@@ -181,15 +181,17 @@ def validate_trace(trace: PowerTrace) -> TraceValidation:
     """Check trace invariants; returns violations instead of raising.
 
     Checks: non-empty, positive finite rate, finite voltages, and matching
-    channel lengths when a trigger channel is present.
+    channel lengths when a trigger channel is present.  Non-finite samples
+    make one violation per channel, at the first of them, with their count.
     """
     violations: list[TraceViolation] = []
     if len(trace) == 0:
         violations.append(TraceViolation("empty trace"))
-    if not (math.isfinite(trace.rate_hz) and trace.rate_hz > 0):
+    if not math.isfinite(trace.rate_hz):
+        violations.append(TraceViolation(f"non-finite rate: {trace.rate_hz}"))
+    elif not trace.rate_hz > 0:
         violations.append(TraceViolation(f"non-positive rate: {trace.rate_hz}"))
-    for idx in np.flatnonzero(~np.isfinite(trace.vs)):
-        violations.append(TraceViolation("non-finite shunt voltage", index=int(idx)))
+    channels = {"shunt": trace.vs}
     if trace.trig is not None:
         if trace.trig.shape[0] != trace.vs.shape[0]:
             violations.append(
@@ -198,10 +200,14 @@ def validate_trace(trace: PowerTrace) -> TraceValidation:
                     f"shunt channel has {trace.vs.shape[0]}"
                 )
             )
-        for idx in np.flatnonzero(~np.isfinite(trace.trig)):
-            violations.append(
-                TraceViolation("non-finite trigger voltage", index=int(idx))
-            )
+        channels["trigger"] = trace.trig
+    for name, samples in channels.items():
+        bad = ~np.isfinite(samples)
+        count = int(np.count_nonzero(bad))
+        if count:
+            what = f"non-finite {name} voltage"
+            message = what if count == 1 else f"first of {count} {what}s"
+            violations.append(TraceViolation(message, index=int(np.argmax(bad))))
     return TraceValidation(tuple(violations))
 
 

@@ -367,6 +367,22 @@ class TestValidateCommand:
         code = main(["validate", str(trace_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_non_finite_column_is_one_error_line(self, tmp_path, capsys, command):
+        trace_path = TestAnalyzeCommand()._simulate(tmp_path)
+        lines = trace_path.read_text().splitlines()
+        first = lines.index("t_s,vs_v,trig_v") + 1
+        for i in range(first, len(lines)):
+            t_s, _, trig = lines[i].split(",")
+            lines[i] = f"{t_s},nan,{trig}"
+        trace_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        flags = ["--mode", "trigger", "--out", str(tmp_path / "r.json")] if command == "analyze" else []
+        assert main([command, str(trace_path), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith(f"sample 0: first of {len(lines) - first} non-finite shunt voltages")
+
     @pytest.mark.parametrize("line, value", [(1, "rate_hz=inf"), (2, "vf=nan"), (3, "rs=0")])
     def test_bad_preamble_value_exits_2_at_its_line(self, tmp_path, capsys, line, value):
         trace_path = TestAnalyzeCommand()._simulate(tmp_path)

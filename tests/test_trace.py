@@ -99,6 +99,21 @@ class TestValidateTrace:
         result = validate_trace(PowerTrace(rate_hz=0.0, vs=np.zeros(10)))
         assert any("non-positive rate" in str(v) for v in result.violations)
 
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_flags_non_finite_rate_as_such(self, rate):
+        result = validate_trace(PowerTrace(rate_hz=rate, vs=np.zeros(10)))
+        assert [str(v) for v in result.violations] == [f"non-finite rate: {rate}"]
+
+    def test_counts_non_finite_samples_once_per_channel(self):
+        vs, trig = np.zeros(50), np.zeros(50)
+        vs[[9, 3, 40]] = [np.nan, np.inf, -np.inf]
+        trig[17] = np.nan
+        result = validate_trace(PowerTrace(rate_hz=40_000.0, vs=vs, trig=trig))
+        assert [str(v) for v in result.violations] == [
+            "sample 3: first of 3 non-finite shunt voltages",
+            "sample 17: non-finite trigger voltage",
+        ]
+
     def test_flags_empty_trace(self):
         result = validate_trace(PowerTrace(rate_hz=40_000.0, vs=np.zeros(0)))
         assert not result.ok
