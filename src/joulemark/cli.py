@@ -103,7 +103,6 @@ def _cmd_campaign(args) -> int:
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
     joules: list[float] = []
-    report = None
     for run in range(args.runs):
         run_scenario = scenario.with_seed(scenario.seed + run)
         trace, _ = simulate_session(run_scenario)

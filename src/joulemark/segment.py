@@ -13,22 +13,17 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import energy
-from .energy import EnergyResult
 from .instrument import GpioCommandLog
 from .simulate import RELAY, TRIGGER
 from .stats import CampaignSummary
 from .trace import (
-    MeasurementWindow,
-    PowerTrace,
-    ShuntConfig,
-    row_blocks,
-    sample_to_power,
+    MeasurementWindow, PowerTrace, ShuntConfig, row_blocks, sample_to_power
 )
 
 
@@ -231,7 +226,7 @@ class SessionReport:
     shunt: ShuntConfig
     params: SegmentationParams
     match_tolerance_s: float
-    results: list[EnergyResult] = field(default_factory=list)
+    results: list[energy.EnergyResult] = field(default_factory=list)
     hit_miss: HitMissReport | None = None
     campaign: CampaignSummary | None = None
     warnings: list[str] = field(default_factory=list)
@@ -244,13 +239,8 @@ class SessionReport:
         return {
             "mode": self.mode,
             "rate_hz": self.rate_hz,
-            "shunt": {"vf": self.shunt.vf, "rs": self.shunt.rs},
-            "params": {
-                "relay_threshold_w": self.params.relay_threshold_w,
-                "min_window_samples": self.params.min_window_samples,
-                "trigger_logic_threshold_v": self.params.trigger_logic_threshold_v,
-                "match_tolerance_s": self.match_tolerance_s,
-            },
+            "shunt": asdict(self.shunt),
+            "params": {**asdict(self.params), "match_tolerance_s": self.match_tolerance_s},
             "results": [
                 {
                     "window": {"begin_idx": r.window.begin, "end_idx": r.window.end},
@@ -273,12 +263,9 @@ def analyze(
     match_tolerance_s: float = 1e-3,
 ) -> SessionReport:
     """Recover a trace's windows in `mode` (RELAY or TRIGGER), integrate
-    each, and, given the commanded toggles, match them to the windows.
-
-    Warnings raised while segmenting, such as a truncated trigger window,
-    and an analysis that finds no window are recorded in the report's
-    warnings instead of being emitted.
-    """
+    each, and match them to the commanded toggles if `expected` is given.
+    Warnings while segmenting, such as a truncated trigger window, and
+    finding no window go into the report's warnings, not to the caller."""
     if mode not in (RELAY, TRIGGER):
         raise ValueError(f"mode must be {RELAY!r} or {TRIGGER!r}, got {mode!r}")
     report = SessionReport(

@@ -22,12 +22,9 @@ class UndefinedVariationError(ValueError):
 
 
 def t_critical(df: int, confidence: float = 0.95) -> float:
-    """Two-sided critical value of Student's t with integer df.
-
-    G. W. Hill, "Algorithm 396: Student's t-quantiles", CACM 13(10), 1970:
-    exact for df 1 and 2, and within about 1e-5 relative beyond.  Its error
-    grows for non-integer df near 1, so df must be an integer.
-    """
+    """Two-sided critical value of Student's t, by G. W. Hill's closed form
+    (CACM Algorithm 396, 1970): exact for df 1 and 2, within about 1e-5
+    relative beyond.  It is far less accurate at non-integer df near 1."""
     if df != int(df) or df < 1:
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
     if not 0.0 < confidence < 1.0:
@@ -42,21 +39,18 @@ def t_critical(df: int, confidence: float = 0.95) -> float:
     c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
     d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2) * n
     y = (d * p) ** (2.0 / n)
-    if y > 0.05 + a:
-        # far tail: expand about the normal quantile
-        x = NormalDist().inv_cdf(p / 2)
-        y = x * x
-        if n < 5:
-            c += 0.3 * (n - 4.5) * (x + 0.6)
-        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
-        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
-        y = math.expm1(a * y * y)
-    else:
-        y = (
-            (1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
-             + 0.5 / (n + 4.0)) * y - 1.0
-        ) * (n + 1.0) / (n + 2.0) + 1.0 / y
-    return math.sqrt(n * y)
+    if y <= 0.05 + a:
+        y = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
+              + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
+        return math.sqrt(n * y)
+    # far tail: expand about the lower-tail (negative) normal quantile
+    x = NormalDist().inv_cdf(p / 2)
+    x2 = x * x
+    if n < 5:
+        c += 0.3 * (n - 4.5) * (x + 0.6)
+    c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+    y = (((((0.4 * x2 + 6.3) * x2 + 36.0) * x2 + 94.5) / c - x2 - 3.0) / b + 1.0) * x
+    return math.sqrt(n * math.expm1(a * y * y))
 
 
 def variation_pct(samples) -> float:
