@@ -79,13 +79,7 @@ def _cmd_analyze(args) -> int:
         trigger_logic_threshold_v=args.trigger_threshold_v,
     )
     expected = GpioCommandLog.read_csv(args.expected) if args.expected else None
-    report = analyze(
-        trace,
-        args.mode,
-        params,
-        expected=expected,
-        match_tolerance_s=args.match_tolerance_s,
-    )
+    report = analyze(trace, args.mode, params, expected, args.match_tolerance_s)
     out = Path(args.out)
     out.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
     skyline = Path(args.skyline) if args.skyline else out.with_suffix(".skyline.csv")

@@ -25,7 +25,7 @@ def t_critical(df: int, confidence: float = 0.95) -> float:
     """Two-sided critical value of Student's t, by G. W. Hill's closed form
     (CACM Algorithm 396, 1970): exact for df 1 and 2, within about 1e-5
     relative beyond.  It is far less accurate at non-integer df near 1."""
-    if df != int(df) or df < 1:
+    if not float(df).is_integer() or df < 1:
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")

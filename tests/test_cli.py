@@ -262,7 +262,7 @@ class TestAnalyzeCommand:
         read, analyze = cli.read_trace_csv, cli.analyze
         monkeypatch.setattr(cli, "read_trace_csv", lambda path: seen.setdefault("read", read(path)))
         monkeypatch.setattr(
-            cli, "analyze", lambda trace, *a, **k: analyze(seen.setdefault("analyzed", trace), *a, **k)
+            cli, "analyze", lambda trace, *a: analyze(seen.setdefault("analyzed", trace), *a)
         )
         out = tmp_path / "overridden.json"
         flags = [part for pair in overrides.items() for part in pair]

@@ -47,6 +47,8 @@ class TestTCritical:
     def test_rejects_non_integer_df(self):
         with pytest.raises(ValueError, match="integer"):
             t_critical(2.5, 0.95)
+        with pytest.raises(ValueError, match="integer"):
+            t_critical(math.inf, 0.95)
 
     def test_any_confidence_inside_the_unit_interval(self):
         # two-sided t table, df 4
