@@ -40,9 +40,8 @@ for circuit in ("relay", "trigger"):
     trace, truth = simulate_session(scenario)
     report = analyze(trace, circuit)
     print(f"{circuit}: per-channel rate {trace.rate_hz:.0f} Hz, "
-          f"{len(report.results)} window(s) recovered")
-    for result, entry in zip(report.results, truth.entries):
-        measured = result.joules
+          f"{len(report.windows)} window(s) recovered")
+    for measured, entry in zip(report.joules.tolist(), truth.entries):
         err_pct = 100 * abs(measured - entry.true_joules) / entry.true_joules
         print(
             f"  [{entry.begin_s:.2f}, {entry.end_s:.2f}] s: "

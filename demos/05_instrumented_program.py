@@ -49,9 +49,8 @@ scenario = Scenario(
 trace, _ = simulate_session(scenario)
 report = analyze(trace, "trigger", expected=log)
 matched = report.hit_miss
-print(f"recovered {len(report.results)} windows; {matched.hits}/{matched.expected} toggles hit")
-for result in report.results:
-    print(
-        f"  [{result.begin_s:.2f}, {result.end_s:.2f}] s -> "
-        f"{result.joules:.3f} J ({result.mean_watts:.2f} W mean)"
-    )
+print(f"recovered {len(report.windows)} windows; {matched.hits}/{matched.expected} toggles hit")
+for window, joules in zip(report.windows, report.joules.tolist()):
+    begin_s, end_s = window.begin / report.rate_hz, window.end / report.rate_hz
+    mean_w = joules / window.duration_s(report.rate_hz)
+    print(f"  [{begin_s:.2f}, {end_s:.2f}] s -> {joules:.3f} J ({mean_w:.2f} W mean)")

@@ -22,6 +22,7 @@ from .energy import (
     compare_resolution,
     integrate_energy,
     integrate_full,
+    integrate_windows,
 )
 from .instrument import (
     ACTIVATE,
@@ -89,6 +90,7 @@ from .trace import (
     TraceFormatError,
     TraceValidation,
     TraceViolation,
+    Windows,
     downsample,
     index_at_or_after,
     power_to_shunt_volts,

@@ -86,9 +86,7 @@ def _cmd_analyze(args) -> int:
     _write_skyline_csv(trace, skyline)
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    print(
-        f"wrote {out} ({len(report.results)} window(s)) and skyline {skyline}"
-    )
+    print(f"wrote {out} ({len(report.windows)} window(s)) and skyline {skyline}")
     return 0
 
 

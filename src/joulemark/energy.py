@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import MeasurementWindow, PowerTrace, downsample
+from .trace import MeasurementWindow, PowerTrace, Windows, downsample
 
 
 class DegenerateWindowError(ValueError):
@@ -31,46 +31,27 @@ class EnergyResult:
     mean_watts: float
     duration_s: float
     window: MeasurementWindow
-    rate_hz: float
 
-    @property
-    def begin_s(self) -> float:
-        return self.window.begin / self.rate_hz
 
-    @property
-    def end_s(self) -> float:
-        return self.window.end / self.rate_hz
-
-    def to_json_dict(self) -> dict:
-        return {
-            "begin_s": self.begin_s,
-            "end_s": self.end_s,
-            "joules": self.joules,
-            "mean_watts": self.mean_watts,
-        }
+def integrate_windows(trace: PowerTrace, windows: Windows) -> np.ndarray:
+    """Trapezoidal energy of each window, in joules, in window order;
+    negative samples integrate as-is."""
+    dt, scale = 1.0 / trace.rate_hz, trace.shunt.vf / trace.shunt.rs
+    joules = np.empty(len(windows))
+    for i, (begin, end) in enumerate(zip(windows.begin.tolist(), windows.end.tolist())):
+        if end > len(trace):
+            raise ValueError(f"window [{begin}, {end}) exceeds trace length {len(trace)}")
+        if end - begin < 2:
+            raise DegenerateWindowError(f"window [{begin}, {end}) has fewer than 2 samples")
+        joules[i] = scale * float(np.trapezoid(trace.vs[begin:end], dx=dt))
+    return joules
 
 
 def integrate_energy(trace: PowerTrace, window: MeasurementWindow) -> EnergyResult:
     """Trapezoidal energy of one window; negative samples integrate as-is."""
-    if window.end > len(trace):
-        raise ValueError(
-            f"window [{window.begin}, {window.end}) exceeds trace length {len(trace)}"
-        )
-    if window.end - window.begin < 2:
-        raise DegenerateWindowError(
-            f"window [{window.begin}, {window.end}) has fewer than 2 samples"
-        )
-    dt = 1.0 / trace.rate_hz
-    segment = trace.vs[window.begin : window.end]
-    joules = (trace.shunt.vf / trace.shunt.rs) * float(np.trapezoid(segment, dx=dt))
+    joules = float(integrate_windows(trace, Windows([window.begin], [window.end]))[0])
     duration = window.duration_s(trace.rate_hz)
-    return EnergyResult(
-        joules=joules,
-        mean_watts=joules / duration,
-        duration_s=duration,
-        window=window,
-        rate_hz=trace.rate_hz,
-    )
+    return EnergyResult(joules, joules / duration, duration, window)
 
 
 def integrate_full(trace: PowerTrace) -> EnergyResult:

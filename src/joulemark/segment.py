@@ -23,7 +23,7 @@ from .instrument import GpioCommandLog
 from .simulate import RELAY, TRIGGER
 from .stats import CampaignSummary
 from .trace import (
-    MeasurementWindow, PowerTrace, ShuntConfig, row_blocks, sample_to_power
+    MeasurementWindow, PowerTrace, ShuntConfig, Windows, row_blocks, sample_to_power
 )
 
 
@@ -59,18 +59,14 @@ class SegmentationParams:
             )
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+def _runs(mask: np.ndarray) -> Windows:
     """Maximal [start, end) runs of True in a boolean array."""
     padded = np.concatenate(([False], mask, [False]))
     edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
+    return Windows(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
 
 
-def segment_relay(
-    trace: PowerTrace, params: SegmentationParams | None = None
-) -> list[MeasurementWindow]:
+def segment_relay(trace: PowerTrace, params: SegmentationParams | None = None) -> Windows:
     """Windows of a relay-circuit (single-channel) trace.
 
     A window is a maximal run of samples with |power| >= relay_threshold_w;
@@ -89,22 +85,15 @@ def segment_relay(
         power = sample_to_power(trace.vs[start:stop], trace.shunt)
         active[start:stop] = np.abs(power) >= params.relay_threshold_w
     runs = _runs(active)
-    merged: list[tuple[int, int]] = []
-    for start, end in runs:
-        if merged and start - merged[-1][1] < params.min_window_samples:
-            merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return [
-        MeasurementWindow(start, end)
-        for start, end in merged
-        if end - start >= params.min_window_samples
-    ]
+    # a run that follows the previous run by a short gap joins it: drop its
+    # begin and the previous run's end
+    joins = np.flatnonzero(runs.begin[1:] - runs.end[:-1] < params.min_window_samples)
+    begin, end = np.delete(runs.begin, joins + 1), np.delete(runs.end, joins)
+    keep = end - begin >= params.min_window_samples
+    return Windows(begin[keep], end[keep])
 
 
-def segment_trigger(
-    trace: PowerTrace, params: SegmentationParams | None = None
-) -> list[MeasurementWindow]:
+def segment_trigger(trace: PowerTrace, params: SegmentationParams | None = None) -> Windows:
     """Windows of a trigger-circuit (two-channel) trace.
 
     The trigger channel is binarized at trigger_logic_threshold_v; every
@@ -124,7 +113,7 @@ def segment_trigger(
             TraceTruncationWarning,
             stacklevel=2,
         )
-    return [MeasurementWindow(start, end) for start, end in _runs(high)]
+    return _runs(high)
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,7 @@ class HitMissReport:
 
 def match_toggles(
     intended: GpioCommandLog,
-    found: list[MeasurementWindow],
+    found: Windows,
     rate_hz: float,
     tolerance_s: float = 1e-3,
 ) -> HitMissReport:
@@ -185,7 +174,7 @@ def match_toggles(
     ``abs(begin / rate_hz - t_on) <= tolerance_s`` does.
     """
     pairs = intended.windows()
-    starts = [w.begin / rate_hz for w in found]
+    starts = (found.begin / rate_hz).tolist()
     order = sorted(range(len(found)), key=starts.__getitem__)
     unmatched: list[int] = []  # heap of entered, unmatched window indices
     entered = 0  # windows of `order` moved into `unmatched` so far
@@ -226,16 +215,23 @@ class SessionReport:
     shunt: ShuntConfig
     params: SegmentationParams
     match_tolerance_s: float
-    results: list[energy.EnergyResult] = field(default_factory=list)
+    windows: Windows
+    joules: np.ndarray  # float64, one per window, in window order
     hit_miss: HitMissReport | None = None
     campaign: CampaignSummary | None = None
     warnings: list[str] = field(default_factory=list)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SessionReport) and self.to_json_dict() == other.to_json_dict()
+
     @property
     def total_joules(self) -> float:
-        return sum(r.joules for r in self.results)
+        return sum(self.joules.tolist())
 
     def to_json_dict(self) -> dict:
+        b, e, j, rate = self.windows.begin, self.windows.end, self.joules, self.rate_hz
+        columns = (b, e, b / rate, e / rate, j, j / ((e - b) / rate))
+        rows = zip(*(column.tolist() for column in columns))
         return {
             "mode": self.mode,
             "rate_hz": self.rate_hz,
@@ -243,10 +239,10 @@ class SessionReport:
             "params": {**asdict(self.params), "match_tolerance_s": self.match_tolerance_s},
             "results": [
                 {
-                    "window": {"begin_idx": r.window.begin, "end_idx": r.window.end},
-                    "energy": r.to_json_dict(),
+                    "window": {"begin_idx": b, "end_idx": e},
+                    "energy": {"begin_s": b_s, "end_s": e_s, "joules": j, "mean_watts": w},
                 }
-                for r in self.results
+                for b, e, b_s, e_s, j, w in rows
             ],
             "total_joules": self.total_joules,
             "hit_miss": self.hit_miss.to_json_dict() if self.hit_miss else None,
@@ -268,21 +264,22 @@ def analyze(
     finding no window go into the report's warnings, not to the caller."""
     if mode not in (RELAY, TRIGGER):
         raise ValueError(f"mode must be {RELAY!r} or {TRIGGER!r}, got {mode!r}")
+    segmenter = segment_relay if mode == RELAY else segment_trigger
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TraceTruncationWarning)
+        windows = segmenter(trace, params)
     report = SessionReport(
         mode=mode,
         rate_hz=trace.rate_hz,
         shunt=trace.shunt,
         params=params,
         match_tolerance_s=match_tolerance_s,
+        windows=windows,
+        # looked up on its module at each call, as the segmenters are, so
+        # that a wrapper installed on the module (a profiler's, say) sees it
+        joules=energy.integrate_windows(trace, windows),
+        warnings=[str(w.message) for w in caught],
     )
-    segmenter = segment_relay if mode == RELAY else segment_trigger
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TraceTruncationWarning)
-        windows = segmenter(trace, params)
-    report.warnings.extend(str(w.message) for w in caught)
-    # looked up on its module at each call, as the segmenters are, so that a
-    # wrapper installed on the module (a profiler's, say) sees every window
-    report.results = [energy.integrate_energy(trace, w) for w in windows]
     if not windows:
         report.warnings.append("no measurement windows found")
     if expected is not None:
@@ -293,7 +290,7 @@ def analyze(
 
 
 def write_windows_csv(
-    windows: list[MeasurementWindow], rate_hz: float, path: str | Path
+    windows: Windows | list[MeasurementWindow], rate_hz: float, path: str | Path
 ) -> None:
     """Serialize windows as `begin_idx,end_idx,begin_s,end_s` rows."""
     path = Path(path)

@@ -74,6 +74,30 @@ class MeasurementWindow:
 
 
 @dataclass(frozen=True, eq=False)
+class Windows:
+    """Windows as int64 arrays, window i being [begin[i], end[i]); iterates as
+    MeasurementWindows, equal to a Windows or list of the same ones in order."""
+
+    begin: np.ndarray
+    end: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "begin", np.asarray(self.begin, dtype=np.int64))
+        object.__setattr__(self, "end", np.asarray(self.end, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.begin)
+
+    def __iter__(self) -> Iterator[MeasurementWindow]:
+        return map(MeasurementWindow, self.begin.tolist(), self.end.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Windows, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+@dataclass(frozen=True, eq=False)
 class PowerTrace:
     """Uniformly sampled shunt-voltage (and optional trigger) time series.
 

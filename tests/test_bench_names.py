@@ -11,6 +11,7 @@ import pytest
 
 import joulemark
 import joulemark.cli
+import joulemark.energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import TRIGGER, Scenario, WorkloadProfile, simulate_session
 from joulemark.trace import write_trace_csv
@@ -39,9 +40,8 @@ def test_tracer_installs_and_restores_its_wrappers():
     assert {name: getattr(joulemark, name) for name in before} == before
 
 
-def test_tracer_sees_every_stage_of_cli_analyze(tmp_path):
-    """The pipeline calls the traced functions through their modules, so a
-    traced CLI analysis records each stage and one integration per window."""
+def three_toggle_session():
+    """A trigger session that recovers three windows, and its log."""
     starts = (0.1, 0.3, 0.5)
     log = GpioCommandLog(
         tuple(
@@ -52,6 +52,14 @@ def test_tracer_sees_every_stage_of_cli_analyze(tmp_path):
     )
     scenario = Scenario(0.7, TRIGGER, workload=WorkloadProfile.constant(9.0, 0.0, 0.7), gpio=log, seed=3)
     trace, truth = simulate_session(scenario)
+    assert truth.hits == len(starts)
+    return trace, truth, log
+
+
+def test_tracer_sees_every_stage_of_cli_analyze(tmp_path):
+    """The pipeline calls the traced functions through their modules, so a
+    traced CLI analysis records each stage and the windows it found."""
+    trace, truth, log = three_toggle_session()
     write_trace_csv(trace, tmp_path / "trace.csv")
     log.write_csv(tmp_path / "expected.csv")
     tracer = tracing.Tracer()
@@ -64,8 +72,20 @@ def test_tracer_sees_every_stage_of_cli_analyze(tmp_path):
     spans = [name for name, *_ in tracer.spans]
     assert spans.count("segment.segment_trigger") == 1
     assert spans.count("segment.match_toggles") == 1
-    assert spans.count("energy.integrate_energy") == truth.hits == len(starts)
-    assert tracer.counts[0]["energy.integrate_energy.calls"] == len(starts)
+    assert tracer.counts[0]["segment.windows"] == truth.hits
+
+
+def test_analyze_integrates_through_the_energy_module(monkeypatch):
+    """analyze() looks integrate_windows up on its module at each call, so a
+    wrapper installed there sees every analysis."""
+    trace, truth, _ = three_toggle_session()
+    calls = []
+    raw = joulemark.energy.integrate_windows
+    monkeypatch.setattr(
+        joulemark.energy, "integrate_windows", lambda *args: calls.append(args) or raw(*args)
+    )
+    report = joulemark.analyze(trace, TRIGGER)
+    assert len(calls) == 1 and len(report.windows) == truth.hits
 
 
 def _package_names(source: str) -> set[tuple[str, ...]]:

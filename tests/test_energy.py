@@ -9,8 +9,11 @@ from joulemark.energy import (
     compare_resolution,
     integrate_energy,
     integrate_full,
+    integrate_windows,
 )
-from joulemark.trace import MeasurementWindow, PowerTrace, ShuntConfig, power_to_shunt_volts
+from joulemark.trace import (
+    MeasurementWindow, PowerTrace, ShuntConfig, Windows, power_to_shunt_volts
+)
 
 SHUNT = ShuntConfig()  # 12 V, 0.1 ohm
 
@@ -73,11 +76,25 @@ class TestIntegrateEnergy:
         with pytest.raises(ValueError, match="exceeds"):
             integrate_energy(trace, MeasurementWindow(5, 11))
 
-    def test_json_serialization_keys(self):
-        trace = trace_of(np.full(11, 0.1), 10.0)
-        d = integrate_energy(trace, MeasurementWindow(0, 11)).to_json_dict()
-        assert sorted(d) == ["begin_s", "end_s", "joules", "mean_watts"]
-        assert d["begin_s"] == 0.0 and d["end_s"] == pytest.approx(1.1)
+
+class TestIntegrateWindows:
+    def test_each_window_as_integrate_energy_gives_it(self):
+        trace = trace_of(np.sin(np.arange(200) / 7.0), 1_000.0)
+        windows = Windows([0, 10, 10, 150], [2, 61, 200, 151 + 40])
+        joules = integrate_windows(trace, windows)
+        assert joules.dtype == np.float64
+        assert joules.tolist() == [integrate_energy(trace, w).joules for w in windows]
+
+    def test_no_windows_no_joules(self):
+        joules = integrate_windows(trace_of(np.zeros(10), 10.0), Windows([], []))
+        assert joules.shape == (0,) and joules.dtype == np.float64
+
+    def test_first_bad_window_in_order_is_reported(self):
+        trace = trace_of(np.zeros(10), 10.0)
+        with pytest.raises(DegenerateWindowError, match=r"^window \[3, 4\) has fewer than 2 samples$"):
+            integrate_windows(trace, Windows([0, 3, 5], [2, 4, 11]))
+        with pytest.raises(ValueError, match=r"^window \[5, 11\) exceeds trace length 10$"):
+            integrate_windows(trace, Windows([0, 5, 3], [2, 11, 4]))
 
 
 class TestIntegrateFull:

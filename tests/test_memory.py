@@ -19,6 +19,11 @@ the trace copied what it was given:
   its text (1.12x and 0.56x).
 
 Each bound sits below the peak one more trace-length array would give.
+
+What ``analyze`` keeps, its report, is pinned per window instead: 175 bytes
+a window, the windows and joules as arrays and one verdict per commanded
+toggle (about 500 bytes when each window was also a MeasurementWindow and
+an EnergyResult).
 """
 
 import tracemalloc
@@ -29,6 +34,7 @@ from chunking import chunk_rows
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
 from joulemark.cli import _write_skyline_csv
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
+from joulemark.segment import analyze
 from joulemark.simulate import RELAY, TRIGGER, Scenario, WorkloadProfile, simulate_session
 from joulemark.trace import read_trace_csv, write_trace_csv
 
@@ -131,3 +137,35 @@ def test_skyline_writer_holds_one_block_of_watts(simulated, tmp_path):
     with chunk_rows(BLOCK_ROWS):
         _, peak = peak_bytes(_write_skyline_csv, trace, tmp_path / "skyline.csv")
     assert peak <= 0.3 * trace_bytes(trace)
+
+
+def retained_bytes(fn, *args):
+    """fn(*args) and the memory still held after it returns, above what was
+    held before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_keeps_no_object_per_window():
+    toggles = 3_000
+    cmds = []
+    for k in range(toggles):
+        cmds += [GpioCommand(1e-3 + 2e-3 * k, 40, ACTIVATE), GpioCommand(2e-3 + 2e-3 * k, 40, DEACTIVATE)]
+    duration = 2e-3 * toggles + 1e-3
+    scenario = Scenario(
+        duration_s=duration,
+        circuit=TRIGGER,
+        workload=WorkloadProfile.constant(9.0, 0.0, duration),
+        gpio=GpioCommandLog(tuple(cmds)),
+        seed=5,
+    )
+    trace, _ = simulate_session(scenario)
+    analyze(trace, TRIGGER, expected=scenario.gpio)
+    report, retained = retained_bytes(lambda: analyze(trace, TRIGGER, expected=scenario.gpio))
+    assert len(report.windows) == report.hit_miss.hits == toggles
+    assert retained <= 300 * toggles

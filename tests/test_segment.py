@@ -1,5 +1,7 @@
 import inspect
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from chunking import chunk_rows
 
-from joulemark.energy import integrate_energy
+from joulemark.energy import DegenerateWindowError, integrate_energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import (
     SegmentationParams,
@@ -35,6 +37,7 @@ from joulemark.trace import (
     MeasurementWindow,
     PowerTrace,
     ShuntConfig,
+    Windows,
     power_to_shunt_volts,
 )
 
@@ -53,6 +56,10 @@ def trigger_trace(trig: np.ndarray, rate_hz: float = 20_000.0) -> PowerTrace:
 
 def pair(t_on: float, t_off: float, port: int = 40):
     return GpioCommand(t_on, port, ACTIVATE), GpioCommand(t_off, port, DEACTIVATE)
+
+
+def as_windows(found: list[MeasurementWindow]) -> Windows:
+    return Windows([w.begin for w in found], [w.end for w in found])
 
 
 class TestSegmentRelay:
@@ -135,7 +142,7 @@ class TestSegmentRelay:
         assert len(windows) == 1
         command_idx = 20_000
         latency_samples = scenario.switching.nominal_latency_s * trace.rate_hz
-        assert command_idx <= windows[0].begin <= command_idx + 2 * latency_samples
+        assert command_idx <= windows.begin[0] <= command_idx + 2 * latency_samples
         assert windows == truth.realized_windows()
 
 
@@ -193,6 +200,7 @@ class TestSegmentationParams:
 class TestSegmentationProperties:
     @staticmethod
     def _assert_ordered_disjoint(windows):
+        windows = list(windows)
         for a, b in zip(windows, windows[1:]):
             assert a.end <= b.begin
 
@@ -244,7 +252,7 @@ class TestMatchToggles:
             MeasurementWindow(int(t * 20_000) + 10, int((t + 0.5) * 20_000) + 10)
             for t in starts
         ]
-        report = match_toggles(self._log(starts), found, 20_000.0)
+        report = match_toggles(self._log(starts), as_windows(found), 20_000.0)
         assert (report.expected, report.hits, report.misses) == (10, 10, 0)
         assert all(v.hit for v in report.verdicts)
 
@@ -254,32 +262,31 @@ class TestMatchToggles:
             MeasurementWindow(int(t * 20_000), int((t + 0.5) * 20_000))
             for t in starts[:3]
         ]
-        report = match_toggles(self._log(starts), found, 20_000.0)
+        report = match_toggles(self._log(starts), as_windows(found), 20_000.0)
         assert (report.expected, report.hits, report.misses) == (10, 3, 7)
 
     def test_empty_log(self):
-        report = match_toggles(GpioCommandLog(), [], 20_000.0)
+        report = match_toggles(GpioCommandLog(), Windows([], []), 20_000.0)
         assert (report.expected, report.hits, report.misses) == (0, 0, 0)
 
     def test_tolerance_boundary(self):
         log = self._log([1.0])
         rate = 20_000.0
-        inside = [MeasurementWindow(int(1.0009 * rate), int(1.6 * rate))]
-        outside = [MeasurementWindow(int(1.0030 * rate), int(1.6 * rate))]
+        inside = Windows([int(1.0009 * rate)], [int(1.6 * rate)])
+        outside = Windows([int(1.0030 * rate)], [int(1.6 * rate)])
         assert match_toggles(log, inside, rate, tolerance_s=1e-3).hits == 1
         assert match_toggles(log, outside, rate, tolerance_s=1e-3).hits == 0
 
     def test_each_window_matches_at_most_once(self):
         # both commanded starts fall within tolerance of the one found window
         log = self._log([1.0, 1.0005], length=0.0002)
-        found = [MeasurementWindow(20_000, 25_000)]
-        report = match_toggles(log, found, 20_000.0)
+        report = match_toggles(log, Windows([20_000], [25_000]), 20_000.0)
         assert report.hits == 1
         assert report.verdicts[0].window_index == 0
         assert report.verdicts[1].window_index is None
 
     def test_json_shape(self):
-        report = match_toggles(self._log([1.0]), [], 20_000.0)
+        report = match_toggles(self._log([1.0]), Windows([], []), 20_000.0)
         d = report.to_json_dict()
         assert d["expected"] == 1 and d["misses"] == 1
         assert d["verdicts"][0]["hit"] is False
@@ -358,7 +365,7 @@ class TestMatchTogglesAgainstGreedy:
     )
     def test_verdicts_equal_the_greedy_reference(self, case):
         log, found, rate, tolerance = case
-        report = match_toggles(log, found, rate, tolerance)
+        report = match_toggles(log, as_windows(found), rate, tolerance)
         assert report.verdicts == greedy_verdicts(log, found, rate, tolerance)
         assert report.hits == sum(v.hit for v in report.verdicts)
 
@@ -373,7 +380,7 @@ class TestMatchTogglesAgainstGreedy:
         begins = (starts * rate).astype(int) + rng.integers(-30, 30, size=len(starts))
         found = [MeasurementWindow(int(b), int(b) + 200) for b in begins[rng.random(len(begins)) < 0.9]]
         found.reverse()
-        report = match_toggles(log, found, rate)
+        report = match_toggles(log, as_windows(found), rate)
         assert report.verdicts == greedy_verdicts(log, found, rate)
         assert 0 < report.misses < report.expected
 
@@ -400,16 +407,18 @@ class TestAnalyze:
         params = SegmentationParams(relay_threshold_w=0.5)
         report = analyze(trace, RELAY, params)
         windows = segment_relay(trace, params)
-        assert len(windows) == 2
-        assert report.results == [integrate_energy(trace, w) for w in windows]
-        assert report.total_joules == sum(r.joules for r in report.results)
+        assert len(windows) == 2 and report.windows == windows
+        assert report.joules.tolist() == [integrate_energy(trace, w).joules for w in windows]
+        assert report.total_joules == sum(report.joules.tolist())
         assert report.to_json_dict()["total_joules"] == report.total_joules
         assert (report.mode, report.params, report.warnings) == (RELAY, params, [])
 
     def test_trigger_results_are_each_window_integrated(self):
         trace = self.two_runs()
         report = analyze(trace, TRIGGER)
-        assert report.results == [integrate_energy(trace, w) for w in segment_trigger(trace)]
+        windows = segment_trigger(trace)
+        assert report.windows == windows
+        assert report.joules.tolist() == [integrate_energy(trace, w).joules for w in windows]
 
     def test_truncated_window_is_a_report_warning(self):
         trig = np.zeros(400)
@@ -417,12 +426,13 @@ class TestAnalyze:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = analyze(trigger_trace(trig), TRIGGER)
-        assert [r.window for r in report.results] == [MeasurementWindow(300, 400)]
+        assert report.windows == [MeasurementWindow(300, 400)]
         assert report.warnings == ["trace ends mid-window; final window truncated at trace end"]
 
     def test_no_windows_is_a_report_warning(self):
         report = analyze(relay_trace(np.zeros(500)), RELAY)
-        assert report.results == [] and report.total_joules == 0
+        assert report.windows == [] and report.joules.tolist() == []
+        assert report.total_joules == 0
         assert report.warnings == ["no measurement windows found"]
 
     def test_hit_miss_only_with_expected(self):
@@ -434,11 +444,108 @@ class TestAnalyze:
         assert (report.hit_miss.hits, report.hit_miss.misses) == (1, 1)
         assert report.to_json_dict()["params"]["match_tolerance_s"] == 2e-4
 
+    def test_json_serialization_keys(self):
+        trace = self.two_runs()
+        results = analyze(trace, TRIGGER).to_json_dict()["results"]
+        assert [sorted(r["energy"]) for r in results] == [["begin_s", "end_s", "joules", "mean_watts"]] * 2
+        energy = integrate_energy(trace, MeasurementWindow(100, 300))
+        assert results[0] == {
+            "window": {"begin_idx": 100, "end_idx": 300},
+            "energy": {
+                "begin_s": 0.005, "end_s": 0.015, "joules": energy.joules, "mean_watts": energy.mean_watts
+            },
+        }
+
+    def test_reports_compare_by_content(self):
+        trace = self.two_runs()
+        assert analyze(trace, TRIGGER) == analyze(trace, TRIGGER)
+        assert analyze(trace, TRIGGER) != analyze(trace, TRIGGER, match_tolerance_s=2e-3)
+        shifted = replace(trace, vs=trace.vs * 2)
+        assert analyze(trace, TRIGGER) != analyze(shifted, TRIGGER)
+
     def test_wrong_mode_and_unknown_mode_are_rejected(self):
         with pytest.raises(WrongModeError):
             analyze(self.two_runs(), RELAY)
         with pytest.raises(ValueError, match="mode"):
             analyze(self.two_runs(), "both")
+
+
+def merge_loop(mask: list[bool], min_window_samples: int) -> list[MeasurementWindow]:
+    """Reference relay segmentation of an activity mask: maximal runs, each
+    merged into the previous one when the idle gap between them is shorter
+    than min_window_samples, then the windows shorter than that dropped."""
+    runs, start = [], None
+    for i, active in enumerate([*mask, False]):
+        if active and start is None:
+            start = i
+        elif not active and start is not None:
+            runs.append((start, i))
+            start = None
+    merged: list[tuple[int, int]] = []
+    for start, end in runs:
+        if merged and start - merged[-1][1] < min_window_samples:
+            merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return [MeasurementWindow(b, e) for b, e in merged if e - b >= min_window_samples]
+
+
+@st.composite
+def masks(draw) -> list[bool]:
+    """Alternating runs of active and idle samples, lengths 1-12."""
+    active = draw(st.booleans())
+    mask = []
+    for length in draw(st.lists(st.integers(1, 12), max_size=40)):
+        mask += [active] * length
+        active = not active
+    return mask
+
+
+class TestArrayPath:
+    @settings(max_examples=400, deadline=None)
+    @given(masks(), st.integers(1, 8))
+    @example([], 4)
+    @example([True], 1)
+    def test_relay_merge_equals_the_merge_loop(self, mask, min_window):
+        trace = relay_trace(np.where(mask, 12.0, 0.0))
+        windows = segment_relay(trace, SegmentationParams(min_window_samples=min_window))
+        assert windows == merge_loop(mask, min_window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masks(),
+        st.sampled_from([RELAY, TRIGGER]),
+        st.integers(1, 8),
+        st.sampled_from([20_000.0, 3.3, 44_100.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_analyze_joules_equal_integrate_energy_bit_for_bit(self, mask, mode, min_window, rate, seed):
+        vs = np.random.default_rng(seed).uniform(-0.01, 0.2, len(mask))
+        if mode == RELAY:
+            trace = PowerTrace(rate_hz=rate, vs=np.where(mask, vs, 0.0), shunt=SHUNT)
+        else:
+            trace = PowerTrace(rate_hz=rate, vs=vs, trig=np.where(mask, 1.8, 0.0), shunt=SHUNT)
+        params = SegmentationParams(min_window_samples=min_window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TraceTruncationWarning)
+            windows = (segment_relay if mode == RELAY else segment_trigger)(trace, params)
+        try:
+            expected = [integrate_energy(trace, w).joules for w in windows]
+        except DegenerateWindowError as exc:
+            with pytest.raises(DegenerateWindowError, match=f"^{re.escape(str(exc))}$"):
+                analyze(trace, mode, params)
+            return
+        report = analyze(trace, mode, params)
+        assert report.windows == windows
+        assert report.joules.tolist() == expected
+
+    def test_one_sample_window_still_raises(self):
+        trig = np.zeros(20)
+        trig[5] = 1.8
+        with pytest.raises(
+            DegenerateWindowError, match=r"^window \[5, 6\) has fewer than 2 samples$"
+        ):
+            analyze(trigger_trace(trig), TRIGGER)
 
 
 class TestWindowsCsv:

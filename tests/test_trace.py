@@ -19,6 +19,7 @@ from joulemark.trace import (
     PowerTrace,
     ShuntConfig,
     TraceFormatError,
+    Windows,
     concat_traces,
     downsample,
     index_at_or_after,
@@ -81,6 +82,23 @@ class TestMeasurementWindow:
 
     def test_duration(self):
         assert MeasurementWindow(100, 300).duration_s(20_000.0) == pytest.approx(0.01)
+
+
+class TestWindows:
+    def test_int64_arrays_length_and_iteration(self):
+        windows = Windows([1, 5], np.array([3, 9], dtype=np.int32))
+        assert windows.begin.dtype == windows.end.dtype == np.int64
+        assert len(windows) == 2 and len(Windows([], [])) == 0
+        assert list(windows) == [MeasurementWindow(1, 3), MeasurementWindow(5, 9)]
+        assert all(type(w.begin) is int for w in windows)
+
+    def test_equal_to_the_same_windows_in_order(self):
+        windows = Windows([1, 5], [3, 9])
+        as_list = [MeasurementWindow(1, 3), MeasurementWindow(5, 9)]
+        assert windows == Windows([1, 5], [3, 9]) and windows == as_list and as_list == windows
+        assert windows != as_list[::-1] and windows != as_list[:1] and windows != Windows([1], [3])
+        assert Windows([], []) == [] and Windows([], []) == Windows([], [])
+        assert windows != (1, 3, 5, 9)
 
 
 class TestValidateTrace:
