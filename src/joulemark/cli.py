@@ -60,11 +60,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     trace = read_trace_csv(args.trace)
-    validation = validate_trace(trace)
-    if not validation.ok:
-        for v in validation.violations:
-            print(f"error: {v}", file=sys.stderr)
-        return 2
     if args.rate is not None or args.vf is not None or args.shunt_r is not None:
         shunt = ShuntConfig(
             vf=args.vf if args.vf is not None else trace.shunt.vf,
@@ -73,6 +68,11 @@ def _cmd_analyze(args) -> int:
         rate = args.rate if args.rate is not None else trace.rate_hz
         # the read trace's arrays are read-only and go no further: share them
         trace = PowerTrace._adopt(rate, trace.vs, trace.trig, shunt)
+    validation = validate_trace(trace)
+    if not validation.ok:
+        for v in validation.violations:
+            print(f"error: {v}", file=sys.stderr)
+        return 2
     params = SegmentationParams(
         relay_threshold_w=args.threshold_w,
         min_window_samples=args.min_window,

@@ -278,6 +278,23 @@ class TestAnalyzeCommand:
         assert np.shares_memory(analyzed.trig, seen["read"].trig)
         assert not analyzed.vs.flags.writeable and not analyzed.trig.flags.writeable
 
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            ("0", "non-positive rate"),
+            ("-20000", "non-positive rate"),
+            ("inf", "non-finite rate"),
+            ("nan", "non-finite rate"),
+        ],
+    )
+    def test_rate_override_is_validated(self, tmp_path, capsys, rate, message):
+        trace_path = self._simulate(tmp_path)
+        out = tmp_path / "r.json"
+        code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), "--rate", rate])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_mode_channel_mismatch_fails(self, tmp_path, capsys):
         trace_path = self._simulate(tmp_path, circuit=RELAY)  # 1-channel trace
         code = main(
