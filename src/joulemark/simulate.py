@@ -22,6 +22,7 @@ full-confidence duration.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -576,6 +577,8 @@ _SCENARIO_DEFAULTS = {
 # what JSON must hold for a field of each numeric annotation, and how it is
 # stored; bool is never a number here
 _NUMBERS = {"float": ((int, float), "a number", float), "int": (int, "an integer", int)}
+# a dataclass's fields, looked up once per class rather than per JSON object
+_fields = functools.cache(fields)
 
 
 def _build(cls, path: str, **values):
@@ -595,7 +598,7 @@ def _read(cls, obj, path: str, defaults: dict | None = None, **given):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
     values = {}
-    for f in fields(cls):
+    for f in _fields(cls):
         if f.name in given:
             values[f.name] = given[f.name]
         elif f.name in obj:
