@@ -8,11 +8,11 @@ error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .instrument import DanglingWindowError, GpioCommandLog
+from .jsonio import save_json, write_json
 from .segment import SegmentationParams, analyze
 from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
 from .stats import summarize_campaign
@@ -81,7 +81,8 @@ def _cmd_analyze(args) -> int:
     expected = GpioCommandLog.read_csv(args.expected) if args.expected else None
     report = analyze(trace, args.mode, params, expected, args.match_tolerance_s)
     out = Path(args.out)
-    out.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    with out.open("w", newline="\n") as f:
+        report.write_json(f)
     skyline = Path(args.skyline) if args.skyline else out.with_suffix(".skyline.csv")
     _write_skyline_csv(trace, skyline)
     for message in report.warnings:
@@ -107,7 +108,7 @@ def _cmd_campaign(args) -> int:
         f.write(summary.to_csv_row() + "\n")
     # stdout carries the final run's analysis with the all-runs summary
     report.campaign = summary
-    print(json.dumps(report.to_json_dict(), indent=2))
+    report.write_json(sys.stdout)
     return 0
 
 
@@ -120,11 +121,10 @@ def _read_joules(path_arg: str) -> list[float]:
 
 
 def _cmd_stats(args) -> int:
-    summary = summarize_campaign(_read_joules(args.values), args.confidence)
-    payload = json.dumps(summary.to_json_dict(), indent=2)
+    summary = summarize_campaign(_read_joules(args.values), args.confidence).to_json_dict()
     if args.out:
-        Path(args.out).write_text(payload + "\n")
-    print(payload)
+        save_json(summary, args.out)
+    write_json(summary, sys.stdout)
     return 0
 
 

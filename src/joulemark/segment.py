@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from . import energy
+from . import energy, jsonio
 from .instrument import GpioCommandLog
+from .jsonio import LEAF, Records
 from .simulate import RELAY, TRIGGER
 from .stats import CampaignSummary
 from .trace import (
@@ -126,14 +129,10 @@ class ToggleVerdict:
     hit: bool
     window_index: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "port": self.port,
-            "begin_s": self.begin_s,
-            "end_s": self.end_s,
-            "hit": self.hit,
-            "window_index": self.window_index,
-        }
+
+# a verdict's JSON record: its fields, in order, with their values as leaves
+_VERDICT = {f.name: LEAF for f in fields(ToggleVerdict)}
+_verdict_leaves = attrgetter(*_VERDICT)
 
 
 @dataclass(frozen=True)
@@ -144,12 +143,18 @@ class HitMissReport:
     verdicts: tuple[ToggleVerdict, ...]
 
     def to_json_dict(self) -> dict:
+        return jsonio.plain(self._json_doc())
+
+    def _json_doc(self) -> dict:
         return {
             "expected": self.expected,
             "hits": self.hits,
             "misses": self.misses,
-            "verdicts": [v.to_json_dict() for v in self.verdicts],
+            "verdicts": Records((_VERDICT,), len(self.verdicts), self._verdict_block),
         }
+
+    def _verdict_block(self, start: int, stop: int) -> tuple[None, list]:
+        return None, [leaf for v in self.verdicts[start:stop] for leaf in _verdict_leaves(v)]
 
 
 def match_toggles(
@@ -229,26 +234,40 @@ class SessionReport:
         return sum(self.joules.tolist())
 
     def to_json_dict(self) -> dict:
-        b, e, j, rate = self.windows.begin, self.windows.end, self.joules, self.rate_hz
-        columns = (b, e, b / rate, e / rate, j, j / ((e - b) / rate))
-        rows = zip(*(column.tolist() for column in columns))
+        return jsonio.plain(self._json_doc())
+
+    def write_json(self, f: TextIO) -> None:
+        """Write the report as ``json.dumps(self.to_json_dict(), indent=2)``
+        and a newline."""
+        jsonio.write_json(self._json_doc(), f)
+
+    def _json_doc(self) -> dict:
         return {
             "mode": self.mode,
             "rate_hz": self.rate_hz,
             "shunt": asdict(self.shunt),
             "params": {**asdict(self.params), "match_tolerance_s": self.match_tolerance_s},
-            "results": [
-                {
-                    "window": {"begin_idx": b, "end_idx": e},
-                    "energy": {"begin_s": b_s, "end_s": e_s, "joules": j, "mean_watts": w},
-                }
-                for b, e, b_s, e_s, j, w in rows
-            ],
+            "results": Records((_RESULT,), len(self.windows), self._result_block),
             "total_joules": self.total_joules,
-            "hit_miss": self.hit_miss.to_json_dict() if self.hit_miss else None,
+            "hit_miss": self.hit_miss._json_doc() if self.hit_miss else None,
             "campaign": self.campaign.to_json_dict() if self.campaign else None,
             "warnings": self.warnings,
         }
+
+    def _result_block(self, start: int, stop: int) -> tuple[None, list]:
+        b, e = self.windows.begin[start:stop], self.windows.end[start:stop]
+        j, rate = self.joules[start:stop], self.rate_hz
+        columns = (b, e, b / rate, e / rate, j, j / ((e - b) / rate))
+        leaves = [None] * (len(columns) * len(b))
+        for i, column in enumerate(columns):
+            leaves[i :: len(columns)] = column.tolist()
+        return None, leaves
+
+
+_RESULT = {
+    "window": {"begin_idx": LEAF, "end_idx": LEAF},
+    "energy": {"begin_s": LEAF, "end_s": LEAF, "joules": LEAF, "mean_watts": LEAF},
+}
 
 
 def analyze(

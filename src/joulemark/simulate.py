@@ -39,6 +39,7 @@ from .instrument import (
     GpioCommand,
     GpioCommandLog,
 )
+from .jsonio import LEAF, Records, plain, save_json
 from .trace import (
     MeasurementWindow,
     PowerTrace,
@@ -413,17 +414,11 @@ class GroundTruthEntry:
     realized: MeasurementWindow | None
     true_joules: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "port": self.port,
-            "begin_s": self.begin_s,
-            "end_s": self.end_s,
-            "hit": self.hit,
-            "realized": (
-                [self.realized.begin, self.realized.end] if self.realized else None
-            ),
-            "true_joules": self.true_joules,
-        }
+
+# an entry's JSON record, missed or realized: its fields, with its realized
+# window as null or [begin, end]
+_ENTRY_MISS = {f.name: LEAF for f in fields(GroundTruthEntry)} | {"realized": None}
+_ENTRY_HIT = _ENTRY_MISS | {"realized": [LEAF, LEAF]}
 
 
 @dataclass(frozen=True)
@@ -444,14 +439,32 @@ class GroundTruth:
         return [e.realized for e in self.entries if e.realized is not None]
 
     def to_json_dict(self) -> dict:
+        return plain(self._json_doc())
+
+    def write_json(self, path: str | Path) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline."""
+        save_json(self._json_doc(), path)
+
+    def _json_doc(self) -> dict:
         return {
             "rate_hz": self.rate_hz,
             "seed": self.seed,
-            "entries": [e.to_json_dict() for e in self.entries],
+            "entries": Records(
+                (_ENTRY_MISS, _ENTRY_HIT), len(self.entries), self._entry_block
+            ),
         }
 
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+    def _entry_block(self, start: int, stop: int) -> tuple[list[int], list]:
+        kinds, leaves = [], []
+        for e in self.entries[start:stop]:
+            leaves += (e.port, e.begin_s, e.end_s, e.hit)
+            if e.realized is None:
+                kinds.append(0)
+            else:
+                kinds.append(1)
+                leaves += (e.realized.begin, e.realized.end)
+            leaves.append(e.true_joules)
+        return kinds, leaves
 
 
 def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
@@ -675,16 +688,34 @@ def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
     return scenario
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
+# a GPIO command's JSON record, one shape per action
+_COMMANDS = tuple(
+    {f.name: LEAF for f in fields(GpioCommand)} | {"action": action}
+    for action in (ACTIVATE, DEACTIVATE)
+)
+
+
+def _scenario_doc(scenario: Scenario) -> dict:
     # asdict deep-copies every leaf, about 4 us per GPIO command on CPython
-    # 3.11, so the commands, plain values only, are copied one level deep
+    # 3.11, so the commands are left out of it
     obj = asdict(replace(scenario, gpio=GpioCommandLog()))
     obj["workload"] = [
         {**asdict(seg), "shape": _SHAPE_NAMES[type(seg.shape)], **asdict(seg.shape)}
         for seg in scenario.workload.segments
     ]
-    obj["gpio"] = [dict(vars(cmd)) for cmd in scenario.gpio.entries]
+    commands = scenario.gpio.entries
+
+    def command_block(start: int, stop: int) -> tuple[list[int], list]:
+        block = commands[start:stop]
+        kinds = [0 if cmd.action == ACTIVATE else 1 for cmd in block]
+        return kinds, [leaf for cmd in block for leaf in (cmd.t_s, cmd.port)]
+
+    obj["gpio"] = Records(_COMMANDS, len(commands), command_block)
     return obj
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    return plain(_scenario_doc(scenario))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -697,4 +728,4 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    save_json(_scenario_doc(scenario), path)
