@@ -231,7 +231,8 @@ class SessionReport:
 
     @property
     def total_joules(self) -> float:
-        return sum(self.joules.tolist())
+        # a float start, so that a report without windows says 0.0, not 0
+        return sum(self.joules.tolist(), 0.0)
 
     def to_json_dict(self) -> dict:
         return jsonio.plain(self._json_doc())

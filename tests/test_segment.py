@@ -1,4 +1,5 @@
 import inspect
+import io
 import re
 import warnings
 from dataclasses import replace
@@ -432,7 +433,10 @@ class TestAnalyze:
     def test_no_windows_is_a_report_warning(self):
         report = analyze(relay_trace(np.zeros(500)), RELAY)
         assert report.windows == [] and report.joules.tolist() == []
-        assert report.total_joules == 0
+        assert type(report.total_joules) is float and report.total_joules == 0.0
+        text = io.StringIO()
+        report.write_json(text)
+        assert '\n  "total_joules": 0.0,\n' in text.getvalue()
         assert report.warnings == ["no measurement windows found"]
 
     def test_hit_miss_only_with_expected(self):
