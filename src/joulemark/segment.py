@@ -12,6 +12,7 @@ whole pipeline: segment by mode, integrate each window, match.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
@@ -59,6 +60,10 @@ class SegmentationParams:
         if self.min_window_samples < 1:
             raise ValueError(
                 f"min window length must be >= 1, got {self.min_window_samples}"
+            )
+        if not math.isfinite(self.trigger_logic_threshold_v):
+            raise ValueError(
+                f"trigger logic threshold must be finite, got {self.trigger_logic_threshold_v}"
             )
 
 
@@ -284,6 +289,10 @@ def analyze(
     finding no window go into the report's warnings, not to the caller."""
     if mode not in (RELAY, TRIGGER):
         raise ValueError(f"mode must be {RELAY!r} or {TRIGGER!r}, got {mode!r}")
+    if not (math.isfinite(match_tolerance_s) and match_tolerance_s >= 0):
+        raise ValueError(
+            f"match tolerance must be finite and >= 0, got {match_tolerance_s}"
+        )
     segmenter = segment_relay if mode == RELAY else segment_trigger
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TraceTruncationWarning)

@@ -295,6 +295,25 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trigger-threshold-v", "nan", "trigger logic threshold must be finite, got nan"),
+            ("--trigger-threshold-v", "inf", "trigger logic threshold must be finite, got inf"),
+            ("--match-tolerance-s", "nan", "match tolerance must be finite and >= 0, got nan"),
+            ("--match-tolerance-s", "inf", "match tolerance must be finite and >= 0, got inf"),
+            ("--match-tolerance-s", "-0.001", "match tolerance must be finite and >= 0, got -0.001"),
+        ],
+    )
+    def test_non_finite_parameters_exit_2(self, tmp_path, capsys, flag, value, message):
+        """A NaN parameter would reach the report as a bare NaN, which is not JSON."""
+        trace_path = self._simulate(tmp_path)
+        out = tmp_path / "r.json"
+        code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_mode_channel_mismatch_fails(self, tmp_path, capsys):
         trace_path = self._simulate(tmp_path, circuit=RELAY)  # 1-channel trace
         code = main(

@@ -196,6 +196,9 @@ class TestSegmentationParams:
             SegmentationParams(relay_threshold_w=0.0)
         with pytest.raises(ValueError):
             SegmentationParams(min_window_samples=0)
+        for threshold in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="trigger logic threshold must be finite"):
+                SegmentationParams(trigger_logic_threshold_v=threshold)
 
 
 class TestSegmentationProperties:
