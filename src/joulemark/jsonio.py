@@ -20,8 +20,8 @@ from typing import Any, Callable, Sequence, TextIO
 
 from . import trace
 
-# stands for one scalar leaf in a record shape; json writes it as below, and
-# no shape holds this string as a value of its own
+# stands for one scalar leaf in a record shape; json writes it as below, so
+# no key or string of a shape may hold this character
 LEAF = "\x00"
 _LEAF_TEXT = json.dumps(LEAF)
 
@@ -116,14 +116,15 @@ def write_json(doc, f: TextIO) -> None:
         return None
 
     line = ""  # the text written since the last newline
-    # the encoder yields the text of a value that default() replaced as the
-    # very next chunk after the call, so that chunk is where the Records go
+    # iterencode runs json's pure-Python generator, which yields the text of
+    # the value default() returned as the very next chunk after the call:
+    # that chunk is where the Records go
     for chunk in json.JSONEncoder(indent=2, default=hold).iterencode(doc):
         if held:
             held.pop().write(f, len(line) - len(line.lstrip(" ")))
             continue
         f.write(chunk)
-        head, newline, tail = chunk.rpartition("\n")
+        _, newline, tail = chunk.rpartition("\n")
         line = tail if newline else line + chunk
     f.write("\n")
 

@@ -264,12 +264,14 @@ class SessionReport:
         b, e = self.windows.begin[start:stop], self.windows.end[start:stop]
         j, rate = self.joules[start:stop], self.rate_hz
         columns = (b, e, b / rate, e / rate, j, j / ((e - b) / rate))
+        # the columns' values, window after window
         leaves = [None] * (len(columns) * len(b))
         for i, column in enumerate(columns):
             leaves[i :: len(columns)] = column.tolist()
         return None, leaves
 
 
+# a window's JSON record: its sample span, then its seconds and energy
 _RESULT = {
     "window": {"begin_idx": LEAF, "end_idx": LEAF},
     "energy": {"begin_s": LEAF, "end_s": LEAF, "joules": LEAF, "mean_watts": LEAF},
