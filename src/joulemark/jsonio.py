@@ -7,7 +7,7 @@ windows that costs several times the text in memory.  A document given to
 ``write_json`` may hold ``Records`` in place of such a list.  Each record
 shape's text is then taken once from ``json.dumps(shape, indent=2)`` as a
 ``%`` template, the rows' numbers are encoded by the C encoder in one call,
-and the rows are written one block of ``trace.CHUNK_ROWS`` at a time.
+and the rows are written in blocks of about ``trace.CHUNK_ROWS`` leaves.
 """
 
 from __future__ import annotations
@@ -43,8 +43,13 @@ class Records:
     block: Callable[[int, int], tuple[Sequence[int] | None, list]]
 
     def _blocks(self):
-        """(shape index of each record, leaves) per block of records."""
-        for start, stop in trace.row_blocks(self.count):
+        """(shape index of each record, leaves) per block of records, each
+        block as many records as hold ``trace.CHUNK_ROWS`` leaves of the
+        largest shape, and at least one."""
+        widest = max(json.dumps(shape).count(_LEAF_TEXT) for shape in self.shapes)
+        step = max(1, trace.CHUNK_ROWS // max(1, widest))
+        for start in range(0, self.count, step):
+            stop = min(start + step, self.count)
             kinds, leaves = self.block(start, stop)
             yield repeat(0, stop - start) if kinds is None else kinds, leaves
 

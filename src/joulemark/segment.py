@@ -53,9 +53,9 @@ class SegmentationParams:
     trigger_logic_threshold_v: float = 0.9
 
     def __post_init__(self):
-        if not self.relay_threshold_w > 0:
+        if not (math.isfinite(self.relay_threshold_w) and self.relay_threshold_w > 0):
             raise ValueError(
-                f"relay threshold must be positive, got {self.relay_threshold_w}"
+                f"relay threshold must be finite and positive, got {self.relay_threshold_w}"
             )
         if self.min_window_samples < 1:
             raise ValueError(

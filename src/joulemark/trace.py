@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -306,14 +307,88 @@ def write_csv_rows(f: TextIO, rate_hz: float, columns: Sequence[np.ndarray]) -> 
     """Write row i as ``i / rate_hz`` and the i-th value of each column,
     every number as its ``repr``, comma-separated.
 
+    Times are written from integer digits where the sample period is a
+    terminating decimal (see _times_block), and through ``repr`` elsewhere.
     Rows are converted to text and written CHUNK_ROWS at a time, so a long
     trace is never held as one list of strings.  A column may be any object
     whose slices are arrays of floats, such as one computed block by block.
     """
+    step = _decimal_step(rate_hz)
     for start, stop in row_blocks(len(columns[0])):
-        cells = [map(repr, [i / rate_hz for i in range(start, stop)])]
+        cells = [_times_block(start, stop, rate_hz, step)]
         cells += [_repr_block(column[start:stop]) for column in columns]
         f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
+    """(m, k) with ``1 / rate_hz == m / 10**k`` exactly, for the smallest k
+    in 1..18, or None when there is none (rates such as 44100 or 3.3)."""
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        return None
+    period = 1 / Fraction(rate_hz)
+    for k in range(1, 19):
+        scaled = period * 10**k
+        if scaled.denominator == 1:
+            return scaled.numerator, k
+    return None
+
+
+def _times_block(
+    start: int, stop: int, rate_hz: float, step: tuple[int, int] | None
+) -> list[str]:
+    """``repr(i / rate_hz)`` for the rows i of [start, stop).
+
+    Where ``step`` is (m, k), ``i / rate_hz`` is the float nearest the
+    decimal ``i * m / 10**k``.  While ``i * m < 10**15`` that decimal has at
+    most 15 significant digits, and no two such decimals round to the same
+    float, so it is the shortest text that reads back as the float: what
+    ``repr`` prints once the time is 1e-4 s or more.  Those rows are written from the digits of ``i * m``; the others,
+    and every row when ``step`` is None, through ``repr``.
+    """
+    lo = hi = start
+    if step is not None:
+        m, k = step
+        # [lo, hi): the rows at or after 1e-4 s with i * m < 10**15
+        lo = min(max(start, -(-(10**k) // (10**4 * m))), stop)
+        hi = min(max(lo, -(-(10**15) // m)), stop)
+    times = [repr(i / rate_hz) for i in range(start, lo)]
+    if hi > lo:
+        times += _decimal_text(np.arange(lo, hi, dtype=np.int64) * m, k)
+    times += [repr(i / rate_hz) for i in range(hi, stop)]
+    return times
+
+
+def _decimal_text(q: np.ndarray, k: int) -> list[str]:
+    """The text of each ``q / 10**k`` as fixed-point decimal, with no
+    leading zero before the units digit and no trailing zero after the
+    first fraction digit, for non-negative int64 ``q`` and k >= 1.
+
+    The digits go into one uint8 matrix, a row per digit position, with a
+    mask of the digits kept; the kept ones, with a point and a newline per
+    number, are decoded and split once.
+    """
+    whole, frac = np.divmod(q, 10**k)
+    width = len(str(int(whole.max())))
+    text = np.empty((width + k + 2, len(q)), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    # a fraction digit is kept when it or a later one is not zero, and the
+    # first always
+    nonzero = np.zeros(len(q), dtype=bool)
+    for row in range(width + k, width, -1):
+        frac, text[row] = np.divmod(frac, 10)
+        nonzero |= text[row] != 0
+        keep[row] = nonzero
+    keep[width + 1] = True
+    # a whole-number digit is kept when it or a higher one is not zero, and
+    # the units digit always
+    for row in range(width - 1, 0, -1):
+        whole, text[row] = np.divmod(whole, 10)
+        keep[row - 1] = whole != 0
+    text[0] = whole
+    text += ord("0")
+    text[width] = ord(".")
+    text[-1] = ord("\n")
+    return text.T[keep.T].tobytes().decode().split("\n")[:-1]
 
 
 def _repr_block(block: np.ndarray) -> list[str]:

@@ -303,10 +303,13 @@ class TestAnalyzeCommand:
             ("--match-tolerance-s", "nan", "match tolerance must be finite and >= 0, got nan"),
             ("--match-tolerance-s", "inf", "match tolerance must be finite and >= 0, got inf"),
             ("--match-tolerance-s", "-0.001", "match tolerance must be finite and >= 0, got -0.001"),
+            ("--threshold-w", "nan", "relay threshold must be finite and positive, got nan"),
+            ("--threshold-w", "inf", "relay threshold must be finite and positive, got inf"),
         ],
     )
     def test_non_finite_parameters_exit_2(self, tmp_path, capsys, flag, value, message):
-        """A NaN parameter would reach the report as a bare NaN, which is not JSON."""
+        """A NaN or infinite parameter would reach the report as a bare NaN or
+        Infinity, which is not JSON."""
         trace_path = self._simulate(tmp_path)
         out = tmp_path / "r.json"
         code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), flag, value])

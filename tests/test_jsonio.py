@@ -21,8 +21,8 @@ from joulemark.stats import CampaignSummary
 from joulemark.trace import MeasurementWindow, ShuntConfig, Windows
 from test_simulate import scenarios
 
-# the default block, and blocks of one and three records
-BLOCKS = st.sampled_from([None, 1, 3])
+# the default block, and blocks of 1, 3 and 16 leaves: one record, or a few
+BLOCKS = st.sampled_from([None, 1, 3, 16])
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -13,10 +13,13 @@ the trace copied what it was given:
 - read_trace_csv: 2.1x, the parsed blocks and their concatenation, which
   the trace adopts (3.05x);
 - read_all of a stream: 2.1x, the same blocks and concatenation;
-- the trace writer: relay 0.14x, trigger 0.05x, one block of text and, per
-  column, its distinct values and the index that gathers them;
-- the skyline writer: relay 0.14x, trigger 0.05x, one block of watts and
-  its text (1.12x and 0.56x).
+- the trace writer: relay 0.18x, trigger 0.08x, one block of text, its
+  times as digits and as strings and, per column, its distinct values and
+  the index that gathers them (0.14x and 0.05x when each time was
+  formatted as its row was joined);
+- the skyline writer: relay 0.18x, trigger 0.06x, one block of watts and
+  its text (1.12x and 0.56x when the watts were one array; 0.14x and 0.04x
+  before the times were written from digits).
 
 Each bound sits below the peak one more trace-length array would give.
 
@@ -25,13 +28,16 @@ a window, the windows and joules as arrays and one verdict per commanded
 toggle (about 500 bytes when each window was also a MeasurementWindow and
 an EnergyResult).
 
-Writing that report, 3,000 windows and verdicts, peaks at 0.52x the bytes
-it writes: one block of records and its text (7.9x when
-``json.dumps(indent=2)`` encoded the whole report at once, 3.0x when the
-records are one block).
+Writing that report, 3,000 windows and verdicts, peaks at 0.10x the bytes
+it writes in blocks of 512 leaves: one block of records and its text (0.52x
+in blocks of 512 records, 7.9x when ``json.dumps(indent=2)`` encoded the
+whole report at once).  At the default block of 16,384 leaves an
+8,000-window report, as large as the benchmark's, peaks at 1.0x (2.8x when
+a block was 16,384 records, and so the whole report).
 """
 
 import tracemalloc
+from contextlib import nullcontext
 
 import pytest
 
@@ -156,10 +162,9 @@ def retained_bytes(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def toggled_session():
-    """A trigger session of 3,000 toggles, every one captured, and its log."""
-    toggles = 3_000
+def toggled(toggles: int):
+    """A trigger session of ``toggles`` toggles, every one captured, and its
+    log."""
     cmds = []
     for k in range(toggles):
         cmds += [GpioCommand(1e-3 + 2e-3 * k, 40, ACTIVATE), GpioCommand(2e-3 + 2e-3 * k, 40, DEACTIVATE)]
@@ -175,6 +180,11 @@ def toggled_session():
     return trace, scenario.gpio
 
 
+@pytest.fixture(scope="module")
+def toggled_session():
+    return toggled(3_000)
+
+
 def test_analyze_keeps_no_object_per_window(toggled_session):
     trace, log = toggled_session
     analyze(trace, TRIGGER, expected=log)
@@ -183,16 +193,30 @@ def test_analyze_keeps_no_object_per_window(toggled_session):
     assert retained <= 300 * len(report.windows)
 
 
-def test_report_writer_holds_one_block_of_records(toggled_session, tmp_path):
-    trace, log = toggled_session
+def report_writer_peak(session, path, block_rows=None) -> int:
+    """The peak memory of writing the session's report to path, with its
+    records in blocks of ``block_rows`` leaves (default: the package's)."""
+    trace, log = session
     report = analyze(trace, TRIGGER, expected=log)
-    path = tmp_path / "report.json"
 
     def write():
         with path.open("w", newline="\n") as f:
             report.write_json(f)
 
     write()
-    with chunk_rows(BLOCK_ROWS):
+    with chunk_rows(block_rows) if block_rows else nullcontext():
         _, peak = peak_bytes(write)
+    return peak
+
+
+def test_report_writer_holds_one_block_of_records(toggled_session, tmp_path):
+    path = tmp_path / "report.json"
+    peak = report_writer_peak(toggled_session, path, BLOCK_ROWS)
+    assert peak <= 2.0 * path.stat().st_size
+
+
+def test_report_writer_at_the_default_block_size(tmp_path):
+    """8,000 windows, as many as the benchmark's trigger report."""
+    path = tmp_path / "report.json"
+    peak = report_writer_peak(toggled(8_000), path)
     assert peak <= 2.0 * path.stat().st_size

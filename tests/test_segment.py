@@ -192,8 +192,9 @@ class TestSegmentTrigger:
 
 class TestSegmentationParams:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SegmentationParams(relay_threshold_w=0.0)
+        for threshold in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="relay threshold must be finite and positive"):
+                SegmentationParams(relay_threshold_w=threshold)
         with pytest.raises(ValueError):
             SegmentationParams(min_window_samples=0)
         for threshold in (float("nan"), float("inf"), -float("inf")):

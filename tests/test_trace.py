@@ -465,13 +465,23 @@ def repeating_columns(draw, rows: int) -> np.ndarray:
     return values[picks]
 
 
+# rates 2**a * 5**b * 10**c, whose sample period is a terminating decimal,
+# so that their times are written from integer digits; 12.5 and 0.625 too
+terminating_rates = st.builds(
+    lambda a, b, c: math.ldexp(5**b * 10**c, a),
+    st.integers(-8, 8),
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     rows=st.integers(1, 40),
     width=st.integers(1, 3),
     block=st.sampled_from([1, 3, 7, None]),
-    rate=st.floats(min_value=1e-3, max_value=1e7),
+    rate=terminating_rates | st.floats(min_value=1e-3, max_value=1e7),
 )
 def test_writer_matches_per_cell_reference(data, rows, width, block, rate):
     columns = [data.draw(repeating_columns(rows)) for _ in range(width)]
@@ -484,3 +494,51 @@ def test_writer_matches_per_cell_reference(data, rows, width, block, rate):
             write_csv_rows(got, rate, written)
             per_cell_csv_rows(want, rate, written)
         assert got.getvalue() == want.getvalue()
+
+
+@st.composite
+def time_rows(draw, rate: float) -> tuple[int, int]:
+    """[start, stop) of up to 200 rows around row 0, the last rows below
+    1e-4 s, a whole second, or, for a terminating rate, the last row whose
+    time is written from digits."""
+    anchors = [0.0, rate * 1e-4, rate * draw(st.integers(1, 10**6))]
+    step = trace_module._decimal_step(rate)
+    if step is not None:
+        anchors.append(10**15 / step[0])
+    anchor = int(min(draw(st.sampled_from(anchors)), 2.0**53))
+    start = max(0, anchor + draw(st.integers(-100, 100)))
+    return start, start + draw(st.integers(0, 200))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    data=st.data(),
+    rate=terminating_rates | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_times_are_the_repr_of_each_row_time(data, rate):
+    start, stop = data.draw(time_rows(rate))
+    step = trace_module._decimal_step(rate)
+    got = trace_module._times_block(start, stop, rate, step)
+    assert got == [repr(i / rate) for i in range(start, stop)]
+
+
+@pytest.mark.parametrize(
+    "rate, step",
+    [
+        (40000.0, (25, 6)),
+        (20000.0, (5, 5)),
+        (12.5, (8, 2)),
+        (0.5, (20, 1)),
+        (1e6, (1, 6)),
+        (44100.0, None),
+        (3.3, None),
+        (0.1, None),
+        (2.0**20, None),  # 1/2**20 needs 20 decimals
+        (math.inf, None),
+        (math.nan, None),
+        (0.0, None),
+        (-40000.0, None),
+    ],
+)
+def test_decimal_step_of_a_rate(rate, step):
+    assert trace_module._decimal_step(rate) == step
