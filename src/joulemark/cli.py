@@ -83,11 +83,12 @@ def _cmd_analyze(args) -> int:
     out = Path(args.out)
     with out.open("w", newline="\n") as f:
         report.write_json(f)
-    skyline = Path(args.skyline) if args.skyline else out.with_suffix(".skyline.csv")
-    _write_skyline_csv(trace, skyline)
+    if args.skyline:
+        _write_skyline_csv(trace, Path(args.skyline))
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    print(f"wrote {out} ({len(report.windows)} window(s)) and skyline {skyline}")
+    skyline = f" and skyline {args.skyline}" if args.skyline else ""
+    print(f"wrote {out} ({len(report.windows)} window(s)){skyline}")
     return 0
 
 
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace CSV file")
     p.add_argument("--mode", required=True, choices=[RELAY, TRIGGER])
     p.add_argument("--out", required=True, help="output report JSON path")
-    p.add_argument("--skyline", default=None, help="skyline CSV path (default: derived from --out)")
+    p.add_argument("--skyline", default=None, help="also write the trace's power as a skyline CSV here")
     p.add_argument("--expected", default=None, help="GPIO command log CSV for hit/miss matching")
     p.add_argument("--threshold-w", type=float, default=0.005, help="relay power threshold, watts")
     p.add_argument("--min-window", type=int, default=4, help="minimum window length, samples")

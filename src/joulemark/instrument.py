@@ -15,6 +15,7 @@ ports here.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -60,8 +61,8 @@ class GpioCommand:
     def __post_init__(self):
         if self.action not in _ACTIONS:
             raise ValueError(f"action must be one of {_ACTIONS}, got {self.action!r}")
-        if not self.t_s >= 0:  # also rejects NaN, which no ordering check sees
-            raise ValueError(f"command time must be >= 0, got {self.t_s}")
+        if not (math.isfinite(self.t_s) and self.t_s >= 0):
+            raise ValueError(f"command time must be finite and >= 0, got {self.t_s}")
 
 
 @dataclass(frozen=True)
@@ -83,30 +84,7 @@ class GpioCommandLog:
         Requirements: entries sorted by time; per port, actions strictly
         alternate starting with activate; no port left active at the end.
         """
-        last_t = 0.0
-        active: dict[int, bool] = {}
-        for i, cmd in enumerate(self.entries):
-            if cmd.t_s < last_t:
-                raise AlternationError(
-                    f"entry {i}: commands not sorted by time "
-                    f"({cmd.t_s} after {last_t})"
-                )
-            last_t = cmd.t_s
-            is_active = active.get(cmd.port, False)
-            if cmd.action == ACTIVATE and is_active:
-                raise AlternationError(
-                    f"entry {i}: port {cmd.port} activated twice in a row"
-                )
-            if cmd.action == DEACTIVATE and not is_active:
-                raise AlternationError(
-                    f"entry {i}: port {cmd.port} deactivated while inactive"
-                )
-            active[cmd.port] = cmd.action == ACTIVATE
-        dangling = sorted(p for p, a in active.items() if a)
-        if dangling:
-            raise DanglingWindowError(
-                f"log ends with ports still active: {dangling}"
-            )
+        self._pairs  # checked while paired
 
     def windows(self) -> list[tuple[float, float, int]]:
         """Pair up commands into (t_on, t_off, port), sorted by t_on.
@@ -118,14 +96,32 @@ class GpioCommandLog:
 
     @cached_property
     def _pairs(self) -> tuple[tuple[float, float, int], ...]:
-        self.validate()
-        open_at: dict[int, float] = {}
+        last_t = 0.0
+        open_at: dict[int, float] = {}  # the activation time of each active port
         out: list[tuple[float, float, int]] = []
-        for cmd in self.entries:
+        for i, cmd in enumerate(self.entries):
+            if cmd.t_s < last_t:
+                raise AlternationError(
+                    f"entry {i}: commands not sorted by time "
+                    f"({cmd.t_s} after {last_t})"
+                )
+            last_t = cmd.t_s
             if cmd.action == ACTIVATE:
+                if cmd.port in open_at:
+                    raise AlternationError(
+                        f"entry {i}: port {cmd.port} activated twice in a row"
+                    )
                 open_at[cmd.port] = cmd.t_s
-            else:
+            elif cmd.port in open_at:
                 out.append((open_at.pop(cmd.port), cmd.t_s, cmd.port))
+            else:
+                raise AlternationError(
+                    f"entry {i}: port {cmd.port} deactivated while inactive"
+                )
+        if open_at:
+            raise DanglingWindowError(
+                f"log ends with ports still active: {sorted(open_at)}"
+            )
         out.sort(key=lambda w: (w[0], w[1]))
         return tuple(out)
 
@@ -200,7 +196,8 @@ class ToggleToken:
     """Capability to toggle one port; issued by PortRegistry.acquire.
 
     A token may move between threads but must not be used from two threads
-    at once.  All checks are delegated to the owning registry.
+    at once.  All checks are delegated to the owning registry; the token is
+    live while the registry holds it for its port.
     """
 
     def __init__(self, registry: "PortRegistry", port: int, owner: str, issued_at: float):
@@ -208,7 +205,7 @@ class ToggleToken:
         self.port = port
         self.owner = owner
         self.issued_at = issued_at
-        self._revoked = False
+        self._active = False  # whether the port is high
 
     def activate(self) -> GpioCommand:
         return self._registry._toggle(self, ACTIVATE)
@@ -241,7 +238,6 @@ class PortRegistry:
         self._pins = tuple(pins)
         self._lock = threading.Lock()
         self._tokens: dict[int, ToggleToken] = {}
-        self._active: dict[int, bool] = {}
         self._log: list[GpioCommand] = []
 
     def acquire(self, port: int, owner: str = "") -> ToggleToken:
@@ -254,41 +250,37 @@ class PortRegistry:
                 raise PortOwnershipError(f"port {port} is already owned")
             token = ToggleToken(self, port, owner, self._clock())
             self._tokens[port] = token
-            self._active[port] = False
             return token
 
     def _check_live(self, token: ToggleToken) -> None:
-        if token._revoked or self._tokens.get(token.port) is not token:
+        if self._tokens.get(token.port) is not token:
             raise StaleTokenError(f"token for port {token.port} is no longer live")
 
     def _toggle(self, token: ToggleToken, action: str) -> GpioCommand:
         with self._lock:
             self._check_live(token)
-            active = self._active[token.port]
-            if action == ACTIVATE and active:
+            if action == ACTIVATE and token._active:
                 raise AlternationError(
                     f"port {token.port} is already active; deactivate first"
                 )
-            if action == DEACTIVATE and not active:
+            if action == DEACTIVATE and not token._active:
                 raise AlternationError(
                     f"port {token.port} is not active; activate first"
                 )
             cmd = GpioCommand(self._clock(), token.port, action)
             self.backend.write(token.port, action == ACTIVATE)
-            self._active[token.port] = action == ACTIVATE
+            token._active = action == ACTIVATE
             self._log.append(cmd)
             return cmd
 
     def release(self, token: ToggleToken) -> None:
         with self._lock:
             self._check_live(token)
-            if self._active[token.port]:
+            if token._active:
                 raise DanglingWindowError(
                     f"port {token.port} is still active; deactivate before release"
                 )
             del self._tokens[token.port]
-            del self._active[token.port]
-            token._revoked = True
 
     def export_log(self) -> GpioCommandLog:
         """Snapshot of the session log, sorted by time."""

@@ -11,10 +11,9 @@ whole pipeline: segment by mode, integrate each window, match.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import TextIO
@@ -131,21 +130,33 @@ class ToggleVerdict:
     port: int
     begin_s: float
     end_s: float
-    hit: bool
     window_index: int | None
 
+    @property
+    def hit(self) -> bool:
+        return self.window_index is not None
 
-# a verdict's JSON record: its fields, in order, with their values as leaves
-_VERDICT = {f.name: LEAF for f in fields(ToggleVerdict)}
+
+# a verdict's JSON record: its values, in this order, as leaves
+_VERDICT = {"port": LEAF, "begin_s": LEAF, "end_s": LEAF, "hit": LEAF, "window_index": LEAF}
 _verdict_leaves = attrgetter(*_VERDICT)
 
 
 @dataclass(frozen=True)
 class HitMissReport:
-    expected: int
-    hits: int
-    misses: int
     verdicts: tuple[ToggleVerdict, ...]
+
+    @property
+    def expected(self) -> int:
+        return len(self.verdicts)
+
+    @property
+    def hits(self) -> int:
+        return sum(v.hit for v in self.verdicts)
+
+    @property
+    def misses(self) -> int:
+        return self.expected - self.hits
 
     def to_json_dict(self) -> dict:
         return jsonio.plain(self._json_doc())
@@ -170,50 +181,33 @@ def match_toggles(
 ) -> HitMissReport:
     """Greedy in-order matching of commanded toggles to recovered windows.
 
-    Each commanded pair, in order of its start t_on, takes the lowest-index
-    unmatched window whose ``begin / rate_hz`` lies within tolerance_s of
-    t_on (the default covers twice the relay actuation latency).  Unmatched
-    pairs are misses.
+    ``found`` must be in ``begin`` order, as the segmenters return it; a
+    window that begins before the one ahead of it raises ValueError.  Each
+    commanded pair, in order of its start t_on, takes the first unmatched
+    window whose ``begin / rate_hz`` lies within tolerance_s of t_on (the
+    default covers twice the relay actuation latency).  Unmatched pairs are
+    misses.
 
-    Runs in O((n + m) log m) for n pairs and m windows: the windows are
-    sorted once by start, and one sweep over the pairs, whose starts never
-    decrease, moves each window into a heap keyed by its index when it
-    comes within tolerance_s from above and drops it for good once it is
-    more than tolerance_s behind.  Both tests are written as
+    Runs in O(n + m) for n pairs and m windows.  The pairs' starts never
+    decrease, so a window more than tolerance_s behind one pair's start is
+    behind every later pair's too: one pointer moves past such windows and
+    past each window that is matched.  Both tests are written as
     ``begin / rate_hz - t_on`` against tolerance_s, so that they round as
     ``abs(begin / rate_hz - t_on) <= tolerance_s`` does.
     """
-    pairs = intended.windows()
+    if np.any(found.begin[1:] < found.begin[:-1]):
+        raise ValueError("windows must be in begin order")
     starts = (found.begin / rate_hz).tolist()
-    order = sorted(range(len(found)), key=starts.__getitem__)
-    unmatched: list[int] = []  # heap of entered, unmatched window indices
-    entered = 0  # windows of `order` moved into `unmatched` so far
+    p = 0  # the first window that no earlier pair matched or left behind
     verdicts: list[ToggleVerdict] = []
-    for t_on, t_off, port in pairs:
-        while entered < len(order) and not (
-            starts[order[entered]] - t_on > tolerance_s
-        ):
-            heapq.heappush(unmatched, order[entered])
-            entered += 1
-        while unmatched and not starts[unmatched[0]] - t_on >= -tolerance_s:
-            heapq.heappop(unmatched)
-        matched = heapq.heappop(unmatched) if unmatched else None
-        verdicts.append(
-            ToggleVerdict(
-                port=port,
-                begin_s=t_on,
-                end_s=t_off,
-                hit=matched is not None,
-                window_index=matched,
-            )
-        )
-    hits = sum(1 for v in verdicts if v.hit)
-    return HitMissReport(
-        expected=len(pairs),
-        hits=hits,
-        misses=len(pairs) - hits,
-        verdicts=tuple(verdicts),
-    )
+    for t_on, t_off, port in intended.windows():
+        while p < len(starts) and starts[p] - t_on < -tolerance_s:
+            p += 1
+        matched = None
+        if p < len(starts) and starts[p] - t_on <= tolerance_s:
+            matched, p = p, p + 1
+        verdicts.append(ToggleVerdict(port, t_on, t_off, matched))
+    return HitMissReport(tuple(verdicts))
 
 
 @dataclass

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -619,6 +620,10 @@ def _read(cls, obj, path: str, defaults: dict | None = None, **given):
             accepted, kind, convert = _NUMBERS[getattr(f.type, "__name__", f.type)]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ScenarioError(f"{path}.{f.name}: expected {kind}, got {value!r}")
+            # json reads Infinity and NaN as floats, and digits beyond the
+            # float range as an int
+            if convert is float and not abs(value) <= sys.float_info.max:
+                raise ScenarioError(f"{path}.{f.name}: expected a finite number, got {value!r}")
             values[f.name] = convert(value)
         elif defaults is not None and f.name in defaults:
             values[f.name] = defaults[f.name]

@@ -71,13 +71,20 @@ class CampaignSummary:
     """Summary of n repeated energy measurements of the same workload."""
 
     samples: tuple[float, ...]
-    n: int
     mean_j: float
     sd_j: float
     me_j: float
-    ci: tuple[float, float]
     variation_pct: float
     confidence: float
+
+    @property
+    def n(self) -> int:
+        return len(self.samples)
+
+    @property
+    def ci(self) -> tuple[float, float]:
+        """The confidence interval, mean_j -/+ me_j."""
+        return (self.mean_j - self.me_j, self.mean_j + self.me_j)
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,11 +133,9 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
     me = t_critical(n - 1, confidence) * sd / math.sqrt(n)
     return CampaignSummary(
         samples=tuple(values),
-        n=n,
         mean_j=mean,
         sd_j=sd,
         me_j=me,
-        ci=(mean - me, mean + me),
         variation_pct=variation_pct(values) if mean != 0.0 else math.nan,
         confidence=confidence,
     )

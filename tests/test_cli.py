@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -19,9 +20,23 @@ from joulemark.simulate import (
 )
 from joulemark.trace import PowerTrace, ShuntConfig, read_trace_csv, write_trace_csv
 
+
+def strict_json(text: str):
+    """``json.loads`` that fails on NaN and Infinity, which are not JSON."""
+
+    def reject(word):
+        raise ValueError(f"{word} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def read_json(path):
+    return strict_json(Path(path).read_text())
+
+
 DEMO_SCENARIOS = sorted(Path(__file__).parent.parent.joinpath("demos", "scenarios").glob("*.json"))
-GOLDEN_SIMULATE = json.loads(Path(__file__).with_name("golden_simulate.json").read_text())
-GOLDEN_ANALYZE = json.loads(Path(__file__).with_name("golden_analyze.json").read_text())
+GOLDEN_SIMULATE = read_json(Path(__file__).with_name("golden_simulate.json"))
+GOLDEN_ANALYZE = read_json(Path(__file__).with_name("golden_analyze.json"))
 
 
 def sha256_of(path) -> str:
@@ -55,7 +70,7 @@ class TestSimulateCommand:
         assert code == 0
         trace = read_trace_csv(trace_path)
         assert len(trace) == 60_000  # 3 s at 20 kHz per channel
-        truth = json.loads(truth_path.read_text())
+        truth = read_json(truth_path)
         assert truth["entries"][0]["true_joules"] == pytest.approx(12.0)
 
     def test_deterministic_output_bytes(self, tmp_path):
@@ -69,14 +84,17 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_validates_the_gpio_log_once(self, tmp_path, monkeypatch):
+        """The walk that validates and pairs the log runs once per simulate."""
         calls = []
-        validate = GpioCommandLog.validate
+        pairs = GpioCommandLog._pairs.func
 
         def counted(log):
             calls.append(log)
-            return validate(log)
+            return pairs(log)
 
-        monkeypatch.setattr(GpioCommandLog, "validate", counted)
+        counted_pairs = functools.cached_property(counted)
+        counted_pairs.__set_name__(GpioCommandLog, "_pairs")
+        monkeypatch.setattr(GpioCommandLog, "_pairs", counted_pairs)
         scenario = write_scenario(tmp_path)
         code = main(
             ["simulate", str(scenario), "--out-trace", str(tmp_path / "o.csv"), "--out-truth", str(tmp_path / "t.json")]
@@ -86,7 +104,7 @@ class TestSimulateCommand:
 
     def test_invalid_scenario_names_entry(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
-        obj = json.loads(path.read_text())
+        obj = read_json(path)
         obj["gpio"][1]["t_s"] = 9.0  # beyond the 3 s session
         path.write_text(json.dumps(obj))
         code = main(
@@ -162,7 +180,7 @@ class TestCampaignGoldenBytes:
         out = tmp_path / "campaign.csv"
         assert main(["campaign", str(scenario), "--runs", "5", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        report = json.loads(stdout)
+        report = strict_json(stdout)
         # stdout is exactly what json writes for the values it holds
         assert json.dumps(report, indent=2) + "\n" == stdout
         campaign = report["campaign"]
@@ -191,7 +209,7 @@ class TestAnalyzeCommand:
         report_path = tmp_path / "report.json"
         code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(report_path)])
         assert code == 0
-        report = json.loads(report_path.read_text())
+        report = read_json(report_path)
         assert len(report["results"]) == 1
         assert report["results"][0]["energy"]["joules"] == pytest.approx(12.0, rel=1e-3)
         assert report["hit_miss"] is None
@@ -206,11 +224,23 @@ class TestAnalyzeCommand:
         assert code == 0
         rows = np.loadtxt(skyline_path, delimiter=",", skiprows=1)
         skyline_joules = float(np.trapezoid(rows[:, 1], rows[:, 0]))
-        report = json.loads(report_path.read_text())
+        report = read_json(report_path)
         windows_joules = report["total_joules"]
         # full-trace integral equals window energy plus idle-noise residue
         residue = 0.001 * 3.0
         assert abs(skyline_joules - windows_joules) <= residue
+
+    def test_skyline_only_on_request(self, tmp_path, capsys):
+        trace_path = self._simulate(tmp_path)
+        capsys.readouterr()
+        report_path, skyline_path = tmp_path / "report.json", tmp_path / "sky.csv"
+        assert main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(report_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {report_path} (1 window(s))\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "scenario.json", "trace.csv", "truth.json"]
+        flags = ["--skyline", str(skyline_path)]
+        assert main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(report_path), *flags]) == 0
+        assert capsys.readouterr().out == f"wrote {report_path} (1 window(s)) and skyline {skyline_path}\n"
+        assert skyline_path.read_text().startswith("t_s,watts\n")
 
     def test_expected_log_produces_hit_miss(self, tmp_path):
         trace_path = self._simulate(tmp_path, circuit=RELAY)
@@ -223,7 +253,7 @@ class TestAnalyzeCommand:
             ["analyze", str(trace_path), "--mode", "relay", "--out", str(report_path), "--expected", str(gpio_path)]
         )
         assert code == 0
-        report = json.loads(report_path.read_text())
+        report = read_json(report_path)
         assert report["hit_miss"]["expected"] == 1
         assert report["hit_miss"]["hits"] == 1
 
@@ -256,7 +286,8 @@ class TestAnalyzeCommand:
             relabelled,
         )
         expected = tmp_path / "expected.json"
-        assert main(["analyze", str(relabelled), "--mode", "trigger", "--out", str(expected)]) == 0
+        skyline = ["--skyline", str(expected.with_suffix(".skyline.csv"))]
+        assert main(["analyze", str(relabelled), "--mode", "trigger", "--out", str(expected), *skyline]) == 0
 
         seen = {}
         read, analyze = cli.read_trace_csv, cli.analyze
@@ -266,6 +297,7 @@ class TestAnalyzeCommand:
         )
         out = tmp_path / "overridden.json"
         flags = [part for pair in overrides.items() for part in pair]
+        flags += ["--skyline", str(out.with_suffix(".skyline.csv"))]
         assert main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), *flags]) == 0
         assert out.read_bytes() == expected.read_bytes()
         assert (
@@ -340,7 +372,7 @@ class TestAnalyzeCommand:
         report_path = tmp_path / "r.json"
         code = main(["analyze", str(trace_path), "--mode", "relay", "--out", str(report_path)])
         assert code == 0
-        report = json.loads(report_path.read_text())
+        report = read_json(report_path)
         assert report["results"] == []
         assert any("no measurement windows" in w for w in report["warnings"])
 
@@ -356,7 +388,7 @@ class TestCampaignCommand:
         assert len(cells) == 7  # 5 samples, mean, margin of error
         samples = [float(c) for c in cells[:5]]
         assert all(abs(s - 12.0) < 0.1 for s in samples)
-        stdout_report = json.loads(capsys.readouterr().out)
+        stdout_report = strict_json(capsys.readouterr().out)
         assert stdout_report["campaign"]["n"] == 5
         assert len(stdout_report["results"]) == 1
 
@@ -381,7 +413,7 @@ class TestStatsCommand:
         values.write_text("26.712 29.644 27.567 28.623 27.453\n")
         code = main(["stats", str(values)])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert payload["mean_j"] == pytest.approx(28.000, abs=1e-3)
         assert payload["me_j"] == pytest.approx(1.421, abs=1e-3)
 
@@ -390,7 +422,7 @@ class TestStatsCommand:
         values.write_text("1.0, 2.0, 3.0\n")
         out = tmp_path / "summary.json"
         assert main(["stats", str(values), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["n"] == 3
+        assert read_json(out)["n"] == 3
 
 
 class TestValidateCommand:
@@ -434,18 +466,45 @@ class TestValidateCommand:
     def test_good_and_bad_scenarios(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         assert main(["validate", str(path)]) == 0
-        obj = json.loads(path.read_text())
+        obj = read_json(path)
         del obj["duration_s"]
         path.write_text(json.dumps(obj))
         assert main(["validate", str(path)]) == 2
 
     def test_scenario_with_dangling_activate_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
-        obj = json.loads(path.read_text())
+        obj = read_json(path)
         obj["gpio"] = obj["gpio"][:1]  # activate without deactivate
         path.write_text(json.dumps(obj))
         assert main(["validate", str(path)]) == 2
         assert "active" in capsys.readouterr().err
+
+    def test_expected_log_with_infinite_time_exits_2(self, tmp_path, capsys):
+        """An infinite command time would reach the report as a bare
+        Infinity, which is not JSON."""
+        trace_path = TestAnalyzeCommand()._simulate(tmp_path, circuit=RELAY)
+        gpio_path = tmp_path / "gpio.csv"
+        gpio_path.write_text("t_s,port,action\n1.0,40,activate\ninf,40,deactivate\n")
+        out, skyline = tmp_path / "r.json", tmp_path / "sky.csv"
+        code = main(
+            ["analyze", str(trace_path), "--mode", "relay", "--out", str(out), "--skyline", str(skyline), "--expected", str(gpio_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 3: command time must be finite and >= 0, got inf\n"
+        assert not out.exists() and not skyline.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("field, value", [("duration_s", "inf"), ("logic_high_v", "nan")])
+    def test_scenario_with_non_finite_number_exits_2(self, tmp_path, capsys, command, field, value):
+        path = write_scenario(tmp_path)
+        obj = read_json(path)
+        obj[field] = float(value)
+        path.write_text(json.dumps(obj))  # as Infinity or NaN
+        outputs = tmp_path / "o.csv", tmp_path / "t.json"
+        flags = ["--out-trace", str(outputs[0]), "--out-truth", str(outputs[1])] if command == "simulate" else []
+        assert main([command, str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: $.{field}: expected a finite number, got {value}\n"
+        assert not any(p.exists() for p in outputs)
 
     def test_expected_log_with_dangling_activate_exits_2(self, tmp_path, capsys):
         trace_path = TestAnalyzeCommand()._simulate(tmp_path, circuit=RELAY)

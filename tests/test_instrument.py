@@ -1,6 +1,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joulemark.instrument import (
     ACTIVATE,
@@ -85,6 +87,15 @@ class TestAcquireRelease:
         token.release()
         with pytest.raises(StaleTokenError):
             token.activate()
+        # nor once its port has a new owner, who starts inactive
+        owner = registry.acquire(40)
+        with pytest.raises(StaleTokenError):
+            token.activate()
+        with pytest.raises(StaleTokenError):
+            token.release()
+        owner.activate()
+        owner.deactivate()
+        owner.release()
 
 
 class TestToggling:
@@ -213,6 +224,14 @@ class TestCommandLog:
         with pytest.raises(ValueError, match="command time"):
             GpioCommand(float("nan"), 40, ACTIVATE)
 
+    def test_infinite_command_time_is_rejected_at_its_line(self, tmp_path):
+        with pytest.raises(ValueError, match="^command time must be finite and >= 0, got inf$"):
+            GpioCommand(float("inf"), 40, DEACTIVATE)
+        path = tmp_path / "gpio.csv"
+        path.write_text("t_s,port,action\n1.0,40,activate\ninf,40,deactivate\n")
+        with pytest.raises(ValueError, match="^line 3: command time must be finite and >= 0, got inf$"):
+            GpioCommandLog.read_csv(path)
+
     def test_csv_round_trip(self, tmp_path):
         log = GpioCommandLog(
             (
@@ -242,6 +261,77 @@ class TestCommandLog:
         assert len(lines) == 3
         assert lines[1] == "0.0,40,activate"
         assert lines[2] == "1.0,40,deactivate"
+
+
+def two_pass_pairs(log):
+    """Reference: validate the log in one walk, as the validator did before
+    it was folded into the pairing, then pair it in a second walk."""
+    last_t = 0.0
+    active: dict[int, bool] = {}
+    for i, cmd in enumerate(log.entries):
+        if cmd.t_s < last_t:
+            raise AlternationError(f"entry {i}: commands not sorted by time ({cmd.t_s} after {last_t})")
+        last_t = cmd.t_s
+        is_active = active.get(cmd.port, False)
+        if cmd.action == ACTIVATE and is_active:
+            raise AlternationError(f"entry {i}: port {cmd.port} activated twice in a row")
+        if cmd.action == DEACTIVATE and not is_active:
+            raise AlternationError(f"entry {i}: port {cmd.port} deactivated while inactive")
+        active[cmd.port] = cmd.action == ACTIVATE
+    dangling = sorted(p for p, a in active.items() if a)
+    if dangling:
+        raise DanglingWindowError(f"log ends with ports still active: {dangling}")
+    open_at: dict[int, float] = {}
+    out = []
+    for cmd in log.entries:
+        if cmd.action == ACTIVATE:
+            open_at[cmd.port] = cmd.t_s
+        else:
+            out.append((open_at.pop(cmd.port), cmd.t_s, cmd.port))
+    return sorted(out, key=lambda w: (w[0], w[1]))
+
+
+def outcome(pairs, log):
+    try:
+        return pairs(log)
+    except (AlternationError, DanglingWindowError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def edited_logs(draw):
+    """Logs that alternate on each of three ports, on a coarse time grid so
+    that times repeat, maybe left with a port active, and maybe broken by
+    one edit: two entries swapped, one dropped or one action flipped."""
+    entries = []
+    for port in (40, 43, 46):
+        ticks = sorted(draw(st.lists(st.integers(0, 12), max_size=6)))
+        entries += [
+            GpioCommand(tick * 0.25, port, (ACTIVATE, DEACTIVATE)[k % 2]) for k, tick in enumerate(ticks)
+        ]
+    entries.sort(key=lambda c: c.t_s)
+    edit = draw(st.sampled_from([None, "swap", "drop", "flip"]))
+    if entries and edit:
+        i, j = (draw(st.integers(0, len(entries) - 1)) for _ in range(2))
+        if edit == "swap":
+            entries[i], entries[j] = entries[j], entries[i]
+        elif edit == "drop":
+            del entries[i]
+        else:
+            cmd = entries[i]
+            flipped = DEACTIVATE if cmd.action == ACTIVATE else ACTIVATE
+            entries[i] = GpioCommand(cmd.t_s, cmd.port, flipped)
+    return GpioCommandLog(entries)
+
+
+@settings(max_examples=500, deadline=None)
+@given(log=edited_logs())
+def test_one_walk_finds_what_two_walks_find(log):
+    """Pairs, or the first defect's type and message, as the validating walk
+    and the pairing walk found them apart."""
+    expected = outcome(two_pass_pairs, log)
+    assert outcome(GpioCommandLog.windows, log) == expected
+    assert outcome(GpioCommandLog.validate, log) == (None if isinstance(expected, list) else expected)
 
 
 class TestConcurrency:

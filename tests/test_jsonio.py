@@ -53,24 +53,20 @@ def reports(draw):
                     port=st.integers(0, 255),
                     begin_s=finite,
                     end_s=finite,
-                    hit=st.booleans(),
                     window_index=st.none() | st.integers(0, 10),
                 ),
                 max_size=7,
             )
         )
-        hits = sum(v.hit for v in verdicts)
-        hit_miss = HitMissReport(len(verdicts), hits, len(verdicts) - hits, tuple(verdicts))
+        hit_miss = HitMissReport(tuple(verdicts))
     campaign = None
     if draw(st.booleans()):
         samples = tuple(draw(st.lists(finite, min_size=2, max_size=5)))
         campaign = CampaignSummary(
             samples=samples,
-            n=len(samples),
             mean_j=draw(finite),
             sd_j=draw(finite),
             me_j=draw(finite),
-            ci=(draw(finite), draw(finite)),
             variation_pct=draw(any_float),
             confidence=draw(st.floats(0.01, 0.99)),
         )

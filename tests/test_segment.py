@@ -290,6 +290,14 @@ class TestMatchToggles:
         assert report.verdicts[0].window_index == 0
         assert report.verdicts[1].window_index is None
 
+    def test_windows_out_of_begin_order_raise(self):
+        log = GpioCommandLog((*pair(0.07, 0.1, 40), *pair(0.2, 0.3, 43)))
+        for begins in ([1410, 1400], [0, 5, 5, 4]):
+            with pytest.raises(ValueError, match="^windows must be in begin order$"):
+                match_toggles(log, Windows(begins, [b + 30 for b in begins]), 20_000.0)
+        # equal begins are in order
+        assert match_toggles(log, Windows([1400, 1400], [1410, 1420]), 20_000.0).hits == 1
+
     def test_json_shape(self):
         report = match_toggles(self._log([1.0]), Windows([], []), 20_000.0)
         d = report.to_json_dict()
@@ -311,7 +319,7 @@ def greedy_verdicts(intended, found, rate_hz, tolerance_s=1e-3):
                 matched = i
                 taken[i] = True
                 break
-        verdicts.append(ToggleVerdict(port, t_on, t_off, matched is not None, matched))
+        verdicts.append(ToggleVerdict(port, t_on, t_off, matched))
     return tuple(verdicts)
 
 
@@ -333,7 +341,7 @@ def gpio_logs(draw):
 
 @st.composite
 def match_cases(draw):
-    """A log and windows in random order, some placed on the tolerance edges
+    """A log and windows in begin order, some placed on the tolerance edges
     of the commanded starts after division by the rate."""
     log = draw(gpio_logs())
     rate = draw(st.sampled_from([20_000.0, 10_000.0, 3.3, 7.77, 44_100.0, 1e6]))
@@ -344,7 +352,7 @@ def match_cases(draw):
             if draw(st.booleans()):
                 near = int(edge * rate) if abs(edge) < 1e6 else 0
                 begins += [b for b in range(near - 1, near + 3) if b >= 0]
-    begins = draw(st.permutations(begins))
+    begins.sort()
     found = [MeasurementWindow(b, b + draw(st.integers(1, 50))) for b in begins]
     return log, found, rate, tolerance
 
@@ -352,42 +360,11 @@ def match_cases(draw):
 class TestMatchTogglesAgainstGreedy:
     @settings(max_examples=400, deadline=None)
     @given(match_cases())
-    @example(
-        (
-            # the lowest-index candidate is not the earliest-starting one
-            GpioCommandLog(
-                (
-                    GpioCommand(0.07, 40, ACTIVATE),
-                    GpioCommand(0.07, 43, ACTIVATE),
-                    GpioCommand(0.1, 40, DEACTIVATE),
-                    GpioCommand(0.2, 43, DEACTIVATE),
-                )
-            ),
-            [MeasurementWindow(1410, 1500), MeasurementWindow(1400, 1430)],
-            20_000.0,
-            1e-3,
-        )
-    )
     def test_verdicts_equal_the_greedy_reference(self, case):
         log, found, rate, tolerance = case
         report = match_toggles(log, as_windows(found), rate, tolerance)
         assert report.verdicts == greedy_verdicts(log, found, rate, tolerance)
         assert report.hits == sum(v.hit for v in report.verdicts)
-
-    def test_4000_toggles_against_reversed_windows(self):
-        rng = np.random.default_rng(4000)
-        rate = 20_000.0
-        starts = np.cumsum(rng.integers(20, 400, size=4_000)) / 1_000
-        cmds = []
-        for t in starts.tolist():
-            cmds.extend(pair(t, t + 0.01))
-        log = GpioCommandLog(tuple(cmds))
-        begins = (starts * rate).astype(int) + rng.integers(-30, 30, size=len(starts))
-        found = [MeasurementWindow(int(b), int(b) + 200) for b in begins[rng.random(len(begins)) < 0.9]]
-        found.reverse()
-        report = match_toggles(log, as_windows(found), rate)
-        assert report.verdicts == greedy_verdicts(log, found, rate)
-        assert 0 < report.misses < report.expected
 
 
 class TestAnalyze:

@@ -53,6 +53,19 @@ MISSING = object()
 
 # JSON path, the keys that reach it in scenario_to_dict(every_block_scenario()),
 # and the bad value put there (MISSING: the key is deleted)
+# numbers that json.loads reads but no float field can hold: the words NaN,
+# Infinity and -Infinity, and an integer beyond the float range
+NON_FINITE_FIELDS = [
+    ("$.duration_s", ("duration_s",), math.inf),
+    ("$.switching.nominal_latency_s", ("switching", "nominal_latency_s"), math.inf),
+    ("$.logic_high_v", ("logic_high_v",), math.nan),
+    ("$.workload[0].watts", ("workload", 0, "watts"), math.inf),
+    ("$.noise.idle_power_bound_w", ("noise", "idle_power_bound_w"), math.inf),
+    ("$.gpio[1].t_s", ("gpio", 1, "t_s"), -math.inf),
+    ("$.shunt.rs", ("shunt", "rs"), math.nan),
+    ("$.aggregate_rate_hz", ("aggregate_rate_hz",), 10**400),
+]
+
 MALFORMED_FIELDS = [
     ("$.workload[0].watts", ("workload", 0, "watts"), "x"),
     ("$.workload[1].start_s", ("workload", 1, "start_s"), None),
@@ -552,6 +565,18 @@ class TestScenarioJson:
         message = str(info.value)
         assert message.startswith(f"{path}: ")
         assert message.count("$") == 1
+
+    @pytest.mark.parametrize(
+        "path,keys,value", NON_FINITE_FIELDS, ids=[case[0] for case in NON_FINITE_FIELDS]
+    )
+    def test_non_finite_number_is_named_at_its_path(self, tmp_path, path, keys, value):
+        obj = scenario_to_dict(every_block_scenario())
+        functools.reduce(operator.getitem, keys[:-1], obj)[keys[-1]] = value
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(obj))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(scenario_path)
+        assert str(info.value) == f"{path}: expected a finite number, got {value!r}"
 
     def test_dangling_activate_is_a_scenario_error(self):
         obj = scenario_to_dict(self._scenario())
