@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from . import floattext
+
 # Writers emit t_s = i / rate_hz; readers re-derive it and must agree to
 # within this many seconds.
 TIME_GRID_TOLERANCE_S = 1e-9
@@ -307,17 +309,24 @@ def write_csv_rows(f: TextIO, rate_hz: float, columns: Sequence[np.ndarray]) -> 
     """Write row i as ``i / rate_hz`` and the i-th value of each column,
     every number as its ``repr``, comma-separated.
 
-    Times are written from integer digits where the sample period is a
-    terminating decimal (see _times_block), and through ``repr`` elsewhere.
-    Rows are converted to text and written CHUNK_ROWS at a time, so a long
-    trace is never held as one list of strings.  A column may be any object
-    whose slices are arrays of floats, such as one computed block by block.
+    The text of a block of CHUNK_ROWS rows is laid out as one uint8 matrix,
+    a column per row and a slot per character, with 0 in the slots a number
+    leaves out (see floattext), and written at once, so a long trace is
+    never held as text.  A column may be any object whose slices are arrays
+    of floats, such as one computed block by block.
     """
     step = _decimal_step(rate_hz)
+    cell = floattext.WIDTH + 1
     for start, stop in row_blocks(len(columns[0])):
-        cells = [_times_block(start, stop, rate_hz, step)]
-        cells += [_repr_block(column[start:stop]) for column in columns]
-        f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        text = np.empty((cell * (1 + len(columns)), stop - start), dtype=np.uint8)
+        _times_into(text[: cell - 1], start, rate_hz, step)
+        for j, column in enumerate(columns, start=1):
+            _floats_into(text[j * cell : (j + 1) * cell - 1], column[start:stop])
+        text[cell - 1 :: cell] = ord(",")
+        text[-1] = ord("\n")
+        # only the slots some row of the block uses, one row after another
+        text = np.ascontiguousarray(text[text.max(axis=1) != 0].T)
+        f.write(text[text != 0].tobytes().decode())
 
 
 def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
@@ -333,74 +342,40 @@ def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
     return None
 
 
-def _times_block(
-    start: int, stop: int, rate_hz: float, step: tuple[int, int] | None
-) -> list[str]:
-    """``repr(i / rate_hz)`` for the rows i of [start, stop).
+def _times_into(text: np.ndarray, start: int, rate_hz: float, step: tuple[int, int] | None) -> None:
+    """Lay out ``repr(i / rate_hz)`` for the rows i from ``start`` on, one
+    per column of ``text``, as floattext does.
 
     Where ``step`` is (m, k), ``i / rate_hz`` is the float nearest the
     decimal ``i * m / 10**k``.  While ``i * m < 10**15`` that decimal has at
     most 15 significant digits, and no two such decimals round to the same
     float, so it is the shortest text that reads back as the float: what
-    ``repr`` prints once the time is 1e-4 s or more.  Those rows are written from the digits of ``i * m``; the others,
-    and every row when ``step`` is None, through ``repr``.
+    ``repr`` prints.  Those rows are written from the digits of ``i * m``;
+    the others, and every row when ``step`` is None, from the float.
     """
-    lo = hi = start
-    if step is not None:
+    rows = np.arange(start, start + text.shape[1], dtype=np.int64)
+    cut = 0
+    # from m = 10**15 on only row 0 could qualify, and i * m may overflow
+    if step is not None and step[0] < 10**15:
         m, k = step
-        # [lo, hi): the rows at or after 1e-4 s with i * m < 10**15
-        lo = min(max(start, -(-(10**k) // (10**4 * m))), stop)
-        hi = min(max(lo, -(-(10**15) // m)), stop)
-    times = [repr(i / rate_hz) for i in range(start, lo)]
-    if hi > lo:
-        times += _decimal_text(np.arange(lo, hi, dtype=np.int64) * m, k)
-    times += [repr(i / rate_hz) for i in range(hi, stop)]
-    return times
+        cut = min(max(-(-(10**15) // m) - start, 0), len(rows))
+        floattext.decimals_into(text[:, :cut], False, rows[:cut] * m, -k)
+    with np.errstate(over="ignore"):  # a time beyond the float range is inf, as in Python
+        times = rows[cut:] / rate_hz
+    floattext.floats_into(text[:, cut:], times)
 
 
-def _decimal_text(q: np.ndarray, k: int) -> list[str]:
-    """The text of each ``q / 10**k`` as fixed-point decimal, with no
-    leading zero before the units digit and no trailing zero after the
-    first fraction digit, for non-negative int64 ``q`` and k >= 1.
-
-    The digits go into one uint8 matrix, a row per digit position, with a
-    mask of the digits kept; the kept ones, with a point and a newline per
-    number, are decoded and split once.
-    """
-    whole, frac = np.divmod(q, 10**k)
-    width = len(str(int(whole.max())))
-    text = np.empty((width + k + 2, len(q)), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
-    # a fraction digit is kept when it or a later one is not zero, and the
-    # first always
-    nonzero = np.zeros(len(q), dtype=bool)
-    for row in range(width + k, width, -1):
-        frac, text[row] = np.divmod(frac, 10)
-        nonzero |= text[row] != 0
-        keep[row] = nonzero
-    keep[width + 1] = True
-    # a whole-number digit is kept when it or a higher one is not zero, and
-    # the units digit always
-    for row in range(width - 1, 0, -1):
-        whole, text[row] = np.divmod(whole, 10)
-        keep[row - 1] = whole != 0
-    text[0] = whole
-    text += ord("0")
-    text[width] = ord(".")
-    text[-1] = ord("\n")
-    return text.T[keep.T].tobytes().decode().split("\n")[:-1]
-
-
-def _repr_block(block: np.ndarray) -> list[str]:
-    """The ``repr`` of each value of a block as float64, formatting each
-    distinct value once.  Sampled and simulated channels repeat a few values
-    (ADC codes, constant loads, two trigger levels), and ``repr`` costs far
-    more than the sort that finds the repeats.  Values are told apart by
-    their bits, so that -0.0 and 0.0 keep their own text."""
-    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+def _floats_into(text: np.ndarray, block: np.ndarray) -> None:
+    """Lay out ``repr`` of each value of a block as float64, formatting each
+    run of equal values once: constant loads and trigger levels hold one
+    value over many consecutive rows.  Values are told apart by their bits,
+    so that -0.0 and 0.0 keep their own text."""
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    bits = block.view(np.int64)
+    heads = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
+    distinct = np.empty((len(text), len(heads)), dtype=np.uint8)
+    floattext.floats_into(distinct, block[heads])
+    text[:] = np.repeat(distinct, np.diff(heads, append=len(bits)), axis=1)
 
 
 def _parse_float(text: str, what: str, line: int) -> float:

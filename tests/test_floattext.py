@@ -1,0 +1,104 @@
+"""floattext lays out exactly the text of ``repr`` for every float64."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from joulemark import floattext
+
+
+def reprs(values) -> list[str]:
+    """The texts floats_into lays out, one per value, 65,536 at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    texts = []
+    for start in range(0, len(values), 2**16):
+        block = values[start : start + 2**16]
+        text = np.empty((floattext.WIDTH + 1, len(block)), dtype=np.uint8)
+        floattext.floats_into(text[:-1], block)
+        text[-1] = ord("\n")
+        text = text.T
+        texts += text[text != 0].tobytes().decode().split("\n")[:-1]
+    return texts
+
+
+def from_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def assert_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = reprs(values)
+    want = list(map(repr, values.tolist()))
+    assert len(got) == len(want)
+    if got != want:
+        wrong = [(w, g) for w, g in zip(want, got) if w != g]
+        raise AssertionError(f"{len(wrong)} differ, such as {wrong[:5]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=50))
+def test_text_is_the_repr(values):
+    assert_reprs(values)
+
+
+def neighbours(x: np.ndarray, steps: int) -> np.ndarray:
+    """x and the ``steps`` floats on either side of each x, both signs."""
+    out = [x]
+    up = down = x
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    out = np.concatenate(out)
+    return np.concatenate([out, -out])
+
+
+def sweep() -> np.ndarray:
+    rng = np.random.default_rng(20180618)
+    random_bits = from_bits(rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False))
+    # 2**-1074 to 2**1023: the narrower interval below 2**52 * 2**q, except
+    # in the lowest normal binade, and every exponent of the table
+    powers = neighbours(np.ldexp(1.0, np.arange(-1074, 1024)), 2)
+    subnormals = from_bits(np.arange(1, 1024))
+    switches = neighbours(np.array([1e-4, 1e16, 1e-5, 1e15]), 20)
+    integers = neighbours(np.array([2.0**53, 2.0**54, 10.0**17]), 50)
+    # c / 4 for odd c lies halfway between two 17-digit decimals
+    halfway = (2**52 + 2 * np.arange(1000) + 1) / 4
+    return np.concatenate([random_bits, powers, subnormals, switches, integers, halfway])
+
+
+def test_sweep_of_hard_cases():
+    assert_reprs(sweep())
+
+
+def test_decimals_from_their_digits():
+    text = np.empty((floattext.WIDTH, 5), dtype=np.uint8)
+    f = np.array([0, 1500, 25, 1, 1000], dtype=np.uint64)
+    e = np.array([3, -3, -6, 16, -7])
+    floattext.decimals_into(text, np.array([True, False, False, False, True]), f, e)
+    got = [column[column != 0].tobytes().decode() for column in text.T]
+    assert got == ["-0.0", "1.5", "2.5e-05", "1e+16", "-0.0001"]
+
+
+def test_table_of_g():
+    """2**125 <= g < 2**126 and g - 1 <= 10**-k * 2**-r < g, in integers."""
+    assert len(floattext.G) == floattext.K_MAX - floattext.K_MIN + 1 == 617
+    for k, g in enumerate(floattext.G, start=floattext.K_MIN):
+        r = floattext._flog2pow10(-k) - 125
+        exact = Fraction(10) ** -k * Fraction(2) ** -r
+        assert 2**125 <= g < 2**126
+        assert g - 1 <= exact < g
+
+
+def test_floor_logarithms():
+    """Exact over every binary and decimal exponent the kernel meets."""
+    ten, two = Fraction(10), Fraction(2)
+    for e in range(-1100, 1100):
+        j = floattext._flog10pow2(e)
+        assert ten**j <= two**e < ten ** (j + 1)
+        j = floattext._flog10_three_quarters_pow2(e)
+        assert ten**j <= two**e * 3 / 4 < ten ** (j + 1)
+    for e in range(-400, 400):
+        j = floattext._flog2pow10(e)
+        assert two**j <= ten**e < two ** (j + 1)

@@ -13,13 +13,15 @@ the trace copied what it was given:
 - read_trace_csv: 2.1x, the parsed blocks and their concatenation, which
   the trace adopts (3.05x);
 - read_all of a stream: 2.1x, the same blocks and concatenation;
-- the trace writer: relay 0.18x, trigger 0.08x, one block of text, its
-  times as digits and as strings and, per column, its distinct values and
-  the index that gathers them (0.14x and 0.05x when each time was
-  formatted as its row was joined);
-- the skyline writer: relay 0.18x, trigger 0.06x, one block of watts and
-  its text (1.12x and 0.56x when the watts were one array; 0.14x and 0.04x
-  before the times were written from digits).
+- the trace writer: relay 0.20x, trigger 0.10x, one block's text as a
+  byte matrix and the formatting kernel's integer arrays for one column
+  (0.18x and 0.08x when each distinct value of a block went through
+  ``repr``; 0.14x and 0.05x when each time was formatted as its row was
+  joined);
+- the skyline writer: relay 0.21x, trigger 0.08x, one block of watts and
+  the same (0.18x and 0.06x through ``repr``; 1.12x and 0.56x when the
+  watts were one array; 0.14x and 0.04x before the times were written from
+  digits).
 
 Each bound sits below the peak one more trace-length array would give.
 

@@ -9,6 +9,7 @@ from chunking import chunk_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from joulemark import floattext
 from joulemark import trace as trace_module
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
 from joulemark.cli import _PowerColumn, _write_skyline_csv
@@ -442,15 +443,27 @@ def per_cell_csv_rows(f, rate_hz, columns):
         f.write("\n".join(map(",".join, rows)) + "\n")
 
 
+def laid_out(fill, n: int) -> list[str]:
+    """The texts that ``fill(text)`` lays out in the columns of a (WIDTH, n)
+    matrix."""
+    text = np.empty((floattext.WIDTH, n), dtype=np.uint8)
+    fill(text)
+    return [column[column != 0].tobytes().decode() for column in text.T]
+
+
 def float_bits(*bits: int) -> np.ndarray:
     return np.array(bits, dtype=np.uint64).view(np.float64)
 
 
 # values that share a repr but not their bits (NaNs), that differ in their
-# repr but compare equal (zeros), and the extremes of the format
+# repr but compare equal (zeros), the extremes of the format, subnormals
+# whose shortest text has one digit, both sides of the smallest normal, and
+# the last values before the switches to exponent notation
 POOL = np.concatenate(
     [
         [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.075, 1.8],
+        [1e-323, 8e-323, 2.225073858507201e-308, 2.2250738585072014e-308],
+        [1e16, 9999999999999998.0, 9.999999999999999e-05],
         float_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001),
     ]
 )
@@ -518,8 +531,20 @@ def time_rows(draw, rate: float) -> tuple[int, int]:
 def test_times_are_the_repr_of_each_row_time(data, rate):
     start, stop = data.draw(time_rows(rate))
     step = trace_module._decimal_step(rate)
-    got = trace_module._times_block(start, stop, rate, step)
+    got = laid_out(lambda text: trace_module._times_into(text, start, rate, step), stop - start)
     assert got == [repr(i / rate) for i in range(start, stop)]
+
+
+@pytest.mark.parametrize("rate", [1e6, 40000.0])
+@pytest.mark.parametrize("scale", [10**15, 2**52, 2**53, 10**16])
+def test_times_on_both_sides_of_the_digit_limit(rate, scale):
+    """Rows whose i * m is near 10**15, where the writer stops writing
+    times from digits, and further up, where two decimals of that many
+    digits can round to one float."""
+    step = trace_module._decimal_step(rate)
+    start = scale // step[0] - 100
+    got = laid_out(lambda text: trace_module._times_into(text, start, rate, step), 200)
+    assert got == [repr(i / rate) for i in range(start, start + 200)]
 
 
 @pytest.mark.parametrize(
