@@ -77,14 +77,6 @@ class ResolutionComparison:
     rel_diff: float
     factor: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "e_hi": self.e_hi,
-            "e_lo": self.e_lo,
-            "rel_diff": self.rel_diff,
-            "factor": self.factor,
-        }
-
 
 def compare_resolution(
     hi_res: PowerTrace,

@@ -42,25 +42,6 @@ class Records:
     count: int
     block: Callable[[int, int], tuple[Sequence[int] | None, list]]
 
-    def _blocks(self):
-        """(shape index of each record, leaves) per block of records, each
-        block as many records as hold ``trace.CHUNK_ROWS`` leaves of the
-        largest shape, and at least one."""
-        widest = max(json.dumps(shape).count(_LEAF_TEXT) for shape in self.shapes)
-        step = max(1, trace.CHUNK_ROWS // max(1, widest))
-        for start in range(0, self.count, step):
-            stop = min(start + step, self.count)
-            kinds, leaves = self.block(start, stop)
-            yield repeat(0, stop - start) if kinds is None else kinds, leaves
-
-    def tolist(self) -> list:
-        """The records as lists and dicts."""
-        records = []
-        for kinds, leaves in self._blocks():
-            leaves = iter(leaves)
-            records += [_fill(self.shapes[kind], leaves) for kind in kinds]
-        return records
-
     def write(self, f: TextIO, indent: int) -> None:
         """Write the array as json's ``indent=2`` encoder would, where its
         opening bracket follows a line indented by ``indent`` spaces."""
@@ -76,8 +57,16 @@ class Records:
             .replace(_LEAF_TEXT, "%s")
             for shape in self.shapes
         ]
+        # blocks of as many records as hold trace.CHUNK_ROWS leaves of the
+        # widest shape, and at least one
+        widest = max(json.dumps(shape).count(_LEAF_TEXT) for shape in self.shapes)
+        step = max(1, trace.CHUNK_ROWS // max(1, widest))
         separator = "[\n"
-        for kinds, leaves in self._blocks():
+        for start in range(0, self.count, step):
+            stop = min(start + step, self.count)
+            kinds, leaves = self.block(start, stop)
+            if kinds is None:
+                kinds = repeat(0, stop - start)
             # numbers, bools and None hold no comma, so the C encoder's
             # compact text of the leaves splits into one text per leaf
             text = json.dumps(leaves, separators=(",", ":"))[1:-1]
@@ -88,28 +77,9 @@ class Records:
         f.write("\n" + " " * indent + "]")
 
 
-def _fill(shape, leaves):
-    """A copy of the shape with its leaves taken from the iterator."""
-    if isinstance(shape, dict):
-        return {key: _fill(value, leaves) for key, value in shape.items()}
-    if isinstance(shape, list):
-        return [_fill(value, leaves) for value in shape]
-    return next(leaves) if shape == LEAF else shape
-
-
-def plain(doc):
-    """The document with each Records replaced by its list of records."""
-    if isinstance(doc, Records):
-        return doc.tolist()
-    if isinstance(doc, dict):
-        return {key: plain(value) for key, value in doc.items()}
-    if isinstance(doc, list):
-        return [plain(value) for value in doc]
-    return doc
-
-
 def write_json(doc, f: TextIO) -> None:
-    """Write ``json.dumps(plain(doc), indent=2) + "\\n"`` to f."""
+    """Write ``json.dumps(doc, indent=2) + "\\n"`` to f, each Records in
+    doc written as the JSON array of its records."""
     held: list[Records] = []
 
     def hold(value):

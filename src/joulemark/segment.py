@@ -158,9 +158,6 @@ class HitMissReport:
     def misses(self) -> int:
         return self.expected - self.hits
 
-    def to_json_dict(self) -> dict:
-        return jsonio.plain(self._json_doc())
-
     def _json_doc(self) -> dict:
         return {
             "expected": self.expected,
@@ -226,19 +223,22 @@ class SessionReport:
     warnings: list[str] = field(default_factory=list)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SessionReport) and self.to_json_dict() == other.to_json_dict()
+        if not isinstance(other, SessionReport):
+            return NotImplemented
+        key = attrgetter(
+            "mode", "rate_hz", "shunt", "params", "match_tolerance_s",
+            "windows", "hit_miss", "campaign", "warnings",
+        )
+        return key(self) == key(other) and np.array_equal(self.joules, other.joules)
 
     @property
     def total_joules(self) -> float:
         # a float start, so that a report without windows says 0.0, not 0
         return sum(self.joules.tolist(), 0.0)
 
-    def to_json_dict(self) -> dict:
-        return jsonio.plain(self._json_doc())
-
     def write_json(self, f: TextIO) -> None:
-        """Write the report as ``json.dumps(self.to_json_dict(), indent=2)``
-        and a newline."""
+        """Write the report as the CLI's report JSON: json's ``indent=2``
+        text and a newline."""
         jsonio.write_json(self._json_doc(), f)
 
     def _json_doc(self) -> dict:

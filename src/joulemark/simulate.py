@@ -40,7 +40,7 @@ from .instrument import (
     GpioCommand,
     GpioCommandLog,
 )
-from .jsonio import LEAF, Records, plain, save_json
+from .jsonio import LEAF, Records, save_json
 from .trace import (
     MeasurementWindow,
     PowerTrace,
@@ -439,11 +439,9 @@ class GroundTruth:
     def realized_windows(self) -> list[MeasurementWindow]:
         return [e.realized for e in self.entries if e.realized is not None]
 
-    def to_json_dict(self) -> dict:
-        return plain(self._json_doc())
-
     def write_json(self, path: str | Path) -> None:
-        """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline."""
+        """Write the ground truth as the CLI's truth JSON: json's
+        ``indent=2`` text and a newline."""
         save_json(self._json_doc(), path)
 
     def _json_doc(self) -> dict:
@@ -717,10 +715,6 @@ def _scenario_doc(scenario: Scenario) -> dict:
 
     obj["gpio"] = Records(_COMMANDS, len(commands), command_block)
     return obj
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return plain(_scenario_doc(scenario))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -68,13 +68,14 @@ def variation_pct(samples) -> float:
 
 @dataclass(frozen=True)
 class CampaignSummary:
-    """Summary of n repeated energy measurements of the same workload."""
+    """Summary of n repeated energy measurements of the same workload;
+    variation_pct is None (JSON null) when the mean is 0."""
 
     samples: tuple[float, ...]
     mean_j: float
     sd_j: float
     me_j: float
-    variation_pct: float
+    variation_pct: float | None
     confidence: float
 
     @property
@@ -136,6 +137,6 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
         mean_j=mean,
         sd_j=sd,
         me_j=me,
-        variation_pct=variation_pct(values) if mean != 0.0 else math.nan,
+        variation_pct=variation_pct(values) if mean != 0.0 else None,
         confidence=confidence,
     )

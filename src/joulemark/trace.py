@@ -95,9 +95,11 @@ class Windows:
         return map(MeasurementWindow, self.begin.tolist(), self.end.tolist())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Windows, list)):
+        if isinstance(other, Windows):
+            return np.array_equal(self.begin, other.begin) and np.array_equal(self.end, other.end)
+        if not isinstance(other, list):
             return NotImplemented
-        return list(self) == list(other)
+        return list(self) == other
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,6 +400,8 @@ def _read_header(lines: Iterator[str]) -> tuple[PowerTrace, int]:
                     f"preamble line is not 'key=value': {text!r}", lineno
                 )
             key, value = (part.strip() for part in body.split("=", 1))
+            if key in meta:
+                raise TraceFormatError(f"preamble {key!r} is given twice", lineno)
             meta[key] = _parse_float(value, f"preamble {key!r}", lineno)
             if key in _PREAMBLE_KEYS and not (math.isfinite(meta[key]) and meta[key] > 0):
                 raise TraceFormatError(

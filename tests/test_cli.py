@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -406,6 +407,13 @@ class TestCampaignCommand:
         data_line = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
         assert float(data_line.split(",")[-1]) == 0.0
 
+    def test_no_capture_in_any_run_gives_null_variation(self, tmp_path, capsys):
+        scenario = Path(__file__).parent.parent / "demos" / "scenarios" / "relay_miss_sweep.json"
+        out = tmp_path / "c.csv"
+        assert main(["campaign", str(scenario), "--runs", "2", "--seed", "4", "--out", str(out)]) == 0
+        campaign = strict_json(capsys.readouterr().out)["campaign"]
+        assert campaign["samples"] == [0.0, 0.0] and campaign["variation_pct"] is None
+
 
 class TestStatsCommand:
     def test_summarizes_joule_file(self, tmp_path, capsys):
@@ -423,6 +431,13 @@ class TestStatsCommand:
         out = tmp_path / "summary.json"
         assert main(["stats", str(values), "--out", str(out)]) == 0
         assert read_json(out)["n"] == 3
+
+    def test_zero_mean_gives_null_variation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 -1\n"))
+        out = tmp_path / "summary.json"
+        assert main(["stats", "-", "--out", str(out)]) == 0
+        for payload in (strict_json(capsys.readouterr().out), read_json(out)):
+            assert payload["mean_j"] == 0.0 and payload["variation_pct"] is None
 
 
 class TestValidateCommand:
@@ -462,6 +477,16 @@ class TestValidateCommand:
         trace_path.write_text("\n".join(text) + "\n")
         assert main(["validate", str(trace_path)]) == 2
         assert f"line {line}: preamble {value.split('=')[0]!r} must be finite" in capsys.readouterr().err
+
+    def test_repeated_preamble_key_exits_2_at_its_line(self, tmp_path, capsys):
+        trace_path = TestAnalyzeCommand()._simulate(tmp_path)
+        lines = trace_path.read_text().splitlines()
+        assert lines[0].startswith("# rate_hz=")
+        lines.insert(3, "# rate_hz=20000.0")  # after vf and rs, before the header
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 4: preamble 'rate_hz' is given twice\n"
 
     def test_good_and_bad_scenarios(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

@@ -1,11 +1,14 @@
 """The JSON writer writes what ``json.dumps(doc, indent=2) + "\\n"`` would,
 byte for byte, for reports, ground truths and scenarios, whatever the block
-size its record lists are written in."""
+size its record lists are written in.  Each written text is read back: json
+must lay it out the same, and it must hold the document that the test builds
+from the written object's own fields and arrays."""
 
 import io
 import json
 import math
 from contextlib import nullcontext
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,10 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunking import chunk_rows
-from joulemark.jsonio import LEAF, Records, plain, write_json
+from joulemark.jsonio import LEAF, Records, write_json
 from joulemark.segment import HitMissReport, SegmentationParams, SessionReport, ToggleVerdict
-from joulemark.simulate import RELAY, TRIGGER, GroundTruth, GroundTruthEntry, save_scenario
-from joulemark.simulate import scenario_to_dict
+from joulemark.simulate import (
+    RELAY,
+    TRIGGER,
+    ConstantPower,
+    GroundTruth,
+    GroundTruthEntry,
+    RampPower,
+    Scenario,
+    SpikyPower,
+    save_scenario,
+)
 from joulemark.stats import CampaignSummary
 from joulemark.trace import MeasurementWindow, ShuntConfig, Windows
 from test_simulate import scenarios
@@ -67,7 +79,7 @@ def reports(draw):
             mean_j=draw(finite),
             sd_j=draw(finite),
             me_j=draw(finite),
-            variation_pct=draw(any_float),
+            variation_pct=draw(st.none() | any_float),
             confidence=draw(st.floats(0.01, 0.99)),
         )
     return SessionReport(
@@ -113,12 +125,105 @@ def written(doc_writer) -> str:
     return f.getvalue()
 
 
+def canon(value):
+    """A JSON value with every scalar as its type and repr and every object
+    as its items in order: NaN equals NaN, and 1, 1.0 and True differ."""
+    if isinstance(value, dict):
+        return "object", [(key, canon(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return "array", [canon(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+def check_written(out: str, expected) -> None:
+    """out is laid out as json.dumps(indent=2) lays it out, and holds
+    expected, a document built here from the written object's own fields."""
+    doc = json.loads(out)
+    assert json.dumps(doc, indent=2) + "\n" == out
+    assert canon(doc) == canon(expected)
+
+
+def report_doc(report: SessionReport) -> dict:
+    rate = report.rate_hz
+    results = [
+        {
+            "window": {"begin_idx": b, "end_idx": e},
+            "energy": {"begin_s": b / rate, "end_s": e / rate, "joules": j, "mean_watts": j / ((e - b) / rate)},
+        }
+        for b, e, j in zip(report.windows.begin.tolist(), report.windows.end.tolist(), report.joules.tolist())
+    ]
+    hit_miss = None
+    if report.hit_miss is not None:
+        verdicts = [
+            {"port": v.port, "begin_s": v.begin_s, "end_s": v.end_s, "hit": v.window_index is not None, "window_index": v.window_index}
+            for v in report.hit_miss.verdicts
+        ]
+        hits = sum(v["hit"] for v in verdicts)
+        hit_miss = {"expected": len(verdicts), "hits": hits, "misses": len(verdicts) - hits, "verdicts": verdicts}
+    campaign = None
+    if (c := report.campaign) is not None:
+        campaign = {
+            "n": len(c.samples),
+            "samples": list(c.samples),
+            "mean_j": c.mean_j,
+            "sd_j": c.sd_j,
+            "me_j": c.me_j,
+            "ci": [c.mean_j - c.me_j, c.mean_j + c.me_j],
+            "variation_pct": c.variation_pct,
+            "confidence": c.confidence,
+        }
+    return {
+        "mode": report.mode,
+        "rate_hz": rate,
+        "shunt": {"vf": report.shunt.vf, "rs": report.shunt.rs},
+        "params": {
+            "relay_threshold_w": report.params.relay_threshold_w,
+            "min_window_samples": report.params.min_window_samples,
+            "trigger_logic_threshold_v": report.params.trigger_logic_threshold_v,
+            "match_tolerance_s": report.match_tolerance_s,
+        },
+        "results": results,
+        "total_joules": sum(report.joules.tolist(), 0.0),
+        "hit_miss": hit_miss,
+        "campaign": campaign,
+        "warnings": report.warnings,
+    }
+
+
+def truth_doc(truth: GroundTruth) -> dict:
+    entries = [
+        {
+            "port": e.port,
+            "begin_s": e.begin_s,
+            "end_s": e.end_s,
+            "hit": e.hit,
+            "realized": None if e.realized is None else [e.realized.begin, e.realized.end],
+            "true_joules": e.true_joules,
+        }
+        for e in truth.entries
+    ]
+    return {"rate_hz": truth.rate_hz, "seed": truth.seed, "entries": entries}
+
+
+SHAPE_NAMES = {ConstantPower: "constant", RampPower: "ramp", SpikyPower: "spiky"}
+
+
+def scenario_doc(scenario: Scenario) -> dict:
+    doc = asdict(scenario)
+    doc["workload"] = [
+        {"start_s": seg.start_s, "end_s": seg.end_s, "shape": SHAPE_NAMES[type(seg.shape)], **asdict(seg.shape)}
+        for seg in scenario.workload.segments
+    ]
+    doc["gpio"] = [{"t_s": c.t_s, "port": c.port, "action": c.action} for c in scenario.gpio.entries]
+    return doc
+
+
 @settings(max_examples=300, deadline=None)
 @given(report=reports(), rows=BLOCKS)
 def test_report_is_written_as_json_dumps_writes_it(report, rows):
     with blocked(rows):
         out = written(report.write_json)
-    assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    check_written(out, report_doc(report))
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +232,7 @@ def test_truth_is_written_as_json_dumps_writes_it(tmp_path_factory, truth, rows)
     path = tmp_path_factory.mktemp("truth") / "truth.json"
     with blocked(rows):
         truth.write_json(path)
-    assert path.read_bytes() == (json.dumps(truth.to_json_dict(), indent=2) + "\n").encode()
+    check_written(path.read_text(), truth_doc(truth))
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,7 +241,32 @@ def test_scenario_is_written_as_json_dumps_writes_it(tmp_path_factory, scenario,
     path = tmp_path_factory.mktemp("scenario") / "scenario.json"
     with blocked(rows):
         save_scenario(scenario, path)
-    assert path.read_bytes() == (json.dumps(scenario_to_dict(scenario), indent=2) + "\n").encode()
+    check_written(path.read_text(), scenario_doc(scenario))
+
+
+def test_written_reports_keep_every_kind_of_leaf():
+    """The oracle tells ints from floats and bools, and NaN from a number."""
+    report = SessionReport(
+        mode=TRIGGER,
+        rate_hz=1000.0,
+        shunt=ShuntConfig(),
+        params=SegmentationParams(),
+        match_tolerance_s=1e-3,
+        windows=Windows([0, 10], [5, 20]),
+        joules=np.array([math.nan, 2.0]),
+        hit_miss=HitMissReport((ToggleVerdict(40, 0.0, 0.005, 0), ToggleVerdict(41, 0.01, 0.02, None))),
+        warnings=["w"],
+    )
+    out = written(report.write_json)
+    check_written(out, report_doc(report))
+    doc = json.loads(out)
+    assert doc["results"][0]["window"] == {"begin_idx": 0, "end_idx": 5}
+    assert math.isnan(doc["results"][0]["energy"]["joules"]) and math.isnan(doc["total_joules"])
+    assert [v["hit"] for v in doc["hit_miss"]["verdicts"]] == [True, False]
+    with pytest.raises(AssertionError):
+        check_written(out.replace('"begin_idx": 0', '"begin_idx": 0.0'), report_doc(report))
+    with pytest.raises(AssertionError):
+        check_written(out.replace('"hit": false', '"hit": 0'), report_doc(report))
 
 
 # record shapes of any nesting, with keys and values of their own around
@@ -159,8 +289,18 @@ def count_leaves(shape) -> int:
     return int(shape == LEAF)
 
 
+def fill(shape, leaves):
+    """A copy of the shape with its leaves taken from the iterator."""
+    if isinstance(shape, dict):
+        return {key: fill(value, leaves) for key, value in shape.items()}
+    if isinstance(shape, list):
+        return [fill(value, leaves) for value in shape]
+    return next(leaves) if shape == LEAF else shape
+
+
 @st.composite
 def records(draw):
+    """Records and the list of records they stand for, built from the rows drawn."""
     shapes = draw(st.lists(record_shapes, min_size=1, max_size=3))
     kinds = draw(st.lists(st.integers(0, len(shapes) - 1), max_size=7))
     rows = [
@@ -171,22 +311,34 @@ def records(draw):
     def block(start, stop):
         return kinds[start:stop], [leaf for row in rows[start:stop] for leaf in row]
 
-    return Records(shapes, len(kinds), block)
+    expected = [fill(shapes[k], iter(row)) for k, row in zip(kinds, rows)]
+    return Records(shapes, len(kinds), block), expected
+
+
+def unzip_list(items):
+    return [doc for doc, _ in items], [expected for _, expected in items]
+
+
+def unzip_dict(items):
+    return {k: doc for k, (doc, _) in items.items()}, {k: expected for k, (_, expected) in items.items()}
+
+
+# a document for write_json and the plain document it stands for
+documents = st.recursive(
+    records() | baked.map(lambda value: (value, value)),
+    lambda inner: st.lists(inner, max_size=3).map(unzip_list)
+    | st.dictionaries(text, inner, max_size=3).map(unzip_dict),
+    max_leaves=5,
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    doc=st.recursive(
-        records() | baked,
-        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
-        max_leaves=5,
-    ),
-    rows=BLOCKS,
-)
+@given(doc=documents, rows=BLOCKS)
 def test_records_anywhere_in_a_document(doc, rows):
+    doc, expected = doc
     with blocked(rows):
         out = written(lambda f: write_json(doc, f))
-        assert out == json.dumps(plain(doc), indent=2) + "\n"
+    check_written(out, expected)
 
 
 def test_other_objects_are_not_serializable():

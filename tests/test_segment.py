@@ -1,5 +1,6 @@
 import inspect
 import io
+import json
 import re
 import warnings
 from dataclasses import replace
@@ -14,7 +15,9 @@ from chunking import chunk_rows
 from joulemark.energy import DegenerateWindowError, integrate_energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import (
+    HitMissReport,
     SegmentationParams,
+    SessionReport,
     ToggleVerdict,
     TraceTruncationWarning,
     WrongModeError,
@@ -33,6 +36,7 @@ from joulemark.simulate import (
     WorkloadProfile,
     simulate_session,
 )
+from joulemark.stats import summarize_campaign
 from joulemark.trace import (
     CHUNK_ROWS,
     MeasurementWindow,
@@ -53,6 +57,13 @@ def trigger_trace(trig: np.ndarray, rate_hz: float = 20_000.0) -> PowerTrace:
     return PowerTrace(
         rate_hz=rate_hz, vs=np.zeros(len(trig)), trig=trig, shunt=SHUNT
     )
+
+
+def written(report) -> dict:
+    """The report as its write_json writes it, read back by json."""
+    f = io.StringIO()
+    report.write_json(f)
+    return json.loads(f.getvalue())
 
 
 def pair(t_on: float, t_off: float, port: int = 40):
@@ -299,8 +310,8 @@ class TestMatchToggles:
         assert match_toggles(log, Windows([1400, 1400], [1410, 1420]), 20_000.0).hits == 1
 
     def test_json_shape(self):
-        report = match_toggles(self._log([1.0]), Windows([], []), 20_000.0)
-        d = report.to_json_dict()
+        report = analyze(relay_trace(np.zeros(500)), RELAY, expected=self._log([1.0]))
+        d = written(report)["hit_miss"]
         assert d["expected"] == 1 and d["misses"] == 1
         assert d["verdicts"][0]["hit"] is False
 
@@ -374,6 +385,10 @@ class TestAnalyze:
         vs = power_to_shunt_volts(np.linspace(5.0, 15.0, 1000), SHUNT)
         return PowerTrace(rate_hz=20_000.0, vs=vs, trig=trig, shunt=SHUNT)
 
+    def two_runs_log(self) -> GpioCommandLog:
+        # one toggle pair on the first run, one on no run
+        return GpioCommandLog((*pair(100 / 20_000, 300 / 20_000), *pair(0.045, 0.047)))
+
     def test_signature_is_the_cli_pipeline(self):
         params = inspect.signature(analyze).parameters
         assert list(params) == ["trace", "mode", "params", "expected", "match_tolerance_s"]
@@ -392,7 +407,7 @@ class TestAnalyze:
         assert len(windows) == 2 and report.windows == windows
         assert report.joules.tolist() == [integrate_energy(trace, w).joules for w in windows]
         assert report.total_joules == sum(report.joules.tolist())
-        assert report.to_json_dict()["total_joules"] == report.total_joules
+        assert written(report)["total_joules"] == report.total_joules
         assert (report.mode, report.params, report.warnings) == (RELAY, params, [])
 
     def test_trigger_results_are_each_window_integrated(self):
@@ -423,15 +438,15 @@ class TestAnalyze:
     def test_hit_miss_only_with_expected(self):
         trace = self.two_runs()
         assert analyze(trace, TRIGGER).hit_miss is None
-        log = GpioCommandLog((*pair(100 / 20_000, 300 / 20_000), *pair(0.045, 0.047)))
+        log = self.two_runs_log()
         report = analyze(trace, TRIGGER, expected=log, match_tolerance_s=2e-4)
         assert report.hit_miss == match_toggles(log, segment_trigger(trace), 20_000.0, 2e-4)
         assert (report.hit_miss.hits, report.hit_miss.misses) == (1, 1)
-        assert report.to_json_dict()["params"]["match_tolerance_s"] == 2e-4
+        assert written(report)["params"]["match_tolerance_s"] == 2e-4
 
     def test_json_serialization_keys(self):
         trace = self.two_runs()
-        results = analyze(trace, TRIGGER).to_json_dict()["results"]
+        results = written(analyze(trace, TRIGGER))["results"]
         assert [sorted(r["energy"]) for r in results] == [["begin_s", "end_s", "joules", "mean_watts"]] * 2
         energy = integrate_energy(trace, MeasurementWindow(100, 300))
         assert results[0] == {
@@ -447,6 +462,32 @@ class TestAnalyze:
         assert analyze(trace, TRIGGER) != analyze(trace, TRIGGER, match_tolerance_s=2e-3)
         shifted = replace(trace, vs=trace.vs * 2)
         assert analyze(trace, TRIGGER) != analyze(shifted, TRIGGER)
+
+    def test_equality_writes_no_record(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("equality built a JSON record")
+
+        monkeypatch.setattr(SessionReport, "_result_block", refuse)
+        monkeypatch.setattr(HitMissReport, "_verdict_block", refuse)
+        trace, log = self.two_runs(), self.two_runs_log()
+        assert analyze(trace, TRIGGER, expected=log) == analyze(trace, TRIGGER, expected=log)
+
+    def test_reports_differing_in_one_part_are_unequal(self):
+        report = analyze(self.two_runs(), TRIGGER, expected=self.two_runs_log())
+        joules = report.joules.copy()
+        joules[1] = np.nextafter(joules[1], np.inf)
+        first, *rest = report.hit_miss.verdicts
+        missed = HitMissReport((replace(first, window_index=None), *rest))
+        others = [
+            replace(report, joules=joules),
+            replace(report, warnings=[*report.warnings, "another"]),
+            replace(report, hit_miss=missed),
+            replace(report, campaign=summarize_campaign([1.0, 2.0])),
+        ]
+        for other in others:
+            assert other != report and report != other
+        assert replace(report) == report
+        assert report != written(report)
 
     def test_wrong_mode_and_unknown_mode_are_rejected(self):
         with pytest.raises(WrongModeError):

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from joulemark.simulate import (
     repeated_toggle_scenario,
     save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     simulate_session,
 )
 from joulemark.trace import (
@@ -51,7 +51,7 @@ from joulemark.trace import (
 GOLDEN_SCENARIO = Path(__file__).with_name("golden_scenario.json")
 MISSING = object()
 
-# JSON path, the keys that reach it in scenario_to_dict(every_block_scenario()),
+# JSON path, the keys that reach it in written_scenario(every_block_scenario()),
 # and the bad value put there (MISSING: the key is deleted)
 # numbers that json.loads reads but no float field can hold: the words NaN,
 # Infinity and -Infinity, and an integer beyond the float range
@@ -76,6 +76,14 @@ MALFORMED_FIELDS = [
     ("$.noise.idle_power_bound_w", ("noise", "idle_power_bound_w"), []),
     ("$.workload[2].period_s", ("workload", 2, "period_s"), MISSING),
 ]
+
+
+def written_scenario(scenario: Scenario) -> dict:
+    """The scenario as save_scenario writes it, read back by json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        save_scenario(scenario, path)
+        return json.loads(path.read_text())
 
 
 def pair(t_on: float, t_off: float, port: int = 40) -> tuple[GpioCommand, GpioCommand]:
@@ -508,25 +516,25 @@ class TestScenarioJson:
             scenario_from_dict({"circuit": "relay", "seed": 0})
 
     def test_bad_workload_segment_names_path(self):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["workload"][1]["end_s"] = obj["workload"][1]["start_s"]
         with pytest.raises(ScenarioError, match=r"workload\[1\]"):
             scenario_from_dict(obj)
 
     def test_bad_gpio_action_names_path(self):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["gpio"][2]["action"] = "toggle"
         with pytest.raises(ScenarioError, match=r"gpio\[2\]\.action"):
             scenario_from_dict(obj)
 
     def test_bad_switching_floor_names_path(self):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["switching"]["floor_hit_prob"] = 2.0
         with pytest.raises(ScenarioError, match=r"switching"):
             scenario_from_dict(obj)
 
     def test_gpio_beyond_duration_rejected_on_load(self):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["gpio"][3]["t_s"] = 17.0
         with pytest.raises(ScenarioError, match="entry 3"):
             scenario_from_dict(obj)
@@ -538,14 +546,14 @@ class TestScenarioJson:
             load_scenario(path)
 
     def test_seed_must_be_integer(self):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["seed"] = 1.5
         with pytest.raises(ScenarioError, match=r"\$\.seed"):
             scenario_from_dict(obj)
 
     @pytest.mark.parametrize("rate", [0.0, -40_000.0])
     def test_non_positive_rate_is_a_scenario_error(self, rate):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["aggregate_rate_hz"] = rate
         with pytest.raises(ScenarioError, match="aggregate rate must be positive"):
             scenario_from_dict(obj)
@@ -554,7 +562,7 @@ class TestScenarioJson:
         "path,keys,value", MALFORMED_FIELDS, ids=[case[0] for case in MALFORMED_FIELDS]
     )
     def test_malformed_field_is_named_once(self, path, keys, value):
-        obj = scenario_to_dict(every_block_scenario())
+        obj = written_scenario(every_block_scenario())
         block = functools.reduce(operator.getitem, keys[:-1], obj)
         if value is MISSING:
             del block[keys[-1]]
@@ -570,7 +578,7 @@ class TestScenarioJson:
         "path,keys,value", NON_FINITE_FIELDS, ids=[case[0] for case in NON_FINITE_FIELDS]
     )
     def test_non_finite_number_is_named_at_its_path(self, tmp_path, path, keys, value):
-        obj = scenario_to_dict(every_block_scenario())
+        obj = written_scenario(every_block_scenario())
         functools.reduce(operator.getitem, keys[:-1], obj)[keys[-1]] = value
         scenario_path = tmp_path / "s.json"
         scenario_path.write_text(json.dumps(obj))
@@ -579,13 +587,13 @@ class TestScenarioJson:
         assert str(info.value) == f"{path}: expected a finite number, got {value!r}"
 
     def test_dangling_activate_is_a_scenario_error(self):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["gpio"] = obj["gpio"][:3]  # drop the final deactivate
         with pytest.raises(ScenarioError, match="active"):
             scenario_from_dict(obj)
 
     def test_swapped_pair_is_a_scenario_error(self):
-        obj = scenario_to_dict(self._scenario())
+        obj = written_scenario(self._scenario())
         obj["gpio"][0]["action"] = "deactivate"
         obj["gpio"][1]["action"] = "activate"
         with pytest.raises(ScenarioError):
@@ -681,7 +689,7 @@ def scenarios(draw):
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_scenario_json_round_trip(scenario):
-    obj = json.loads(json.dumps(scenario_to_dict(scenario)))
+    obj = written_scenario(scenario)
     assert scenario_from_dict(obj) == scenario
 
 

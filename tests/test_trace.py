@@ -101,6 +101,15 @@ class TestWindows:
         assert Windows([], []) == [] and Windows([], []) == Windows([], [])
         assert windows != (1, 3, 5, 9)
 
+    def test_windows_compare_by_their_arrays(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("equality iterated the windows")
+
+        monkeypatch.setattr(Windows, "__iter__", refuse)
+        assert Windows([0], [3]) == Windows(np.int32([0]), [3])
+        assert Windows([0, 4], [3, 6]) != Windows([0, 4], [3, 7])
+        assert Windows([0], [3]) != Windows([0, 4], [3, 6])
+
 
 class TestValidateTrace:
     def test_accepts_finite_single_channel_trace(self):
@@ -271,6 +280,15 @@ def preamble_with(key: str, value: str) -> tuple[str, int]:
     return text, 1 + list(meta).index(key)
 
 
+# a preamble key given again on line 4, after rate_hz, vf and rs, with rows
+# on the grid of the rate given last
+REPEATED_KEYS = [("rate_hz", "20000"), ("vf", "12.0"), ("rs", "0.2")]
+
+
+def preamble_repeating(key: str, value: str) -> str:
+    return f"# rate_hz=40000\n# vf=12.0\n# rs=0.1\n# {key}={value}\nt_s,vs_v\n0.0,0.0\n5e-05,0.0\n"
+
+
 class TestTraceCsv:
     def _trace(self, with_trigger: bool) -> PowerTrace:
         rng = np.random.default_rng(3)
@@ -374,6 +392,22 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError) as err:
             read_all(open_source(config))
         assert err.value.line == line
+
+
+    @pytest.mark.parametrize("key, value", REPEATED_KEYS)
+    def test_rejects_repeated_preamble_key_at_its_line(self, tmp_path, key, value):
+        path = tmp_path / "t.csv"
+        path.write_text(preamble_repeating(key, value))
+        with pytest.raises(TraceFormatError, match=f"^line 4: preamble {key!r} is given twice$") as err:
+            read_trace_csv(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("key, value", REPEATED_KEYS)
+    def test_stream_rejects_repeated_preamble_key_at_its_line(self, key, value):
+        source = StreamSource(io.StringIO(preamble_repeating(key, value)))
+        with pytest.raises(TraceFormatError, match=f"^line 4: preamble {key!r} is given twice$") as err:
+            read_all(open_source(AcquisitionConfig(channels=1, source=source)))
+        assert err.value.line == 4
 
 
 class TestCsvGoldenBytes:
