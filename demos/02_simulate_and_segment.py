@@ -41,10 +41,11 @@ for circuit in ("relay", "trigger"):
     report = analyze(trace, circuit)
     print(f"{circuit}: per-channel rate {trace.rate_hz:.0f} Hz, "
           f"{len(report.windows)} window(s) recovered")
-    for measured, entry in zip(report.joules.tolist(), truth.entries):
-        err_pct = 100 * abs(measured - entry.true_joules) / entry.true_joules
+    truths = zip(truth.begin_s.tolist(), truth.end_s.tolist(), truth.true_joules.tolist())
+    for measured, (begin_s, end_s, true_joules) in zip(report.joules.tolist(), truths):
+        err_pct = 100 * abs(measured - true_joules) / true_joules
         print(
-            f"  [{entry.begin_s:.2f}, {entry.end_s:.2f}] s: "
-            f"measured {measured:8.4f} J, true {entry.true_joules:8.4f} J "
+            f"  [{begin_s:.2f}, {end_s:.2f}] s: "
+            f"measured {measured:8.4f} J, true {true_joules:8.4f} J "
             f"({err_pct:.3f}% off)"
         )

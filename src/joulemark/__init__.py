@@ -44,7 +44,6 @@ from .segment import (
     HitMissReport,
     SegmentationParams,
     SessionReport,
-    ToggleVerdict,
     TraceTruncationWarning,
     WrongModeError,
     analyze,
@@ -58,7 +57,6 @@ from .simulate import (
     TRIGGER,
     ConstantPower,
     GroundTruth,
-    GroundTruthEntry,
     NoiseModel,
     RampPower,
     Scenario,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .instrument import DanglingWindowError, GpioCommandLog
 from .jsonio import save_json, write_json
-from .segment import SegmentationParams, analyze
+from .segment import MATCH_TOLERANCE_S, SegmentationParams, analyze
 from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
 from .stats import summarize_campaign
 from .trace import (
@@ -176,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output report JSON path")
     p.add_argument("--skyline", default=None, help="also write the trace's power as a skyline CSV here")
     p.add_argument("--expected", default=None, help="GPIO command log CSV for hit/miss matching")
-    p.add_argument("--threshold-w", type=float, default=0.005, help="relay power threshold, watts")
-    p.add_argument("--min-window", type=int, default=4, help="minimum window length, samples")
-    p.add_argument("--trigger-threshold-v", type=float, default=0.9, help="trigger logic threshold, volts")
-    p.add_argument("--match-tolerance-s", type=float, default=1e-3, help="hit/miss start-time tolerance, seconds")
+    defaults = SegmentationParams()
+    p.add_argument("--threshold-w", type=float, default=defaults.relay_threshold_w, help="relay power threshold, watts")
+    p.add_argument("--min-window", type=int, default=defaults.min_window_samples, help="minimum window length, samples")
+    p.add_argument("--trigger-threshold-v", type=float, default=defaults.trigger_logic_threshold_v, help="trigger logic threshold, volts")
+    p.add_argument("--match-tolerance-s", type=float, default=MATCH_TOLERANCE_S, help="hit/miss start-time tolerance, seconds")
     p.add_argument("--shunt-r", type=float, default=None, help="override shunt resistance, ohms")
     p.add_argument("--vf", type=float, default=None, help="override source voltage, volts")
     p.add_argument("--rate", type=float, default=None, help="override sampling rate, hertz")

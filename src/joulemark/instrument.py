@@ -23,6 +23,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 KNOWN_PINS: tuple[int, ...] = (40, 43, 46, 49, 52, 55, 58, 50)
 
 ACTIVATE = "activate"
@@ -63,6 +65,8 @@ class GpioCommand:
             raise ValueError(f"action must be one of {_ACTIONS}, got {self.action!r}")
         if not (math.isfinite(self.t_s) and self.t_s >= 0):
             raise ValueError(f"command time must be finite and >= 0, got {self.t_s}")
+        if not -(2**63) <= self.port < 2**63:  # held as int64 once paired
+            raise ValueError(f"port must fit in 64 bits, got {self.port}")
 
 
 @dataclass(frozen=True)
@@ -86,16 +90,18 @@ class GpioCommandLog:
         """
         self._pairs  # checked while paired
 
-    def windows(self) -> list[tuple[float, float, int]]:
-        """Pair up commands into (t_on, t_off, port), sorted by t_on.
+    def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The commands paired as read-only arrays ``t_on``, ``t_off``
+        (float64) and ``port`` (int64), one item per pair, sorted by start,
+        then end.
 
         The log is validated and paired on the first call only; every call
-        returns a new list.  An invalid log raises on every call.
+        returns the same arrays.  An invalid log raises on every call.
         """
-        return list(self._pairs)
+        return self._pairs
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[float, float, int], ...]:
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         last_t = 0.0
         open_at: dict[int, float] = {}  # the activation time of each active port
         out: list[tuple[float, float, int]] = []
@@ -123,7 +129,9 @@ class GpioCommandLog:
                 f"log ends with ports still active: {sorted(open_at)}"
             )
         out.sort(key=lambda w: (w[0], w[1]))
-        return tuple(out)
+        pairs = np.array(out, dtype=[("t_on", "f8"), ("t_off", "f8"), ("port", "i8")])
+        pairs.flags.writeable = False
+        return pairs["t_on"], pairs["t_off"], pairs["port"]
 
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)

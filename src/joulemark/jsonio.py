@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Sequence, TextIO
+
+import numpy as np
 
 from . import trace
 
@@ -28,24 +29,27 @@ _LEAF_TEXT = json.dumps(LEAF)
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """A JSON array of ``count`` records, each of one of a few shapes.
+    """A JSON array of records held as columns, each record of one of a few
+    shapes.
 
     A shape is a JSON value whose scalar leaves are ``LEAF``; its other
-    values are the same in every record of that shape.  ``block(start,
-    stop)`` gives the records ``start`` to ``stop`` as ``(kinds, leaves)``:
-    the index into ``shapes`` of each record (or None when every record has
-    the first shape) and all their leaves, record after record, each in the
-    order json writes it.  Leaves are ints, floats, bools or None only.
+    values are the same in every record of that shape.  ``columns[k]`` holds
+    shape k's leaves, in the order json writes them, as one array or list
+    per leaf with an item for every record; a record takes its leaves from
+    its own shape's columns only.  ``kinds`` gives each record's shape
+    index, or is None when every record has the first shape, whose columns
+    then give the record count.  Items are ints, floats, bools or None only.
     """
 
     shapes: Sequence[Any]
-    count: int
-    block: Callable[[int, int], tuple[Sequence[int] | None, list]]
+    columns: Sequence[Sequence[Sequence]]
+    kinds: Sequence[int] | None = None
 
     def write(self, f: TextIO, indent: int) -> None:
         """Write the array as json's ``indent=2`` encoder would, where its
         opening bracket follows a line indented by ``indent`` spaces."""
-        if not self.count:
+        count = len(self.columns[0][0] if self.kinds is None else self.kinds)
+        if not count:
             f.write("[]")
             return
         pad = " " * (indent + 2)
@@ -57,20 +61,26 @@ class Records:
             .replace(_LEAF_TEXT, "%s")
             for shape in self.shapes
         ]
+        widths = np.array([len(columns) for columns in self.columns], dtype=np.intp)
         # blocks of as many records as hold trace.CHUNK_ROWS leaves of the
         # widest shape, and at least one
-        widest = max(json.dumps(shape).count(_LEAF_TEXT) for shape in self.shapes)
-        step = max(1, trace.CHUNK_ROWS // max(1, widest))
+        step = max(1, trace.CHUNK_ROWS // max(1, widths.max()))
         separator = "[\n"
-        for start in range(0, self.count, step):
-            stop = min(start + step, self.count)
-            kinds, leaves = self.block(start, stop)
-            if kinds is None:
-                kinds = repeat(0, stop - start)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            kind = np.zeros(stop - start) if self.kinds is None else self.kinds[start:stop]
+            kind = np.asarray(kind, dtype=np.intp)
+            # each record's first leaf, then each column's items put in place
+            first = np.cumsum(widths[kind]) - widths[kind]
+            leaves = np.empty(first[-1] + widths[kind[-1]], dtype=object)
+            for k, columns in enumerate(self.columns):
+                rows = np.flatnonzero(kind == k)
+                for i, column in enumerate(columns):
+                    leaves[first[rows] + i] = np.asarray(column[start:stop], dtype=object)[rows]
             # numbers, bools and None hold no comma, so the C encoder's
             # compact text of the leaves splits into one text per leaf
-            text = json.dumps(leaves, separators=(",", ":"))[1:-1]
-            template = ",\n".join(map(templates.__getitem__, kinds))
+            text = json.dumps(leaves.tolist(), separators=(",", ":"))[1:-1]
+            template = ",\n".join(map(templates.__getitem__, kind.tolist()))
             f.write(separator)
             f.write(template % tuple(text.split(",") if text else ()))
             separator = ",\n"

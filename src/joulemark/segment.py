@@ -26,8 +26,12 @@ from .jsonio import LEAF, Records
 from .simulate import RELAY, TRIGGER
 from .stats import CampaignSummary
 from .trace import (
-    MeasurementWindow, PowerTrace, ShuntConfig, Windows, row_blocks, sample_to_power
+    MeasurementWindow, PowerTrace, ShuntConfig, Windows, fields_equal, row_blocks, sample_to_power
 )
+
+
+# how far a window's start may lie from its commanded start: 2x relay latency
+MATCH_TOLERANCE_S = 1e-3
 
 
 class WrongModeError(ValueError):
@@ -123,67 +127,64 @@ def segment_trigger(trace: PowerTrace, params: SegmentationParams | None = None)
     return _runs(high)
 
 
-@dataclass(frozen=True)
-class ToggleVerdict:
-    """One commanded toggle pair and the window (if any) it matched."""
-
-    port: int
-    begin_s: float
-    end_s: float
-    window_index: int | None
-
-    @property
-    def hit(self) -> bool:
-        return self.window_index is not None
+# a verdict's JSON record, missed or hit: its port and commanded seconds as
+# leaves, then its window's index as a leaf, or null
+_VERDICT_MISS = {"port": LEAF, "begin_s": LEAF, "end_s": LEAF, "hit": False, "window_index": None}
+_VERDICT_HIT = _VERDICT_MISS | {"hit": True, "window_index": LEAF}
 
 
-# a verdict's JSON record: its values, in this order, as leaves
-_VERDICT = {"port": LEAF, "begin_s": LEAF, "end_s": LEAF, "hit": LEAF, "window_index": LEAF}
-_verdict_leaves = attrgetter(*_VERDICT)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HitMissReport:
-    verdicts: tuple[ToggleVerdict, ...]
+    """One row per commanded toggle pair, in the order of
+    ``GpioCommandLog.windows()``: its ``port`` (int64), its commanded
+    ``begin_s`` and ``end_s`` (float64), and the ``window_index`` (int64) of
+    the window it matched, -1 for a miss."""
+
+    port: np.ndarray
+    begin_s: np.ndarray
+    end_s: np.ndarray
+    window_index: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return fields_equal(self, other) if isinstance(other, HitMissReport) else NotImplemented
 
     @property
     def expected(self) -> int:
-        return len(self.verdicts)
+        return len(self.window_index)
 
     @property
     def hits(self) -> int:
-        return sum(v.hit for v in self.verdicts)
+        return int(np.count_nonzero(self.window_index >= 0))
 
     @property
     def misses(self) -> int:
         return self.expected - self.hits
 
     def _json_doc(self) -> dict:
+        columns, hit = (self.port, self.begin_s, self.end_s), self.window_index >= 0
         return {
             "expected": self.expected,
             "hits": self.hits,
             "misses": self.misses,
-            "verdicts": Records((_VERDICT,), len(self.verdicts), self._verdict_block),
+            "verdicts": Records(
+                (_VERDICT_MISS, _VERDICT_HIT), (columns, (*columns, self.window_index)), hit
+            ),
         }
-
-    def _verdict_block(self, start: int, stop: int) -> tuple[None, list]:
-        return None, [leaf for v in self.verdicts[start:stop] for leaf in _verdict_leaves(v)]
 
 
 def match_toggles(
     intended: GpioCommandLog,
     found: Windows,
     rate_hz: float,
-    tolerance_s: float = 1e-3,
+    tolerance_s: float = MATCH_TOLERANCE_S,
 ) -> HitMissReport:
     """Greedy in-order matching of commanded toggles to recovered windows.
 
     ``found`` must be in ``begin`` order, as the segmenters return it; a
     window that begins before the one ahead of it raises ValueError.  Each
     commanded pair, in order of its start t_on, takes the first unmatched
-    window whose ``begin / rate_hz`` lies within tolerance_s of t_on (the
-    default covers twice the relay actuation latency).  Unmatched pairs are
-    misses.
+    window whose ``begin / rate_hz`` lies within tolerance_s of t_on.
+    Unmatched pairs are misses.
 
     Runs in O(n + m) for n pairs and m windows.  The pairs' starts never
     decrease, so a window more than tolerance_s behind one pair's start is
@@ -195,16 +196,18 @@ def match_toggles(
     if np.any(found.begin[1:] < found.begin[:-1]):
         raise ValueError("windows must be in begin order")
     starts = (found.begin / rate_hz).tolist()
+    t_on, t_off, port = intended.windows()
     p = 0  # the first window that no earlier pair matched or left behind
-    verdicts: list[ToggleVerdict] = []
-    for t_on, t_off, port in intended.windows():
-        while p < len(starts) and starts[p] - t_on < -tolerance_s:
+    matched: list[int] = []
+    for on in t_on.tolist():
+        while p < len(starts) and starts[p] - on < -tolerance_s:
             p += 1
-        matched = None
-        if p < len(starts) and starts[p] - t_on <= tolerance_s:
-            matched, p = p, p + 1
-        verdicts.append(ToggleVerdict(port, t_on, t_off, matched))
-    return HitMissReport(tuple(verdicts))
+        if p < len(starts) and starts[p] - on <= tolerance_s:
+            matched.append(p)
+            p += 1
+        else:
+            matched.append(-1)
+    return HitMissReport(port, t_on, t_off, np.array(matched, dtype=np.int64))
 
 
 @dataclass
@@ -247,22 +250,16 @@ class SessionReport:
             "rate_hz": self.rate_hz,
             "shunt": asdict(self.shunt),
             "params": {**asdict(self.params), "match_tolerance_s": self.match_tolerance_s},
-            "results": Records((_RESULT,), len(self.windows), self._result_block),
+            "results": Records((_RESULT,), (self._result_columns(),)),
             "total_joules": self.total_joules,
             "hit_miss": self.hit_miss._json_doc() if self.hit_miss else None,
             "campaign": self.campaign.to_json_dict() if self.campaign else None,
             "warnings": self.warnings,
         }
 
-    def _result_block(self, start: int, stop: int) -> tuple[None, list]:
-        b, e = self.windows.begin[start:stop], self.windows.end[start:stop]
-        j, rate = self.joules[start:stop], self.rate_hz
-        columns = (b, e, b / rate, e / rate, j, j / ((e - b) / rate))
-        # the columns' values, window after window
-        leaves = [None] * (len(columns) * len(b))
-        for i, column in enumerate(columns):
-            leaves[i :: len(columns)] = column.tolist()
-        return None, leaves
+    def _result_columns(self) -> tuple[np.ndarray, ...]:
+        b, e, j, rate = self.windows.begin, self.windows.end, self.joules, self.rate_hz
+        return b, e, b / rate, e / rate, j, j / ((e - b) / rate)
 
 
 # a window's JSON record: its sample span, then its seconds and energy
@@ -277,7 +274,7 @@ def analyze(
     mode: str,
     params: SegmentationParams = SegmentationParams(),
     expected: GpioCommandLog | None = None,
-    match_tolerance_s: float = 1e-3,
+    match_tolerance_s: float = MATCH_TOLERANCE_S,
 ) -> SessionReport:
     """Recover a trace's windows in `mode` (RELAY or TRIGGER), integrate
     each, and match them to the commanded toggles if `expected` is given.

@@ -42,11 +42,7 @@ from .instrument import (
 )
 from .jsonio import LEAF, Records, save_json
 from .trace import (
-    MeasurementWindow,
-    PowerTrace,
-    ShuntConfig,
-    index_at_or_after,
-    row_blocks,
+    PowerTrace, ShuntConfig, Windows, fields_equal, index_at_or_after, row_blocks
 )
 
 RELAY = "relay"
@@ -383,14 +379,18 @@ class Scenario:
                     f"gpio entry {i} ({cmd.action} port {cmd.port} at "
                     f"t={cmd.t_s}s) lies outside [0, {self.duration_s}]s"
                 )
-        pairs = self.gpio.windows()
-        for (a_on, a_off, a_port), (b_on, b_off, b_port) in zip(pairs, pairs[1:]):
-            if b_on < a_off:
-                raise ScenarioError(
-                    f"measurement windows overlap: port {a_port} "
-                    f"[{a_on}, {a_off}]s and port {b_port} [{b_on}, {b_off}]s "
-                    f"(one circuit cannot serve overlapping windows)"
-                )
+        t_on, t_off, port = self.gpio.windows()
+        overlaps = np.flatnonzero(t_on[1:] < t_off[:-1])
+        if len(overlaps):
+            pair = slice(overlaps[0], overlaps[0] + 2)
+            (a_on, b_on), (a_off, b_off), (a_port, b_port) = (
+                t_on[pair].tolist(), t_off[pair].tolist(), port[pair].tolist()
+            )
+            raise ScenarioError(
+                f"measurement windows overlap: port {a_port} "
+                f"[{a_on}, {a_off}]s and port {b_port} [{b_on}, {b_off}]s "
+                f"(one circuit cannot serve overlapping windows)"
+            )
         for seg in self.workload.segments:
             if seg.end_s > self.duration_s:
                 raise ScenarioError(
@@ -404,66 +404,59 @@ class Scenario:
         return replace(self, seed=seed)
 
 
-@dataclass(frozen=True)
-class GroundTruthEntry:
-    """What one commanded toggle pair actually did."""
-
-    port: int
-    begin_s: float
-    end_s: float
-    hit: bool
-    realized: MeasurementWindow | None
-    true_joules: float
-
-
-# an entry's JSON record, missed or realized: its fields, with its realized
-# window as null or [begin, end]
-_ENTRY_MISS = {f.name: LEAF for f in fields(GroundTruthEntry)} | {"realized": None}
+# a toggle pair's JSON record, unrealized or realized: its columns as leaves,
+# with its realized window as null or [begin, end]
+_ENTRY_MISS = {
+    "port": LEAF, "begin_s": LEAF, "end_s": LEAF, "hit": LEAF, "realized": None, "true_joules": LEAF
+}
 _ENTRY_HIT = _ENTRY_MISS | {"realized": [LEAF, LEAF]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
+    """What each commanded toggle pair actually did, one row per pair in the
+    order of ``GpioCommandLog.windows()``: its ``port`` (int64), commanded
+    ``begin_s`` and ``end_s`` (float64), whether the switch captured it
+    (``hit``, bool), the sample window ``[realized_begin, realized_end)`` it
+    realized (int64, -1 where none was), and the analytic energy of the
+    commanded interval (``true_joules``, float64)."""
+
     rate_hz: float
     seed: int
-    entries: tuple[GroundTruthEntry, ...]
+    port: np.ndarray
+    begin_s: np.ndarray
+    end_s: np.ndarray
+    hit: np.ndarray
+    realized_begin: np.ndarray
+    realized_end: np.ndarray
+    true_joules: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return fields_equal(self, other) if isinstance(other, GroundTruth) else NotImplemented
 
     @property
     def hits(self) -> int:
-        return sum(1 for e in self.entries if e.hit)
+        return int(np.count_nonzero(self.hit))
 
     @property
     def misses(self) -> int:
-        return len(self.entries) - self.hits
+        return len(self.hit) - self.hits
 
-    def realized_windows(self) -> list[MeasurementWindow]:
-        return [e.realized for e in self.entries if e.realized is not None]
+    def realized_windows(self) -> Windows:
+        realized = self.realized_begin >= 0
+        return Windows(self.realized_begin[realized], self.realized_end[realized])
 
     def write_json(self, path: str | Path) -> None:
         """Write the ground truth as the CLI's truth JSON: json's
         ``indent=2`` text and a newline."""
-        save_json(self._json_doc(), path)
-
-    def _json_doc(self) -> dict:
-        return {
-            "rate_hz": self.rate_hz,
-            "seed": self.seed,
-            "entries": Records(
-                (_ENTRY_MISS, _ENTRY_HIT), len(self.entries), self._entry_block
-            ),
-        }
-
-    def _entry_block(self, start: int, stop: int) -> tuple[list[int], list]:
-        kinds, leaves = [], []
-        for e in self.entries[start:stop]:
-            leaves += (e.port, e.begin_s, e.end_s, e.hit)
-            if e.realized is None:
-                kinds.append(0)
-            else:
-                kinds.append(1)
-                leaves += (e.realized.begin, e.realized.end)
-            leaves.append(e.true_joules)
-        return kinds, leaves
+        head = (self.port, self.begin_s, self.end_s, self.hit)
+        realized = (self.realized_begin, self.realized_end)
+        entries = Records(
+            (_ENTRY_MISS, _ENTRY_HIT),
+            ((*head, self.true_joules), (*head, *realized, self.true_joules)),
+            self.realized_begin >= 0,
+        )
+        save_json({"rate_hz": self.rate_hz, "seed": self.seed, "entries": entries}, path)
 
 
 def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
@@ -481,43 +474,33 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
             f"session of {scenario.duration_s}s at {rate}Hz has no samples"
         )
     rng = np.random.default_rng(scenario.seed)
+    t_on, t_off, port = scenario.gpio.windows()
+    p_hit = [hit_probability(d, scenario.switching) for d in (t_off - t_on).tolist()]
+    hit = rng.random(len(t_on)) < p_hit
     latency = scenario.switching.nominal_latency_s
-    entries: list[GroundTruthEntry] = []
-    for t_on, t_off, port in scenario.gpio.windows():
-        p_hit = hit_probability(t_off - t_on, scenario.switching)
-        hit = bool(rng.random() < p_hit)
-        realized = None
-        if hit:
-            b = index_at_or_after(t_on + latency, rate)
-            e = min(index_at_or_after(t_off + latency, rate), n)
-            if e - b >= 1:
-                realized = MeasurementWindow(b, e)
-        entries.append(
-            GroundTruthEntry(
-                port=port,
-                begin_s=t_on,
-                end_s=t_off,
-                hit=hit,
-                realized=realized,
-                true_joules=scenario.workload.integral(t_on, t_off),
-            )
-        )
-
-    realized_windows = [e.realized for e in entries if e.realized is not None]
+    begin = index_at_or_after(t_on + latency, rate)
+    end = np.minimum(index_at_or_after(t_off + latency, rate), n)
+    realized = hit & (end - begin >= 1)
+    true_joules = list(map(scenario.workload.integral, t_on.tolist(), t_off.tolist()))
+    truth = GroundTruth(
+        rate, scenario.seed, port, t_on, t_off, hit, np.where(realized, begin, -1),
+        np.where(realized, end, -1), np.array(true_joules, dtype=np.float64),
+    )
+    realized_windows = list(zip(begin[realized].tolist(), end[realized].tolist()))
     if scenario.circuit == RELAY:
         # idle: probes read the same node, so only noise reaches the DAQ;
         # inside realized windows they read the workload
         vs = scenario.noise.draw_power(rng, n)
         live = np.zeros(n, dtype=bool)
-        for w in realized_windows:
-            live[w.begin : w.end] = True
+        for b, e in realized_windows:
+            live[b:e] = True
         trig = None
     else:
         vs = np.empty(n)
         live = None
         trig = np.zeros(n)
-        for w in realized_windows:
-            trig[w.begin : w.end] = scenario.logic_high_v
+        for b, e in realized_windows:
+            trig[b:e] = scenario.logic_high_v
     # watts where the DAQ reads the workload, block by block, then the whole
     # block converted to shunt volts in place, in power_to_shunt_volts order
     shunt = scenario.shunt
@@ -529,7 +512,6 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
         block *= shunt.rs
         block /= shunt.vf
     trace = PowerTrace._adopt(rate, vs, trig, shunt)
-    truth = GroundTruth(rate_hz=rate, seed=scenario.seed, entries=tuple(entries))
     return trace, truth
 
 
@@ -707,13 +689,9 @@ def _scenario_doc(scenario: Scenario) -> dict:
         for seg in scenario.workload.segments
     ]
     commands = scenario.gpio.entries
-
-    def command_block(start: int, stop: int) -> tuple[list[int], list]:
-        block = commands[start:stop]
-        kinds = [0 if cmd.action == ACTIVATE else 1 for cmd in block]
-        return kinds, [leaf for cmd in block for leaf in (cmd.t_s, cmd.port)]
-
-    obj["gpio"] = Records(_COMMANDS, len(commands), command_block)
+    columns = ([cmd.t_s for cmd in commands], [cmd.port for cmd in commands])
+    kinds = [cmd.action == DEACTIVATE for cmd in commands]
+    obj["gpio"] = Records(_COMMANDS, (columns, columns), kinds)
     return obj
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -76,6 +76,11 @@ class MeasurementWindow:
         return (self.end - self.begin) / rate_hz
 
 
+def fields_equal(a, b) -> bool:
+    """Whether dataclasses a and b hold equal fields, arrays compared by value."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 @dataclass(frozen=True, eq=False)
 class Windows:
     """Windows as int64 arrays, window i being [begin[i], end[i]); iterates as
@@ -96,7 +101,7 @@ class Windows:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Windows):
-            return np.array_equal(self.begin, other.begin) and np.array_equal(self.end, other.end)
+            return fields_equal(self, other)
         if not isinstance(other, list):
             return NotImplemented
         return list(self) == other
@@ -181,9 +186,11 @@ def power_to_shunt_volts(power_w, shunt: ShuntConfig):
     return power_w * shunt.rs / shunt.vf
 
 
-def index_at_or_after(t_s: float, rate_hz: float) -> int:
-    """First sample index whose time is >= t_s, robust to float grid noise."""
-    return max(0, math.ceil(t_s * rate_hz - 1e-9))
+def index_at_or_after(t_s, rate_hz: float):
+    """First sample index whose time is >= t_s, robust to float grid noise:
+    an int, or an int64 array for an array of times."""
+    index = np.maximum(0, np.ceil(np.multiply(t_s, rate_hz) - 1e-9)).astype(np.int64)
+    return index if index.ndim else int(index)
 
 
 @dataclass(frozen=True)

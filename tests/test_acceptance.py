@@ -338,23 +338,24 @@ def test_end_to_end_recovery():
         windows = (
             segment_relay(trace) if scenario.circuit == RELAY else segment_trigger(trace)
         )
-        if len(windows) != len(truth.entries):
+        if len(windows) != len(truth.hit):
             failures.append(
-                f"seed {seed}: {len(windows)} windows for {len(truth.entries)} toggles"
+                f"seed {seed}: {len(windows)} windows for {len(truth.hit)} toggles"
             )
             continue
-        for w, entry in zip(windows, truth.entries):
+        pairs = zip(truth.begin_s.tolist(), truth.end_s.tolist(), truth.true_joules.tolist())
+        for w, (begin_s, end_s, true_joules) in zip(windows, pairs):
             measured = integrate_energy(trace, w).joules
             tolerance = max(
-                0.01 * entry.true_joules,
-                scenario.noise.idle_power_bound_w * (entry.end_s - entry.begin_s),
+                0.01 * true_joules,
+                scenario.noise.idle_power_bound_w * (end_s - begin_s),
             )
-            err = abs(measured - entry.true_joules)
-            worst_rel = max(worst_rel, err / entry.true_joules)
+            err = abs(measured - true_joules)
+            worst_rel = max(worst_rel, err / true_joules)
             if err > tolerance:
                 failures.append(
-                    f"seed {seed}: window [{entry.begin_s:.3f},{entry.end_s:.3f}]s "
-                    f"measured {measured:.4f} J vs true {entry.true_joules:.4f} J"
+                    f"seed {seed}: window [{begin_s:.3f},{end_s:.3f}]s "
+                    f"measured {measured:.4f} J vs true {true_joules:.4f} J"
                 )
     report(
         "end-to-end recovery (50 scenarios, error <= max(1%, noise x T))",

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import io
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from joulemark import cli
 from joulemark.cli import main
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
+from joulemark.segment import SegmentationParams, analyze, match_toggles
 from joulemark.simulate import (
     RELAY,
     TRIGGER,
@@ -204,6 +206,13 @@ class TestAnalyzeCommand:
             == 0
         )
         return trace_path
+
+    def test_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["analyze", "t.csv", "--mode", RELAY, "--out", "r.json"])
+        params = SegmentationParams(args.threshold_w, args.min_window, args.trigger_threshold_v)
+        assert params == inspect.signature(analyze).parameters["params"].default == SegmentationParams()
+        assert args.match_tolerance_s == inspect.signature(analyze).parameters["match_tolerance_s"].default
+        assert args.match_tolerance_s == inspect.signature(match_toggles).parameters["tolerance_s"].default
 
     def test_trigger_analysis_recovers_12_joules(self, tmp_path):
         trace_path = self._simulate(tmp_path)

@@ -23,8 +23,10 @@ def test_every_demo_has_a_golden_entry():
 def test_demo_runs(demo, tmp_path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    # -W error fails the demo on any warning, as the suite's own policy
+    # would; -X dev adds the interpreter's debug checks
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

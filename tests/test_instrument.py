@@ -1,5 +1,6 @@
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,16 +194,18 @@ class TestCommandLog:
                 GpioCommand(0.4, 43, DEACTIVATE),
             )
         )
-        assert log.windows() == [(0.1, 0.3, 40), (0.2, 0.4, 43)]
+        t_on, t_off, port = log.windows()
+        assert (t_on.dtype, t_off.dtype, port.dtype) == (np.float64, np.float64, np.int64)
+        assert pairs_of(log) == [(0.1, 0.3, 40), (0.2, 0.4, 43)]
 
-    def test_windows_returns_a_new_list_each_call(self):
+    def test_windows_are_read_only_arrays(self):
         log = GpioCommandLog(
             (GpioCommand(0.1, 40, ACTIVATE), GpioCommand(0.2, 40, DEACTIVATE))
         )
-        first = log.windows()
-        first.clear()
-        assert log.windows() == [(0.1, 0.2, 40)]
-        assert log.windows() is not log.windows()
+        for column in log.windows():
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert pairs_of(log) == [(0.1, 0.2, 40)]
 
     def test_invalid_log_raises_on_every_call(self):
         log = GpioCommandLog((GpioCommand(0.1, 40, ACTIVATE),))
@@ -219,6 +222,15 @@ class TestCommandLog:
             GpioCommand(0.2, 40, DEACTIVATE),
         )
         assert log == GpioCommandLog(log.entries)
+
+    def test_port_beyond_64_bits_is_rejected_at_its_line(self, tmp_path):
+        GpioCommand(0.0, 2**63 - 1, ACTIVATE)
+        with pytest.raises(ValueError, match=r"^port must fit in 64 bits, got -9223372036854775809$"):
+            GpioCommand(0.0, -(2**63) - 1, ACTIVATE)
+        path = tmp_path / "gpio.csv"
+        path.write_text(f"t_s,port,action\n1.0,{2**63},activate\n")
+        with pytest.raises(ValueError, match=f"^line 2: port must fit in 64 bits, got {2**63}$"):
+            GpioCommandLog.read_csv(path)
 
     def test_nan_command_time_is_rejected(self):
         with pytest.raises(ValueError, match="command time"):
@@ -291,6 +303,11 @@ def two_pass_pairs(log):
     return sorted(out, key=lambda w: (w[0], w[1]))
 
 
+def pairs_of(log):
+    """The log's pairs as (t_on, t_off, port) tuples."""
+    return list(zip(*(column.tolist() for column in log.windows())))
+
+
 def outcome(pairs, log):
     try:
         return pairs(log)
@@ -330,7 +347,7 @@ def test_one_walk_finds_what_two_walks_find(log):
     """Pairs, or the first defect's type and message, as the validating walk
     and the pairing walk found them apart."""
     expected = outcome(two_pass_pairs, log)
-    assert outcome(GpioCommandLog.windows, log) == expected
+    assert outcome(pairs_of, log) == expected
     assert outcome(GpioCommandLog.validate, log) == (None if isinstance(expected, list) else expected)
 
 

@@ -17,20 +17,19 @@ from hypothesis import strategies as st
 
 from chunking import chunk_rows
 from joulemark.jsonio import LEAF, Records, write_json
-from joulemark.segment import HitMissReport, SegmentationParams, SessionReport, ToggleVerdict
+from joulemark.segment import HitMissReport, SegmentationParams, SessionReport
 from joulemark.simulate import (
     RELAY,
     TRIGGER,
     ConstantPower,
     GroundTruth,
-    GroundTruthEntry,
     RampPower,
     Scenario,
     SpikyPower,
     save_scenario,
 )
 from joulemark.stats import CampaignSummary
-from joulemark.trace import MeasurementWindow, ShuntConfig, Windows
+from joulemark.trace import ShuntConfig, Windows
 from test_simulate import scenarios
 
 # the default block, and blocks of 1, 3 and 16 leaves: one record, or a few
@@ -50,27 +49,25 @@ def blocked(rows):
     return nullcontext() if rows is None else chunk_rows(rows)
 
 
+def column(draw, elements, n: int, dtype) -> np.ndarray:
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+
 @st.composite
 def reports(draw):
     n = draw(st.integers(0, 7))
-    begin = np.array(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)), dtype=np.int64)
-    lengths = np.array(draw(st.lists(st.integers(1, 10**4), min_size=n, max_size=n)), dtype=np.int64)
-    energies = np.array(draw(st.lists(joules, min_size=n, max_size=n)))
+    begin = column(draw, st.integers(0, 10**6), n, np.int64)
+    lengths = column(draw, st.integers(1, 10**4), n, np.int64)
+    energies = column(draw, joules, n, np.float64)
     hit_miss = None
     if draw(st.booleans()):
-        verdicts = draw(
-            st.lists(
-                st.builds(
-                    ToggleVerdict,
-                    port=st.integers(0, 255),
-                    begin_s=finite,
-                    end_s=finite,
-                    window_index=st.none() | st.integers(0, 10),
-                ),
-                max_size=7,
-            )
+        m = draw(st.integers(0, 7))
+        hit_miss = HitMissReport(
+            port=column(draw, st.integers(0, 255), m, np.int64),
+            begin_s=column(draw, finite, m, np.float64),
+            end_s=column(draw, finite, m, np.float64),
+            window_index=column(draw, st.integers(-1, 10), m, np.int64),
         )
-        hit_miss = HitMissReport(tuple(verdicts))
     campaign = None
     if draw(st.booleans()):
         samples = tuple(draw(st.lists(finite, min_size=2, max_size=5)))
@@ -102,21 +99,25 @@ def reports(draw):
 
 @st.composite
 def truths(draw):
-    entries = []
-    for _ in range(draw(st.integers(0, 7))):
-        begin = draw(st.integers(0, 10**6))
-        realized = draw(st.none() | st.builds(MeasurementWindow, st.just(begin), st.integers(begin + 1, begin + 10**4)))
-        entries.append(
-            GroundTruthEntry(
-                port=draw(st.integers(0, 255)),
-                begin_s=draw(finite),
-                end_s=draw(finite),
-                hit=draw(st.booleans()),
-                realized=realized,
-                true_joules=draw(any_float),
-            )
+    n = draw(st.integers(0, 7))
+    realized = draw(
+        st.lists(
+            st.just((-1, -1)) | st.integers(0, 10**6).flatmap(lambda b: st.tuples(st.just(b), st.integers(b + 1, b + 10**4))),
+            min_size=n,
+            max_size=n,
         )
-    return GroundTruth(rate_hz=draw(positive), seed=draw(st.integers(0, 2**32)), entries=tuple(entries))
+    )
+    return GroundTruth(
+        rate_hz=draw(positive),
+        seed=draw(st.integers(0, 2**32)),
+        port=column(draw, st.integers(0, 255), n, np.int64),
+        begin_s=column(draw, finite, n, np.float64),
+        end_s=column(draw, finite, n, np.float64),
+        hit=column(draw, st.booleans(), n, bool),
+        realized_begin=np.array([b for b, _ in realized], dtype=np.int64),
+        realized_end=np.array([e for _, e in realized], dtype=np.int64),
+        true_joules=column(draw, any_float, n, np.float64),
+    )
 
 
 def written(doc_writer) -> str:
@@ -154,9 +155,10 @@ def report_doc(report: SessionReport) -> dict:
     ]
     hit_miss = None
     if report.hit_miss is not None:
+        hm = report.hit_miss
         verdicts = [
-            {"port": v.port, "begin_s": v.begin_s, "end_s": v.end_s, "hit": v.window_index is not None, "window_index": v.window_index}
-            for v in report.hit_miss.verdicts
+            {"port": p, "begin_s": b, "end_s": e, "hit": i != -1, "window_index": None if i == -1 else i}
+            for p, b, e, i in zip(hm.port.tolist(), hm.begin_s.tolist(), hm.end_s.tolist(), hm.window_index.tolist())
         ]
         hits = sum(v["hit"] for v in verdicts)
         hit_miss = {"expected": len(verdicts), "hits": hits, "misses": len(verdicts) - hits, "verdicts": verdicts}
@@ -191,16 +193,18 @@ def report_doc(report: SessionReport) -> dict:
 
 
 def truth_doc(truth: GroundTruth) -> dict:
+    rows = zip(
+        truth.port.tolist(),
+        truth.begin_s.tolist(),
+        truth.end_s.tolist(),
+        truth.hit.tolist(),
+        truth.realized_begin.tolist(),
+        truth.realized_end.tolist(),
+        truth.true_joules.tolist(),
+    )
     entries = [
-        {
-            "port": e.port,
-            "begin_s": e.begin_s,
-            "end_s": e.end_s,
-            "hit": e.hit,
-            "realized": None if e.realized is None else [e.realized.begin, e.realized.end],
-            "true_joules": e.true_joules,
-        }
-        for e in truth.entries
+        {"port": p, "begin_s": b, "end_s": e, "hit": h, "realized": None if rb == -1 else [rb, re], "true_joules": j}
+        for p, b, e, h, rb, re, j in rows
     ]
     return {"rate_hz": truth.rate_hz, "seed": truth.seed, "entries": entries}
 
@@ -254,7 +258,7 @@ def test_written_reports_keep_every_kind_of_leaf():
         match_tolerance_s=1e-3,
         windows=Windows([0, 10], [5, 20]),
         joules=np.array([math.nan, 2.0]),
-        hit_miss=HitMissReport((ToggleVerdict(40, 0.0, 0.005, 0), ToggleVerdict(41, 0.01, 0.02, None))),
+        hit_miss=HitMissReport(np.array([40, 41]), np.array([0.0, 0.01]), np.array([0.005, 0.02]), np.array([0, -1])),
         warnings=["w"],
     )
     out = written(report.write_json)
@@ -308,11 +312,19 @@ def records(draw):
         for k in kinds
     ]
 
-    def block(start, stop):
-        return kinds[start:stop], [leaf for row in rows[start:stop] for leaf in row]
-
+    # each shape's columns, holding a marker that must not be written where
+    # a record of another shape stands
+    columns = [
+        [np.full(len(kinds), "unused", dtype=object) for _ in range(count_leaves(shape))] for shape in shapes
+    ]
+    for r, (k, row) in enumerate(zip(kinds, rows)):
+        for i, leaf in enumerate(row):
+            columns[k][i][r] = leaf
     expected = [fill(shapes[k], iter(row)) for k, row in zip(kinds, rows)]
-    return Records(shapes, len(kinds), block), expected
+    # without kinds, every record has the first shape, which has a leaf
+    if not any(kinds) and count_leaves(shapes[0]) and draw(st.booleans()):
+        return Records(shapes, columns), expected
+    return Records(shapes, columns, np.array(kinds, dtype=np.intp)), expected
 
 
 def unzip_list(items):

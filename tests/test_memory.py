@@ -25,17 +25,20 @@ the trace copied what it was given:
 
 Each bound sits below the peak one more trace-length array would give.
 
-What ``analyze`` keeps, its report, is pinned per window instead: 175 bytes
-a window, the windows and joules as arrays and one verdict per commanded
-toggle (about 500 bytes when each window was also a MeasurementWindow and
-an EnergyResult).
+What ``analyze`` keeps, its report, is pinned per window instead: 33 bytes
+a window, the windows, joules and matched window indices as arrays, the
+verdicts' other columns being the command log's own pairs (167 bytes when
+each verdict was an object, about 500 bytes when each window was also a
+MeasurementWindow and an EnergyResult).
 
-Writing that report, 3,000 windows and verdicts, peaks at 0.10x the bytes
-it writes in blocks of 512 leaves: one block of records and its text (0.52x
-in blocks of 512 records, 7.9x when ``json.dumps(indent=2)`` encoded the
-whole report at once).  At the default block of 16,384 leaves an
-8,000-window report, as large as the benchmark's, peaks at 1.0x (2.8x when
-a block was 16,384 records, and so the whole report).
+Writing that report, 3,000 windows and verdicts, peaks at 0.18x the bytes
+it writes in blocks of 512 leaves: one block of records and its text, and
+the results' seconds and mean watts derived as whole columns (0.10x when
+they were derived block by block, 0.52x in blocks of 512 records, 7.9x
+when ``json.dumps(indent=2)`` encoded the whole report at once).  At the
+default block of 16,384 leaves an 8,000-window report, as large as the
+benchmark's, peaks at 1.09x (1.0x block by block; 2.8x when a block was
+16,384 records, and so the whole report).
 """
 
 import tracemalloc
@@ -192,7 +195,7 @@ def test_analyze_keeps_no_object_per_window(toggled_session):
     analyze(trace, TRIGGER, expected=log)
     report, retained = retained_bytes(lambda: analyze(trace, TRIGGER, expected=log))
     assert len(report.windows) == report.hit_miss.hits == len(log) // 2
-    assert retained <= 300 * len(report.windows)
+    assert retained <= 64 * len(report.windows)
 
 
 def report_writer_peak(session, path, block_rows=None) -> int:

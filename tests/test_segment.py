@@ -18,7 +18,6 @@ from joulemark.segment import (
     HitMissReport,
     SegmentationParams,
     SessionReport,
-    ToggleVerdict,
     TraceTruncationWarning,
     WrongModeError,
     analyze,
@@ -270,7 +269,7 @@ class TestMatchToggles:
         ]
         report = match_toggles(self._log(starts), as_windows(found), 20_000.0)
         assert (report.expected, report.hits, report.misses) == (10, 10, 0)
-        assert all(v.hit for v in report.verdicts)
+        assert report.window_index.tolist() == list(range(10))
 
     def test_partial_matching(self):
         starts = [float(i) for i in range(10)]
@@ -298,8 +297,7 @@ class TestMatchToggles:
         log = self._log([1.0, 1.0005], length=0.0002)
         report = match_toggles(log, Windows([20_000], [25_000]), 20_000.0)
         assert report.hits == 1
-        assert report.verdicts[0].window_index == 0
-        assert report.verdicts[1].window_index is None
+        assert report.window_index.tolist() == [0, -1]
 
     def test_windows_out_of_begin_order_raise(self):
         log = GpioCommandLog((*pair(0.07, 0.1, 40), *pair(0.2, 0.3, 43)))
@@ -320,18 +318,19 @@ def greedy_verdicts(intended, found, rate_hz, tolerance_s=1e-3):
     """Reference matcher: for each pair in order, scan every window and take
     the first unmatched one within tolerance_s."""
     taken = [False] * len(found)
-    verdicts = []
-    for t_on, t_off, port in intended.windows():
-        matched = None
+    t_on, t_off, port = intended.windows()
+    window_index = []
+    for on in t_on.tolist():
+        matched = -1
         for i, w in enumerate(found):
             if taken[i]:
                 continue
-            if abs(w.begin / rate_hz - t_on) <= tolerance_s:
+            if abs(w.begin / rate_hz - on) <= tolerance_s:
                 matched = i
                 taken[i] = True
                 break
-        verdicts.append(ToggleVerdict(port, t_on, t_off, matched))
-    return tuple(verdicts)
+        window_index.append(matched)
+    return HitMissReport(port, t_on, t_off, np.array(window_index, dtype=np.int64))
 
 
 @st.composite
@@ -358,7 +357,7 @@ def match_cases(draw):
     rate = draw(st.sampled_from([20_000.0, 10_000.0, 3.3, 7.77, 44_100.0, 1e6]))
     tolerance = draw(st.sampled_from([1e-3, 5e-4, 2.5e-3, 0.0, -1e-3, 0.1, 1e9]))
     begins = draw(st.lists(st.integers(0, int(130 * rate)), max_size=6))
-    for t_on, _, _ in log.windows():
+    for t_on in log.windows()[0].tolist():
         for edge in (t_on - tolerance, t_on, t_on + tolerance):
             if draw(st.booleans()):
                 near = int(edge * rate) if abs(edge) < 1e6 else 0
@@ -374,8 +373,8 @@ class TestMatchTogglesAgainstGreedy:
     def test_verdicts_equal_the_greedy_reference(self, case):
         log, found, rate, tolerance = case
         report = match_toggles(log, as_windows(found), rate, tolerance)
-        assert report.verdicts == greedy_verdicts(log, found, rate, tolerance)
-        assert report.hits == sum(v.hit for v in report.verdicts)
+        assert report == greedy_verdicts(log, found, rate, tolerance)
+        assert report.hits == sum(i != -1 for i in report.window_index.tolist())
 
 
 class TestAnalyze:
@@ -465,10 +464,10 @@ class TestAnalyze:
 
     def test_equality_writes_no_record(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("equality built a JSON record")
+            raise AssertionError("equality built a JSON document")
 
-        monkeypatch.setattr(SessionReport, "_result_block", refuse)
-        monkeypatch.setattr(HitMissReport, "_verdict_block", refuse)
+        monkeypatch.setattr(SessionReport, "_json_doc", refuse)
+        monkeypatch.setattr(HitMissReport, "_json_doc", refuse)
         trace, log = self.two_runs(), self.two_runs_log()
         assert analyze(trace, TRIGGER, expected=log) == analyze(trace, TRIGGER, expected=log)
 
@@ -476,8 +475,9 @@ class TestAnalyze:
         report = analyze(self.two_runs(), TRIGGER, expected=self.two_runs_log())
         joules = report.joules.copy()
         joules[1] = np.nextafter(joules[1], np.inf)
-        first, *rest = report.hit_miss.verdicts
-        missed = HitMissReport((replace(first, window_index=None), *rest))
+        window_index = report.hit_miss.window_index.copy()
+        window_index[0] = -1
+        missed = replace(report.hit_miss, window_index=window_index)
         others = [
             replace(report, joules=joules),
             replace(report, warnings=[*report.warnings, "another"]),

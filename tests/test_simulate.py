@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import tempfile
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from joulemark.simulate import (
     TRIGGER,
     ConstantPower,
     GroundTruth,
-    GroundTruthEntry,
     NoiseModel,
     RampPower,
     Scenario,
@@ -263,8 +263,18 @@ class TestScenarioValidation:
                 GpioCommand(2.0, 43, DEACTIVATE),
             )
         )
-        with pytest.raises(ScenarioError, match="overlap"):
+        with pytest.raises(ScenarioError) as raised:
             one_window_scenario(RELAY, gpio=gpio).validate()
+        assert str(raised.value) == (
+            "measurement windows overlap: port 40 [0.5, 1.5]s and port 43 "
+            "[1.0, 2.0]s (one circuit cannot serve overlapping windows)"
+        )
+        # of two overlaps after a pair that overlaps nothing, the first is named
+        commands = pair(0.1, 0.2, port=46) + gpio.entries + pair(1.8, 2.5, port=46)
+        gpio = GpioCommandLog(sorted(commands, key=lambda c: c.t_s))
+        with pytest.raises(ScenarioError) as raised:
+            one_window_scenario(RELAY, gpio=gpio).validate()
+        assert str(raised.value).startswith("measurement windows overlap: port 40 [0.5, 1.5]s and port 43")
 
     def test_workload_past_duration_rejected(self):
         scenario = one_window_scenario(
@@ -301,9 +311,8 @@ class TestSimulateTrigger:
         # per-channel rate is half the 40 kHz aggregate
         assert trace.rate_hz == pytest.approx(20_000.0)
         assert len(trace) == 60_000
-        entry = truth.entries[0]
-        assert entry.true_joules == pytest.approx(12.0, rel=1e-12)
-        assert entry.hit and entry.realized == MeasurementWindow(20_000, 40_000)
+        assert truth.true_joules[0] == pytest.approx(12.0, rel=1e-12)
+        assert truth.hit[0] and truth.realized_windows() == [MeasurementWindow(20_000, 40_000)]
         high = np.flatnonzero(trace.trig >= 0.9)
         assert high[0] == 20_000 and high[-1] == 39_999
         assert len(high) == 20_000
@@ -338,12 +347,12 @@ class TestSimulateRelay:
         command_idx = 20_000
         latency_samples = 10  # 0.5 ms at 20 kHz
         assert first_active == command_idx + latency_samples
-        assert truth.entries[0].realized.begin == first_active
+        assert truth.realized_begin[0] == first_active
 
     def test_idle_power_stays_within_noise_bound(self):
         trace, truth = simulate_session(one_window_scenario(RELAY))
         power = trace.power_w()
-        w = truth.entries[0].realized
+        (w,) = truth.realized_windows()
         idle = np.concatenate([power[: w.begin], power[w.end :]])
         assert np.max(np.abs(idle)) <= 0.001 + 1e-12
 
@@ -425,8 +434,7 @@ class TestSimulateProperties:
             seed=5,
         )
         trace, truth = simulate_session(scenario)
-        entry = truth.entries[0]
-        w = entry.realized
+        (w,) = truth.realized_windows()
         result = integrate_energy(trace, w)
         # the trapezoid is exact for affine power over the realized sample
         # span [b/r, (e-1)/r]; spiky picks up only curvature error
@@ -437,7 +445,7 @@ class TestSimulateProperties:
         )
         # against the commanded [on, off] interval the only loss is the
         # half-open boundary sample, worth at most P_max * dt
-        assert result.joules == pytest.approx(entry.true_joules, rel=1e-4)
+        assert result.joules == pytest.approx(truth.true_joules[0], rel=1e-4)
 
     def test_idle_noise_integral_is_zero_mean_across_seeds(self):
         # analytic standard error of the trapezoidal integral of n uniform
@@ -704,19 +712,21 @@ def whole_array_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     t = np.arange(n) / rate
     vs_true = power_to_shunt_volts(scenario.workload.power_at(t), scenario.shunt)
     latency = scenario.switching.nominal_latency_s
-    entries = []
-    for t_on, t_off, port in scenario.gpio.windows():
-        hit = bool(rng.random() < hit_probability(t_off - t_on, scenario.switching))
-        realized = None
+    t_on, t_off, port = scenario.gpio.windows()
+    hits, begins, ends, true_joules = [], [], [], []
+    for on, off in zip(t_on.tolist(), t_off.tolist()):
+        hit = bool(rng.random() < hit_probability(off - on, scenario.switching))
+        b = e = -1
         if hit:
-            b = index_at_or_after(t_on + latency, rate)
-            e = min(index_at_or_after(t_off + latency, rate), n)
-            if e - b >= 1:
-                realized = MeasurementWindow(b, e)
-        entries.append(
-            GroundTruthEntry(port, t_on, t_off, hit, realized, scenario.workload.integral(t_on, t_off))
-        )
-    windows = [e.realized for e in entries if e.realized is not None]
+            b = index_at_or_after(on + latency, rate)
+            e = min(index_at_or_after(off + latency, rate), n)
+            if e - b < 1:
+                b = e = -1
+        hits.append(hit)
+        begins.append(b)
+        ends.append(e)
+        true_joules.append(scenario.workload.integral(on, off))
+    windows = [MeasurementWindow(b, e) for b, e in zip(begins, ends) if b >= 0]
     if scenario.circuit == RELAY:
         vs = power_to_shunt_volts(scenario.noise.draw_power(rng, n), scenario.shunt)
         for w in windows:
@@ -727,7 +737,17 @@ def whole_array_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
         for w in windows:
             trig[w.begin : w.end] = scenario.logic_high_v
         trace = PowerTrace(rate_hz=rate, vs=vs_true, trig=trig, shunt=scenario.shunt)
-    return trace, GroundTruth(rate_hz=rate, seed=scenario.seed, entries=tuple(entries))
+    truth = GroundTruth(
+        rate, scenario.seed, port, t_on, t_off, np.array(hits, dtype=bool),
+        np.array(begins, dtype=np.int64), np.array(ends, dtype=np.int64), np.array(true_joules),
+    )
+    return trace, truth
+
+
+def column_bytes(truth: GroundTruth) -> list:
+    """Each field of the truth as its dtype and bytes: every bit counts, and
+    a nan true_joules equals itself."""
+    return [(a.dtype, a.tobytes()) for a in (np.asarray(getattr(truth, f.name)) for f in fields(truth))]
 
 
 @st.composite
@@ -779,7 +799,7 @@ def test_simulation_matches_whole_array_reference(scenario, rows):
     with chunk_rows(rows) if rows else contextlib.nullcontext():
         trace, truth = simulate_session(scenario)
     ref_trace, ref_truth = whole_array_session(scenario)
-    assert repr(truth) == repr(ref_truth)  # a nan true_joules equals itself
+    assert column_bytes(truth) == column_bytes(ref_truth)
     assert (trace.rate_hz, trace.shunt) == (ref_trace.rate_hz, ref_trace.shunt)
     assert trace.vs.tobytes() == ref_trace.vs.tobytes()
     assert trace.has_trigger == ref_trace.has_trigger
