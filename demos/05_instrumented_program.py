@@ -7,6 +7,8 @@ prints one energy report per instrumented region.
 """
 
 from joulemark import (
+    ACTIVATE,
+    DEACTIVATE,
     PortRegistry,
     Scenario,
     WorkloadProfile,
@@ -36,8 +38,9 @@ token.release()
 
 log = registry.export_log()
 print("exported commands:")
-for cmd in log.entries:
-    print(f"  t={cmd.t_s:4.1f}s  port {cmd.port}  {cmd.action}")
+# the log holds three columns: time, port, and whether the command deactivates
+for t_s, port, off in zip(log.t_s.tolist(), log.port.tolist(), log.deactivate.tolist()):
+    print(f"  t={t_s:4.1f}s  port {port}  {(ACTIVATE, DEACTIVATE)[off]}")
 
 scenario = Scenario(
     duration_s=2.5,

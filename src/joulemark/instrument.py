@@ -16,14 +16,17 @@ ports here.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
+
+from .trace import fields_equal
 
 KNOWN_PINS: tuple[int, ...] = (40, 43, 46, 49, 52, 55, 58, 50)
 
@@ -54,7 +57,8 @@ class DanglingWindowError(RuntimeError):
 
 @dataclass(frozen=True)
 class GpioCommand:
-    """One logged toggle: seconds since session start, pin, action."""
+    """One logged toggle: seconds since session start (held as a float),
+    pin (an integer, never a bool, held as an int) and action."""
 
     t_s: float
     port: int
@@ -65,28 +69,67 @@ class GpioCommand:
             raise ValueError(f"action must be one of {_ACTIONS}, got {self.action!r}")
         if not (math.isfinite(self.t_s) and self.t_s >= 0):
             raise ValueError(f"command time must be finite and >= 0, got {self.t_s}")
-        if not -(2**63) <= self.port < 2**63:  # held as int64 once paired
+        if type(self.t_s) is not float:
+            object.__setattr__(self, "t_s", float(self.t_s))
+        if type(self.port) is not int:
+            if isinstance(self.port, bool) or not isinstance(self.port, numbers.Integral):
+                raise ValueError(f"port must be an integer, got {self.port!r}")
+            object.__setattr__(self, "port", int(self.port))
+        if not -(2**63) <= self.port < 2**63:  # held as int64 in a log
             raise ValueError(f"port must fit in 64 bits, got {self.port}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class GpioCommandLog:
-    """Time-ordered toggle commands, strictly alternating per port."""
+    """Time-ordered toggle commands, strictly alternating per port, held as
+    three read-only columns with one item per command: ``t_s`` (float64),
+    ``port`` (int64) and ``deactivate`` (bool, False for an activate)."""
 
-    entries: tuple[GpioCommand, ...] = ()
+    t_s: np.ndarray
+    port: np.ndarray
+    deactivate: np.ndarray
 
-    def __post_init__(self):
-        # held as a tuple, so the pairing that windows() caches stays true
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: Iterable[GpioCommand] = ()):
+        entries = tuple(entries)
+        self._hold([c.t_s for c in entries], [c.port for c in entries], [c.action == DEACTIVATE for c in entries])
+
+    def _hold(self, *columns) -> None:
+        for name, column, dtype in zip(("t_s", "port", "deactivate"), columns, (np.float64, np.int64, bool)):
+            column = np.array(column, dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _of_columns(cls, t_s, port, actions) -> "GpioCommandLog | None":
+        """The log of columns of numbers, ints and strings, or None if they hold an invalid command."""
+        log = object.__new__(cls)
+        try:
+            log._hold(t_s, port, list(map(DEACTIVATE.__eq__, actions)))
+        except OverflowError:  # a port beyond 64 bits, or a time beyond floats
+            return None
+        if set(actions) - set(_ACTIONS) or not np.all(np.isfinite(log.t_s) & (log.t_s >= 0)):
+            return None
+        return log
+
+    def __eq__(self, other) -> bool:
+        return fields_equal(self, other) if isinstance(other, GpioCommandLog) else NotImplemented
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.t_s)
+
+    @property
+    def entries(self) -> tuple[GpioCommand, ...]:
+        """The commands as GpioCommand objects, built on each access."""
+        actions = map(_ACTIONS.__getitem__, self.deactivate.tolist())
+        return tuple(map(GpioCommand, self.t_s.tolist(), self.port.tolist(), actions))
 
     def validate(self) -> None:
         """Raise AlternationError/DanglingWindowError on any ordering defect.
 
         Requirements: entries sorted by time; per port, actions strictly
         alternate starting with activate; no port left active at the end.
+        The first defect in log order is raised, an unsorted time before an
+        alternation defect at the same entry.
         """
         self._pairs  # checked while paired
 
@@ -102,66 +145,82 @@ class GpioCommandLog:
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        last_t = 0.0
-        open_at: dict[int, float] = {}  # the activation time of each active port
-        out: list[tuple[float, float, int]] = []
-        for i, cmd in enumerate(self.entries):
-            if cmd.t_s < last_t:
+        t, port, off = self.t_s, self.port, self.deactivate
+        # the commands grouped by port, in log order within each port: a
+        # command is out of turn where it deactivates a closed port (one it
+        # starts, or that a deactivate closed) or activates an open one
+        order = np.argsort(port, kind="stable")
+        by_port, off_by_port = port[order], off[order]
+        starts = np.ones(len(t), dtype=bool)
+        starts[1:] = by_port[1:] != by_port[:-1]
+        out_of_turn = np.empty_like(starts)
+        out_of_turn[order] = off_by_port == (starts | np.roll(off_by_port, 1))
+        unsorted = np.zeros_like(starts)
+        unsorted[1:] = t[1:] < t[:-1]
+        for i in np.flatnonzero(unsorted | out_of_turn)[:1].tolist():
+            if unsorted[i]:
                 raise AlternationError(
-                    f"entry {i}: commands not sorted by time "
-                    f"({cmd.t_s} after {last_t})"
+                    f"entry {i}: commands not sorted by time ({t[i].item()} after {t[i - 1].item()})"
                 )
-            last_t = cmd.t_s
-            if cmd.action == ACTIVATE:
-                if cmd.port in open_at:
-                    raise AlternationError(
-                        f"entry {i}: port {cmd.port} activated twice in a row"
-                    )
-                open_at[cmd.port] = cmd.t_s
-            elif cmd.port in open_at:
-                out.append((open_at.pop(cmd.port), cmd.t_s, cmd.port))
-            else:
-                raise AlternationError(
-                    f"entry {i}: port {cmd.port} deactivated while inactive"
-                )
-        if open_at:
-            raise DanglingWindowError(
-                f"log ends with ports still active: {sorted(open_at)}"
-            )
-        out.sort(key=lambda w: (w[0], w[1]))
-        pairs = np.array(out, dtype=[("t_on", "f8"), ("t_off", "f8"), ("port", "i8")])
-        pairs.flags.writeable = False
-        return pairs["t_on"], pairs["t_off"], pairs["port"]
+            fault = "deactivated while inactive" if off[i] else "activated twice in a row"
+            raise AlternationError(f"entry {i}: port {port[i].item()} {fault}")
+        open_at_end = np.append(starts[1:], True) & ~off_by_port
+        if open_at_end.any():
+            raise DanglingWindowError(f"log ends with ports still active: {by_port[open_at_end].tolist()}")
+        # each port's commands now alternate activate, deactivate; pairs that
+        # tie on start and end keep the order of their deactivates
+        on = np.flatnonzero(~off_by_port)
+        begin, end = order[on], order[on + 1]
+        by_start = np.lexsort((end, t[end], t[begin]))
+        pairs = t[begin[by_start]], t[end[by_start]], port[begin[by_start]]
+        for column in pairs:
+            column.flags.writeable = False
+        return pairs
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", newline="\n") as f:
+        rows = zip(self.t_s.tolist(), self.port.tolist(), self.deactivate.tolist())
+        with Path(path).open("w", newline="\n") as f:
             f.write("t_s,port,action\n")
-            for cmd in self.entries:
-                f.write(f"{cmd.t_s!r},{cmd.port},{cmd.action}\n")
+            f.writelines([f"{t!r},{port},{_ACTIONS[off]}\n" for t, port, off in rows])
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "GpioCommandLog":
-        path = Path(path)
-        entries: list[GpioCommand] = []
-        with path.open("r") as f:
-            header = f.readline().rstrip("\n")
-            if header != "t_s,port,action":
-                raise ValueError(f"unrecognized command-log header: {header!r}")
-            for lineno, raw in enumerate(f, start=2):
-                text = raw.strip()
-                if not text:
-                    continue
-                parts = text.split(",")
-                if len(parts) != 3:
-                    raise ValueError(f"line {lineno}: expected 3 columns")
-                try:
-                    entries.append(
-                        GpioCommand(float(parts[0]), int(parts[1]), parts[2])
-                    )
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-        return cls(tuple(entries))
+        """Read a command-log CSV in bulk, or line by line where a line is in error."""
+        header, _, body = Path(path).read_text().partition("\n")
+        if header != "t_s,port,action":
+            raise ValueError(f"unrecognized command-log header: {header!r}")
+        lines = body.split("\n")
+        log = _csv_log(lines)
+        return cls(_csv_commands(lines)) if log is None else log
+
+
+def _csv_commands(lines: list[str]) -> list[GpioCommand]:
+    """Parse command-log data lines, from line 2 on, one by one: the reference for every line error."""
+    entries: list[GpioCommand] = []
+    for lineno, raw in enumerate(lines, start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 3 columns")
+        try:
+            entries.append(GpioCommand(float(parts[0]), int(parts[1]), parts[2]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return entries
+
+
+def _csv_log(lines: list[str]) -> GpioCommandLog | None:
+    """Parse command-log data lines as columns; None if a line is in error, for _csv_commands to name."""
+    rows = [text.split(",") for text in map(str.strip, lines) if text]
+    if set(map(len, rows)) - {3}:
+        return None
+    t_s, port, actions = zip(*rows) if rows else ((), (), ())
+    try:
+        return GpioCommandLog._of_columns(list(map(float, t_s)), list(map(int, port)), actions)
+    except ValueError:
+        return None
 
 
 # --- GPIO backends ----------------------------------------------------------

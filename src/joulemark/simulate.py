@@ -373,12 +373,12 @@ class Scenario:
             raise ScenarioError(
                 f"aggregate rate must be positive, got {self.aggregate_rate_hz}"
             )
-        for i, cmd in enumerate(self.gpio.entries):
-            if not 0.0 <= cmd.t_s <= self.duration_s:
-                raise ScenarioError(
-                    f"gpio entry {i} ({cmd.action} port {cmd.port} at "
-                    f"t={cmd.t_s}s) lies outside [0, {self.duration_s}]s"
-                )
+        for i in np.flatnonzero((self.gpio.t_s < 0.0) | (self.gpio.t_s > self.duration_s))[:1].tolist():
+            cmd = self.gpio.entries[i]
+            raise ScenarioError(
+                f"gpio entry {i} ({cmd.action} port {cmd.port} at "
+                f"t={cmd.t_s}s) lies outside [0, {self.duration_s}]s"
+            )
         t_on, t_off, port = self.gpio.windows()
         overlaps = np.flatnonzero(t_on[1:] < t_off[:-1])
         if len(overlaps):
@@ -641,16 +641,31 @@ def _command(obj, path: str) -> GpioCommand:
     return _read(GpioCommand, obj, path, action=action)
 
 
+def _gpio_log(items: list) -> GpioCommandLog | None:
+    """The gpio array read in bulk; None unless every command is an object of
+    exactly its three keys holding valid values, for _command to judge."""
+    keys = _COMMANDS[0].keys()
+    rows = [(c["t_s"], c["port"], c["action"]) for c in items if type(c) is dict and c.keys() == keys]
+    t_s, port, actions = zip(*rows) if rows else ((), (), ())
+    if len(rows) != len(items) or set(map(type, t_s)) - {int, float}:
+        return None
+    if set(map(type, port)) - {int} or set(map(type, actions)) - {str}:
+        return None
+    return GpioCommandLog._of_columns(t_s, port, actions)
+
+
+def _gpio(items: list, path: str) -> GpioCommandLog:
+    log = _gpio_log(items)
+    return GpioCommandLog(_command(c, f"{path}.gpio[{i}]") for i, c in enumerate(items)) if log is None else log
+
+
 def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
     circuit = _choice(obj, "circuit", path, _CIRCUITS)
     segments = tuple(
         _segment(seg, f"{path}.workload[{i}]")
         for i, seg in enumerate(_array(obj, "workload", path))
     )
-    commands = tuple(
-        _command(cmd, f"{path}.gpio[{i}]")
-        for i, cmd in enumerate(_array(obj, "gpio", path))
-    )
+    gpio = _gpio(_array(obj, "gpio", path), path)
     switching, noise = obj.get("switching"), obj.get("noise")
     scenario = _read(
         Scenario, obj, path, _SCENARIO_DEFAULTS,
@@ -659,7 +674,7 @@ def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
             ShuntConfig, obj.get("shunt", {}), f"{path}.shunt", asdict(ShuntConfig())
         ),
         workload=_build(WorkloadProfile, f"{path}.workload", segments=segments),
-        gpio=GpioCommandLog(commands),
+        gpio=gpio,
         switching=None if switching is None else _read(
             SwitchingModel, switching, f"{path}.switching",
             asdict(SwitchingModel.for_circuit(circuit)),
@@ -673,6 +688,8 @@ def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
     return scenario
 
 
+
+
 # a GPIO command's JSON record, one shape per action
 _COMMANDS = tuple(
     {f.name: LEAF for f in fields(GpioCommand)} | {"action": action}
@@ -681,17 +698,14 @@ _COMMANDS = tuple(
 
 
 def _scenario_doc(scenario: Scenario) -> dict:
-    # asdict deep-copies every leaf, about 4 us per GPIO command on CPython
-    # 3.11, so the commands are left out of it
-    obj = asdict(replace(scenario, gpio=GpioCommandLog()))
+    obj = asdict(scenario)
     obj["workload"] = [
         {**asdict(seg), "shape": _SHAPE_NAMES[type(seg.shape)], **asdict(seg.shape)}
         for seg in scenario.workload.segments
     ]
-    commands = scenario.gpio.entries
-    columns = ([cmd.t_s for cmd in commands], [cmd.port for cmd in commands])
-    kinds = [cmd.action == DEACTIVATE for cmd in commands]
-    obj["gpio"] = Records(_COMMANDS, (columns, columns), kinds)
+    gpio = scenario.gpio
+    columns = (gpio.t_s.tolist(), gpio.port.tolist())
+    obj["gpio"] = Records(_COMMANDS, (columns, columns), gpio.deactivate)
     return obj
 
 

@@ -13,7 +13,7 @@ import joulemark
 import joulemark.cli
 import joulemark.energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
-from joulemark.simulate import TRIGGER, Scenario, WorkloadProfile, simulate_session
+from joulemark.simulate import TRIGGER, Scenario, WorkloadProfile, load_scenario, save_scenario, simulate_session
 from joulemark.trace import write_trace_csv
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -54,6 +54,25 @@ def three_toggle_session():
     trace, truth = simulate_session(scenario)
     assert truth.hits == len(starts)
     return trace, truth, log
+
+
+def test_set_up_builds_a_log_from_a_tuple_of_commands():
+    """The workloads build each log from a tuple of GpioCommand."""
+    commands = (GpioCommand(0.25, 40, ACTIVATE), GpioCommand(0.5, 40, DEACTIVATE))
+    log = GpioCommandLog(commands)
+    assert log.entries == commands and len(log) == 2
+
+
+def test_set_up_files_read_back_to_an_equal_log(tmp_path):
+    """The set-up writes the scenario and its log's CSV; each reads back to
+    the log it was written from."""
+    _, _, log = three_toggle_session()
+    scenario = Scenario(0.7, TRIGGER, workload=WorkloadProfile.constant(9.0, 0.0, 0.7), gpio=log, seed=3)
+    log.write_csv(tmp_path / "expected.csv")
+    assert GpioCommandLog.read_csv(tmp_path / "expected.csv") == log
+    save_scenario(scenario, tmp_path / "scenario.json")
+    loaded = load_scenario(tmp_path / "scenario.json")
+    assert loaded == scenario and loaded.gpio == log
 
 
 def test_tracer_sees_every_stage_of_cli_analyze(tmp_path):

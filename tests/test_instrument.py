@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -19,6 +20,8 @@ from joulemark.instrument import (
     RecordingBackend,
     StaleTokenError,
     UnknownPortError,
+    _csv_commands,
+    _csv_log,
 )
 
 
@@ -315,11 +318,40 @@ def outcome(pairs, log):
         return type(exc), str(exc)
 
 
+def walk_pairs(log):
+    """Reference: validate and pair the log in one walk over its commands,
+    holding the activation time of each active port."""
+    last_t = 0.0
+    open_at: dict[int, float] = {}
+    out = []
+    for i, cmd in enumerate(log.entries):
+        if cmd.t_s < last_t:
+            raise AlternationError(f"entry {i}: commands not sorted by time ({cmd.t_s} after {last_t})")
+        last_t = cmd.t_s
+        if cmd.action == ACTIVATE:
+            if cmd.port in open_at:
+                raise AlternationError(f"entry {i}: port {cmd.port} activated twice in a row")
+            open_at[cmd.port] = cmd.t_s
+        elif cmd.port in open_at:
+            out.append((open_at.pop(cmd.port), cmd.t_s, cmd.port))
+        else:
+            raise AlternationError(f"entry {i}: port {cmd.port} deactivated while inactive")
+    if open_at:
+        raise DanglingWindowError(f"log ends with ports still active: {sorted(open_at)}")
+    return sorted(out, key=lambda w: (w[0], w[1]))
+
+
+EDITS = ("swap", "drop", "flip", "retime", "move")
+
+
 @st.composite
 def edited_logs(draw):
     """Logs that alternate on each of three ports, on a coarse time grid so
-    that times repeat, maybe left with a port active, and maybe broken by
-    one edit: two entries swapped, one dropped or one action flipped."""
+    that times repeat within and across ports, maybe left with a port
+    active, and maybe broken by up to two edits: two entries swapped, one
+    dropped, one action flipped, one given another's time, or one moved.
+    Two edits can leave two defects, and a swap or a move can leave one
+    entry both unsorted and out of turn."""
     entries = []
     for port in (40, 43, 46):
         ticks = sorted(draw(st.lists(st.integers(0, 12), max_size=6)))
@@ -327,17 +359,22 @@ def edited_logs(draw):
             GpioCommand(tick * 0.25, port, (ACTIVATE, DEACTIVATE)[k % 2]) for k, tick in enumerate(ticks)
         ]
     entries.sort(key=lambda c: c.t_s)
-    edit = draw(st.sampled_from([None, "swap", "drop", "flip"]))
-    if entries and edit:
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=2)):
+        if not entries:
+            break
         i, j = (draw(st.integers(0, len(entries) - 1)) for _ in range(2))
+        cmd = entries[i]
         if edit == "swap":
             entries[i], entries[j] = entries[j], entries[i]
         elif edit == "drop":
             del entries[i]
-        else:
-            cmd = entries[i]
+        elif edit == "flip":
             flipped = DEACTIVATE if cmd.action == ACTIVATE else ACTIVATE
             entries[i] = GpioCommand(cmd.t_s, cmd.port, flipped)
+        elif edit == "retime":
+            entries[i] = GpioCommand(entries[j].t_s, cmd.port, cmd.action)
+        else:
+            entries.insert(j, entries.pop(i))
     return GpioCommandLog(entries)
 
 
@@ -349,6 +386,139 @@ def test_one_walk_finds_what_two_walks_find(log):
     expected = outcome(two_pass_pairs, log)
     assert outcome(pairs_of, log) == expected
     assert outcome(GpioCommandLog.validate, log) == (None if isinstance(expected, list) else expected)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(log=edited_logs())
+def test_array_checks_find_what_the_walk_finds(log):
+    """The same pairs in the same order, or the same first defect with the
+    same message, as the walk over the commands."""
+    assert outcome(pairs_of, log) == outcome(walk_pairs, log)
+
+
+class TestFirstDefect:
+    def test_of_two_defects_the_first_is_named(self):
+        log = GpioCommandLog(
+            (GpioCommand(0.1, 40, DEACTIVATE), GpioCommand(0.2, 43, ACTIVATE), GpioCommand(0.3, 43, ACTIVATE))
+        )
+        with pytest.raises(AlternationError, match=r"^entry 0: port 40 deactivated while inactive$"):
+            log.windows()
+
+    def test_unsorted_wins_over_out_of_turn_at_one_entry(self):
+        log = GpioCommandLog((GpioCommand(0.2, 40, ACTIVATE), GpioCommand(0.1, 40, ACTIVATE)))
+        with pytest.raises(AlternationError, match=r"^entry 1: commands not sorted by time \(0\.1 after 0\.2\)$"):
+            log.validate()
+
+    def test_dangling_ports_are_named_in_order(self):
+        log = GpioCommandLog((GpioCommand(0.1, 46, ACTIVATE), GpioCommand(0.2, 40, ACTIVATE)))
+        with pytest.raises(DanglingWindowError, match=r"^log ends with ports still active: \[40, 46\]$"):
+            log.validate()
+
+    def test_pairs_that_tie_keep_the_order_of_their_deactivates(self):
+        log = GpioCommandLog(
+            (
+                GpioCommand(0.1, 46, ACTIVATE),
+                GpioCommand(0.1, 40, ACTIVATE),
+                GpioCommand(0.2, 46, DEACTIVATE),
+                GpioCommand(0.2, 40, DEACTIVATE),
+            )
+        )
+        assert pairs_of(log) == [(0.1, 0.2, 46), (0.1, 0.2, 40)]
+
+
+class TestPortRule:
+    @pytest.mark.parametrize("port", [40.5, 40.0, True, "40", None])
+    def test_a_port_that_is_not_an_integer_is_rejected(self, port):
+        with pytest.raises(ValueError, match=rf"^port must be an integer, got {re.escape(repr(port))}$"):
+            GpioCommand(0.1, port, ACTIVATE)
+
+    def test_integer_port_and_time_are_held_as_int_and_float(self):
+        cmd = GpioCommand(np.int64(1), np.int64(40), ACTIVATE)
+        assert (type(cmd.t_s), type(cmd.port)) == (float, int)
+        assert cmd == GpioCommand(1.0, 40, ACTIVATE)
+
+    def test_integer_time_is_written_as_a_float(self, tmp_path):
+        log = GpioCommandLog((GpioCommand(1, 40, ACTIVATE), GpioCommand(2, 40, DEACTIVATE)))
+        log.write_csv(tmp_path / "gpio.csv")
+        assert (tmp_path / "gpio.csv").read_text() == "t_s,port,action\n1.0,40,activate\n2.0,40,deactivate\n"
+        assert [type(cmd.t_s) for cmd in log.entries] == [float, float]
+
+
+# one defect each: a line of two or four columns, a port that int() rejects
+# or that does not fit in 64 bits, a time that is NaN, infinite or negative,
+# an unknown action, or a blank line, which is skipped
+CSV_DEFECTS = {
+    "short": lambda t, p, a: f"{t},{p}",
+    "long": lambda t, p, a: f"{t},{p},{a},x",
+    "bool port": lambda t, p, a: f"{t},True,{a}",
+    "text port": lambda t, p, a: f"{t},x,{a}",
+    "float port": lambda t, p, a: f"{t},{p}.5,{a}",
+    "wide port": lambda t, p, a: f"{t},{2**63},{a}",
+    "narrow port": lambda t, p, a: f"{t},{-(2**63) - 1},{a}",
+    "nan": lambda t, p, a: f"nan,{p},{a}",
+    "infinity": lambda t, p, a: f"Infinity,{p},{a}",
+    "negative": lambda t, p, a: f"-{t or 1},{p},{a}",
+    "action": lambda t, p, a: f"{t},{p},toggle",
+    "blank": lambda t, p, a: f"{t},{p},{a}\n",
+    "spaces": lambda t, p, a: f"  {t},{p},{a}\n \t",
+}
+# numbers that float() and int() read, written as write_csv does not
+CSV_SPELLINGS = [
+    lambda t, p, a: f"{t}, {p} ,{a}",
+    lambda t, p, a: f" {t} ,{p},{a}",
+    lambda t, p, a: f"{t},+{p},{a}",
+    lambda t, p, a: f"{t},{p:_},{a}",
+    lambda t, p, a: f"1_0.2_5,{p},{a}",
+    lambda t, p, a: f"{t},00{p},{a}",
+    lambda t, p, a: f"{t:e},{p},{a}",
+    lambda t, p, a: f"-0.0,{p},{a}",
+]
+
+
+@st.composite
+def command_csv_lines(draw):
+    """Data lines of a command-log CSV, from line 2 on, as write_csv writes
+    them, with maybe one line respelt or given one defect."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1e6, allow_nan=False) | st.integers(0, 10**20),
+                st.integers(-(2**63), 2**63 - 1),
+                st.sampled_from([ACTIVATE, DEACTIVATE]),
+            ),
+            max_size=8,
+        )
+    )
+    lines = [f"{t!r},{p},{a}" for t, p, a in rows]
+    if lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        change = draw(st.sampled_from(CSV_SPELLINGS + list(CSV_DEFECTS.values())))
+        lines[i] = change(*rows[i])
+    return lines + [""]
+
+
+def read_outcome(read, lines):
+    try:
+        log = read(lines)
+    except ValueError as exc:
+        return str(exc)
+    return tuple(column.dtype.str + column.tobytes().hex() for column in (log.t_s, log.port, log.deactivate))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("log") / "gpio.csv"
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=command_csv_lines())
+def test_bulk_csv_reader_reads_what_the_line_reader_reads(lines, csv_path):
+    """Columns of the same bits, or the same error at the same line; the bulk
+    parse gives up exactly where the line reader raises."""
+    by_line = read_outcome(lambda lines: GpioCommandLog(_csv_commands(lines)), lines)
+    assert (_csv_log(lines) is None) == isinstance(by_line, str)
+    csv_path.write_text("t_s,port,action\n" + "\n".join(lines))
+    assert read_outcome(lambda _: GpioCommandLog.read_csv(csv_path), lines) == by_line
 
 
 class TestConcurrency:

@@ -38,6 +38,9 @@ from joulemark.simulate import (
     save_scenario,
     scenario_from_dict,
     simulate_session,
+    _command,
+    _gpio,
+    _gpio_log,
 )
 from joulemark.trace import (
     MeasurementWindow,
@@ -805,3 +808,73 @@ def test_simulation_matches_whole_array_reference(scenario, rows):
     assert trace.has_trigger == ref_trace.has_trigger
     if trace.has_trigger:
         assert trace.trig.tobytes() == ref_trace.trig.tobytes()
+
+
+# one defect each: a missing or extra key, a port that is a bool, a string,
+# a float or beyond 64 bits, a time that is a bool, NaN, infinite, negative
+# or beyond the float range, an unknown action, or a command that is not an
+# object; an extra key is not a defect to the command-by-command reader
+GPIO_DEFECTS = [
+    lambda cmd: {k: v for k, v in cmd.items() if k != "t_s"},
+    lambda cmd: {k: v for k, v in cmd.items() if k != "action"},
+    lambda cmd: {**cmd, "note": "extra"},
+    lambda cmd: {**cmd, "port": True},
+    lambda cmd: {**cmd, "port": "40"},
+    lambda cmd: {**cmd, "port": 40.0},
+    lambda cmd: {**cmd, "port": 2**63},
+    lambda cmd: {**cmd, "port": -(2**63) - 1},
+    lambda cmd: {**cmd, "t_s": False},
+    lambda cmd: {**cmd, "t_s": math.nan},
+    lambda cmd: {**cmd, "t_s": math.inf},
+    lambda cmd: {**cmd, "t_s": -0.5},
+    lambda cmd: {**cmd, "t_s": 10**400},
+    lambda cmd: {**cmd, "t_s": "0.5"},
+    lambda cmd: {**cmd, "action": "toggle"},
+    lambda cmd: {**cmd, "action": ["activate"]},
+    lambda cmd: [cmd["t_s"], cmd["port"], cmd["action"]],
+]
+
+
+@st.composite
+def gpio_arrays(draw):
+    """The gpio array of a scenario as json reads it: times as floats, or as
+    ints up to beyond 2**64 (json reads digits without a point as an int),
+    with maybe one command given one defect."""
+    items = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "t_s": st.floats(0.0, 1e6) | st.integers(0, 2**70) | st.just(-0.0),
+                    "port": st.integers(-(2**63), 2**63 - 1),
+                    "action": st.sampled_from([ACTIVATE, DEACTIVATE]),
+                }
+            ),
+            max_size=8,
+        )
+    )
+    if items and draw(st.booleans()):
+        i = draw(st.integers(0, len(items) - 1))
+        items[i] = draw(st.sampled_from(GPIO_DEFECTS))(items[i])
+    return items
+
+
+def gpio_outcome(read, items):
+    try:
+        log = read(items)
+    except ScenarioError as exc:
+        return str(exc)
+    return tuple(column.dtype.str + column.tobytes().hex() for column in (log.t_s, log.port, log.deactivate))
+
+
+@settings(max_examples=500, deadline=None)
+@given(items=gpio_arrays())
+def test_bulk_gpio_reader_reads_what_the_command_reader_reads(items):
+    """Columns of the same bits, or the same error at the same path; the bulk
+    read gives up where the command reader raises or a command holds another
+    key than its three."""
+    by_command = gpio_outcome(
+        lambda items: GpioCommandLog(_command(cmd, f"$.gpio[{i}]") for i, cmd in enumerate(items)), items
+    )
+    assert gpio_outcome(lambda items: _gpio(items, "$"), items) == by_command
+    plain = all(type(cmd) is dict and cmd.keys() == {"t_s", "port", "action"} for cmd in items)
+    assert (_gpio_log(items) is None) == (isinstance(by_command, str) or not plain)
