@@ -2,9 +2,9 @@
 
 Simulates the relay- and trigger-based measurement circuits and their
 acquisition device, recovers measurement windows from captured traces,
-integrates shunt-voltage samples into joules with the trapezoidal rule,
-and summarizes repeated measurement campaigns with t-based confidence
-intervals.
+turns their samples into joules by sample and hold (``integrate_energy``
+by the trapezoidal rule), and summarizes repeated measurement campaigns
+with t-based confidence intervals.
 """
 
 from .acquisition import (
@@ -22,7 +22,7 @@ from .energy import (
     compare_resolution,
     integrate_energy,
     integrate_full,
-    integrate_windows,
+    window_energies,
 )
 from .instrument import (
     ACTIVATE,

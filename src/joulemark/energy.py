@@ -2,12 +2,13 @@
 
 Energy over a window is
 
-    E = (vf / rs) * integral of vs(t) dt
+    E = (vf / rs) * integral of vs(t) dt.
 
-evaluated with the trapezoidal rule over the window's samples, which is
-exact whenever vs is affine in t.  A window [begin, end) integrates the
-closed sample span begin..end-1, i.e. end-begin-1 trapezoids; adjacent
-windows that share a boundary sample therefore telescope exactly.
+``window_energies``, which ``analyze`` uses, holds each sample for one
+sample period: a window [begin, end) spans end-begin periods, one-sample
+windows included, and adjacent windows add up.  ``integrate_energy`` uses
+the trapezoidal rule over the closed span begin..end-1, exact whenever vs
+is affine in t; windows that share a boundary sample telescope exactly.
 """
 
 from __future__ import annotations
@@ -33,23 +34,31 @@ class EnergyResult:
     window: MeasurementWindow
 
 
-def integrate_windows(trace: PowerTrace, windows: Windows) -> np.ndarray:
-    """Trapezoidal energy of each window, in joules, in window order;
-    negative samples integrate as-is."""
-    dt, scale = 1.0 / trace.rate_hz, trace.shunt.vf / trace.shunt.rs
-    joules = np.empty(len(windows))
-    for i, (begin, end) in enumerate(zip(windows.begin.tolist(), windows.end.tolist())):
-        if end > len(trace):
-            raise ValueError(f"window [{begin}, {end}) exceeds trace length {len(trace)}")
-        if end - begin < 2:
-            raise DegenerateWindowError(f"window [{begin}, {end}) has fewer than 2 samples")
-        joules[i] = scale * float(np.trapezoid(trace.vs[begin:end], dx=dt))
-    return joules
+def window_energies(trace: PowerTrace, windows: Windows) -> np.ndarray:
+    """Sample-and-hold energy of each window, in joules, in window order;
+    negative samples add as-is.  Windows must be non-empty, disjoint and in
+    begin order, as the segmenters return them."""
+    begin, end = windows.begin, windows.end
+    past = np.flatnonzero(end > len(trace))
+    if past.size:
+        k = past[0]
+        raise ValueError(f"window [{begin[k]}, {end[k]}) exceeds trace length {len(trace)}")
+    if np.any(begin >= end) or np.any(begin[1:] < end[:-1]) or np.any(begin < 0):
+        raise ValueError("windows must be non-empty, disjoint and in begin order")
+    # the last window runs to the slice's end: no index equals its length
+    idx = np.stack((begin, end), axis=1).ravel()[:-1]
+    sums = np.add.reduceat(trace.vs[: end.max(initial=0)], idx)[0::2]
+    return sums * trace.shunt.vf / trace.shunt.rs / trace.rate_hz
 
 
 def integrate_energy(trace: PowerTrace, window: MeasurementWindow) -> EnergyResult:
     """Trapezoidal energy of one window; negative samples integrate as-is."""
-    joules = float(integrate_windows(trace, Windows([window.begin], [window.end]))[0])
+    if window.end > len(trace):
+        raise ValueError(f"window [{window.begin}, {window.end}) exceeds trace length {len(trace)}")
+    if len(window) < 2:
+        raise DegenerateWindowError(f"window [{window.begin}, {window.end}) has fewer than 2 samples")
+    dt, scale = 1.0 / trace.rate_hz, trace.shunt.vf / trace.shunt.rs
+    joules = scale * float(np.trapezoid(trace.vs[window.begin : window.end], dx=dt))
     duration = window.duration_s(trace.rate_hz)
     return EnergyResult(joules, joules / duration, duration, window)
 

@@ -299,7 +299,7 @@ def analyze(
         windows=windows,
         # looked up on its module at each call, as the segmenters are, so
         # that a wrapper installed on the module (a profiler's, say) sees it
-        joules=energy.integrate_windows(trace, windows),
+        joules=energy.window_energies(trace, windows),
         warnings=[str(w.message) for w in caught],
     )
     if not windows:

@@ -194,7 +194,7 @@ class ConstantPower:
     def power(self, t: np.ndarray, duration: float) -> np.ndarray:
         return np.full_like(t, self.watts)
 
-    def integral(self, a: float, b: float, duration: float) -> float:
+    def integral(self, a: np.ndarray, b: np.ndarray, duration: float) -> np.ndarray:
         return self.watts * (b - a)
 
 
@@ -212,7 +212,7 @@ class RampPower:
     def power(self, t: np.ndarray, duration: float) -> np.ndarray:
         return self.w0 + (self.w1 - self.w0) * (t / duration)
 
-    def integral(self, a: float, b: float, duration: float) -> float:
+    def integral(self, a: np.ndarray, b: np.ndarray, duration: float) -> np.ndarray:
         # the mean power over [a, b], the power at its midpoint, times b - a:
         # unlike a slope, the midpoint's fraction of a subnormal duration
         # stays finite
@@ -244,11 +244,11 @@ class SpikyPower:
         amp = self.peak_w - self.base_w
         return self.base_w + amp * np.sin(np.pi * t / self.period_s) ** 2
 
-    def integral(self, a: float, b: float, duration: float) -> float:
+    def integral(self, a: np.ndarray, b: np.ndarray, duration: float) -> np.ndarray:
         amp = self.peak_w - self.base_w
         T = self.period_s
         osc = (b - a) / 2.0 - (T / (4.0 * math.pi)) * (
-            math.sin(2.0 * math.pi * b / T) - math.sin(2.0 * math.pi * a / T)
+            np.sin(2.0 * math.pi * b / T) - np.sin(2.0 * math.pi * a / T)
         )
         return self.base_w * (b - a) + amp * osc
 
@@ -302,18 +302,20 @@ class WorkloadProfile:
                 )
         return out
 
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral of the profile over [a, b], in joules."""
-        if b < a:
-            raise ValueError(f"need a <= b, got [{a}, {b}]")
-        total = 0.0
+    def integral(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact integral of the profile over each [a[i], b[i]], in joules."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+        if np.any(b < a):
+            k = np.flatnonzero(b < a)[0]
+            raise ValueError(f"need a <= b, got [{a.flat[k]}, {b.flat[k]}]")
+        total = np.zeros(a.shape)
         for seg in self.segments:
-            lo = max(a, seg.start_s)
-            hi = min(b, seg.end_s)
-            if hi > lo:
-                total += seg.shape.integral(
-                    lo - seg.start_s, hi - seg.start_s, seg.end_s - seg.start_s
-                )
+            lo = np.maximum(a, seg.start_s)
+            hi = np.minimum(b, seg.end_s)
+            inside = hi > lo
+            total[inside] += seg.shape.integral(
+                lo[inside] - seg.start_s, hi[inside] - seg.start_s, seg.end_s - seg.start_s
+            )
         return total
 
 
@@ -481,10 +483,9 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     begin = index_at_or_after(t_on + latency, rate)
     end = np.minimum(index_at_or_after(t_off + latency, rate), n)
     realized = hit & (end - begin >= 1)
-    true_joules = list(map(scenario.workload.integral, t_on.tolist(), t_off.tolist()))
     truth = GroundTruth(
         rate, scenario.seed, port, t_on, t_off, hit, np.where(realized, begin, -1),
-        np.where(realized, end, -1), np.array(true_joules, dtype=np.float64),
+        np.where(realized, end, -1), scenario.workload.integral(t_on, t_off),
     )
     realized_windows = list(zip(begin[realized].tolist(), end[realized].tolist()))
     if scenario.circuit == RELAY:

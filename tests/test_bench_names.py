@@ -95,13 +95,13 @@ def test_tracer_sees_every_stage_of_cli_analyze(tmp_path):
 
 
 def test_analyze_integrates_through_the_energy_module(monkeypatch):
-    """analyze() looks integrate_windows up on its module at each call, so a
+    """analyze() looks window_energies up on its module at each call, so a
     wrapper installed there sees every analysis."""
     trace, truth, _ = three_toggle_session()
     calls = []
-    raw = joulemark.energy.integrate_windows
+    raw = joulemark.energy.window_energies
     monkeypatch.setattr(
-        joulemark.energy, "integrate_windows", lambda *args: calls.append(args) or raw(*args)
+        joulemark.energy, "window_energies", lambda *args: calls.append(args) or raw(*args)
     )
     report = joulemark.analyze(trace, TRIGGER)
     assert len(calls) == 1 and len(report.windows) == truth.hits

@@ -18,8 +18,11 @@ from joulemark.simulate import (
     NoiseModel,
     Scenario,
     WorkloadProfile,
+    instructions_to_duration,
     load_scenario,
+    repeated_toggle_scenario,
     save_scenario,
+    simulate_session,
 )
 from joulemark.trace import PowerTrace, ShuntConfig, read_trace_csv, write_trace_csv
 
@@ -223,6 +226,17 @@ class TestAnalyzeCommand:
         assert len(report["results"]) == 1
         assert report["results"][0]["energy"]["joules"] == pytest.approx(12.0, rel=1e-3)
         assert report["hit_miss"] is None
+
+    def test_one_sample_window_is_analyzed(self, tmp_path, capsys):
+        # demo 03's 25K-instruction trigger sweep, whose first window holds one sample
+        scenario = repeated_toggle_scenario(instructions_to_duration(25_000), 10, TRIGGER, seed=25_000)
+        trace_path, report_path = tmp_path / "trace.csv", tmp_path / "report.json"
+        write_trace_csv(simulate_session(scenario)[0], trace_path)
+        assert main(["analyze", str(trace_path), "--mode", TRIGGER, "--out", str(report_path)]) == 0
+        assert capsys.readouterr().err == ""
+        first = read_json(report_path)["results"][0]
+        assert first["window"] == {"begin_idx": 40, "end_idx": 41}
+        assert first["energy"]["joules"] == pytest.approx(12.0 / 20_000.0, rel=1e-12)
 
     def test_skyline_integrates_to_window_energy_plus_residue(self, tmp_path):
         trace_path = self._simulate(tmp_path, circuit=RELAY)

@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from joulemark.energy import (
     DegenerateWindowError,
     compare_resolution,
     integrate_energy,
     integrate_full,
-    integrate_windows,
+    window_energies,
 )
 from joulemark.trace import (
     MeasurementWindow, PowerTrace, ShuntConfig, Windows, power_to_shunt_volts
@@ -77,24 +79,86 @@ class TestIntegrateEnergy:
             integrate_energy(trace, MeasurementWindow(5, 11))
 
 
+def hold_bound(trace: PowerTrace, begin: int, end: int) -> float:
+    """How far a window's sample-and-hold energy may lie from the exactly
+    rounded sum of its samples, scaled the same way: (end - begin) float
+    additions' worth of the absolute sum, plus two for the roundings of the
+    scaling on either side, without which a two-sample window split in two
+    can miss the bound."""
+    shunt, rate = trace.shunt, trace.rate_hz
+    abs_sum = math.fsum(np.abs(trace.vs[begin:end]).tolist())
+    return (end - begin + 2) * 2.0**-52 * abs_sum * shunt.vf / shunt.rs / rate
+
+
+@st.composite
+def traces_and_cuts(draw, cuts: int):
+    """A trace of signed shunt volts at one of a few rates, and `cuts` sorted
+    sample indices into it, ends included."""
+    vs = draw(st.lists(st.floats(-0.05, 0.5), min_size=1, max_size=60))
+    rate = draw(st.sampled_from([20_000.0, 3.3, 44_100.0]))
+    shunt = draw(st.sampled_from([SHUNT, ShuntConfig(vf=5.0, rs=0.02)]))
+    at = sorted(draw(st.lists(st.integers(0, len(vs)), min_size=cuts, max_size=cuts)))
+    return PowerTrace(rate_hz=rate, vs=vs, shunt=shunt), at
+
+
 class TestIntegrateWindows:
-    def test_each_window_as_integrate_energy_gives_it(self):
+    """window_energies, the sample-and-hold estimator analyze() uses.  Its
+    sums come from np.add.reduceat, which is not bit-equal to ndarray.sum()
+    or to Python's sum, so it is checked against math.fsum within a bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(traces_and_cuts(2))
+    def test_each_window_is_its_samples_held_for_one_period(self, case):
+        trace, (begin, end) = case
+        assume(begin < end)
+        got = window_energies(trace, Windows([begin], [end]))
+        shunt, rate = trace.shunt, trace.rate_hz
+        exact = math.fsum(trace.vs[begin:end].tolist()) * shunt.vf / shunt.rs / rate
+        assert got.dtype == np.float64 and got.shape == (1,)
+        assert abs(got[0] - exact) <= hold_bound(trace, begin, end)
+
+    @settings(max_examples=300, deadline=None)
+    @given(traces_and_cuts(3))
+    def test_adjacent_windows_add_up(self, case):
+        trace, (a, b, c) = case
+        assume(a < b < c)
+        parts = window_energies(trace, Windows([a, b], [b, c]))
+        whole = window_energies(trace, Windows([a], [c]))[0]
+        assert abs(parts[0] + parts[1] - whole) <= hold_bound(trace, a, c)
+
+    def test_each_window_alone_gives_it(self):
         trace = trace_of(np.sin(np.arange(200) / 7.0), 1_000.0)
-        windows = Windows([0, 10, 10, 150], [2, 61, 200, 151 + 40])
-        joules = integrate_windows(trace, windows)
-        assert joules.dtype == np.float64
-        assert joules.tolist() == [integrate_energy(trace, w).joules for w in windows]
+        windows = Windows([0, 2, 10, 61, 150, 199], [1, 3, 61, 100, 191, 200])
+        joules = window_energies(trace, windows)
+        assert joules.tolist() == [window_energies(trace, Windows([w.begin], [w.end]))[0] for w in windows]
+
+    def test_one_sample_window_holds_for_one_period(self):
+        trace = trace_of(np.array([0.0, 1.0, 0.0]), 1_000.0)  # 120 W at sample 1
+        assert window_energies(trace, Windows([1], [2])).tolist() == [0.12]
+
+    def test_windows_ending_at_the_trace_end(self):
+        trace = trace_of(np.arange(10, dtype=np.float64), 10.0)
+        joules = window_energies(trace, Windows([0, 9], [9, 10]))
+        assert joules.tolist() == [36.0 * 12.0 / 0.1 / 10.0, 9.0 * 12.0 / 0.1 / 10.0]
+        assert window_energies(trace, Windows([0], [10])).tolist() == [45.0 * 12.0 / 0.1 / 10.0]
 
     def test_no_windows_no_joules(self):
-        joules = integrate_windows(trace_of(np.zeros(10), 10.0), Windows([], []))
+        joules = window_energies(trace_of(np.zeros(10), 10.0), Windows([], []))
         assert joules.shape == (0,) and joules.dtype == np.float64
 
     def test_first_bad_window_in_order_is_reported(self):
         trace = trace_of(np.zeros(10), 10.0)
-        with pytest.raises(DegenerateWindowError, match=r"^window \[3, 4\) has fewer than 2 samples$"):
-            integrate_windows(trace, Windows([0, 3, 5], [2, 4, 11]))
         with pytest.raises(ValueError, match=r"^window \[5, 11\) exceeds trace length 10$"):
-            integrate_windows(trace, Windows([0, 5, 3], [2, 11, 4]))
+            window_energies(trace, Windows([0, 3, 5, 12], [2, 4, 11, 14]))
+
+    @pytest.mark.parametrize(
+        "begin, end",
+        [([3], [3]), ([4], [3]), ([0, 5], [6, 8]), ([5, 0], [6, 2]), ([-1], [2])],
+        ids=["empty", "reversed", "overlapping", "out-of-order", "negative"],
+    )
+    def test_windows_must_be_non_empty_disjoint_and_ordered(self, begin, end):
+        with pytest.raises(ValueError, match="^windows must be non-empty, disjoint and in begin order$"):
+            window_energies(trace_of(np.zeros(10), 10.0), Windows(begin, end))
 
 
 class TestIntegrateFull:

@@ -1,7 +1,6 @@
 import inspect
 import io
 import json
-import re
 import warnings
 from dataclasses import replace
 
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from chunking import chunk_rows
 
-from joulemark.energy import DegenerateWindowError, integrate_energy
+from joulemark.energy import window_energies
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import (
     HitMissReport,
@@ -33,6 +32,8 @@ from joulemark.simulate import (
     Scenario,
     SwitchingModel,
     WorkloadProfile,
+    instructions_to_duration,
+    repeated_toggle_scenario,
     simulate_session,
 )
 from joulemark.stats import summarize_campaign
@@ -71,6 +72,11 @@ def pair(t_on: float, t_off: float, port: int = 40):
 
 def as_windows(found: list[MeasurementWindow]) -> Windows:
     return Windows([w.begin for w in found], [w.end for w in found])
+
+
+def each_alone(trace: PowerTrace, windows: Windows) -> list[float]:
+    """Each window's energy from window_energies given that window alone."""
+    return [window_energies(trace, Windows([w.begin], [w.end]))[0] for w in windows]
 
 
 class TestSegmentRelay:
@@ -404,7 +410,7 @@ class TestAnalyze:
         report = analyze(trace, RELAY, params)
         windows = segment_relay(trace, params)
         assert len(windows) == 2 and report.windows == windows
-        assert report.joules.tolist() == [integrate_energy(trace, w).joules for w in windows]
+        assert report.joules.tolist() == each_alone(trace, windows)
         assert report.total_joules == sum(report.joules.tolist())
         assert written(report)["total_joules"] == report.total_joules
         assert (report.mode, report.params, report.warnings) == (RELAY, params, [])
@@ -414,7 +420,7 @@ class TestAnalyze:
         report = analyze(trace, TRIGGER)
         windows = segment_trigger(trace)
         assert report.windows == windows
-        assert report.joules.tolist() == [integrate_energy(trace, w).joules for w in windows]
+        assert report.joules.tolist() == each_alone(trace, windows)
 
     def test_truncated_window_is_a_report_warning(self):
         trig = np.zeros(400)
@@ -447,13 +453,20 @@ class TestAnalyze:
         trace = self.two_runs()
         results = written(analyze(trace, TRIGGER))["results"]
         assert [sorted(r["energy"]) for r in results] == [["begin_s", "end_s", "joules", "mean_watts"]] * 2
-        energy = integrate_energy(trace, MeasurementWindow(100, 300))
+        joules = window_energies(trace, Windows([100], [300]))[0]
         assert results[0] == {
             "window": {"begin_idx": 100, "end_idx": 300},
-            "energy": {
-                "begin_s": 0.005, "end_s": 0.015, "joules": energy.joules, "mean_watts": energy.mean_watts
-            },
+            "energy": {"begin_s": 0.005, "end_s": 0.015, "joules": joules, "mean_watts": joules / 0.01},
         }
+
+    def test_mean_watts_is_joules_over_duration(self):
+        # a constant 120 W for three samples at 1 kHz: 0.36 J over 3 ms
+        trig = np.zeros(10)
+        trig[4:7] = 1.8
+        trace = replace(trigger_trace(trig, 1_000.0), vs=np.full(10, power_to_shunt_volts(120.0, SHUNT)))
+        (result,) = written(analyze(trace, TRIGGER))["results"]
+        assert result["energy"]["joules"] == 0.36
+        assert result["energy"]["mean_watts"] == 120.0
 
     def test_reports_compare_by_content(self):
         trace = self.two_runs()
@@ -545,7 +558,7 @@ class TestArrayPath:
         st.sampled_from([20_000.0, 3.3, 44_100.0]),
         st.integers(0, 2**32 - 1),
     )
-    def test_analyze_joules_equal_integrate_energy_bit_for_bit(self, mask, mode, min_window, rate, seed):
+    def test_analyze_joules_equal_window_energies_bit_for_bit(self, mask, mode, min_window, rate, seed):
         vs = np.random.default_rng(seed).uniform(-0.01, 0.2, len(mask))
         if mode == RELAY:
             trace = PowerTrace(rate_hz=rate, vs=np.where(mask, vs, 0.0), shunt=SHUNT)
@@ -555,23 +568,19 @@ class TestArrayPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TraceTruncationWarning)
             windows = (segment_relay if mode == RELAY else segment_trigger)(trace, params)
-        try:
-            expected = [integrate_energy(trace, w).joules for w in windows]
-        except DegenerateWindowError as exc:
-            with pytest.raises(DegenerateWindowError, match=f"^{re.escape(str(exc))}$"):
-                analyze(trace, mode, params)
-            return
         report = analyze(trace, mode, params)
         assert report.windows == windows
-        assert report.joules.tolist() == expected
+        assert report.joules.tolist() == each_alone(trace, windows)
 
-    def test_one_sample_window_still_raises(self):
-        trig = np.zeros(20)
-        trig[5] = 1.8
-        with pytest.raises(
-            DegenerateWindowError, match=r"^window \[5, 6\) has fewer than 2 samples$"
-        ):
-            analyze(trigger_trace(trig), TRIGGER)
+    def test_one_sample_window_is_measured(self):
+        # 25K instructions per toggle, the shortest trigger sweep of demo 03:
+        # its first recovered window, [40, 41), holds a single sample
+        scenario = repeated_toggle_scenario(instructions_to_duration(25_000), 10, TRIGGER, seed=25_000)
+        trace, _ = simulate_session(scenario)
+        report = analyze(trace, TRIGGER)
+        assert len(report.windows) == 6
+        assert report.windows.begin[0] == 40 and report.windows.end[0] == 41
+        assert report.joules[0] == pytest.approx(12.0 / 20_000.0, rel=1e-12)
 
 
 class TestWindowsCsv:

@@ -231,6 +231,53 @@ class TestWorkloadShapes:
         assert profile.integral(1.0, 2.0) == 0.0
         assert profile.integral(0.5, 2.5) == pytest.approx(5.0 + 0.5, rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cuts=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=8, unique=True),
+        kinds=st.lists(st.sampled_from(["constant", "ramp", "spiky"]), min_size=4, max_size=4),
+        spans=st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 12.0)), max_size=20),
+    )
+    def test_profile_integral_over_arrays_is_the_scalar_loop(self, cuts, kinds, spans):
+        # oracle: the profile integral one pair at a time in Python floats,
+        # with math.sin, bit for bit
+        shapes = {
+            "constant": ConstantPower(9.0),
+            "ramp": RampPower(5.0, 15.0),
+            "spiky": SpikyPower(base_w=6.0, peak_w=15.0, period_s=0.037),
+        }
+        cuts = sorted(cuts)
+        profile = WorkloadProfile(tuple(
+            WorkloadSegment(lo, hi, shapes[kinds[i % 4]])
+            for i, (lo, hi) in enumerate(zip(cuts[::2], cuts[1::2]))
+        ))
+
+        def shape_integral(shape, a, b, duration):
+            if not isinstance(shape, SpikyPower):
+                return shape.integral(a, b, duration)
+            amp, T = shape.peak_w - shape.base_w, shape.period_s
+            osc = (b - a) / 2.0 - (T / (4.0 * math.pi)) * (
+                math.sin(2.0 * math.pi * b / T) - math.sin(2.0 * math.pi * a / T)
+            )
+            return shape.base_w * (b - a) + amp * osc
+
+        def one_pair(a, b):
+            total = 0.0
+            for seg in profile.segments:
+                lo, hi = max(a, seg.start_s), min(b, seg.end_s)
+                if hi > lo:
+                    total += shape_integral(seg.shape, lo - seg.start_s, hi - seg.start_s, seg.end_s - seg.start_s)
+            return total
+
+        a, b = (np.array([sorted(pair)[i] for pair in spans], dtype=np.float64) for i in (0, 1))
+        got = profile.integral(a, b)
+        assert got.dtype == np.float64 and got.shape == a.shape
+        assert got.tolist() == [one_pair(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+    def test_profile_integral_names_the_first_reversed_pair(self):
+        profile = WorkloadProfile.constant(1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^need a <= b, got \[0\.5, 0\.25\]$"):
+            profile.integral(np.array([0.0, 0.5, 0.9]), np.array([0.1, 0.25, 0.5]))
+
     def test_profile_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
             WorkloadProfile(
