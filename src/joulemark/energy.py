@@ -26,7 +26,8 @@ class DegenerateWindowError(ValueError):
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """Energy of one measurement window plus its summary quantities."""
+    """Energy of one measurement window; ``duration_s`` is the span the
+    trapezoid integrates, end - begin - 1 periods, ``mean_watts`` its mean."""
 
     joules: float
     mean_watts: float
@@ -59,7 +60,7 @@ def integrate_energy(trace: PowerTrace, window: MeasurementWindow) -> EnergyResu
         raise DegenerateWindowError(f"window [{window.begin}, {window.end}) has fewer than 2 samples")
     dt, scale = 1.0 / trace.rate_hz, trace.shunt.vf / trace.shunt.rs
     joules = scale * float(np.trapezoid(trace.vs[window.begin : window.end], dx=dt))
-    duration = window.duration_s(trace.rate_hz)
+    duration = (len(window) - 1) / trace.rate_hz
     return EnergyResult(joules, joules / duration, duration, window)
 
 

@@ -5,19 +5,19 @@ trace the acquisition device would have captured under either measurement
 circuit, together with per-toggle ground truth: the realized sample window
 (or a miss), and the analytic energy of the commanded interval.
 
-Two circuits are modeled.  The relay circuit connects the meter probes
-across the shunt only while a measurement is active, so the trace shows
-the true shunt voltage inside realized windows and idle noise elsewhere;
-actuating the relay costs a fixed latency, and events shorter than the
-relay's full-confidence duration are captured only probabilistically.  The
-trigger circuit samples the shunt continuously on one channel and the GPIO
-logic level on a second channel, halving the per-channel rate but
-responding with no actuation delay.
+Two circuits are modeled, and both follow one boolean ``live`` mask of the
+samples inside realized windows.  The relay circuit connects the meter
+probes across the shunt only while a measurement is active, so the trace
+shows the true shunt voltage where ``live`` is set and idle noise
+elsewhere; actuating the relay costs a fixed latency.  The trigger circuit
+samples the shunt continuously on one channel and the GPIO logic level,
+high where ``live`` is set, on a second channel, halving the per-channel
+rate but responding with no actuation delay.
 
 Whether a commanded toggle is captured at all is a Bernoulli draw with
-probability given by :func:`hit_probability`: a configurable floor for
-near-instant events, rising linearly to certainty at the switching model's
-full-confidence duration.
+probability given by :func:`hit_probability`, for every toggle pair at
+once: a configurable floor for near-instant events, rising linearly to
+certainty at the switching model's full-confidence duration.
 """
 
 from __future__ import annotations
@@ -95,6 +95,15 @@ RELAY_FULL_CONFIDENCE_S = (
 )
 
 
+def _finite(owner, *names: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first of ``owner``'s fields that is NaN or
+    infinite; NaN passes every range check, since each comparison is false."""
+    for name in names:
+        value = getattr(owner, name)
+        if not abs(value) <= sys.float_info.max:
+            raise error(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SwitchingModel:
     """Capture behavior of the measurement switch.
@@ -110,6 +119,7 @@ class SwitchingModel:
     floor_hit_prob: float = 0.3
 
     def __post_init__(self):
+        _finite(self, "nominal_latency_s", "full_confidence_s")
         if not 0.0 <= self.floor_hit_prob <= 1.0:
             raise ValueError(
                 f"floor hit probability must be in [0, 1], got {self.floor_hit_prob}"
@@ -142,18 +152,18 @@ class SwitchingModel:
         return cls.relay_default() if circuit == RELAY else cls.trigger_default()
 
 
-def hit_probability(event_duration_s: float, model: SwitchingModel) -> float:
-    """Probability that a toggle of the given duration is captured.
+def hit_probability(event_duration_s, model: SwitchingModel):
+    """Probability that a toggle of the given duration is captured: a float,
+    or a float64 array for an array of durations.
 
     Deterministic; randomness is applied only inside simulate_session.
     """
-    if event_duration_s < 0:
-        raise ValueError(f"event duration must be >= 0, got {event_duration_s}")
-    if event_duration_s >= model.full_confidence_s:
-        return 1.0
-    return model.floor_hit_prob + (1.0 - model.floor_hit_prob) * (
-        event_duration_s / model.full_confidence_s
-    )
+    d = np.asarray(event_duration_s, dtype=np.float64)
+    for k in np.flatnonzero(d < 0)[:1].tolist():
+        raise ValueError(f"event duration must be >= 0, got {d.flat[k].item()}")
+    floor = model.floor_hit_prob
+    p = np.where(d >= model.full_confidence_s, 1.0, floor + (1.0 - floor) * (d / model.full_confidence_s))
+    return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)
@@ -163,6 +173,7 @@ class NoiseModel:
     idle_power_bound_w: float = 0.001
 
     def __post_init__(self):
+        _finite(self, "idle_power_bound_w")
         if self.idle_power_bound_w < 0:
             raise ValueError(
                 f"noise bound must be >= 0, got {self.idle_power_bound_w}"
@@ -188,6 +199,7 @@ class ConstantPower:
     watts: float
 
     def __post_init__(self):
+        _finite(self, "watts")
         if self.watts < 0:
             raise ValueError(f"power must be >= 0, got {self.watts}")
 
@@ -206,6 +218,7 @@ class RampPower:
     w1: float
 
     def __post_init__(self):
+        _finite(self, "w0", "w1")
         if self.w0 < 0 or self.w1 < 0:
             raise ValueError(f"power must be >= 0, got ({self.w0}, {self.w1})")
 
@@ -233,6 +246,7 @@ class SpikyPower:
     period_s: float
 
     def __post_init__(self):
+        _finite(self, "base_w", "peak_w", "period_s")
         if not 0 <= self.base_w <= self.peak_w:
             raise ValueError(
                 f"need 0 <= base <= peak, got ({self.base_w}, {self.peak_w})"
@@ -263,6 +277,7 @@ class WorkloadSegment:
     shape: PowerShape
 
     def __post_init__(self):
+        _finite(self, "start_s", "end_s")
         if not self.end_s > self.start_s >= 0:
             raise ValueError(
                 f"segment must satisfy 0 <= start < end, "
@@ -343,6 +358,7 @@ class Scenario:
             raise ScenarioError(
                 f"circuit must be one of {_CIRCUITS}, got {self.circuit!r}"
             )
+        _finite(self, "duration_s", "aggregate_rate_hz", "logic_high_v", error=ScenarioError)
         if self.switching is None:
             object.__setattr__(
                 self, "switching", SwitchingModel.for_circuit(self.circuit)
@@ -375,11 +391,12 @@ class Scenario:
             raise ScenarioError(
                 f"aggregate rate must be positive, got {self.aggregate_rate_hz}"
             )
-        for i in np.flatnonzero((self.gpio.t_s < 0.0) | (self.gpio.t_s > self.duration_s))[:1].tolist():
-            cmd = self.gpio.entries[i]
+        gpio = self.gpio
+        for i in np.flatnonzero((gpio.t_s < 0.0) | (gpio.t_s > self.duration_s))[:1].tolist():
+            action = DEACTIVATE if gpio.deactivate[i] else ACTIVATE
             raise ScenarioError(
-                f"gpio entry {i} ({cmd.action} port {cmd.port} at "
-                f"t={cmd.t_s}s) lies outside [0, {self.duration_s}]s"
+                f"gpio entry {i} ({action} port {gpio.port[i].item()} at "
+                f"t={gpio.t_s[i].item()}s) lies outside [0, {self.duration_s}]s"
             )
         t_on, t_off, port = self.gpio.windows()
         overlaps = np.flatnonzero(t_on[1:] < t_off[:-1])
@@ -477,8 +494,7 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
         )
     rng = np.random.default_rng(scenario.seed)
     t_on, t_off, port = scenario.gpio.windows()
-    p_hit = [hit_probability(d, scenario.switching) for d in (t_off - t_on).tolist()]
-    hit = rng.random(len(t_on)) < p_hit
+    hit = rng.random(len(t_on)) < hit_probability(t_off - t_on, scenario.switching)
     latency = scenario.switching.nominal_latency_s
     begin = index_at_or_after(t_on + latency, rate)
     end = np.minimum(index_at_or_after(t_off + latency, rate), n)
@@ -487,28 +503,23 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
         rate, scenario.seed, port, t_on, t_off, hit, np.where(realized, begin, -1),
         np.where(realized, end, -1), scenario.workload.integral(t_on, t_off),
     )
-    realized_windows = list(zip(begin[realized].tolist(), end[realized].tolist()))
-    if scenario.circuit == RELAY:
-        # idle: probes read the same node, so only noise reaches the DAQ;
-        # inside realized windows they read the workload
-        vs = scenario.noise.draw_power(rng, n)
-        live = np.zeros(n, dtype=bool)
-        for b, e in realized_windows:
-            live[b:e] = True
-        trig = None
-    else:
-        vs = np.empty(n)
-        live = None
-        trig = np.zeros(n)
-        for b, e in realized_windows:
-            trig[b:e] = scenario.logic_high_v
+    # the realized windows are disjoint and in order, since validate rejects
+    # overlapping commanded windows and index_at_or_after is monotone: their
+    # interleaved edges cut the session into idle and live runs
+    edges = np.concatenate(([0], np.column_stack((begin, end))[realized].ravel(), [n]))
+    live = np.repeat(np.arange(len(edges) - 1) % 2 == 1, np.diff(edges))
+    relay = scenario.circuit == RELAY
+    # an idle relay's probes read one node, so only noise reaches the DAQ; the
+    # trigger circuit reads the workload throughout and flags live samples
+    vs = scenario.noise.draw_power(rng, n) if relay else np.empty(n)
+    trig = None if relay else np.where(live, scenario.logic_high_v, 0.0)
     # watts where the DAQ reads the workload, block by block, then the whole
     # block converted to shunt volts in place, in power_to_shunt_volts order
     shunt = scenario.shunt
     for start, stop in row_blocks(n):
         block = vs[start:stop]
         t = np.arange(start, stop) / rate
-        read = slice(None) if live is None else live[start:stop]
+        read = live[start:stop] if relay else slice(None)
         block[read] = scenario.workload.power_at(t[read])
         block *= shunt.rs
         block /= shunt.vf

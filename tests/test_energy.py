@@ -57,10 +57,15 @@ class TestIntegrateEnergy:
     def test_duration_and_mean_power_are_consistent(self):
         trace = trace_of(np.full(101, 0.1), 100.0)
         result = integrate_energy(trace, MeasurementWindow(10, 61))
-        assert result.duration_s == pytest.approx(51 / 100.0, rel=1e-12)
+        assert result.duration_s == pytest.approx(50 / 100.0, rel=1e-12)
         assert result.mean_watts * result.duration_s == pytest.approx(
             result.joules, rel=1e-12
         )
+
+    def test_mean_power_of_a_constant_window_is_its_power(self):
+        result = integrate_energy(trace_of(np.ones(3), 1_000.0), MeasurementWindow(0, 3))  # 120 W
+        assert result.joules == pytest.approx(0.24, rel=1e-12)
+        assert result.mean_watts == pytest.approx(120.0, rel=1e-12)
 
     def test_explicit_shunt_overrides_trace_shunt(self):
         # an override is a trace with the other shunt, as CLI analyze builds it
@@ -84,10 +89,12 @@ def hold_bound(trace: PowerTrace, begin: int, end: int) -> float:
     rounded sum of its samples, scaled the same way: (end - begin) float
     additions' worth of the absolute sum, plus two for the roundings of the
     scaling on either side, without which a two-sample window split in two
-    can miss the bound."""
+    can miss the bound.  Each rounding may also be off by the smallest
+    subnormal, the absolute term of the rounding model, without which
+    subnormal samples, whose relative term underflows to 0, miss it."""
     shunt, rate = trace.shunt, trace.rate_hz
     abs_sum = math.fsum(np.abs(trace.vs[begin:end]).tolist())
-    return (end - begin + 2) * 2.0**-52 * abs_sum * shunt.vf / shunt.rs / rate
+    return (end - begin + 2) * (2.0**-52 * abs_sum * shunt.vf / shunt.rs / rate + 2.0**-1074)
 
 
 @st.composite

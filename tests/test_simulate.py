@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chunking import chunk_rows
 
+from joulemark import simulate
 from joulemark.acquisition import channel_rate
 from joulemark.energy import integrate_energy
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
@@ -155,6 +156,30 @@ class TestHitProbability:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             hit_probability(-1e-3, SwitchingModel.relay_default())
+        with pytest.raises(ValueError, match=r"^event duration must be >= 0, got -0\.002$"):
+            hit_probability(np.array([0.5, -2e-3, -1.0]), SwitchingModel.relay_default())
+
+    def test_scalar_gives_a_float_and_an_array_gives_an_array(self):
+        model = SwitchingModel.relay_default()
+        assert type(hit_probability(1e-4, model)) is float
+        assert type(hit_probability(np.float64(1.0), model)) is float
+        p = hit_probability(np.array([0.0, 1e-4, 1.0]), model)
+        assert p.dtype == np.float64 and p.shape == (3,)
+        assert hit_probability(np.array([]), model).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(SwitchingModel, full_confidence_s=st.floats(1e-6, 1.0), floor_hit_prob=st.floats(0.0, 1.0)),
+        st.lists(st.floats(0.0, 2.0), max_size=8),
+        st.lists(st.sampled_from([-1, 0, 1]), max_size=4),
+    )
+    def test_array_is_the_scalar_map_bit_for_bit(self, model, fractions, steps):
+        """Durations anywhere, and one float step below, at and above the
+        full-confidence duration."""
+        fc = model.full_confidence_s
+        durations = [f * fc for f in fractions] + [np.nextafter(fc, fc + step).item() for step in steps]
+        got = hit_probability(np.array(durations), model)
+        assert got.tobytes() == np.array([hit_probability(d, model) for d in durations]).tobytes()
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -299,10 +324,18 @@ class TestWorkloadShapes:
 
 
 class TestScenarioValidation:
-    def test_gpio_outside_duration_names_entry(self):
-        scenario = one_window_scenario(TRIGGER, gpio=GpioCommandLog(pair(1.0, 4.0)))
-        with pytest.raises(ScenarioError, match="entry 1"):
+    def test_gpio_outside_duration_names_entry(self, monkeypatch):
+        gpio = GpioCommandLog(pair(0.1, 0.2) + pair(0.25, 3.5, port=43))
+        scenario = one_window_scenario(TRIGGER, gpio=gpio)
+
+        def no_entries(log):
+            raise AssertionError("GpioCommand objects built")
+
+        # named from the log's columns
+        monkeypatch.setattr(GpioCommandLog, "entries", property(no_entries))
+        with pytest.raises(ScenarioError) as raised:
             scenario.validate()
+        assert str(raised.value) == "gpio entry 3 (deactivate port 43 at t=3.5s) lies outside [0, 3.0]s"
 
     def test_overlapping_windows_across_ports_rejected(self):
         gpio = GpioCommandLog(
@@ -353,6 +386,34 @@ class TestScenarioConstruction:
         config = Scenario(duration_s=1.0, circuit=circuit).config
         assert config.channels == channels
         assert channel_rate(config) == rate
+
+
+# each float field a constructor checks for finiteness, the value built with
+# a bad number there, and the error it raises
+FINITE_FIELDS = [
+    ("nominal_latency_s", lambda v: SwitchingModel(nominal_latency_s=v), ValueError),
+    ("full_confidence_s", lambda v: SwitchingModel(full_confidence_s=v), ValueError),
+    ("idle_power_bound_w", lambda v: NoiseModel(idle_power_bound_w=v), ValueError),
+    ("watts", lambda v: ConstantPower(v), ValueError),
+    ("w0", lambda v: RampPower(v, 1.0), ValueError),
+    ("w1", lambda v: RampPower(1.0, v), ValueError),
+    ("base_w", lambda v: SpikyPower(v, 2.0, 0.1), ValueError),
+    ("peak_w", lambda v: SpikyPower(1.0, v, 0.1), ValueError),
+    ("period_s", lambda v: SpikyPower(1.0, 2.0, v), ValueError),
+    ("start_s", lambda v: WorkloadSegment(v, 2.0, ConstantPower(1.0)), ValueError),
+    ("end_s", lambda v: WorkloadSegment(0.0, v, ConstantPower(1.0)), ValueError),
+    ("duration_s", lambda v: Scenario(duration_s=v, circuit=RELAY), ScenarioError),
+    ("aggregate_rate_hz", lambda v: Scenario(duration_s=1.0, circuit=TRIGGER, aggregate_rate_hz=v), ScenarioError),
+    ("logic_high_v", lambda v: Scenario(duration_s=1.0, circuit=TRIGGER, logic_high_v=v), ScenarioError),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize("name,build,error", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
+def test_non_finite_number_is_rejected_by_its_constructor(name, build, error, value):
+    with pytest.raises(error) as info:
+        build(value)
+    assert str(info.value) == f"{name} must be finite, got {value}"
 
 
 class TestSimulateTrigger:
@@ -531,6 +592,19 @@ class TestSimulateProperties:
         assert noise.integral_standard_error(rate, n) == pytest.approx(
             empirical, rel=0.15
         )
+
+    @pytest.mark.parametrize("circuit", [RELAY, TRIGGER])
+    def test_capture_probabilities_are_computed_once_per_session(self, circuit, monkeypatch):
+        calls = []
+
+        def counted(durations, model):
+            calls.append(np.shape(durations))
+            return hit_probability(durations, model)
+
+        monkeypatch.setattr(simulate, "hit_probability", counted)
+        scenario = repeated_toggle_scenario(2e-4, 5, circuit, seed=3)
+        simulate_session(scenario)
+        assert calls == [(5,)]
 
     def test_hit_rate_converges_to_model_probability(self):
         model = SwitchingModel.relay_default()
