@@ -50,7 +50,6 @@ from .segment import (
     match_toggles,
     segment_relay,
     segment_trigger,
-    write_windows_csv,
 )
 from .simulate import (
     RELAY,

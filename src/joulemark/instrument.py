@@ -100,15 +100,10 @@ class GpioCommandLog:
             object.__setattr__(self, name, column)
 
     @classmethod
-    def _of_columns(cls, t_s, port, actions) -> "GpioCommandLog | None":
-        """The log of columns of numbers, ints and strings, or None if they hold an invalid command."""
+    def _of_columns(cls, t_s, port, deactivate) -> "GpioCommandLog":
+        """The log of columns of checked times, ports and deactivate flags."""
         log = object.__new__(cls)
-        try:
-            log._hold(t_s, port, list(map(DEACTIVATE.__eq__, actions)))
-        except OverflowError:  # a port beyond 64 bits, or a time beyond floats
-            return None
-        if set(actions) - set(_ACTIONS) or not np.all(np.isfinite(log.t_s) & (log.t_s >= 0)):
-            return None
+        log._hold(t_s, port, deactivate)
         return log
 
     def __eq__(self, other) -> bool:
@@ -185,42 +180,29 @@ class GpioCommandLog:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "GpioCommandLog":
-        """Read a command-log CSV in bulk, or line by line where a line is in error."""
+        """Read a command-log CSV in one pass; a line in error raises,
+        naming its line."""
         header, _, body = Path(path).read_text().partition("\n")
         if header != "t_s,port,action":
             raise ValueError(f"unrecognized command-log header: {header!r}")
-        lines = body.split("\n")
-        log = _csv_log(lines)
-        return cls(_csv_commands(lines)) if log is None else log
-
-
-def _csv_commands(lines: list[str]) -> list[GpioCommand]:
-    """Parse command-log data lines, from line 2 on, one by one: the reference for every line error."""
-    entries: list[GpioCommand] = []
-    for lineno, raw in enumerate(lines, start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 columns")
-        try:
-            entries.append(GpioCommand(float(parts[0]), int(parts[1]), parts[2]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return entries
-
-
-def _csv_log(lines: list[str]) -> GpioCommandLog | None:
-    """Parse command-log data lines as columns; None if a line is in error, for _csv_commands to name."""
-    rows = [text.split(",") for text in map(str.strip, lines) if text]
-    if set(map(len, rows)) - {3}:
-        return None
-    t_s, port, actions = zip(*rows) if rows else ((), (), ())
-    try:
-        return GpioCommandLog._of_columns(list(map(float, t_s)), list(map(int, port)), actions)
-    except ValueError:
-        return None
+        t_s, port, deactivate = [], [], []
+        for lineno, raw in enumerate(body.split("\n"), start=2):
+            text = raw.strip()
+            if not text:
+                continue
+            parts = text.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: expected 3 columns")
+            try:
+                t, p, action = float(parts[0]), int(parts[1]), parts[2]
+                if not (0 <= t < math.inf and -(2**63) <= p < 2**63 and action in _ACTIONS):
+                    GpioCommand(t, p, action)  # raises the command's own error
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            t_s.append(t)
+            port.append(p)
+            deactivate.append(action == DEACTIVATE)
+        return cls._of_columns(t_s, port, deactivate)
 
 
 # --- GPIO backends ----------------------------------------------------------

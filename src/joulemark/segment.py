@@ -15,7 +15,6 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
-from pathlib import Path
 from typing import TextIO
 
 import numpy as np
@@ -26,7 +25,7 @@ from .jsonio import LEAF, Records
 from .simulate import RELAY, TRIGGER
 from .stats import CampaignSummary
 from .trace import (
-    MeasurementWindow, PowerTrace, ShuntConfig, Windows, fields_equal, row_blocks, sample_to_power
+    PowerTrace, ShuntConfig, Windows, fields_equal, row_blocks, sample_to_power
 )
 
 
@@ -310,15 +309,3 @@ def analyze(
         )
     return report
 
-
-def write_windows_csv(
-    windows: Windows | list[MeasurementWindow], rate_hz: float, path: str | Path
-) -> None:
-    """Serialize windows as `begin_idx,end_idx,begin_s,end_s` rows."""
-    path = Path(path)
-    with path.open("w", newline="\n") as f:
-        f.write("begin_idx,end_idx,begin_s,end_s\n")
-        for w in windows:
-            f.write(
-                f"{w.begin},{w.end},{w.begin / rate_hz!r},{w.end / rate_hz!r}\n"
-            )

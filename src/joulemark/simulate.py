@@ -39,6 +39,7 @@ from .instrument import (
     DanglingWindowError,
     GpioCommand,
     GpioCommandLog,
+    _ACTIONS,
 )
 from .jsonio import LEAF, Records, save_json
 from .trace import (
@@ -182,13 +183,6 @@ class NoiseModel:
     def draw_power(self, rng: np.random.Generator, n: int) -> np.ndarray:
         b = self.idle_power_bound_w
         return rng.uniform(-b, b, size=n)
-
-    def integral_standard_error(self, rate_hz: float, n_samples: int) -> float:
-        """Analytic standard error of the trapezoidal integral of n noise samples."""
-        dt = 1.0 / rate_hz
-        sigma = self.idle_power_bound_w / math.sqrt(3.0)
-        # endpoint samples carry weight dt/2, interior samples weight dt
-        return dt * sigma * math.sqrt(max(n_samples - 1.5, 0.0))
 
 
 # --- workload profiles ------------------------------------------------------
@@ -649,26 +643,29 @@ def _segment(obj, path: str) -> WorkloadSegment:
 
 
 def _command(obj, path: str) -> GpioCommand:
-    action = _choice(obj, "action", path, (ACTIVATE, DEACTIVATE))
+    action = _choice(obj, "action", path, _ACTIONS)
     return _read(GpioCommand, obj, path, action=action)
 
 
-def _gpio_log(items: list) -> GpioCommandLog | None:
-    """The gpio array read in bulk; None unless every command is an object of
-    exactly its three keys holding valid values, for _command to judge."""
-    keys = _COMMANDS[0].keys()
-    rows = [(c["t_s"], c["port"], c["action"]) for c in items if type(c) is dict and c.keys() == keys]
-    t_s, port, actions = zip(*rows) if rows else ((), (), ())
-    if len(rows) != len(items) or set(map(type, t_s)) - {int, float}:
-        return None
-    if set(map(type, port)) - {int} or set(map(type, actions)) - {str}:
-        return None
-    return GpioCommandLog._of_columns(t_s, port, actions)
-
-
 def _gpio(items: list, path: str) -> GpioCommandLog:
-    log = _gpio_log(items)
-    return GpioCommandLog(_command(c, f"{path}.gpio[{i}]") for i, c in enumerate(items)) if log is None else log
+    """The gpio array read in one pass: a command that is not an object of
+    exactly its three keys holding valid values goes to _command, which
+    raises its error or reads it."""
+    keys = _COMMANDS[0].keys()
+    t_s, port, deactivate = [], [], []
+    for i, c in enumerate(items):
+        if not (
+            type(c) is dict and c.keys() == keys
+            and type(t := c["t_s"]) in (float, int) and 0 <= t <= sys.float_info.max
+            and type(p := c["port"]) is int and -(2**63) <= p < 2**63
+            and (action := c["action"]) in _ACTIONS
+        ):
+            cmd = _command(c, f"{path}.gpio[{i}]")
+            t, p, action = cmd.t_s, cmd.port, cmd.action
+        t_s.append(t)
+        port.append(p)
+        deactivate.append(action == DEACTIVATE)
+    return GpioCommandLog._of_columns(t_s, port, deactivate)
 
 
 def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:

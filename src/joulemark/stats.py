@@ -120,6 +120,9 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
     """Mean, sample standard deviation (n-1 denominator) and margin of error.
 
     me = t_critical(n - 1, confidence) * sd / sqrt(n)
+
+    Raises ValueError where the mean, deviation, margin or variation is
+    beyond the float range, though every sample is finite.
     """
     values = [float(x) for x in samples]
     n = len(values)
@@ -129,14 +132,24 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
         )
     if not all(math.isfinite(x) for x in values):
         raise ValueError("campaign samples must be finite")
-    mean = math.fsum(values) / n
-    sd = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
-    me = t_critical(n - 1, confidence) * sd / math.sqrt(n)
+    try:
+        mean = math.fsum(values) / n
+        sd = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
+        me = t_critical(n - 1, confidence) * sd / math.sqrt(n)
+        variation = variation_pct(values) if mean != 0.0 else None
+        # a difference, product or quotient overflows to infinity
+        in_range = all(map(math.isfinite, (sd, me, variation or 0.0)))
+    except OverflowError:  # a sum or a square raises instead
+        in_range = False
+    if not in_range:
+        raise ValueError(
+            "campaign summary is beyond the float range: its mean, deviation, margin or variation overflows"
+        )
     return CampaignSummary(
         samples=tuple(values),
         mean_j=mean,
         sd_j=sd,
         me_j=me,
-        variation_pct=variation_pct(values) if mean != 0.0 else None,
+        variation_pct=variation,
         confidence=confidence,
     )

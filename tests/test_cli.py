@@ -462,6 +462,14 @@ class TestStatsCommand:
         for payload in (strict_json(capsys.readouterr().out), read_json(out)):
             assert payload["mean_j"] == 0.0 and payload["variation_pct"] is None
 
+    @pytest.mark.parametrize("values", ["1e200 1.5e200", "1e308 1.7e308"])
+    def test_summary_beyond_the_float_range_is_a_data_error(self, capsys, monkeypatch, values):
+        monkeypatch.setattr("sys.stdin", io.StringIO(values))
+        assert main(["stats", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: campaign summary is beyond the float range")
+
 
 class TestValidateCommand:
     def test_good_trace(self, tmp_path):

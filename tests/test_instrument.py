@@ -20,8 +20,6 @@ from joulemark.instrument import (
     RecordingBackend,
     StaleTokenError,
     UnknownPortError,
-    _csv_commands,
-    _csv_log,
 )
 
 
@@ -478,7 +476,7 @@ CSV_SPELLINGS = [
 @st.composite
 def command_csv_lines(draw):
     """Data lines of a command-log CSV, from line 2 on, as write_csv writes
-    them, with maybe one line respelt or given one defect."""
+    them, with maybe one or two lines respelt or given one defect each."""
     rows = draw(
         st.lists(
             st.tuples(
@@ -490,16 +488,34 @@ def command_csv_lines(draw):
         )
     )
     lines = [f"{t!r},{p},{a}" for t, p, a in rows]
-    if lines and draw(st.booleans()):
-        i = draw(st.integers(0, len(lines) - 1))
+    changed = draw(st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)) if lines else []
+    for i in changed:
         change = draw(st.sampled_from(CSV_SPELLINGS + list(CSV_DEFECTS.values())))
         lines[i] = change(*rows[i])
     return lines + [""]
 
 
-def read_outcome(read, lines):
+def csv_commands(lines: list[str]) -> list[GpioCommand]:
+    """Parse command-log data lines, from line 2 on, one by one: the
+    reference for every value read and every line error."""
+    entries: list[GpioCommand] = []
+    for lineno, raw in enumerate(lines, start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 3 columns")
+        try:
+            entries.append(GpioCommand(float(parts[0]), int(parts[1]), parts[2]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return entries
+
+
+def read_outcome(read):
     try:
-        log = read(lines)
+        log = read()
     except ValueError as exc:
         return str(exc)
     return tuple(column.dtype.str + column.tobytes().hex() for column in (log.t_s, log.port, log.deactivate))
@@ -512,13 +528,13 @@ def csv_path(tmp_path_factory):
 
 @settings(max_examples=500, deadline=None)
 @given(lines=command_csv_lines())
-def test_bulk_csv_reader_reads_what_the_line_reader_reads(lines, csv_path):
-    """Columns of the same bits, or the same error at the same line; the bulk
-    parse gives up exactly where the line reader raises."""
-    by_line = read_outcome(lambda lines: GpioCommandLog(_csv_commands(lines)), lines)
-    assert (_csv_log(lines) is None) == isinstance(by_line, str)
-    csv_path.write_text("t_s,port,action\n" + "\n".join(lines))
-    assert read_outcome(lambda _: GpioCommandLog.read_csv(csv_path), lines) == by_line
+def test_one_pass_csv_reader_reads_what_the_line_reader_reads(lines, csv_path):
+    """Columns of the same bits, or the same error at the same line, the
+    first in error."""
+    body = "\n".join(lines)
+    csv_path.write_text("t_s,port,action\n" + body)
+    by_line = read_outcome(lambda: GpioCommandLog(csv_commands(body.split("\n"))))
+    assert read_outcome(lambda: GpioCommandLog.read_csv(csv_path)) == by_line
 
 
 class TestConcurrency:

@@ -23,7 +23,6 @@ from joulemark.segment import (
     match_toggles,
     segment_relay,
     segment_trigger,
-    write_windows_csv,
 )
 from joulemark.simulate import (
     RELAY,
@@ -582,14 +581,3 @@ class TestArrayPath:
         assert report.windows.begin[0] == 40 and report.windows.end[0] == 41
         assert report.joules[0] == pytest.approx(12.0 / 20_000.0, rel=1e-12)
 
-
-class TestWindowsCsv:
-    def test_rows_carry_indices_and_seconds(self, tmp_path):
-        path = tmp_path / "w.csv"
-        write_windows_csv(
-            [MeasurementWindow(100, 300), MeasurementWindow(400, 500)], 20_000.0, path
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "begin_idx,end_idx,begin_s,end_s"
-        assert lines[1] == "100,300,0.005,0.015"
-        assert lines[2] == "400,500,0.02,0.025"

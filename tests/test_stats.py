@@ -99,6 +99,20 @@ class TestSummarizeCampaign:
         with pytest.raises(ValueError):
             summarize_campaign([1.0, math.nan])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [1e200, 1.5e200],  # a squared deviation overflows
+            [1e308, 1.7e308],  # the sum overflows
+            [-1.7e308, 1.7e308, 1.7e308],  # a deviation overflows
+            [0.0, 1e308],  # the margin overflows
+            [1e10, -1e10, 1e-300],  # the variation overflows
+        ],
+    )
+    def test_rejects_finite_samples_whose_summary_overflows(self, samples):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            summarize_campaign(samples)
+
     def test_margin_uses_t_over_sqrt_n(self):
         rng = np.random.default_rng(5)
         samples = rng.normal(100.0, 3.0, size=8).tolist()
