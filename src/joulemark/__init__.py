@@ -70,7 +70,6 @@ from .simulate import (
     repeated_toggle_scenario,
     save_scenario,
     simulate_session,
-    trigger_hit_threshold,
 )
 from .stats import (
     CampaignSummary,

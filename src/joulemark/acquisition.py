@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from . import trace as trace_module
 from .trace import PowerTrace, concat_traces, iter_trace_chunks
 
 DEFAULT_AGGREGATE_RATE_HZ = 40_000.0
@@ -75,7 +74,7 @@ def open_source(config: AcquisitionConfig) -> Iterator[PowerTrace]:
     if not isinstance(source, StreamSource):
         raise TypeError(f"unrecognized source: {source!r}")
     fileobj = source.fileobj if source.fileobj is not None else sys.stdin
-    blocks = _positioned(iter_trace_chunks(fileobj, trace_module.CHUNK_ROWS))
+    blocks = _positioned(iter_trace_chunks(fileobj))
     head = next(blocks)
     if head.channels != config.channels:
         raise ChannelMismatchError(

@@ -88,37 +88,23 @@ class ResolutionComparison:
     factor: int
 
 
-def compare_resolution(
-    hi_res: PowerTrace,
-    factor: int,
-    window: MeasurementWindow | None = None,
-) -> ResolutionComparison:
-    """Integrate a window at full rate and after decimation by `factor`.
+def compare_resolution(hi_res: PowerTrace, factor: int) -> ResolutionComparison:
+    """Integrate the whole trace at full rate and after decimation by `factor`.
 
     Models reading the same signal with a fast and a slow acquisition
-    device.  The window is given in hi-res sample indices and must land on
-    the decimation grid (begin and end-1 divisible by factor) so both
-    devices integrate the same time span.
+    device.  The trace's last sample must land on the decimation grid
+    (length - 1 divisible by factor) so both devices integrate the same
+    time span; a one-sample trace has no span and is a DegenerateWindowError.
     """
     if factor < 2:
         raise ValueError(f"decimation factor must be >= 2, got {factor}")
-    if window is None:
-        window = MeasurementWindow(0, len(hi_res))
-    if window.begin % factor != 0 or (window.end - 1) % factor != 0:
+    if (len(hi_res) - 1) % factor != 0:
         raise ValueError(
-            f"window [{window.begin}, {window.end}) is not aligned to the "
-            f"decimation grid of factor {factor}"
+            f"trace of {len(hi_res)} samples is not aligned to the decimation "
+            f"grid of factor {factor}"
         )
-    lo_window = MeasurementWindow(
-        window.begin // factor, (window.end - 1) // factor + 1
-    )
-    if len(lo_window) < 2:
-        raise DegenerateWindowError(
-            f"window collapses to {len(lo_window)} sample(s) after decimation"
-        )
-    lo_res = downsample(hi_res, factor)
-    e_hi = integrate_energy(hi_res, window).joules
-    e_lo = integrate_energy(lo_res, lo_window).joules
+    e_hi = integrate_full(hi_res).joules
+    e_lo = integrate_full(downsample(hi_res, factor)).joules
     if e_hi == 0.0:
         rel = 0.0 if e_lo == 0.0 else float("inf")
     else:

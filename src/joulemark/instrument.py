@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -57,8 +58,9 @@ class DanglingWindowError(RuntimeError):
 
 @dataclass(frozen=True)
 class GpioCommand:
-    """One logged toggle: seconds since session start (held as a float),
-    pin (an integer, never a bool, held as an int) and action."""
+    """One logged toggle: seconds since session start (a number, never a
+    bool, held as a float), pin (an integer, never a bool, held as an int)
+    and action."""
 
     t_s: float
     port: int
@@ -67,7 +69,9 @@ class GpioCommand:
     def __post_init__(self):
         if self.action not in _ACTIONS:
             raise ValueError(f"action must be one of {_ACTIONS}, got {self.action!r}")
-        if not (math.isfinite(self.t_s) and self.t_s >= 0):
+        if isinstance(self.t_s, bool) or not isinstance(self.t_s, numbers.Real):
+            raise ValueError(f"command time must be a number, got {self.t_s!r}")
+        if not 0 <= self.t_s <= sys.float_info.max:
             raise ValueError(f"command time must be finite and >= 0, got {self.t_s}")
         if type(self.t_s) is not float:
             object.__setattr__(self, "t_s", float(self.t_s))

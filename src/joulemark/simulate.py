@@ -68,31 +68,17 @@ class ScenarioError(ValueError):
     pass
 
 
-def instructions_to_duration(
-    iterations: float,
-    instr_per_iter: float = INSTRUCTIONS_PER_LOOP_ITERATION,
-    clock_hz: float = DEFAULT_CLOCK_HZ,
-) -> float:
+def instructions_to_duration(iterations: float) -> float:
     """Wall time of a counted loop, assuming one instruction per cycle."""
-    if not clock_hz > 0:
-        raise ValueError(f"clock must be positive, got {clock_hz}")
-    return iterations * instr_per_iter / clock_hz
-
-
-def trigger_hit_threshold(
-    instructions: float = TRIGGER_FULL_CONFIDENCE_INSTRUCTIONS,
-    clock_hz: float = DEFAULT_CLOCK_HZ,
-) -> float:
-    """Event duration above which the trigger circuit never misses."""
-    if instructions < 0:
-        raise ValueError(f"instruction count must be >= 0, got {instructions}")
-    if not clock_hz > 0:
-        raise ValueError(f"clock must be positive, got {clock_hz}")
-    return instructions / clock_hz
+    return iterations * INSTRUCTIONS_PER_LOOP_ITERATION / DEFAULT_CLOCK_HZ
 
 
 RELAY_FULL_CONFIDENCE_S = (
     RELAY_FULL_CONFIDENCE_INSTRUCTIONS / DEFAULT_CLOCK_HZ
+)
+# Event duration above which the trigger circuit never misses.
+TRIGGER_FULL_CONFIDENCE_S = (
+    TRIGGER_FULL_CONFIDENCE_INSTRUCTIONS / DEFAULT_CLOCK_HZ
 )
 
 
@@ -144,7 +130,7 @@ class SwitchingModel:
         # of the trigger's full-confidence duration under the linear model.
         return cls(
             nominal_latency_s=0.0,
-            full_confidence_s=trigger_hit_threshold(),
+            full_confidence_s=TRIGGER_FULL_CONFIDENCE_S,
             floor_hit_prob=0.7,
         )
 
@@ -333,7 +319,9 @@ class WorkloadProfile:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated session.  ``switching=None`` takes the circuit's default
+    """One simulated session, checked in full when it is built: its GPIO log
+    pairs, its windows do not overlap, and its commands and workload lie
+    inside the session.  ``switching=None`` takes the circuit's default
     model; the channel layout follows from the circuit (see ``config``)."""
 
     duration_s: float
@@ -357,6 +345,41 @@ class Scenario:
             object.__setattr__(
                 self, "switching", SwitchingModel.for_circuit(self.circuit)
             )
+        if not self.duration_s > 0:
+            raise ScenarioError(f"duration must be positive, got {self.duration_s}")
+        if not self.aggregate_rate_hz > 0:
+            raise ScenarioError(
+                f"aggregate rate must be positive, got {self.aggregate_rate_hz}"
+            )
+        gpio = self.gpio
+        for i in np.flatnonzero((gpio.t_s < 0.0) | (gpio.t_s > self.duration_s))[:1].tolist():
+            action = DEACTIVATE if gpio.deactivate[i] else ACTIVATE
+            raise ScenarioError(
+                f"gpio entry {i} ({action} port {gpio.port[i].item()} at "
+                f"t={gpio.t_s[i].item()}s) lies outside [0, {self.duration_s}]s"
+            )
+        t_on, t_off, port = gpio.windows()
+        overlaps = np.flatnonzero(t_on[1:] < t_off[:-1])
+        if len(overlaps):
+            pair = slice(overlaps[0], overlaps[0] + 2)
+            (a_on, b_on), (a_off, b_off), (a_port, b_port) = (
+                t_on[pair].tolist(), t_off[pair].tolist(), port[pair].tolist()
+            )
+            raise ScenarioError(
+                f"measurement windows overlap: port {a_port} "
+                f"[{a_on}, {a_off}]s and port {b_port} [{b_on}, {b_off}]s "
+                f"(one circuit cannot serve overlapping windows)"
+            )
+        for seg in self.workload.segments:
+            if seg.end_s > self.duration_s:
+                raise ScenarioError(
+                    f"workload segment [{seg.start_s}, {seg.end_s}]s extends "
+                    f"past the {self.duration_s}s session"
+                )
+        if type(self.seed) is not int:
+            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def create(
@@ -377,41 +400,6 @@ class Scenario:
             aggregate_rate_hz=self.aggregate_rate_hz,
             channels=1 if self.circuit == RELAY else 2,
         )
-
-    def validate(self) -> None:
-        if not self.duration_s > 0:
-            raise ScenarioError(f"duration must be positive, got {self.duration_s}")
-        if not self.aggregate_rate_hz > 0:
-            raise ScenarioError(
-                f"aggregate rate must be positive, got {self.aggregate_rate_hz}"
-            )
-        gpio = self.gpio
-        for i in np.flatnonzero((gpio.t_s < 0.0) | (gpio.t_s > self.duration_s))[:1].tolist():
-            action = DEACTIVATE if gpio.deactivate[i] else ACTIVATE
-            raise ScenarioError(
-                f"gpio entry {i} ({action} port {gpio.port[i].item()} at "
-                f"t={gpio.t_s[i].item()}s) lies outside [0, {self.duration_s}]s"
-            )
-        t_on, t_off, port = self.gpio.windows()
-        overlaps = np.flatnonzero(t_on[1:] < t_off[:-1])
-        if len(overlaps):
-            pair = slice(overlaps[0], overlaps[0] + 2)
-            (a_on, b_on), (a_off, b_off), (a_port, b_port) = (
-                t_on[pair].tolist(), t_off[pair].tolist(), port[pair].tolist()
-            )
-            raise ScenarioError(
-                f"measurement windows overlap: port {a_port} "
-                f"[{a_on}, {a_off}]s and port {b_port} [{b_on}, {b_off}]s "
-                f"(one circuit cannot serve overlapping windows)"
-            )
-        for seg in self.workload.segments:
-            if seg.end_s > self.duration_s:
-                raise ScenarioError(
-                    f"workload segment [{seg.start_s}, {seg.end_s}]s extends "
-                    f"past the {self.duration_s}s session"
-                )
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
@@ -479,7 +467,6 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     order is fixed: one hit draw per toggle pair in time order, then the
     idle-noise array for relay sessions.
     """
-    scenario.validate()
     rate = channel_rate(scenario.config)
     n = int(round(scenario.duration_s * rate))
     if n < 1:
@@ -497,7 +484,7 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
         rate, scenario.seed, port, t_on, t_off, hit, np.where(realized, begin, -1),
         np.where(realized, end, -1), scenario.workload.integral(t_on, t_off),
     )
-    # the realized windows are disjoint and in order, since validate rejects
+    # the realized windows are disjoint and in order, since a Scenario rejects
     # overlapping commanded windows and index_at_or_after is monotone: their
     # interleaved edges cut the session into idle and live runs
     edges = np.concatenate(([0], np.column_stack((begin, end))[realized].ravel(), [n]))
@@ -527,16 +514,11 @@ def repeated_toggle_scenario(
     circuit: str,
     *,
     gap_s: float = 2e-3,
-    power_w: float = 12.0,
-    aggregate_rate_hz: float = 40_000.0,
-    port: int = 40,
-    switching: SwitchingModel | None = None,
-    noise: NoiseModel | None = None,
     seed: int = 0,
 ) -> Scenario:
-    """Scenario toggling one port `tries` times with equal event durations.
+    """Scenario toggling port 40 `tries` times with equal event durations.
 
-    Used for capture-rate experiments: a constant workload runs for the
+    Used for capture-rate experiments: a constant 12 W workload runs for the
     whole session and each activate/deactivate pair brackets an event of
     ``event_duration_s``.
     """
@@ -547,18 +529,15 @@ def repeated_toggle_scenario(
     cmds: list[GpioCommand] = []
     cursor = gap_s
     for _ in range(tries):
-        cmds.append(GpioCommand(cursor, port, ACTIVATE))
-        cmds.append(GpioCommand(cursor + event_duration_s, port, DEACTIVATE))
+        cmds.append(GpioCommand(cursor, 40, ACTIVATE))
+        cmds.append(GpioCommand(cursor + event_duration_s, 40, DEACTIVATE))
         cursor += event_duration_s + gap_s
     duration = cursor + gap_s
     return Scenario(
         duration_s=duration,
         circuit=circuit,
-        workload=WorkloadProfile.constant(power_w, 0.0, duration),
+        workload=WorkloadProfile.constant(12.0, 0.0, duration),
         gpio=GpioCommandLog(tuple(cmds)),
-        aggregate_rate_hz=aggregate_rate_hz,
-        switching=switching,
-        noise=NoiseModel() if noise is None else noise,
         seed=seed,
     )
 
@@ -577,8 +556,10 @@ _SCENARIO_DEFAULTS = {
 # what JSON must hold for a field of each numeric annotation, and how it is
 # stored; bool is never a number here
 _NUMBERS = {"float": ((int, float), "a number", float), "int": (int, "an integer", int)}
-# a dataclass's fields, looked up once per class rather than per JSON object
+# a dataclass's fields and their names, looked up once per class rather than
+# per JSON object
 _fields = functools.cache(fields)
+_names = functools.cache(lambda cls: frozenset(f.name for f in fields(cls)))
 
 
 def _build(cls, path: str, **values):
@@ -593,10 +574,14 @@ def _read(cls, obj, path: str, defaults: dict | None = None, **given):
 
     Fields in ``given`` are used as they are; each other field is read from
     ``obj`` and checked against its annotation, or taken from ``defaults``
-    when absent, or reported as missing.
+    when absent, or reported as missing.  A key that names no field is an
+    error, the first such key in ``obj``'s order.
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
+    for key in obj:
+        if key not in _names(cls):
+            raise ScenarioError(f"{path}.{key}: unknown field")
     values = {}
     for f in _fields(cls):
         if f.name in given:
@@ -639,7 +624,13 @@ def _array(obj: dict, key: str, path: str) -> list:
 
 def _segment(obj, path: str) -> WorkloadSegment:
     shape = _SHAPES[_choice(obj, "shape", path, tuple(_SHAPES))]
-    return _read(WorkloadSegment, obj, path, shape=_read(shape, obj, path))
+    # one object holds the segment's fields and its shape's: the shape reads
+    # every key that is not the segment's, so it names any unknown key
+    own = _names(WorkloadSegment)
+    return _read(
+        WorkloadSegment, {k: v for k, v in obj.items() if k in own}, path,
+        shape=_read(shape, {k: v for k, v in obj.items() if k not in own}, path),
+    )
 
 
 def _command(obj, path: str) -> GpioCommand:
@@ -675,8 +666,12 @@ def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
         for i, seg in enumerate(_array(obj, "workload", path))
     )
     gpio = _gpio(_array(obj, "gpio", path), path)
+    try:
+        gpio.windows()
+    except (AlternationError, DanglingWindowError) as exc:
+        raise ScenarioError(f"{path}.gpio: {exc}") from None
     switching, noise = obj.get("switching"), obj.get("noise")
-    scenario = _read(
+    return _read(
         Scenario, obj, path, _SCENARIO_DEFAULTS,
         circuit=circuit,
         shunt=_read(
@@ -690,13 +685,6 @@ def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
         ),
         noise=NoiseModel() if noise is None else _read(NoiseModel, noise, f"{path}.noise"),
     )
-    try:
-        scenario.validate()
-    except (AlternationError, DanglingWindowError) as exc:
-        raise ScenarioError(f"{path}.gpio: {exc}") from None
-    return scenario
-
-
 
 
 # a GPIO command's JSON record, one shape per action

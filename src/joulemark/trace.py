@@ -164,10 +164,6 @@ class PowerTrace:
     def __len__(self) -> int:
         return int(self.vs.shape[0])
 
-    def times_s(self) -> np.ndarray:
-        """Sample times in seconds, t_i = i / rate_hz."""
-        return np.arange(len(self)) / self.rate_hz
-
     def power_w(self) -> np.ndarray:
         """Instantaneous power per sample, in watts."""
         return sample_to_power(self.vs, self.shunt)
@@ -283,11 +279,11 @@ _HEADER_2CH = "t_s,vs_v,trig_v"
 
 # Rows per block of every blocked loop in the package: the CSV writers,
 # iter_trace_chunks for the readers, the simulator's workload and the relay
-# segmenter's power.  Each reads it from here at call time (row_blocks, or
-# read_trace_csv and the stream source), so patching it here resizes all of
-# them.  Blocks of 4096 to 262144 lines parse a 1.2M-row trace equally
-# fast; larger blocks hold more memory per block and, at 65536, raised the
-# peak RSS of repeated CLI runs.
+# segmenter's power.  Each reads it from here at call time (row_blocks or
+# iter_trace_chunks), so patching it here resizes all of them.  Blocks of
+# 4096 to 262144 lines parse a 1.2M-row trace equally fast; larger blocks
+# hold more memory per block and, at 65536, raised the peak RSS of repeated
+# CLI runs.
 CHUNK_ROWS = 16384
 
 
@@ -481,18 +477,17 @@ def _parse_block(
     return data
 
 
-def iter_trace_chunks(fileobj: Iterable[str], n: int) -> Iterator[PowerTrace]:
+def iter_trace_chunks(fileobj: Iterable[str]) -> Iterator[PowerTrace]:
     """Parse trace CSV text, yielding it as consecutive PowerTrace blocks.
 
     The first block is empty: it carries the preamble's rate and shunt and
     the header's channel layout, so that a trace without rows still
-    describes itself.  Each later block holds the rows of the next ``n``
-    lines (fewer than ``n`` samples where lines are blank).  Errors are
+    describes itself.  Each later block holds the rows of the next
+    CHUNK_ROWS lines (fewer samples where lines are blank).  Errors are
     :class:`TraceFormatError` with the file's line number.  Only one block
     of lines is held at a time.
     """
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    n = CHUNK_ROWS
     lines = iter(fileobj)
     head, lineno = _read_header(lines)
     yield head
@@ -524,4 +519,4 @@ def concat_traces(blocks: Sequence[PowerTrace]) -> PowerTrace:
 def read_trace_csv(path: str | Path) -> PowerTrace:
     """Parse a trace CSV, verifying the preamble, header and time grid."""
     with Path(path).open("r") as f:
-        return concat_traces(list(iter_trace_chunks(f, CHUNK_ROWS)))
+        return concat_traces(list(iter_trace_chunks(f)))

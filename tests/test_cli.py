@@ -102,6 +102,7 @@ class TestSimulateCommand:
         counted_pairs.__set_name__(GpioCommandLog, "_pairs")
         monkeypatch.setattr(GpioCommandLog, "_pairs", counted_pairs)
         scenario = write_scenario(tmp_path)
+        calls.clear()  # the helper's own Scenario paired its log when built
         code = main(
             ["simulate", str(scenario), "--out-trace", str(tmp_path / "o.csv"), "--out-truth", str(tmp_path / "t.json")]
         )

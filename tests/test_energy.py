@@ -272,12 +272,13 @@ class TestCompareResolution:
         trace = trace_of(np.zeros(101), 1_000.0)
         with pytest.raises(ValueError):
             compare_resolution(trace, 1)
+        # 101 samples span 100 periods, which a factor of 30 does not divide
         with pytest.raises(ValueError, match="aligned"):
-            compare_resolution(trace, 10, MeasurementWindow(3, 101))
+            compare_resolution(trace, 30)
 
     def test_rejects_window_that_collapses(self):
-        trace = trace_of(np.zeros(101), 1_000.0)
-        # an aligned window shorter than one decimation stride keeps only
-        # a single lo-res sample
+        # one sample is aligned to every grid, but spans no period at
+        # either rate
+        trace = trace_of(np.zeros(1), 1_000.0)
         with pytest.raises(DegenerateWindowError):
-            compare_resolution(trace, 100, MeasurementWindow(0, 1))
+            compare_resolution(trace, 100)

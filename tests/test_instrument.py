@@ -1,3 +1,4 @@
+import math
 import re
 import threading
 
@@ -440,6 +441,18 @@ class TestPortRule:
         log.write_csv(tmp_path / "gpio.csv")
         assert (tmp_path / "gpio.csv").read_text() == "t_s,port,action\n1.0,40,activate\n2.0,40,deactivate\n"
         assert [type(cmd.t_s) for cmd in log.entries] == [float, float]
+
+
+class TestTimeRule:
+    @pytest.mark.parametrize("t", [True, False, "0.5", None, [0.5]])
+    def test_a_time_that_is_not_a_number_is_rejected(self, t):
+        with pytest.raises(ValueError, match=rf"^command time must be a number, got {re.escape(repr(t))}$"):
+            GpioCommand(t, 40, ACTIVATE)
+
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, 10**400])
+    def test_a_negative_or_unbounded_time_is_rejected(self, t):
+        with pytest.raises(ValueError, match=rf"^command time must be finite and >= 0, got {re.escape(str(t))}$"):
+            GpioCommand(t, 40, ACTIVATE)
 
 
 # one defect each: a line of two or four columns, a port that int() rejects

@@ -4,7 +4,7 @@ import json
 import math
 import operator
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +22,7 @@ from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandL
 from joulemark.simulate import (
     RELAY,
     TRIGGER,
+    TRIGGER_FULL_CONFIDENCE_S,
     ConstantPower,
     GroundTruth,
     NoiseModel,
@@ -52,6 +53,7 @@ from joulemark.trace import (
 )
 
 GOLDEN_SCENARIO = Path(__file__).with_name("golden_scenario.json")
+README = Path(__file__).resolve().parent.parent / "README.md"
 MISSING = object()
 
 # JSON path, the keys that reach it in written_scenario(every_block_scenario()),
@@ -67,6 +69,18 @@ NON_FINITE_FIELDS = [
     ("$.gpio[1].t_s", ("gpio", 1, "t_s"), -math.inf),
     ("$.shunt.rs", ("shunt", "rs"), math.nan),
     ("$.aggregate_rate_hz", ("aggregate_rate_hz",), 10**400),
+]
+
+# a key that no field reads, in each kind of object, and the path naming it:
+# a misspelt optional field, a ramp's field on a constant segment, and a note
+# on a command
+UNKNOWN_FIELDS = [
+    ("$.aggregate_rate_Hz", ()),
+    ("$.shunt.r_s", ("shunt",)),
+    ("$.workload[0].w0", ("workload", 0)),
+    ("$.gpio[1].note", ("gpio", 1)),
+    ("$.switching.latency_s", ("switching",)),
+    ("$.noise.idle_bound", ("noise",)),
 ]
 
 MALFORMED_FIELDS = [
@@ -120,15 +134,11 @@ class TestTimingConversions:
         assert instructions_to_duration(0) == 0.0
 
     def test_trigger_hit_threshold_default(self):
-        from joulemark.simulate import trigger_hit_threshold
+        assert TRIGGER_FULL_CONFIDENCE_S == pytest.approx(9.782608695652173e-5, rel=1e-12)
+        assert SwitchingModel.trigger_default().full_confidence_s == TRIGGER_FULL_CONFIDENCE_S
 
-        assert trigger_hit_threshold() == pytest.approx(9.782608695652173e-5, rel=1e-12)
-
-    def test_trigger_hit_threshold_rescales_with_clock(self):
-        from joulemark.simulate import trigger_hit_threshold
-
-        assert trigger_hit_threshold(clock_hz=1.0e9) == pytest.approx(2.25e-4, rel=1e-12)
-        assert trigger_hit_threshold(instructions=0) == 0.0
+    def test_trigger_hit_threshold_is_225k_instructions_at_the_reference_clock(self):
+        assert TRIGGER_FULL_CONFIDENCE_S == 225_000 / 2.3e9
 
 
 class TestHitProbability:
@@ -325,7 +335,6 @@ class TestWorkloadShapes:
 class TestScenarioValidation:
     def test_gpio_outside_duration_names_entry(self, monkeypatch):
         gpio = GpioCommandLog(pair(0.1, 0.2) + pair(0.25, 3.5, port=43))
-        scenario = one_window_scenario(TRIGGER, gpio=gpio)
 
         def no_entries(log):
             raise AssertionError("GpioCommand objects built")
@@ -333,7 +342,7 @@ class TestScenarioValidation:
         # named from the log's columns
         monkeypatch.setattr(GpioCommandLog, "entries", property(no_entries))
         with pytest.raises(ScenarioError) as raised:
-            scenario.validate()
+            one_window_scenario(TRIGGER, gpio=gpio)
         assert str(raised.value) == "gpio entry 3 (deactivate port 43 at t=3.5s) lies outside [0, 3.0]s"
 
     def test_overlapping_windows_across_ports_rejected(self):
@@ -346,7 +355,7 @@ class TestScenarioValidation:
             )
         )
         with pytest.raises(ScenarioError) as raised:
-            one_window_scenario(RELAY, gpio=gpio).validate()
+            one_window_scenario(RELAY, gpio=gpio)
         assert str(raised.value) == (
             "measurement windows overlap: port 40 [0.5, 1.5]s and port 43 "
             "[1.0, 2.0]s (one circuit cannot serve overlapping windows)"
@@ -355,19 +364,71 @@ class TestScenarioValidation:
         commands = pair(0.1, 0.2, port=46) + gpio.entries + pair(1.8, 2.5, port=46)
         gpio = GpioCommandLog(sorted(commands, key=lambda c: c.t_s))
         with pytest.raises(ScenarioError) as raised:
-            one_window_scenario(RELAY, gpio=gpio).validate()
+            one_window_scenario(RELAY, gpio=gpio)
         assert str(raised.value).startswith("measurement windows overlap: port 40 [0.5, 1.5]s and port 43")
 
     def test_workload_past_duration_rejected(self):
-        scenario = one_window_scenario(
-            TRIGGER, workload=WorkloadProfile.constant(1.0, 0.0, 5.0)
-        )
         with pytest.raises(ScenarioError, match="workload"):
-            scenario.validate()
+            one_window_scenario(TRIGGER, workload=WorkloadProfile.constant(1.0, 0.0, 5.0))
 
     def test_unknown_circuit_rejected(self):
         with pytest.raises(ScenarioError):
             one_window_scenario("oscilloscope")
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "7", None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        with pytest.raises(ScenarioError) as raised:
+            one_window_scenario(RELAY, seed=seed)
+        assert str(raised.value) == f"seed must be an integer, got {seed!r}"
+
+
+# one defect each of one_window_scenario's fields, and the error it raises
+SCENARIO_DEFECTS = [
+    ("duration_s", 0.0, "duration must be positive, got 0.0"),
+    ("aggregate_rate_hz", -1.0, "aggregate rate must be positive, got -1.0"),
+    (
+        "gpio",
+        GpioCommandLog(pair(1.0, 3.5)),
+        "gpio entry 1 (deactivate port 40 at t=3.5s) lies outside [0, 3.0]s",
+    ),
+    (
+        "gpio",
+        GpioCommandLog(sorted(pair(0.5, 1.5) + pair(1.0, 2.0, port=43), key=lambda c: c.t_s)),
+        "measurement windows overlap: port 40 [0.5, 1.5]s and port 43 "
+        "[1.0, 2.0]s (one circuit cannot serve overlapping windows)",
+    ),
+    (
+        "workload",
+        WorkloadProfile.constant(1.0, 0.0, 5.0),
+        "workload segment [0.0, 5.0]s extends past the 3.0s session",
+    ),
+    ("seed", -1, "seed must be >= 0, got -1"),
+]
+
+
+def as_json(value):
+    """A field value of one_window_scenario as the scenario JSON holds it."""
+    if isinstance(value, GpioCommandLog):
+        return [asdict(cmd) for cmd in value.entries]
+    if isinstance(value, WorkloadProfile):
+        return [{**asdict(seg), "shape": "constant", **asdict(seg.shape)} for seg in value.segments]
+    return value
+
+
+@pytest.mark.parametrize(
+    "name,value,message", SCENARIO_DEFECTS, ids=[message[:24] for *_, message in SCENARIO_DEFECTS]
+)
+def test_every_scenario_defect_raises_when_built(name, value, message):
+    """From the library as the Scenario is built, and from JSON as the
+    scenario's own error, at the path of the whole scenario."""
+    with pytest.raises(ScenarioError) as raised:
+        one_window_scenario(RELAY, **{name: value})
+    assert str(raised.value) == message
+    obj = written_scenario(one_window_scenario(RELAY))
+    obj[name] = as_json(value)
+    with pytest.raises(ScenarioError) as raised:
+        scenario_from_dict(obj)
+    assert str(raised.value) == f"$: {message}"
 
 
 class TestScenarioConstruction:
@@ -665,8 +726,32 @@ class TestScenarioJson:
     def test_seed_must_be_integer(self):
         obj = written_scenario(self._scenario())
         obj["seed"] = 1.5
-        with pytest.raises(ScenarioError, match=r"\$\.seed"):
+        with pytest.raises(ScenarioError) as info:
             scenario_from_dict(obj)
+        assert str(info.value) == "$.seed: expected an integer, got 1.5"
+
+    @pytest.mark.parametrize("path,keys", UNKNOWN_FIELDS, ids=[case[0] for case in UNKNOWN_FIELDS])
+    def test_unknown_field_is_named_at_its_path(self, path, keys):
+        obj = written_scenario(every_block_scenario())
+        functools.reduce(operator.getitem, keys, obj)[path.rsplit(".", 1)[1]] = 1.0
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(obj)
+        assert str(info.value) == f"{path}: unknown field"
+
+    def test_the_first_unknown_field_is_named(self):
+        obj = written_scenario(every_block_scenario())
+        obj["workload"][1] |= {"zeta": 1.0, "watts": 2.0}
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(obj)
+        assert str(info.value) == "$.workload[1].zeta: unknown field"
+
+    @pytest.mark.parametrize("circuit", [RELAY, TRIGGER])
+    def test_readme_example_loads(self, circuit):
+        text = README.read_text().split("**Scenario JSON**", 1)[1]
+        example = text.split("```json\n", 1)[1].split("```", 1)[0]
+        obj = json.loads(example.replace('"relay | trigger"', json.dumps(circuit)))
+        scenario = scenario_from_dict(obj)
+        assert (scenario.circuit, scenario.seed, len(scenario.gpio)) == (circuit, 7, 2)
 
     @pytest.mark.parametrize("rate", [0.0, -40_000.0])
     def test_non_positive_rate_is_a_scenario_error(self, rate):
@@ -814,7 +899,6 @@ def whole_array_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     """Reference simulator: the workload evaluated over the whole session at
     once and every realized window copied in, as simulate_session did before
     it worked in blocks."""
-    scenario.validate()
     rate = channel_rate(scenario.config)
     n = int(round(scenario.duration_s * rate))
     rng = np.random.default_rng(scenario.seed)
@@ -919,7 +1003,7 @@ def test_simulation_matches_whole_array_reference(scenario, rows):
 # one defect each: a missing or extra key, a port that is a bool, a string,
 # a float or beyond 64 bits, a time that is a bool, NaN, infinite, negative
 # or beyond the float range, an unknown action, or a command that is not an
-# object; an extra key is not a defect to the command-by-command reader
+# object
 GPIO_DEFECTS = [
     lambda cmd: {k: v for k, v in cmd.items() if k != "t_s"},
     lambda cmd: {k: v for k, v in cmd.items() if k != "action"},
