@@ -12,6 +12,7 @@ them into one trace.  A live stream is read once and cannot be reopened.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
@@ -49,9 +50,9 @@ class AcquisitionConfig:
     def __post_init__(self):
         if self.channels not in (1, 2):
             raise ValueError(f"channels must be 1 or 2, got {self.channels}")
-        if not self.aggregate_rate_hz > 0:
+        if not (math.isfinite(self.aggregate_rate_hz) and self.aggregate_rate_hz > 0):
             raise ValueError(
-                f"aggregate rate must be positive, got {self.aggregate_rate_hz}"
+                f"aggregate rate must be finite and positive, got {self.aggregate_rate_hz}"
             )
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .instrument import DanglingWindowError, GpioCommandLog
+from .instrument import GpioCommandLog
 from .jsonio import save_json, write_json
 from .segment import MATCH_TOLERANCE_S, SegmentationParams, analyze
 from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError, DanglingWindowError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

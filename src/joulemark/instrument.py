@@ -52,7 +52,7 @@ class AlternationError(ValueError):
     """Per-port activate/deactivate ordering was violated."""
 
 
-class DanglingWindowError(RuntimeError):
+class DanglingWindowError(ValueError):
     """A port was released (or a log ended) with a measurement still active."""
 
 

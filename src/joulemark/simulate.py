@@ -26,21 +26,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .acquisition import DEFAULT_AGGREGATE_RATE_HZ, AcquisitionConfig, channel_rate
-from .instrument import (
-    ACTIVATE,
-    DEACTIVATE,
-    AlternationError,
-    DanglingWindowError,
-    GpioCommand,
-    GpioCommandLog,
-    _ACTIONS,
-)
+from .instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog, _ACTIONS
 from .jsonio import LEAF, Records, save_json
 from .trace import (
     PowerTrace, ShuntConfig, Windows, fields_equal, index_at_or_after, row_blocks
@@ -547,10 +539,6 @@ def repeated_toggle_scenario(
 
 _SHAPES = {"constant": ConstantPower, "ramp": RampPower, "spiky": SpikyPower}
 _SHAPE_NAMES = {cls: name for name, cls in _SHAPES.items()}
-_SCENARIO_DEFAULTS = {
-    "aggregate_rate_hz": DEFAULT_AGGREGATE_RATE_HZ,
-    "logic_high_v": DEFAULT_LOGIC_HIGH_V,
-}
 
 
 # what JSON must hold for a field of each numeric annotation, and how it is
@@ -569,13 +557,15 @@ def _build(cls, path: str, **values):
         raise ScenarioError(f"{path}: {exc}") from None
 
 
-def _read(cls, obj, path: str, defaults: dict | None = None, **given):
+def _read(cls, obj, path: str, default=None, **given):
     """Build the dataclass ``cls`` from the JSON object ``obj`` at ``path``.
 
     Fields in ``given`` are used as they are; each other field is read from
-    ``obj`` and checked against its annotation, or taken from ``defaults``
-    when absent, or reported as missing.  A key that names no field is an
-    error, the first such key in ``obj``'s order.
+    ``obj`` and checked against its annotation.  A field absent from ``obj``
+    takes its value in the ``cls`` instance ``default``, if one is given,
+    or else its own dataclass default; a field with neither is reported as
+    missing.  A key that names no field is an error, the first such key in
+    ``obj``'s order.
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
@@ -596,9 +586,9 @@ def _read(cls, obj, path: str, defaults: dict | None = None, **given):
             if convert is float and not abs(value) <= sys.float_info.max:
                 raise ScenarioError(f"{path}.{f.name}: expected a finite number, got {value!r}")
             values[f.name] = convert(value)
-        elif defaults is not None and f.name in defaults:
-            values[f.name] = defaults[f.name]
-        else:
+        elif default is not None:
+            values[f.name] = getattr(default, f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ScenarioError(f"{path}.{f.name}: missing required field")
     return _build(cls, path, **values)
 
@@ -668,22 +658,22 @@ def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
     gpio = _gpio(_array(obj, "gpio", path), path)
     try:
         gpio.windows()
-    except (AlternationError, DanglingWindowError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{path}.gpio: {exc}") from None
-    switching, noise = obj.get("switching"), obj.get("noise")
+    # an optional block that is absent or null reads as {}: each of its
+    # fields takes its default
+    block = {k: {} if obj.get(k) is None else obj[k] for k in ("shunt", "switching", "noise")}
     return _read(
-        Scenario, obj, path, _SCENARIO_DEFAULTS,
+        Scenario, obj, path,
         circuit=circuit,
-        shunt=_read(
-            ShuntConfig, obj.get("shunt", {}), f"{path}.shunt", asdict(ShuntConfig())
-        ),
+        shunt=_read(ShuntConfig, block["shunt"], f"{path}.shunt"),
         workload=_build(WorkloadProfile, f"{path}.workload", segments=segments),
         gpio=gpio,
-        switching=None if switching is None else _read(
-            SwitchingModel, switching, f"{path}.switching",
-            asdict(SwitchingModel.for_circuit(circuit)),
+        switching=_read(
+            SwitchingModel, block["switching"], f"{path}.switching",
+            SwitchingModel.for_circuit(circuit),
         ),
-        noise=NoiseModel() if noise is None else _read(NoiseModel, noise, f"{path}.noise"),
+        noise=_read(NoiseModel, block["noise"], f"{path}.noise"),
     )
 
 

@@ -268,9 +268,10 @@ def downsample(trace: PowerTrace, factor: int) -> PowerTrace:
 # --- trace CSV format -------------------------------------------------------
 #
 # A comment preamble of `# key=value` lines carries rate_hz, vf and rs, each
-# finite and positive, then a header line `t_s,vs_v` (single channel) or
-# `t_s,vs_v,trig_v` (with trigger channel), then one row per sample.  t_s of
-# row i must equal i / rate_hz within TIME_GRID_TOLERANCE_S.
+# finite and positive, and no other key; then a header line `t_s,vs_v`
+# (single channel) or `t_s,vs_v,trig_v` (with trigger channel), then one row
+# per sample.  t_s of row i must equal i / rate_hz within
+# TIME_GRID_TOLERANCE_S.
 
 _PREAMBLE_KEYS = ("rate_hz", "vf", "rs")
 _HEADER_1CH = "t_s,vs_v"
@@ -403,10 +404,12 @@ def _read_header(lines: Iterator[str]) -> tuple[PowerTrace, int]:
                     f"preamble line is not 'key=value': {text!r}", lineno
                 )
             key, value = (part.strip() for part in body.split("=", 1))
+            if key not in _PREAMBLE_KEYS:
+                raise TraceFormatError(f"preamble {key!r} is not a known key", lineno)
             if key in meta:
                 raise TraceFormatError(f"preamble {key!r} is given twice", lineno)
             meta[key] = _parse_float(value, f"preamble {key!r}", lineno)
-            if key in _PREAMBLE_KEYS and not (math.isfinite(meta[key]) and meta[key] > 0):
+            if not (math.isfinite(meta[key]) and meta[key] > 0):
                 raise TraceFormatError(
                     f"preamble {key!r} must be finite and positive, got {value!r}", lineno
                 )

@@ -61,6 +61,12 @@ class TestChannelRate:
         with pytest.raises(ValueError):
             AcquisitionConfig(0.0, 1)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError) as raised:
+            AcquisitionConfig(rate, 1)
+        assert str(raised.value) == f"aggregate rate must be finite and positive, got {rate}"
+
 
 def csv_text(trace: PowerTrace, tmp_path) -> str:
     path = tmp_path / "t.csv"

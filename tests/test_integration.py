@@ -5,7 +5,8 @@ the simulator, and segmentation recovers one window per toggle pair.
 import numpy as np
 import pytest
 
-from joulemark.instrument import GpioCommandLog, PortRegistry, RecordingBackend
+import joulemark
+from joulemark.instrument import GpioCommand, GpioCommandLog, PortRegistry, RecordingBackend
 from joulemark.segment import segment_relay, segment_trigger
 from joulemark.simulate import (
     RELAY,
@@ -67,3 +68,28 @@ def test_exported_log_survives_csv_round_trip(tmp_path):
     path = tmp_path / "gpio.csv"
     log.write_csv(path)
     assert GpioCommandLog.read_csv(path) == log
+
+
+# every exported exception that reports a defect of its input
+INPUT_DEFECT_ERRORS = [
+    "AlternationError",
+    "DanglingWindowError",
+    "ScenarioError",
+    "TraceFormatError",
+    "WrongModeError",
+    "ChannelMismatchError",
+    "DegenerateWindowError",
+    "InsufficientSamplesError",
+    "UndefinedVariationError",
+    "UnknownPortError",
+]
+
+
+@pytest.mark.parametrize("name", INPUT_DEFECT_ERRORS)
+def test_input_defect_is_a_value_error(name):
+    assert issubclass(getattr(joulemark, name), ValueError)
+
+
+def test_scenario_with_dangling_activate_is_caught_as_value_error():
+    with pytest.raises(ValueError, match="still active"):
+        Scenario(1.0, RELAY, gpio=GpioCommandLog((GpioCommand(0.5, 40, "activate"),)))

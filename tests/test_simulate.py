@@ -4,7 +4,7 @@ import json
 import math
 import operator
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -82,6 +82,13 @@ UNKNOWN_FIELDS = [
     ("$.switching.latency_s", ("switching",)),
     ("$.noise.idle_bound", ("noise",)),
 ]
+
+# each field a scenario JSON may leave out, and each form that reads as its
+# default: absent (MISSING), and for a block {} or null too
+OPTIONAL_FIELDS = [
+    (name, MISSING)
+    for name in ("aggregate_rate_hz", "shunt", "workload", "gpio", "switching", "noise", "logic_high_v", "seed")
+] + [(block, form) for block in ("shunt", "switching", "noise") for form in ({}, None)]
 
 MALFORMED_FIELDS = [
     ("$.workload[0].watts", ("workload", 0, "watts"), "x"),
@@ -692,6 +699,31 @@ class TestScenarioJson:
     def test_missing_required_field_names_path(self):
         with pytest.raises(ScenarioError, match=r"\$\.duration_s"):
             scenario_from_dict({"circuit": "relay", "seed": 0})
+
+    def test_seed_is_optional_and_duration_required(self):
+        obj = written_scenario(self._scenario())
+        del obj["seed"]
+        assert scenario_from_dict(obj).seed == 0
+        del obj["duration_s"]
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(obj)
+        assert str(info.value) == "$.duration_s: missing required field"
+
+    @pytest.mark.parametrize("circuit", [RELAY, TRIGGER])
+    @pytest.mark.parametrize(
+        "name,form", OPTIONAL_FIELDS,
+        ids=[f"{name}-{'absent' if form is MISSING else json.dumps(form)}" for name, form in OPTIONAL_FIELDS],
+    )
+    def test_optional_field_reads_as_its_default(self, circuit, name, form):
+        full = replace(every_block_scenario(), circuit=circuit)
+        obj = written_scenario(full)
+        if form is MISSING:
+            del obj[name]
+        else:
+            obj[name] = form
+        without = Scenario(**{f.name: getattr(full, f.name) for f in fields(Scenario) if f.name != name})
+        assert without != full
+        assert scenario_from_dict(obj) == without
 
     def test_bad_workload_segment_names_path(self):
         obj = written_scenario(self._scenario())

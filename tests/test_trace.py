@@ -285,6 +285,15 @@ def preamble_repeating(key: str, value: str) -> str:
     return f"# rate_hz=40000\n# vf=12.0\n# rs=0.1\n# {key}={value}\nt_s,vs_v\n0.0,0.0\n5e-05,0.0\n"
 
 
+# a key that is not rate_hz, vf or rs, on line 2: a miscased rate, and a key
+# whose value is not a number
+UNKNOWN_KEYS = [("rate_Hz", "99"), ("foo", "bar")]
+
+
+def preamble_with_unknown(key: str, value: str) -> str:
+    return f"# rate_hz=10.0\n# {key}={value}\n# vf=12.0\n# rs=0.1\nt_s,vs_v\n0.0,0.0\n"
+
+
 class TestTraceCsv:
     def _trace(self, with_trigger: bool) -> PowerTrace:
         rng = np.random.default_rng(3)
@@ -402,6 +411,21 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError, match=f"^line 4: preamble {key!r} is given twice$") as err:
             read_all(open_source(AcquisitionConfig(channels=1, source=source)))
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("key, value", UNKNOWN_KEYS)
+    def test_rejects_unknown_preamble_key_at_its_line(self, tmp_path, key, value):
+        path = tmp_path / "t.csv"
+        path.write_text(preamble_with_unknown(key, value))
+        with pytest.raises(TraceFormatError, match=f"^line 2: preamble {key!r} is not a known key$") as err:
+            read_trace_csv(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("key, value", UNKNOWN_KEYS)
+    def test_stream_rejects_unknown_preamble_key_at_its_line(self, key, value):
+        source = StreamSource(io.StringIO(preamble_with_unknown(key, value)))
+        with pytest.raises(TraceFormatError, match=f"^line 2: preamble {key!r} is not a known key$") as err:
+            read_all(open_source(AcquisitionConfig(channels=1, source=source)))
+        assert err.value.line == 2
 
 
 class TestCsvGoldenBytes:
