@@ -11,6 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import trace as trace_module
 from .instrument import GpioCommandLog
 from .jsonio import save_json, write_json
 from .segment import MATCH_TOLERANCE_S, SegmentationParams, analyze
@@ -27,24 +30,49 @@ from .trace import (
 )
 
 
-class _PowerColumn:
-    """A trace's power as a column whose slices are computed when taken, so
-    that the skyline writer holds one block of watts at a time."""
+# Buckets of the skyline's M4 envelope (U. Jugel et al., "M4: A
+# Visualization-Oriented Time Series Data Aggregation", PVLDB 7(10), 2014):
+# a line plot of it at this many pixel columns draws the same picture
+# as one of every sample.
+SKYLINE_BUCKETS = 4000
 
-    def __init__(self, trace: PowerTrace):
-        self.trace = trace
 
-    def __len__(self) -> int:
-        return len(self.trace)
-
-    def __getitem__(self, rows: slice):
-        return sample_to_power(self.trace.vs[rows], self.trace.shunt)
+def _skyline_rows(vs: np.ndarray, buckets: int) -> np.ndarray:
+    """The increasing sample indices of the M4 envelope of ``vs``: for each
+    bucket of s = ceil(n / buckets) consecutive samples (the last may be
+    shorter), its first, last, smallest and largest sample (the first of
+    equal ones), each once.  When s <= 2 that is every sample."""
+    n = len(vs)
+    s = max(1, -(-n // buckets))
+    first = np.arange(0, n, s)
+    picks = np.empty((len(first), 4), dtype=np.int64)
+    picks[:, 0], picks[:, 3] = first, np.minimum(first + s, n) - 1
+    # argmin copies a read-only array whole, so it gets copies of about
+    # CHUNK_ROWS samples, a short last bucket padded with its last sample
+    # (argmin and argmax return the first of equal values)
+    per = max(1, trace_module.CHUNK_ROWS // s) * s
+    for start in range(0, n, per):
+        block = vs[start : start + per]
+        block = np.pad(block, (0, -len(block) % s), mode="edge").reshape(-1, s)
+        rows = picks[start // s : start // s + len(block)]
+        rows[:, 1] = rows[:, 0] + block.argmin(axis=1)
+        rows[:, 2] = rows[:, 0] + block.argmax(axis=1)
+    # buckets are disjoint and in order, so only a bucket's own picks repeat
+    # (np.unique would build a hash table, which leaves the heap larger)
+    picks.sort(axis=1)
+    keep = np.ones(picks.shape, dtype=bool)
+    keep[:, 1:] = picks[:, 1:] != picks[:, :-1]
+    return picks[keep]
 
 
 def _write_skyline_csv(trace: PowerTrace, path: Path) -> None:
+    """Write the trace's power at the rows of its M4 envelope.  vf / rs > 0
+    and rounding is monotone, so the extremes of vs are those of the
+    watts, and watts are computed for the chosen rows only."""
+    rows = _skyline_rows(trace.vs, SKYLINE_BUCKETS)
     with path.open("w", newline="\n") as f:
         f.write("t_s,watts\n")
-        write_csv_rows(f, trace.rate_hz, [_PowerColumn(trace)])
+        write_csv_rows(f, trace.rate_hz, rows, [sample_to_power(trace.vs[rows], trace.shunt)])
 
 
 def _cmd_simulate(args) -> int:
@@ -174,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace CSV file")
     p.add_argument("--mode", required=True, choices=[RELAY, TRIGGER])
     p.add_argument("--out", required=True, help="output report JSON path")
-    p.add_argument("--skyline", default=None, help="also write the trace's power as a skyline CSV here")
+    p.add_argument("--skyline", default=None, help="also write the trace's power as a plot-sized skyline CSV here")
     p.add_argument("--expected", default=None, help="GPIO command log CSV for hit/miss matching")
     defaults = SegmentationParams()
     p.add_argument("--threshold-w", type=float, default=defaults.relay_threshold_w, help="relay power threshold, watts")

@@ -606,7 +606,10 @@ def _choice(obj, key: str, path: str, choices: tuple[str, ...]) -> str:
 
 
 def _array(obj: dict, key: str, path: str) -> list:
-    value = obj.get(key, [])
+    """The array at ``key``; one that is absent or null reads as empty."""
+    value = obj.get(key)
+    if value is None:
+        return []
     if not isinstance(value, list):
         raise ScenarioError(f"{path}.{key}: expected an array")
     return value

@@ -279,12 +279,12 @@ _HEADER_2CH = "t_s,vs_v,trig_v"
 
 
 # Rows per block of every blocked loop in the package: the CSV writers,
-# iter_trace_chunks for the readers, the simulator's workload and the relay
-# segmenter's power.  Each reads it from here at call time (row_blocks or
-# iter_trace_chunks), so patching it here resizes all of them.  Blocks of
-# 4096 to 262144 lines parse a 1.2M-row trace equally fast; larger blocks
-# hold more memory per block and, at 65536, raised the peak RSS of repeated
-# CLI runs.
+# iter_trace_chunks for the readers, the simulator's workload, the relay
+# segmenter's power, the JSON writer's records and the skyline's envelope.
+# Each reads it from here at call time, so patching it here resizes all of
+# them.  Blocks of 4096 to 262144 lines parse a 1.2M-row trace equally
+# fast; larger blocks hold more memory per block and, at 65536, raised the
+# peak RSS of repeated CLI runs.
 CHUNK_ROWS = 16384
 
 
@@ -305,27 +305,29 @@ def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
         f.write(f"# rs={trace.shunt.rs!r}\n")
         if trace.trig is not None:
             f.write(_HEADER_2CH + "\n")
-            write_csv_rows(f, rate, [trace.vs, trace.trig])
+            write_csv_rows(f, rate, range(len(trace)), [trace.vs, trace.trig])
         else:
             f.write(_HEADER_1CH + "\n")
-            write_csv_rows(f, rate, [trace.vs])
+            write_csv_rows(f, rate, range(len(trace)), [trace.vs])
 
 
-def write_csv_rows(f: TextIO, rate_hz: float, columns: Sequence[np.ndarray]) -> None:
-    """Write row i as ``i / rate_hz`` and the i-th value of each column,
-    every number as its ``repr``, comma-separated.
+def write_csv_rows(f: TextIO, rate_hz: float, rows: Sequence[int], columns: Sequence[np.ndarray]) -> None:
+    """Write, for each k, the time ``rows[k] / rate_hz`` of sample
+    ``rows[k]`` and the k-th value of each column, every number as its
+    ``repr``, comma-separated.
 
-    The text of a block of CHUNK_ROWS rows is laid out as one uint8 matrix,
-    a column per row and a slot per character, with 0 in the slots a number
-    leaves out (see floattext), and written at once, so a long trace is
-    never held as text.  A column may be any object whose slices are arrays
-    of floats, such as one computed block by block.
+    ``rows`` holds increasing sample indices: ``range(n)`` for every sample
+    of a trace, or an int array for some of them, whose lines are then
+    those of the same samples in the full series.  The text of a block of
+    CHUNK_ROWS rows is laid out as one uint8 matrix, a column per row and a
+    slot per character, with 0 in the slots a number leaves out (see
+    floattext), and written at once, so a long trace is never held as text.
     """
     step = _decimal_step(rate_hz)
     cell = floattext.WIDTH + 1
-    for start, stop in row_blocks(len(columns[0])):
+    for start, stop in row_blocks(len(rows)):
         text = np.empty((cell * (1 + len(columns)), stop - start), dtype=np.uint8)
-        _times_into(text[: cell - 1], start, rate_hz, step)
+        _times_into(text[: cell - 1], rows[start:stop], rate_hz, step)
         for j, column in enumerate(columns, start=1):
             _floats_into(text[j * cell : (j + 1) * cell - 1], column[start:stop])
         text[cell - 1 :: cell] = ord(",")
@@ -348,9 +350,10 @@ def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
     return None
 
 
-def _times_into(text: np.ndarray, start: int, rate_hz: float, step: tuple[int, int] | None) -> None:
-    """Lay out ``repr(i / rate_hz)`` for the rows i from ``start`` on, one
-    per column of ``text``, as floattext does.
+def _times_into(text: np.ndarray, rows: Sequence[int], rate_hz: float, step: tuple[int, int] | None) -> None:
+    """Lay out ``repr(i / rate_hz)`` for each of the increasing sample
+    indices i in ``rows``, a range or an int array, one per column of
+    ``text``, as floattext does.
 
     Where ``step`` is (m, k), ``i / rate_hz`` is the float nearest the
     decimal ``i * m / 10**k``.  While ``i * m < 10**15`` that decimal has at
@@ -359,12 +362,14 @@ def _times_into(text: np.ndarray, start: int, rate_hz: float, step: tuple[int, i
     ``repr`` prints.  Those rows are written from the digits of ``i * m``;
     the others, and every row when ``step`` is None, from the float.
     """
-    rows = np.arange(start, start + text.shape[1], dtype=np.int64)
+    if isinstance(rows, range):  # numpy would iterate a range in Python
+        rows = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
     cut = 0
     # from m = 10**15 on only row 0 could qualify, and i * m may overflow
     if step is not None and step[0] < 10**15:
         m, k = step
-        cut = min(max(-(-(10**15) // m) - start, 0), len(rows))
+        cut = int(np.searchsorted(rows, -(-(10**15) // m)))
         floattext.decimals_into(text[:, :cut], False, rows[:cut] * m, -k)
     with np.errstate(over="ignore"):  # a time beyond the float range is inf, as in Python
         times = rows[cut:] / rate_hz

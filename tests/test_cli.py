@@ -239,7 +239,7 @@ class TestAnalyzeCommand:
         assert first["window"] == {"begin_idx": 40, "end_idx": 41}
         assert first["energy"]["joules"] == pytest.approx(12.0 / 20_000.0, rel=1e-12)
 
-    def test_skyline_integrates_to_window_energy_plus_residue(self, tmp_path):
+    def test_report_joules_lie_within_the_skyline_envelope(self, tmp_path):
         trace_path = self._simulate(tmp_path, circuit=RELAY)
         report_path = tmp_path / "report.json"
         skyline_path = tmp_path / "sky.csv"
@@ -247,13 +247,21 @@ class TestAnalyzeCommand:
             ["analyze", str(trace_path), "--mode", "relay", "--out", str(report_path), "--skyline", str(skyline_path)]
         )
         assert code == 0
+        trace = read_trace_csv(trace_path)
+        n, rate = len(trace), trace.rate_hz
         rows = np.loadtxt(skyline_path, delimiter=",", skiprows=1)
-        skyline_joules = float(np.trapezoid(rows[:, 1], rows[:, 0]))
-        report = read_json(report_path)
-        windows_joules = report["total_joules"]
-        # full-trace integral equals window energy plus idle-noise residue
+        assert len(rows) <= 4 * cli.SKYLINE_BUCKETS < n
+        s = -(-n // cli.SKYLINE_BUCKETS)
+        bucket = np.rint(rows[:, 0] * rate).astype(np.int64) // s
+        heads = np.flatnonzero(np.diff(bucket, prepend=-1))
+        assert bucket[heads].tolist() == list(range(-(-n // s)))
+        lengths = np.minimum(s, n - bucket[heads] * s)
+        low = float(np.sum(lengths * np.minimum.reduceat(rows[:, 1], heads))) / rate
+        high = float(np.sum(lengths * np.maximum.reduceat(rows[:, 1], heads))) / rate
+        # every sample's energy lies within its bucket's written extremes,
+        # and the full trace holds the window energy plus idle-noise residue
         residue = 0.001 * 3.0
-        assert abs(skyline_joules - windows_joules) <= residue
+        assert low - residue <= read_json(report_path)["total_joules"] <= high + residue
 
     def test_skyline_only_on_request(self, tmp_path, capsys):
         trace_path = self._simulate(tmp_path)

@@ -18,12 +18,15 @@ the trace copied what it was given:
   (0.18x and 0.08x when each distinct value of a block went through
   ``repr``; 0.14x and 0.05x when each time was formatted as its row was
   joined);
-- the skyline writer: relay 0.21x, trigger 0.08x, one block of watts and
-  the same (0.18x and 0.06x through ``repr``; 1.12x and 0.56x when the
-  watts were one array; 0.14x and 0.04x before the times were written from
-  digits).
+- the skyline writer: relay 117 bytes per bucket of its M4 envelope,
+  trigger 86, whatever the trace's length: the envelope's rows, their
+  watts and the temporaries of computing them, and one block's text
+  (0.59x and 0.22x of these traces; 0.21x and 0.08x when it wrote every
+  sample's watts a block at a time, 1.12x and 0.56x when the watts were
+  one array).
 
-Each bound sits below the peak one more trace-length array would give.
+Each bound but the skyline's sits below the peak one more trace-length
+array would give; the skyline's is per bucket.
 
 What ``analyze`` keeps, its report, is pinned per window instead: 33 bytes
 a window, the windows, joules and matched window indices as arrays, the
@@ -48,7 +51,7 @@ import pytest
 
 from chunking import chunk_rows
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
-from joulemark.cli import _write_skyline_csv
+from joulemark.cli import SKYLINE_BUCKETS, _write_skyline_csv
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import analyze
 from joulemark.simulate import RELAY, TRIGGER, Scenario, WorkloadProfile, simulate_session
@@ -148,11 +151,11 @@ def test_trace_writer_holds_one_block_of_text(simulated, tmp_path):
     assert peak <= 0.3 * trace_bytes(trace)
 
 
-def test_skyline_writer_holds_one_block_of_watts(simulated, tmp_path):
+def test_skyline_writer_holds_its_envelope(simulated, tmp_path):
     _, trace, _ = simulated
     with chunk_rows(BLOCK_ROWS):
         _, peak = peak_bytes(_write_skyline_csv, trace, tmp_path / "skyline.csv")
-    assert peak <= 0.3 * trace_bytes(trace)
+    assert peak <= 120 * SKYLINE_BUCKETS
 
 
 def retained_bytes(fn, *args):

@@ -84,11 +84,15 @@ UNKNOWN_FIELDS = [
 ]
 
 # each field a scenario JSON may leave out, and each form that reads as its
-# default: absent (MISSING), and for a block {} or null too
-OPTIONAL_FIELDS = [
-    (name, MISSING)
-    for name in ("aggregate_rate_hz", "shunt", "workload", "gpio", "switching", "noise", "logic_high_v", "seed")
-] + [(block, form) for block in ("shunt", "switching", "noise") for form in ({}, None)]
+# default: absent (MISSING), for a block {} or null too, and for an array null
+OPTIONAL_FIELDS = (
+    [
+        (name, MISSING)
+        for name in ("aggregate_rate_hz", "shunt", "workload", "gpio", "switching", "noise", "logic_high_v", "seed")
+    ]
+    + [(block, form) for block in ("shunt", "switching", "noise") for form in ({}, None)]
+    + [(array, None) for array in ("workload", "gpio")]
+)
 
 MALFORMED_FIELDS = [
     ("$.workload[0].watts", ("workload", 0, "watts"), "x"),
@@ -724,6 +728,13 @@ class TestScenarioJson:
         without = Scenario(**{f.name: getattr(full, f.name) for f in fields(Scenario) if f.name != name})
         assert without != full
         assert scenario_from_dict(obj) == without
+
+    @pytest.mark.parametrize("array", ["workload", "gpio"])
+    @pytest.mark.parametrize("value", [{}, 0, "x", False])
+    def test_an_array_that_is_neither_a_list_nor_null_is_rejected(self, array, value):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict({"duration_s": 1.0, "circuit": "relay", array: value})
+        assert str(info.value) == f"$.{array}: expected an array"
 
     def test_bad_workload_segment_names_path(self):
         obj = written_scenario(self._scenario())

@@ -2,6 +2,7 @@ import io
 import math
 from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from chunking import chunk_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joulemark import floattext
+from joulemark import cli, floattext
 from joulemark import trace as trace_module
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
-from joulemark.cli import _PowerColumn, _write_skyline_csv
+from joulemark.cli import _skyline_rows, _write_skyline_csv
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import RELAY, TRIGGER, Scenario, simulate_session
 from joulemark.trace import (
@@ -486,13 +487,13 @@ class TestCsvGoldenBytes:
         assert path.read_bytes() == self.SKYLINE.encode()
 
 
-def per_cell_csv_rows(f, rate_hz, columns):
+def per_cell_csv_rows(f, rate_hz, rows, columns):
     """Reference writer: the ``repr`` of every cell, formatted one by one."""
-    for start, stop in trace_module.row_blocks(len(columns[0])):
-        cells = [[i / rate_hz for i in range(start, stop)]]
+    for start, stop in trace_module.row_blocks(len(rows)):
+        cells = [[i / rate_hz for i in rows[start:stop]]]
         cells += [column[start:stop].tolist() for column in columns]
-        rows = zip(*[map(repr, cell) for cell in cells])
-        f.write("\n".join(map(",".join, rows)) + "\n")
+        lines = zip(*[map(repr, cell) for cell in cells])
+        f.write("\n".join(map(",".join, lines)) + "\n")
 
 
 def laid_out(fill, n: int) -> list[str]:
@@ -550,29 +551,48 @@ terminating_rates = st.builds(
 )
 def test_writer_matches_per_cell_reference(data, rows, width, block, rate):
     columns = [data.draw(repeating_columns(rows)) for _ in range(width)]
-    shunt = ShuntConfig(vf=data.draw(st.floats(1e-3, 1e3)), rs=data.draw(st.floats(1e-4, 10.0)))
-    power = _PowerColumn(PowerTrace(rate_hz=rate, vs=columns[0], shunt=shunt))
-    for written in (columns, [power]):
-        got, want = io.StringIO(), io.StringIO()
-        # the power of the extremes overflows, and of a signalling NaN is invalid
-        with chunk_rows(block) if block else nullcontext(), np.errstate(all="ignore"):
-            write_csv_rows(got, rate, written)
-            per_cell_csv_rows(want, rate, written)
-        assert got.getvalue() == want.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    with chunk_rows(block) if block else nullcontext():
+        write_csv_rows(got, rate, range(rows), columns)
+        per_cell_csv_rows(want, rate, range(rows), columns)
+    assert got.getvalue() == want.getvalue()
 
 
-@st.composite
-def time_rows(draw, rate: float) -> tuple[int, int]:
-    """[start, stop) of up to 200 rows around row 0, the last rows below
-    1e-4 s, a whole second, or, for a terminating rate, the last row whose
-    time is written from digits."""
+def row_anchor(draw, rate: float) -> int:
+    """Row 0, the last row below 1e-4 s, a whole second, or, for a
+    terminating rate, the last row whose time is written from digits."""
     anchors = [0.0, rate * 1e-4, rate * draw(st.integers(1, 10**6))]
     step = trace_module._decimal_step(rate)
     if step is not None:
         anchors.append(10**15 / step[0])
-    anchor = int(min(draw(st.sampled_from(anchors)), 2.0**53))
-    start = max(0, anchor + draw(st.integers(-100, 100)))
-    return start, start + draw(st.integers(0, 200))
+    return int(min(draw(st.sampled_from(anchors)), 2.0**53))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    gaps=st.lists(st.integers(1, 50) | st.integers(1, 2**53), min_size=1, max_size=40),
+    block=st.sampled_from([1, 3, 7, None]),
+    rate=terminating_rates | st.floats(min_value=1e-3, max_value=1e7),
+)
+def test_writer_at_chosen_rows_matches_per_cell_reference(data, gaps, block, rate):
+    """Increasing, non-consecutive rows, some of them on both sides of the
+    last row whose time is written from digits, and some far beyond it."""
+    start = max(0, row_anchor(data.draw, rate) + data.draw(st.integers(-200, 0)))
+    rows = start + np.cumsum(gaps) - gaps[0]
+    column = data.draw(repeating_columns(len(rows)))
+    got, want = io.StringIO(), io.StringIO()
+    with chunk_rows(block) if block else nullcontext():
+        write_csv_rows(got, rate, rows, [column])
+        per_cell_csv_rows(want, rate, rows.tolist(), [column])
+    assert got.getvalue() == want.getvalue()
+
+
+@st.composite
+def time_rows(draw, rate: float) -> range:
+    """Up to 200 consecutive rows around a row_anchor."""
+    start = max(0, row_anchor(draw, rate) + draw(st.integers(-100, 100)))
+    return range(start, start + draw(st.integers(0, 200)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -581,10 +601,10 @@ def time_rows(draw, rate: float) -> tuple[int, int]:
     rate=terminating_rates | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
 )
 def test_times_are_the_repr_of_each_row_time(data, rate):
-    start, stop = data.draw(time_rows(rate))
+    rows = data.draw(time_rows(rate))
     step = trace_module._decimal_step(rate)
-    got = laid_out(lambda text: trace_module._times_into(text, start, rate, step), stop - start)
-    assert got == [repr(i / rate) for i in range(start, stop)]
+    got = laid_out(lambda text: trace_module._times_into(text, rows, rate, step), len(rows))
+    assert got == [repr(i / rate) for i in rows]
 
 
 @pytest.mark.parametrize("rate", [1e6, 40000.0])
@@ -594,9 +614,9 @@ def test_times_on_both_sides_of_the_digit_limit(rate, scale):
     times from digits, and further up, where two decimals of that many
     digits can round to one float."""
     step = trace_module._decimal_step(rate)
-    start = scale // step[0] - 100
-    got = laid_out(lambda text: trace_module._times_into(text, start, rate, step), 200)
-    assert got == [repr(i / rate) for i in range(start, start + 200)]
+    rows = range(scale // step[0] - 100, scale // step[0] + 100)
+    got = laid_out(lambda text: trace_module._times_into(text, rows, rate, step), len(rows))
+    assert got == [repr(i / rate) for i in rows]
 
 
 @pytest.mark.parametrize(
@@ -619,3 +639,68 @@ def test_times_on_both_sides_of_the_digit_limit(rate, scale):
 )
 def test_decimal_step_of_a_rate(rate, step):
     assert trace_module._decimal_step(rate) == step
+
+
+# --- the skyline's M4 envelope ------------------------------------------------
+
+finite_samples = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0]), max_size=60)
+
+
+def buckets_of(n: int, buckets: int) -> list[range]:
+    s = max(1, -(-n // buckets))
+    return [range(start, min(start + s, n)) for start in range(0, n, s)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vs=finite_samples, buckets=st.integers(1, 8))
+def test_envelope_rows_increase_and_hold_each_bucket_extremes(vs, buckets):
+    vs = np.array(vs)
+    rows = _skyline_rows(vs, buckets).tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    chosen = set(rows)
+    for bucket in buckets_of(len(vs), buckets):
+        assert bucket[0] in chosen and bucket[-1] in chosen
+        written = [i for i in bucket if i in chosen]
+        assert min(vs[written]) == min(vs[bucket]) and max(vs[written]) == max(vs[bucket])
+    assert len(buckets_of(len(vs), buckets)) <= buckets
+    # the envelope a bucket at a time, min and max taking the first of equal values
+    reference = {
+        i
+        for bucket in buckets_of(len(vs), buckets)
+        for i in (bucket[0], bucket[-1], min(bucket, key=vs.__getitem__), max(bucket, key=vs.__getitem__))
+    }
+    assert rows == sorted(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vs=finite_samples,
+    buckets=st.integers(1, 8),
+    vf=st.floats(1e-3, 1e3),
+    rs=st.floats(1e-4, 10.0),
+    rate=terminating_rates | st.floats(min_value=1e-3, max_value=1e7),
+)
+def test_skyline_lines_are_those_of_the_full_series(tmp_path_factory, vs, buckets, vf, rs, rate):
+    """Every line the skyline writes is its sample's line of the full series,
+    and every sample's watts lie within its bucket's written extremes."""
+    trace = PowerTrace(rate_hz=rate, vs=vs, shunt=ShuntConfig(vf=vf, rs=rs))
+    path = tmp_path_factory.getbasetemp() / "skyline.csv"
+    with mock.patch.object(cli, "SKYLINE_BUCKETS", buckets):
+        _write_skyline_csv(trace, path)
+    full = io.StringIO()
+    write_csv_rows(full, rate, range(len(trace)), [trace.power_w()])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t_s,watts"
+    rows = _skyline_rows(trace.vs, buckets)
+    assert lines[1:] == [full.getvalue().splitlines()[i] for i in rows]
+    watts = dict(zip(rows.tolist(), (float(line.split(",")[1]) for line in lines[1:])))
+    for bucket in buckets_of(len(trace), buckets):
+        written = [w for i, w in watts.items() if i in bucket]
+        assert all(min(written) <= w <= max(written) for w in trace.power_w()[bucket])
+
+
+@settings(max_examples=100, deadline=None)
+@given(buckets=st.integers(1, 8), data=st.data())
+def test_envelope_of_at_most_two_samples_a_bucket_is_every_sample(buckets, data):
+    vs = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), max_size=2 * buckets)))
+    assert _skyline_rows(vs, buckets).tolist() == list(range(len(vs)))
