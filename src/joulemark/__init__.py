@@ -85,7 +85,6 @@ from .trace import (
     ShuntConfig,
     TraceFormatError,
     TraceValidation,
-    TraceViolation,
     Windows,
     downsample,
     index_at_or_after,

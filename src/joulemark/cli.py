@@ -18,7 +18,7 @@ from .instrument import GpioCommandLog
 from .jsonio import save_json, write_json
 from .segment import MATCH_TOLERANCE_S, SegmentationParams, analyze
 from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
-from .stats import summarize_campaign
+from .stats import InsufficientSamplesError, summarize_campaign
 from .trace import (
     PowerTrace,
     ShuntConfig,
@@ -96,11 +96,6 @@ def _cmd_analyze(args) -> int:
         rate = args.rate if args.rate is not None else trace.rate_hz
         # the read trace's arrays are read-only and go no further: share them
         trace = PowerTrace._adopt(rate, trace.vs, trace.trig, shunt)
-    validation = validate_trace(trace)
-    if not validation.ok:
-        for v in validation.violations:
-            print(f"error: {v}", file=sys.stderr)
-        return 2
     params = SegmentationParams(
         relay_threshold_w=args.threshold_w,
         min_window_samples=args.min_window,
@@ -121,6 +116,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    if args.runs < 2:  # before any run is simulated
+        raise InsufficientSamplesError(
+            f"campaign summary needs at least 2 samples, got {max(args.runs, 0)}"
+        )
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
@@ -246,7 +245,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).split("\n"):  # analyze() gives a line per violation
+            print(f"error: {line}", file=sys.stderr)
         return 2
 
 

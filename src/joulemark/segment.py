@@ -20,6 +20,7 @@ from typing import TextIO
 import numpy as np
 
 from . import energy, jsonio
+from . import trace as trace_module
 from .instrument import GpioCommandLog
 from .jsonio import LEAF, Records
 from .simulate import RELAY, TRIGGER
@@ -275,10 +276,17 @@ def analyze(
     expected: GpioCommandLog | None = None,
     match_tolerance_s: float = MATCH_TOLERANCE_S,
 ) -> SessionReport:
-    """Recover a trace's windows in `mode` (RELAY or TRIGGER), integrate
-    each, and match them to the commanded toggles if `expected` is given.
-    Warnings while segmenting, such as a truncated trigger window, and
-    finding no window go into the report's warnings, not to the caller."""
+    """Check the trace as validate_trace does, recover its windows in
+    `mode` (RELAY or TRIGGER), integrate each, and match them to the
+    commanded toggles if `expected` is given.  A trace violation raises
+    ValueError, one violation per line.  Warnings while segmenting, such as
+    a truncated trigger window, and finding no window go into the report's
+    warnings, not to the caller.  validate_trace and window_energies are
+    looked up on their modules at each call, so that a wrapper installed
+    there (a profiler's, say) sees every analysis."""
+    validation = trace_module.validate_trace(trace)
+    if not validation.ok:
+        raise ValueError("\n".join(validation.violations))
     if mode not in (RELAY, TRIGGER):
         raise ValueError(f"mode must be {RELAY!r} or {TRIGGER!r}, got {mode!r}")
     if not (math.isfinite(match_tolerance_s) and match_tolerance_s >= 0):
@@ -296,8 +304,6 @@ def analyze(
         params=params,
         match_tolerance_s=match_tolerance_s,
         windows=windows,
-        # looked up on its module at each call, as the segmenters are, so
-        # that a wrapper installed on the module (a profiler's, say) sees it
         joules=energy.window_energies(trace, windows),
         warnings=[str(w.message) for w in caught],
     )

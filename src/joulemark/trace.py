@@ -116,9 +116,10 @@ class PowerTrace:
     Traces the package builds itself (read from CSV, drained from a stream,
     simulated) adopt their freshly built arrays instead of copying them;
     those arrays are read-only too.  Structural invariants (positive rate,
-    finite values, matching channel lengths) are checked by
-    :func:`validate_trace`, not at construction, so that invalid traces can
-    be represented and reported on.
+    finite values, matching channel lengths) are not checked at
+    construction, so that an invalid trace stays representable for
+    :func:`validate_trace` to report on; :func:`~joulemark.segment.analyze`
+    refuses one.
     """
 
     rate_hz: float
@@ -190,19 +191,10 @@ def index_at_or_after(t_s, rate_hz: float):
 
 
 @dataclass(frozen=True)
-class TraceViolation:
-    message: str
-    index: int | None = None
-
-    def __str__(self) -> str:
-        if self.index is None:
-            return self.message
-        return f"sample {self.index}: {self.message}"
-
-
-@dataclass(frozen=True)
 class TraceValidation:
-    violations: tuple[TraceViolation, ...]
+    """Each violation's text, such as ``sample 7: non-finite shunt voltage``."""
+
+    violations: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -216,21 +208,19 @@ def validate_trace(trace: PowerTrace) -> TraceValidation:
     channel lengths when a trigger channel is present.  Non-finite samples
     make one violation per channel, at the first of them, with their count.
     """
-    violations: list[TraceViolation] = []
+    violations: list[str] = []
     if len(trace) == 0:
-        violations.append(TraceViolation("empty trace"))
+        violations.append("empty trace")
     if not math.isfinite(trace.rate_hz):
-        violations.append(TraceViolation(f"non-finite rate: {trace.rate_hz}"))
+        violations.append(f"non-finite rate: {trace.rate_hz}")
     elif not trace.rate_hz > 0:
-        violations.append(TraceViolation(f"non-positive rate: {trace.rate_hz}"))
+        violations.append(f"non-positive rate: {trace.rate_hz}")
     channels = {"shunt": trace.vs}
     if trace.trig is not None:
         if trace.trig.shape[0] != trace.vs.shape[0]:
             violations.append(
-                TraceViolation(
-                    f"trigger channel has {trace.trig.shape[0]} samples, "
-                    f"shunt channel has {trace.vs.shape[0]}"
-                )
+                f"trigger channel has {trace.trig.shape[0]} samples, "
+                f"shunt channel has {trace.vs.shape[0]}"
             )
         channels["trigger"] = trace.trig
     for name, samples in channels.items():
@@ -239,7 +229,7 @@ def validate_trace(trace: PowerTrace) -> TraceValidation:
         if count:
             what = f"non-finite {name} voltage"
             message = what if count == 1 else f"first of {count} {what}s"
-            violations.append(TraceViolation(message, index=int(np.argmax(bad))))
+            violations.append(f"sample {int(np.argmax(bad))}: {message}")
     return TraceValidation(tuple(violations))
 
 

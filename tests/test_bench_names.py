@@ -12,6 +12,7 @@ import pytest
 import joulemark
 import joulemark.cli
 import joulemark.energy
+import joulemark.trace
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import TRIGGER, Scenario, WorkloadProfile, load_scenario, save_scenario, simulate_session
 from joulemark.trace import write_trace_csv
@@ -102,6 +103,19 @@ def test_analyze_integrates_through_the_energy_module(monkeypatch):
     raw = joulemark.energy.window_energies
     monkeypatch.setattr(
         joulemark.energy, "window_energies", lambda *args: calls.append(args) or raw(*args)
+    )
+    report = joulemark.analyze(trace, TRIGGER)
+    assert len(calls) == 1 and len(report.windows) == truth.hits
+
+
+def test_analyze_checks_the_trace_through_the_trace_module(monkeypatch):
+    """analyze() looks validate_trace up on its module at each call, so the
+    tracer's trace.validate_trace span sees every analysis."""
+    trace, truth, _ = three_toggle_session()
+    calls = []
+    raw = joulemark.trace.validate_trace
+    monkeypatch.setattr(
+        joulemark.trace, "validate_trace", lambda *args: calls.append(args) or raw(*args)
     )
     report = joulemark.analyze(trace, TRIGGER)
     assert len(calls) == 1 and len(report.windows) == truth.hits

@@ -360,6 +360,21 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    def test_each_violation_is_an_error_line(self, tmp_path, capsys):
+        trace_path = self._simulate(tmp_path)
+        lines = trace_path.read_text().splitlines()
+        row = lines.index("t_s,vs_v,trig_v") + 5
+        t_s, _, trig = lines[row].split(",")
+        lines[row] = f"{t_s},inf,{trig}"
+        trace_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), "--rate", "0"])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: non-positive rate: 0.0\nerror: sample 4: non-finite shunt voltage\n"
+        )
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -425,11 +440,23 @@ class TestCampaignCommand:
         assert stdout_report["campaign"]["n"] == 5
         assert len(stdout_report["results"]) == 1
 
-    def test_single_run_is_insufficient(self, tmp_path, capsys):
+    def test_single_run_is_insufficient(self, tmp_path, capsys, monkeypatch):
+        self.assert_fails_before_any_run(tmp_path, capsys, monkeypatch, "1", 1)
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_no_runs_say_got_0(self, tmp_path, capsys, monkeypatch, runs):
+        self.assert_fails_before_any_run(tmp_path, capsys, monkeypatch, runs, 0)
+
+    @staticmethod
+    def assert_fails_before_any_run(tmp_path, capsys, monkeypatch, runs, got):
+        """A counting stand-in for simulate_session must see no call."""
         scenario = write_scenario(tmp_path)
-        code = main(["campaign", str(scenario), "--runs", "1", "--out", str(tmp_path / "c.csv")])
-        assert code == 2
-        assert "at least 2" in capsys.readouterr().err
+        calls = []
+        monkeypatch.setattr(cli, "simulate_session", lambda *args: calls.append(args))
+        out = tmp_path / "c.csv"
+        assert main(["campaign", str(scenario), "--runs", runs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: campaign summary needs at least 2 samples, got {got}\n"
+        assert calls == [] and not out.exists()
 
     def test_zero_noise_gives_zero_margin(self, tmp_path):
         scenario = write_scenario(tmp_path, circuit=RELAY, noise_bound=0.0)

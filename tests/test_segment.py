@@ -507,6 +507,43 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="mode"):
             analyze(self.two_runs(), "both")
 
+    @pytest.mark.parametrize(
+        "defect, violation",
+        [
+            # sample 150 lies in the first trigger run: its joules would be NaN
+            ("nan_sample_in_window", "sample 150: non-finite shunt voltage"),
+            ("nan_rate", "non-finite rate: nan"),
+            ("long_trigger", "trigger channel has 1005 samples, shunt channel has 1000"),
+            ("empty", "empty trace"),
+        ],
+    )
+    def test_invalid_trace_is_refused(self, defect, violation):
+        trace = self.two_runs()
+        if defect == "nan_sample_in_window":
+            vs = trace.vs.copy()
+            vs[150] = np.nan
+            trace = replace(trace, vs=vs)
+        elif defect == "nan_rate":
+            trace = replace(trace, rate_hz=float("nan"))
+        elif defect == "long_trigger":
+            trace = replace(trace, trig=np.concatenate([trace.trig, np.zeros(5)]))
+        else:
+            trace = replace(trace, vs=np.zeros(0), trig=np.zeros(0))
+        with pytest.raises(ValueError) as caught:
+            analyze(trace, TRIGGER)
+        assert str(caught.value) == violation
+
+    def test_each_violation_is_one_line(self):
+        trace = self.two_runs()
+        vs = trace.vs.copy()
+        vs[3] = np.inf
+        with pytest.raises(ValueError) as caught:
+            analyze(replace(trace, rate_hz=0.0, vs=vs), TRIGGER)
+        assert str(caught.value).split("\n") == [
+            "non-positive rate: 0.0",
+            "sample 3: non-finite shunt voltage",
+        ]
+
 
 def merge_loop(mask: list[bool], min_window_samples: int) -> list[MeasurementWindow]:
     """Reference relay segmentation of an activity mask: maximal runs, each
@@ -567,6 +604,10 @@ class TestArrayPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TraceTruncationWarning)
             windows = (segment_relay if mode == RELAY else segment_trigger)(trace, params)
+        if not mask:  # the segmenters find no window; analyze refuses the trace
+            with pytest.raises(ValueError, match="^empty trace$"):
+                analyze(trace, mode, params)
+            return
         report = analyze(trace, mode, params)
         assert report.windows == windows
         assert report.joules.tolist() == each_alone(trace, windows)

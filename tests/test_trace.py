@@ -122,7 +122,7 @@ class TestValidateTrace:
         vs[7] = np.nan
         result = validate_trace(PowerTrace(rate_hz=40_000.0, vs=vs))
         assert not result.ok
-        assert any(v.index == 7 for v in result.violations)
+        assert any(v.startswith("sample 7: ") for v in result.violations)
 
     def test_flags_non_positive_rate(self):
         result = validate_trace(PowerTrace(rate_hz=0.0, vs=np.zeros(10)))
