@@ -18,7 +18,7 @@ from .instrument import GpioCommandLog
 from .jsonio import save_json, write_json
 from .segment import MATCH_TOLERANCE_S, SegmentationParams, analyze
 from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
-from .stats import InsufficientSamplesError, summarize_campaign
+from .stats import InsufficientSamplesError, summarize_campaign, t_critical
 from .trace import (
     PowerTrace,
     ShuntConfig,
@@ -120,6 +120,7 @@ def _cmd_campaign(args) -> int:
         raise InsufficientSamplesError(
             f"campaign summary needs at least 2 samples, got {max(args.runs, 0)}"
         )
+    t_critical(args.runs - 1, args.confidence)  # raises on a confidence outside (0, 1)
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)

@@ -6,12 +6,15 @@ small string per token and joins them all.  For a report of thousands of
 windows that costs several times the text in memory.  A document given to
 ``write_json`` may hold ``Records`` in place of such a list.  Each record
 shape's text is then taken once from ``json.dumps(shape, indent=2)`` as a
-``%`` template, the rows' numbers are encoded by the C encoder in one call,
-and the rows are written in blocks of about ``trace.CHUNK_ROWS`` leaves.
+``%`` template.  The records are written in blocks of about
+``trace.CHUNK_ROWS`` leaves: in each block, every leaf column of a shape is
+encoded by the C encoder in one call over that shape's records, and each
+record is its shape's template filled by one ``%``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,9 +50,12 @@ class Records:
 
     def write(self, f: TextIO, indent: int) -> None:
         """Write the array as json's ``indent=2`` encoder would, where its
-        opening bracket follows a line indented by ``indent`` spaces."""
-        count = len(self.columns[0][0] if self.kinds is None else self.kinds)
-        if not count:
+        opening bracket follows a line indented by ``indent`` spaces.  Each
+        block encodes a shape's columns over that shape's records only, and
+        fills each record's template with one ``%``."""
+        kinds = np.zeros(len(self.columns[0][0])) if self.kinds is None else self.kinds
+        kinds = np.asarray(kinds, dtype=np.intp)
+        if not len(kinds):
             f.write("[]")
             return
         pad = " " * (indent + 2)
@@ -61,29 +67,21 @@ class Records:
             .replace(_LEAF_TEXT, "%s")
             for shape in self.shapes
         ]
-        widths = np.array([len(columns) for columns in self.columns], dtype=np.intp)
         # blocks of as many records as hold trace.CHUNK_ROWS leaves of the
         # widest shape, and at least one
-        step = max(1, trace.CHUNK_ROWS // max(1, widths.max()))
-        separator = "[\n"
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            kind = np.zeros(stop - start) if self.kinds is None else self.kinds[start:stop]
-            kind = np.asarray(kind, dtype=np.intp)
-            # each record's first leaf, then each column's items put in place
-            first = np.cumsum(widths[kind]) - widths[kind]
-            leaves = np.empty(first[-1] + widths[kind[-1]], dtype=object)
+        step = max(1, trace.CHUNK_ROWS // max(1, *map(len, self.columns)))
+        for start in range(0, len(kinds), step):
+            kind = kinds[start : start + step]
+            leaves = []  # per shape, its records' leaf texts, one tuple a record
             for k, columns in enumerate(self.columns):
                 rows = np.flatnonzero(kind == k)
-                for i, column in enumerate(columns):
-                    leaves[first[rows] + i] = np.asarray(column[start:stop], dtype=object)[rows]
-            # numbers, bools and None hold no comma, so the C encoder's
-            # compact text of the leaves splits into one text per leaf
-            text = json.dumps(leaves.tolist(), separators=(",", ":"))[1:-1]
-            template = ",\n".join(map(templates.__getitem__, kind.tolist()))
-            f.write(separator)
-            f.write(template % tuple(text.split(",") if text else ()))
-            separator = ",\n"
+                # numbers, bools and None hold no comma, so the C encoder's
+                # compact text of a column splits into one text per item
+                picked = (np.asarray(column[start : start + step], dtype=object)[rows].tolist() for column in columns)
+                texts = [json.dumps(items, separators=(",", ":"))[1:-1].split(",") for items in picked]
+                leaves.append(zip(*texts) if texts else itertools.repeat(()))
+            f.write(",\n" if start else "[\n")
+            f.write(",\n".join(templates[k] % next(leaves[k]) for k in kind.tolist()))
         f.write("\n" + " " * indent + "]")
 
 

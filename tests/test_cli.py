@@ -447,6 +447,18 @@ class TestCampaignCommand:
     def test_no_runs_say_got_0(self, tmp_path, capsys, monkeypatch, runs):
         self.assert_fails_before_any_run(tmp_path, capsys, monkeypatch, runs, 0)
 
+    @pytest.mark.parametrize("confidence", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_confidence_outside_0_1_fails_before_any_run(self, tmp_path, capsys, monkeypatch, confidence):
+        scenario = write_scenario(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "simulate_session", lambda *args: calls.append(args))
+        out = tmp_path / "c.csv"
+        argv = ["campaign", str(scenario), "--runs", "5", "--confidence", confidence, "--out", str(out)]
+        assert main(argv) == 2
+        got = float(confidence)
+        assert capsys.readouterr().err == f"error: confidence must be in (0, 1), got {got}\n"
+        assert calls == [] and not out.exists()
+
     @staticmethod
     def assert_fails_before_any_run(tmp_path, capsys, monkeypatch, runs, got):
         """A counting stand-in for simulate_session must see no call."""

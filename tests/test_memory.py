@@ -35,13 +35,18 @@ each verdict was an object, about 500 bytes when each window was also a
 MeasurementWindow and an EnergyResult).
 
 Writing that report, 3,000 windows and verdicts, peaks at 0.18x the bytes
-it writes in blocks of 512 leaves: one block of records and its text, and
-the results' seconds and mean watts derived as whole columns (0.10x when
-they were derived block by block, 0.52x in blocks of 512 records, 7.9x
-when ``json.dumps(indent=2)`` encoded the whole report at once).  At the
-default block of 16,384 leaves an 8,000-window report, as large as the
-benchmark's, peaks at 1.09x (1.0x block by block; 2.8x when a block was
-16,384 records, and so the whole report).
+it writes in blocks of 512 leaves: one block's leaf texts, a column of one
+shape at a time, its records and their text, and the results' seconds and
+mean watts derived as whole columns (0.17x when a block's leaves were first
+gathered into one object array; 0.10x when the seconds and watts were
+derived block by block, 0.52x in blocks of 512 records, 7.9x when
+``json.dumps(indent=2)`` encoded the whole report at once).  The default
+block of 16,384 leaves costs about 160 bytes a leaf, 2.7 MB, whatever the
+report's size: the same report peaks at 2.33x (2.75x, about 190 bytes a
+leaf, with the one object array), and an 8,000-window report, as large as
+the benchmark's, at 0.92x (1.07x; 1.0x when the seconds and watts were
+derived block by block; 2.8x when a block was 16,384 records, and so the
+whole report).
 """
 
 import tracemalloc
@@ -228,3 +233,10 @@ def test_report_writer_at_the_default_block_size(tmp_path):
     path = tmp_path / "report.json"
     peak = report_writer_peak(toggled(8_000), path)
     assert peak <= 2.0 * path.stat().st_size
+
+
+def test_report_writer_of_a_smaller_report_at_the_default_block_size(toggled_session, tmp_path):
+    """3,000 windows, whose results fill a default block almost whole."""
+    path = tmp_path / "report.json"
+    peak = report_writer_peak(toggled_session, path)
+    assert peak <= 2.5 * path.stat().st_size
