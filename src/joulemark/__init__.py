@@ -44,7 +44,6 @@ from .segment import (
     HitMissReport,
     SegmentationParams,
     SessionReport,
-    TraceTruncationWarning,
     WrongModeError,
     analyze,
     match_toggles,

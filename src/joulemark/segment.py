@@ -12,7 +12,7 @@ whole pipeline: segment by mode, integrate each window, match.
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import TextIO
@@ -38,17 +38,13 @@ class WrongModeError(ValueError):
     """Trace channel layout does not match the requested segmentation mode."""
 
 
-class TraceTruncationWarning(UserWarning):
-    """The trace ended while the trigger channel was still high."""
-
-
 @dataclass(frozen=True)
 class SegmentationParams:
     """Thresholds for window recovery.
 
     relay_threshold_w defaults to 5x the documented idle-noise bound so
-    bounded noise can never cross it; min_window_samples provides run-length
-    hysteresis for the relay mode.
+    bounded noise can never cross it; min_window_samples, an integer >= 1,
+    provides run-length hysteresis for the relay mode.
     """
 
     relay_threshold_w: float = 0.005
@@ -60,10 +56,10 @@ class SegmentationParams:
             raise ValueError(
                 f"relay threshold must be finite and positive, got {self.relay_threshold_w}"
             )
-        if self.min_window_samples < 1:
-            raise ValueError(
-                f"min window length must be >= 1, got {self.min_window_samples}"
-            )
+        n = self.min_window_samples
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"min window length must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "min_window_samples", int(n))
         if not math.isfinite(self.trigger_logic_threshold_v):
             raise ValueError(
                 f"trigger logic threshold must be finite, got {self.trigger_logic_threshold_v}"
@@ -108,8 +104,9 @@ def segment_trigger(trace: PowerTrace, params: SegmentationParams | None = None)
     """Windows of a trigger-circuit (two-channel) trace.
 
     The trigger channel is binarized at trigger_logic_threshold_v; every
-    maximal high-run becomes one window.  A trace ending mid-high-run emits
-    a TraceTruncationWarning and the window is closed at the trace end.
+    maximal high-run becomes one window.  A trace ending mid-high-run closes
+    its last window at the trace end, so that ``windows.end[-1] ==
+    len(trace)``.
     """
     params = params if params is not None else SegmentationParams()
     if not trace.has_trigger:
@@ -117,14 +114,7 @@ def segment_trigger(trace: PowerTrace, params: SegmentationParams | None = None)
             "trigger segmentation expects a two-channel trace; "
             "this trace has no trigger channel"
         )
-    high = trace.trig >= params.trigger_logic_threshold_v
-    if len(high) and high[-1]:
-        warnings.warn(
-            "trace ends mid-window; final window truncated at trace end",
-            TraceTruncationWarning,
-            stacklevel=2,
-        )
-    return _runs(high)
+    return _runs(trace.trig >= params.trigger_logic_threshold_v)
 
 
 # a verdict's JSON record, missed or hit: its port and commanded seconds as
@@ -279,11 +269,11 @@ def analyze(
     """Check the trace as validate_trace does, recover its windows in
     `mode` (RELAY or TRIGGER), integrate each, and match them to the
     commanded toggles if `expected` is given.  A trace violation raises
-    ValueError, one violation per line.  Warnings while segmenting, such as
-    a truncated trigger window, and finding no window go into the report's
-    warnings, not to the caller.  validate_trace and window_energies are
-    looked up on their modules at each call, so that a wrapper installed
-    there (a profiler's, say) sees every analysis."""
+    ValueError, one violation per line.  A truncated trigger window (the
+    last window ends at ``len(trace)``) and finding no window go into the
+    report's warnings.  The segmenters, validate_trace and window_energies
+    are looked up on their modules at each call, so that a wrapper
+    installed there (a profiler's, say) sees every analysis."""
     validation = trace_module.validate_trace(trace)
     if not validation.ok:
         raise ValueError("\n".join(validation.violations))
@@ -294,9 +284,7 @@ def analyze(
             f"match tolerance must be finite and >= 0, got {match_tolerance_s}"
         )
     segmenter = segment_relay if mode == RELAY else segment_trigger
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TraceTruncationWarning)
-        windows = segmenter(trace, params)
+    windows = segmenter(trace, params)
     report = SessionReport(
         mode=mode,
         rate_hz=trace.rate_hz,
@@ -305,8 +293,9 @@ def analyze(
         match_tolerance_s=match_tolerance_s,
         windows=windows,
         joules=energy.window_energies(trace, windows),
-        warnings=[str(w.message) for w in caught],
     )
+    if mode == TRIGGER and windows and windows.end[-1] == len(trace):
+        report.warnings.append("trace ends mid-window; final window truncated at trace end")
     if not windows:
         report.warnings.append("no measurement windows found")
     if expected is not None:

@@ -22,7 +22,6 @@ certainty at the switching model's full-confidence duration.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -138,7 +137,7 @@ def hit_probability(event_duration_s, model: SwitchingModel):
     Deterministic; randomness is applied only inside simulate_session.
     """
     d = np.asarray(event_duration_s, dtype=np.float64)
-    for k in np.flatnonzero(d < 0)[:1].tolist():
+    for k in np.flatnonzero(~(d >= 0))[:1].tolist():
         raise ValueError(f"event duration must be >= 0, got {d.flat[k].item()}")
     floor = model.floor_hit_prob
     p = np.where(d >= model.full_confidence_s, 1.0, floor + (1.0 - floor) * (d / model.full_confidence_s))
@@ -544,10 +543,6 @@ _SHAPE_NAMES = {cls: name for name, cls in _SHAPES.items()}
 # what JSON must hold for a field of each numeric annotation, and how it is
 # stored; bool is never a number here
 _NUMBERS = {"float": ((int, float), "a number", float), "int": (int, "an integer", int)}
-# a dataclass's fields and their names, looked up once per class rather than
-# per JSON object
-_fields = functools.cache(fields)
-_names = functools.cache(lambda cls: frozenset(f.name for f in fields(cls)))
 
 
 def _build(cls, path: str, **values):
@@ -569,16 +564,17 @@ def _read(cls, obj, path: str, default=None, **given):
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
+    names = [f.name for f in fields(cls)]
     for key in obj:
-        if key not in _names(cls):
+        if key not in names:
             raise ScenarioError(f"{path}.{key}: unknown field")
     values = {}
-    for f in _fields(cls):
+    for f in fields(cls):
         if f.name in given:
             values[f.name] = given[f.name]
         elif f.name in obj:
             value = obj[f.name]
-            accepted, kind, convert = _NUMBERS[getattr(f.type, "__name__", f.type)]
+            accepted, kind, convert = _NUMBERS[f.type]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ScenarioError(f"{path}.{f.name}: expected {kind}, got {value!r}")
             # json reads Infinity and NaN as floats, and digits beyond the
@@ -619,7 +615,7 @@ def _segment(obj, path: str) -> WorkloadSegment:
     shape = _SHAPES[_choice(obj, "shape", path, tuple(_SHAPES))]
     # one object holds the segment's fields and its shape's: the shape reads
     # every key that is not the segment's, so it names any unknown key
-    own = _names(WorkloadSegment)
+    own = [f.name for f in fields(WorkloadSegment)]
     return _read(
         WorkloadSegment, {k: v for k, v in obj.items() if k in own}, path,
         shape=_read(shape, {k: v for k, v in obj.items() if k not in own}, path),

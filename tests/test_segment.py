@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+import threading
 import warnings
 from dataclasses import replace
 
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 from chunking import chunk_rows
 
+import joulemark.segment
 from joulemark.energy import window_energies
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import (
     HitMissReport,
     SegmentationParams,
     SessionReport,
-    TraceTruncationWarning,
     WrongModeError,
     analyze,
     match_toggles,
@@ -183,9 +184,7 @@ class TestSegmentTrigger:
     def test_trace_ending_high_warns_and_closes_at_end(self):
         trig = np.zeros(100)
         trig[60:] = 1.8
-        with pytest.warns(TraceTruncationWarning):
-            windows = segment_trigger(trigger_trace(trig))
-        assert windows == [MeasurementWindow(60, 100)]
+        assert segment_trigger(trigger_trace(trig)) == [MeasurementWindow(60, 100)]
 
     def test_invariant_under_shunt_channel_scaling(self):
         rng = np.random.default_rng(31)
@@ -215,6 +214,14 @@ class TestSegmentationParams:
         for threshold in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="trigger logic threshold must be finite"):
                 SegmentationParams(trigger_logic_threshold_v=threshold)
+
+    def test_min_window_samples_is_an_integer(self):
+        # nan and inf would find no window and write a report that is not JSON
+        for n in (float("nan"), float("inf"), 2.5, True, 4.0):
+            with pytest.raises(ValueError, match=r"^min window length must be an integer >= 1, got "):
+                SegmentationParams(min_window_samples=n)
+        params = SegmentationParams(min_window_samples=np.int64(3))
+        assert type(params.min_window_samples) is int and params.min_window_samples == 3
 
 
 class TestSegmentationProperties:
@@ -430,6 +437,52 @@ class TestAnalyze:
         assert report.windows == [MeasurementWindow(300, 400)]
         assert report.warnings == ["trace ends mid-window; final window truncated at trace end"]
 
+    def test_overlapping_analyses_each_report_their_truncated_window(self, monkeypatch):
+        # the first thread segments while the second is inside analyze(), as
+        # two instrumented program parts analysed at once can
+        trig = np.zeros(400)
+        trig[300:] = 1.8
+        trace = trigger_trace(trig)
+        segment = joulemark.segment.segment_trigger
+        second_in, first_done = threading.Event(), threading.Event()
+
+        def held(trace, params=None):
+            if threading.current_thread() is first:
+                assert second_in.wait(10)
+            else:
+                second_in.set()
+                assert first_done.wait(10)
+            return segment(trace, params)
+
+        reports, errors = {}, []
+
+        def run():
+            try:
+                reports[threading.current_thread()] = analyze(trace, TRIGGER)
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                if threading.current_thread() is first:
+                    first_done.set()
+
+        state = warnings.filters[:], warnings.showwarning, warnings._showwarnmsg_impl
+        monkeypatch.setattr(joulemark.segment, "segment_trigger", held)
+        first, second = threading.Thread(target=run), threading.Thread(target=run)
+        try:
+            first.start()
+            second.start()
+            first.join(20)
+            second.join(20)
+            after = warnings.filters[:], warnings.showwarning, warnings._showwarnmsg_impl
+        finally:
+            warnings.filters[:], warnings.showwarning, warnings._showwarnmsg_impl = state
+            warnings._filters_mutated()
+        assert not first.is_alive() and not second.is_alive() and errors == []
+        assert [reports[first].warnings, reports[second].warnings] == [
+            ["trace ends mid-window; final window truncated at trace end"]
+        ] * 2
+        assert after == state
+
     def test_no_windows_is_a_report_warning(self):
         report = analyze(relay_trace(np.zeros(500)), RELAY)
         assert report.windows == [] and report.joules.tolist() == []
@@ -601,9 +654,7 @@ class TestArrayPath:
         else:
             trace = PowerTrace(rate_hz=rate, vs=vs, trig=np.where(mask, 1.8, 0.0), shunt=SHUNT)
         params = SegmentationParams(min_window_samples=min_window)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TraceTruncationWarning)
-            windows = (segment_relay if mode == RELAY else segment_trigger)(trace, params)
+        windows = (segment_relay if mode == RELAY else segment_trigger)(trace, params)
         if not mask:  # the segmenters find no window; analyze refuses the trace
             with pytest.raises(ValueError, match="^empty trace$"):
                 analyze(trace, mode, params)

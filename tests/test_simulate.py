@@ -179,6 +179,12 @@ class TestHitProbability:
         with pytest.raises(ValueError, match=r"^event duration must be >= 0, got -0\.002$"):
             hit_probability(np.array([0.5, -2e-3, -1.0]), SwitchingModel.relay_default())
 
+    def test_rejects_nan_duration(self):
+        with pytest.raises(ValueError, match=r"^event duration must be >= 0, got nan$"):
+            hit_probability(float("nan"), SwitchingModel.relay_default())
+        with pytest.raises(ValueError, match=r"^event duration must be >= 0, got nan$"):
+            hit_probability(np.array([0.5, np.nan, 1.0]), SwitchingModel.relay_default())
+
     def test_scalar_gives_a_float_and_an_array_gives_an_array(self):
         model = SwitchingModel.relay_default()
         assert type(hit_probability(1e-4, model)) is float
