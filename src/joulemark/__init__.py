@@ -51,8 +51,6 @@ from .segment import (
     segment_trigger,
 )
 from .simulate import (
-    RELAY,
-    TRIGGER,
     ConstantPower,
     GroundTruth,
     NoiseModel,
@@ -79,6 +77,8 @@ from .stats import (
     variation_pct,
 )
 from .trace import (
+    RELAY,
+    TRIGGER,
     MeasurementWindow,
     PowerTrace,
     ShuntConfig,

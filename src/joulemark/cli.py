@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,12 @@ import numpy as np
 from . import trace as trace_module
 from .instrument import GpioCommandLog
 from .jsonio import save_json, write_json
-from .segment import MATCH_TOLERANCE_S, SegmentationParams, analyze
-from .simulate import RELAY, TRIGGER, load_scenario, simulate_session
+from .segment import SegmentationParams, analyze
+from .simulate import load_scenario, simulate_session
 from .stats import InsufficientSamplesError, summarize_campaign, t_critical
 from .trace import (
+    RELAY,
+    TRIGGER,
     PowerTrace,
     ShuntConfig,
     read_trace_csv,
@@ -100,9 +103,10 @@ def _cmd_analyze(args) -> int:
         relay_threshold_w=args.threshold_w,
         min_window_samples=args.min_window,
         trigger_logic_threshold_v=args.trigger_threshold_v,
+        match_tolerance_s=args.match_tolerance_s,
     )
     expected = GpioCommandLog.read_csv(args.expected) if args.expected else None
-    report = analyze(trace, args.mode, params, expected, args.match_tolerance_s)
+    report = analyze(trace, args.mode, params, expected)
     out = Path(args.out)
     with out.open("w", newline="\n") as f:
         report.write_json(f)
@@ -136,8 +140,7 @@ def _cmd_campaign(args) -> int:
         f.write("# run_1..run_n,mean,me\n")
         f.write(summary.to_csv_row() + "\n")
     # stdout carries the final run's analysis with the all-runs summary
-    report.campaign = summary
-    report.write_json(sys.stdout)
+    replace(report, campaign=summary).write_json(sys.stdout)
     return 0
 
 
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-w", type=float, default=defaults.relay_threshold_w, help="relay power threshold, watts")
     p.add_argument("--min-window", type=int, default=defaults.min_window_samples, help="minimum window length, samples")
     p.add_argument("--trigger-threshold-v", type=float, default=defaults.trigger_logic_threshold_v, help="trigger logic threshold, volts")
-    p.add_argument("--match-tolerance-s", type=float, default=MATCH_TOLERANCE_S, help="hit/miss start-time tolerance, seconds")
+    p.add_argument("--match-tolerance-s", type=float, default=defaults.match_tolerance_s, help="hit/miss start-time tolerance, seconds")
     p.add_argument("--shunt-r", type=float, default=None, help="override shunt resistance, ohms")
     p.add_argument("--vf", type=float, default=None, help="override source voltage, volts")
     p.add_argument("--rate", type=float, default=None, help="override sampling rate, hertz")

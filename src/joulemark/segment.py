@@ -23,15 +23,10 @@ from . import energy, jsonio
 from . import trace as trace_module
 from .instrument import GpioCommandLog
 from .jsonio import LEAF, Records
-from .simulate import RELAY, TRIGGER
 from .stats import CampaignSummary
 from .trace import (
-    PowerTrace, ShuntConfig, Windows, fields_equal, row_blocks, sample_to_power
+    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, row_blocks, sample_to_power
 )
-
-
-# how far a window's start may lie from its commanded start: 2x relay latency
-MATCH_TOLERANCE_S = 1e-3
 
 
 class WrongModeError(ValueError):
@@ -40,30 +35,33 @@ class WrongModeError(ValueError):
 
 @dataclass(frozen=True)
 class SegmentationParams:
-    """Thresholds for window recovery.
+    """Thresholds for window recovery, and the tolerance for matching the
+    recovered windows to the commanded toggles.
 
     relay_threshold_w defaults to 5x the documented idle-noise bound so
     bounded noise can never cross it; min_window_samples, an integer >= 1,
-    provides run-length hysteresis for the relay mode.
+    provides run-length hysteresis for the relay mode.  match_tolerance_s
+    is how far a window's start may lie from its commanded start: 2x the
+    relay latency.  No float field takes a bool.
     """
 
     relay_threshold_w: float = 0.005
     min_window_samples: int = 4
     trigger_logic_threshold_v: float = 0.9
+    match_tolerance_s: float = 1e-3
 
     def __post_init__(self):
-        if not (math.isfinite(self.relay_threshold_w) and self.relay_threshold_w > 0):
-            raise ValueError(
-                f"relay threshold must be finite and positive, got {self.relay_threshold_w}"
-            )
-        n = self.min_window_samples
+        w, n = self.relay_threshold_w, self.min_window_samples
+        v, s = self.trigger_logic_threshold_v, self.match_tolerance_s
+        if isinstance(w, bool) or not (math.isfinite(w) and w > 0):
+            raise ValueError(f"relay threshold must be finite and positive, got {w}")
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"min window length must be an integer >= 1, got {n!r}")
         object.__setattr__(self, "min_window_samples", int(n))
-        if not math.isfinite(self.trigger_logic_threshold_v):
-            raise ValueError(
-                f"trigger logic threshold must be finite, got {self.trigger_logic_threshold_v}"
-            )
+        if isinstance(v, bool) or not math.isfinite(v):
+            raise ValueError(f"trigger logic threshold must be finite, got {v}")
+        if isinstance(s, bool) or not (math.isfinite(s) and s >= 0):
+            raise ValueError(f"match tolerance must be finite and >= 0, got {s}")
 
 
 def _runs(mask: np.ndarray) -> Windows:
@@ -73,14 +71,13 @@ def _runs(mask: np.ndarray) -> Windows:
     return Windows(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
 
 
-def segment_relay(trace: PowerTrace, params: SegmentationParams | None = None) -> Windows:
+def segment_relay(trace: PowerTrace, params: SegmentationParams = SegmentationParams()) -> Windows:
     """Windows of a relay-circuit (single-channel) trace.
 
     A window is a maximal run of samples with |power| >= relay_threshold_w;
     runs separated by fewer than min_window_samples of idle are merged, and
     runs shorter than min_window_samples are dropped.
     """
-    params = params if params is not None else SegmentationParams()
     if trace.has_trigger:
         raise WrongModeError(
             "relay segmentation expects a single-channel trace; "
@@ -100,7 +97,7 @@ def segment_relay(trace: PowerTrace, params: SegmentationParams | None = None) -
     return Windows(begin[keep], end[keep])
 
 
-def segment_trigger(trace: PowerTrace, params: SegmentationParams | None = None) -> Windows:
+def segment_trigger(trace: PowerTrace, params: SegmentationParams = SegmentationParams()) -> Windows:
     """Windows of a trigger-circuit (two-channel) trace.
 
     The trigger channel is binarized at trigger_logic_threshold_v; every
@@ -108,7 +105,6 @@ def segment_trigger(trace: PowerTrace, params: SegmentationParams | None = None)
     its last window at the trace end, so that ``windows.end[-1] ==
     len(trace)``.
     """
-    params = params if params is not None else SegmentationParams()
     if not trace.has_trigger:
         raise WrongModeError(
             "trigger segmentation expects a two-channel trace; "
@@ -166,7 +162,7 @@ def match_toggles(
     intended: GpioCommandLog,
     found: Windows,
     rate_hz: float,
-    tolerance_s: float = MATCH_TOLERANCE_S,
+    tolerance_s: float = SegmentationParams.match_tolerance_s,
 ) -> HitMissReport:
     """Greedy in-order matching of commanded toggles to recovered windows.
 
@@ -200,7 +196,7 @@ def match_toggles(
     return HitMissReport(port, t_on, t_off, np.array(matched, dtype=np.int64))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SessionReport:
     """Everything one analysis produced, self-describing enough to rerun."""
 
@@ -208,7 +204,6 @@ class SessionReport:
     rate_hz: float
     shunt: ShuntConfig
     params: SegmentationParams
-    match_tolerance_s: float
     windows: Windows
     joules: np.ndarray  # float64, one per window, in window order
     hit_miss: HitMissReport | None = None
@@ -219,8 +214,7 @@ class SessionReport:
         if not isinstance(other, SessionReport):
             return NotImplemented
         key = attrgetter(
-            "mode", "rate_hz", "shunt", "params", "match_tolerance_s",
-            "windows", "hit_miss", "campaign", "warnings",
+            "mode", "rate_hz", "shunt", "params", "windows", "hit_miss", "campaign", "warnings"
         )
         return key(self) == key(other) and np.array_equal(self.joules, other.joules)
 
@@ -239,17 +233,13 @@ class SessionReport:
             "mode": self.mode,
             "rate_hz": self.rate_hz,
             "shunt": asdict(self.shunt),
-            "params": {**asdict(self.params), "match_tolerance_s": self.match_tolerance_s},
-            "results": Records((_RESULT,), (self._result_columns(),)),
+            "params": asdict(self.params),
+            "results": Records((_RESULT,), (_result_columns(self.windows, self.joules, self.rate_hz),)),
             "total_joules": self.total_joules,
             "hit_miss": self.hit_miss._json_doc() if self.hit_miss else None,
             "campaign": self.campaign.to_json_dict() if self.campaign else None,
             "warnings": self.warnings,
         }
-
-    def _result_columns(self) -> tuple[np.ndarray, ...]:
-        b, e, j, rate = self.windows.begin, self.windows.end, self.joules, self.rate_hz
-        return b, e, b / rate, e / rate, j, j / ((e - b) / rate)
 
 
 # a window's JSON record: its sample span, then its seconds and energy
@@ -259,48 +249,71 @@ _RESULT = {
 }
 
 
+def _result_columns(windows: Windows, joules: np.ndarray, rate_hz: float) -> tuple[np.ndarray, ...]:
+    """The columns of the windows' JSON records, in _RESULT's leaf order."""
+    b, e, j = windows.begin, windows.end, joules
+    return b, e, b / rate_hz, e / rate_hz, j, j / ((e - b) / rate_hz)
+
+
+def _check_finite(windows: Windows, joules: np.ndarray, rate_hz: float) -> None:
+    """Raise ValueError naming the first window whose seconds, joules or
+    mean watts are not finite, or else a total that is not: JSON has no
+    text for infinity or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, *floats = _result_columns(windows, joules, rate_hz)
+    bad = ~np.isfinite(np.stack(floats))
+    for k in np.flatnonzero(bad.any(axis=0))[:1].tolist():
+        i = int(np.argmax(bad[:, k]))
+        raise ValueError(
+            f"window {k} [{windows.begin[k]}, {windows.end[k]}): "
+            f"{list(_RESULT['energy'])[i]} is {floats[i][k]}, not finite"
+        )
+    total = sum(joules.tolist(), 0.0)
+    if not math.isfinite(total):
+        raise ValueError(f"total_joules is {total}, not finite")
+
+
 def analyze(
     trace: PowerTrace,
     mode: str,
     params: SegmentationParams = SegmentationParams(),
     expected: GpioCommandLog | None = None,
-    match_tolerance_s: float = MATCH_TOLERANCE_S,
 ) -> SessionReport:
     """Check the trace as validate_trace does, recover its windows in
     `mode` (RELAY or TRIGGER), integrate each, and match them to the
     commanded toggles if `expected` is given.  A trace violation raises
-    ValueError, one violation per line.  A truncated trigger window (the
-    last window ends at ``len(trace)``) and finding no window go into the
-    report's warnings.  The segmenters, validate_trace and window_energies
-    are looked up on their modules at each call, so that a wrapper
-    installed there (a profiler's, say) sees every analysis."""
+    ValueError, one violation per line, and so does a window whose seconds,
+    energy or mean power, or a total energy, is not finite.  A truncated
+    trigger window (the last window ends at ``len(trace)``) and finding no
+    window go into the report's warnings.  The segmenters, validate_trace
+    and window_energies are looked up on their modules at each call, so
+    that a wrapper installed there (a profiler's, say) sees every
+    analysis."""
     validation = trace_module.validate_trace(trace)
     if not validation.ok:
         raise ValueError("\n".join(validation.violations))
     if mode not in (RELAY, TRIGGER):
         raise ValueError(f"mode must be {RELAY!r} or {TRIGGER!r}, got {mode!r}")
-    if not (math.isfinite(match_tolerance_s) and match_tolerance_s >= 0):
-        raise ValueError(
-            f"match tolerance must be finite and >= 0, got {match_tolerance_s}"
-        )
     segmenter = segment_relay if mode == RELAY else segment_trigger
-    windows = segmenter(trace, params)
-    report = SessionReport(
+    # finite samples can make infinite power and energy: checked below
+    with np.errstate(over="ignore"):
+        windows = segmenter(trace, params)
+        joules = energy.window_energies(trace, windows)
+    _check_finite(windows, joules, trace.rate_hz)
+    warnings = []
+    if mode == TRIGGER and windows and windows.end[-1] == len(trace):
+        warnings.append("trace ends mid-window; final window truncated at trace end")
+    if not windows:
+        warnings.append("no measurement windows found")
+    return SessionReport(
         mode=mode,
         rate_hz=trace.rate_hz,
         shunt=trace.shunt,
         params=params,
-        match_tolerance_s=match_tolerance_s,
         windows=windows,
-        joules=energy.window_energies(trace, windows),
+        joules=joules,
+        hit_miss=None if expected is None else match_toggles(
+            expected, windows, trace.rate_hz, params.match_tolerance_s
+        ),
+        warnings=warnings,
     )
-    if mode == TRIGGER and windows and windows.end[-1] == len(trace):
-        report.warnings.append("trace ends mid-window; final window truncated at trace end")
-    if not windows:
-        report.warnings.append("no measurement windows found")
-    if expected is not None:
-        report.hit_miss = match_toggles(
-            expected, windows, trace.rate_hz, match_tolerance_s
-        )
-    return report
-

@@ -34,11 +34,9 @@ from .acquisition import DEFAULT_AGGREGATE_RATE_HZ, AcquisitionConfig, channel_r
 from .instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog, _ACTIONS
 from .jsonio import LEAF, Records, save_json
 from .trace import (
-    PowerTrace, ShuntConfig, Windows, fields_equal, index_at_or_after, row_blocks
+    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, index_at_or_after, row_blocks
 )
 
-RELAY = "relay"
-TRIGGER = "trigger"
 _CIRCUITS = (RELAY, TRIGGER)
 
 # Target CPU max clock; the tight counting loop used for calibration runs
@@ -74,11 +72,13 @@ TRIGGER_FULL_CONFIDENCE_S = (
 
 
 def _finite(owner, *names: str, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the first of ``owner``'s fields that is NaN or
-    infinite; NaN passes every range check, since each comparison is false."""
+    """Raise ``error`` naming the first of ``owner``'s fields that is NaN,
+    infinite or a bool; NaN passes every range check, since each comparison
+    is false, and a bool passes them as 0 or 1 but is written as JSON's
+    ``true`` or ``false``, which the scenario reader rejects."""
     for name in names:
         value = getattr(owner, name)
-        if not abs(value) <= sys.float_info.max:
+        if isinstance(value, bool) or not abs(value) <= sys.float_info.max:
             raise error(f"{name} must be finite, got {value}")
 
 
@@ -97,7 +97,7 @@ class SwitchingModel:
     floor_hit_prob: float = 0.3
 
     def __post_init__(self):
-        _finite(self, "nominal_latency_s", "full_confidence_s")
+        _finite(self, "nominal_latency_s", "full_confidence_s", "floor_hit_prob")
         if not 0.0 <= self.floor_hit_prob <= 1.0:
             raise ValueError(
                 f"floor hit probability must be in [0, 1], got {self.floor_hit_prob}"

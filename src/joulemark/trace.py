@@ -28,6 +28,11 @@ from . import floattext
 # within this many seconds.
 TIME_GRID_TOLERANCE_S = 1e-9
 
+# The two measurement circuits: the relay's trace is the shunt channel
+# alone, the trigger's adds the GPIO logic level as a second channel.
+RELAY = "relay"
+TRIGGER = "trigger"
+
 
 class TraceFormatError(ValueError):
     """Malformed trace CSV.  ``line`` is the 1-based offending line number."""
@@ -43,16 +48,17 @@ class TraceFormatError(ValueError):
 class ShuntConfig:
     """Supply voltage (volts) and shunt resistance (ohms) of the circuit.
 
-    Defaults model a 12 V supply fed through a 0.1 ohm shunt.
+    Defaults model a 12 V supply fed through a 0.1 ohm shunt.  Neither
+    takes a bool, which the trace CSV could not hold.
     """
 
     vf: float = 12.0
     rs: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.vf) and self.vf > 0.0):
+        if isinstance(self.vf, bool) or not (math.isfinite(self.vf) and self.vf > 0.0):
             raise ValueError(f"source voltage must be positive, got {self.vf}")
-        if not (math.isfinite(self.rs) and self.rs > 0.0):
+        if isinstance(self.rs, bool) or not (math.isfinite(self.rs) and self.rs > 0.0):
             raise ValueError(f"shunt resistance must be positive, got {self.rs}")
 
 
@@ -204,14 +210,17 @@ class TraceValidation:
 def validate_trace(trace: PowerTrace) -> TraceValidation:
     """Check trace invariants; returns violations instead of raising.
 
-    Checks: non-empty, positive finite rate, finite voltages, and matching
-    channel lengths when a trigger channel is present.  Non-finite samples
-    make one violation per channel, at the first of them, with their count.
+    Checks: non-empty, positive finite rate that is not a bool, finite
+    voltages, and matching channel lengths when a trigger channel is
+    present.  Non-finite samples make one violation per channel, at the
+    first of them, with their count.
     """
     violations: list[str] = []
     if len(trace) == 0:
         violations.append("empty trace")
-    if not math.isfinite(trace.rate_hz):
+    if isinstance(trace.rate_hz, bool):
+        violations.append(f"bool rate: {trace.rate_hz}")
+    elif not math.isfinite(trace.rate_hz):
         violations.append(f"non-finite rate: {trace.rate_hz}")
     elif not trace.rate_hz > 0:
         violations.append(f"non-positive rate: {trace.rate_hz}")

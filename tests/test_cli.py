@@ -213,9 +213,10 @@ class TestAnalyzeCommand:
 
     def test_defaults_are_the_library_defaults(self):
         args = cli.build_parser().parse_args(["analyze", "t.csv", "--mode", RELAY, "--out", "r.json"])
-        params = SegmentationParams(args.threshold_w, args.min_window, args.trigger_threshold_v)
+        params = SegmentationParams(
+            args.threshold_w, args.min_window, args.trigger_threshold_v, args.match_tolerance_s
+        )
         assert params == inspect.signature(analyze).parameters["params"].default == SegmentationParams()
-        assert args.match_tolerance_s == inspect.signature(analyze).parameters["match_tolerance_s"].default
         assert args.match_tolerance_s == inspect.signature(match_toggles).parameters["tolerance_s"].default
 
     def test_trigger_analysis_recovers_12_joules(self, tmp_path):
@@ -396,6 +397,15 @@ class TestAnalyzeCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_overflowing_energy_exits_2_without_a_report(self, tmp_path, capsys):
+        """Ten finite samples whose energy overflows would reach the report
+        as Infinity, which is not JSON."""
+        trace_path, out = tmp_path / "trace.csv", tmp_path / "r.json"
+        write_trace_csv(PowerTrace(rate_hz=20_000.0, vs=np.full(10, 1e307)), trace_path)
+        code = main(["analyze", str(trace_path), "--mode", "relay", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: window 0 [0, 10): joules is inf, not finite\n"
 
     def test_mode_channel_mismatch_fails(self, tmp_path, capsys):
         trace_path = self._simulate(tmp_path, circuit=RELAY)  # 1-channel trace

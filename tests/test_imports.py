@@ -1,16 +1,18 @@
 """Every name a joulemark module imports is used in it, so that a deletion
 cannot leave a dead import behind.  ``__init__.py`` imports to re-export,
-and is not checked."""
+and is not checked.  The analysis modules stand below the simulator, the
+acquisition layer and the CLI: a trace read from a file is analysed
+without importing any of them."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    path for path in (Path(__file__).resolve().parent.parent / "src" / "joulemark").glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "joulemark"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ANALYSIS = ["trace", "floattext", "energy", "jsonio", "stats", "segment"]
+ABOVE_ANALYSIS = {"simulate", "acquisition", "cli"}
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -47,3 +49,38 @@ def test_dead_imports_are_found():
         "def f(x: 'Callable[[], int]') -> int:\n    return np.size(x)\n"
     )
     assert imported_names(tree) - used_names(tree) == {"os", "Path"}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The joulemark modules that a module's relative imports name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def imported_modules(module: str) -> set[str]:
+    """The joulemark modules that importing ``module`` imports, directly or
+    through another joulemark module."""
+    seen, todo = set(), [module]
+    while todo:
+        tree = ast.parse((PACKAGE / f"{todo.pop()}.py").read_text())
+        new = package_imports(tree) - seen
+        seen |= new
+        todo += new
+    return seen
+
+
+@pytest.mark.parametrize("module", ANALYSIS)
+def test_analysis_imports_nothing_above_it(module):
+    assert imported_modules(module) & ABOVE_ANALYSIS == set()
+
+
+def test_package_imports_are_found():
+    tree = ast.parse("from . import trace as t, energy\nfrom .simulate import RELAY\nimport numpy\n")
+    assert package_imports(tree) == {"trace", "energy", "simulate"}
+    assert "simulate" in imported_modules("cli") and "trace" in imported_modules("segment")

@@ -87,8 +87,8 @@ def reports(draw):
             relay_threshold_w=draw(positive),
             min_window_samples=draw(st.integers(1, 100)),
             trigger_logic_threshold_v=draw(finite),
+            match_tolerance_s=draw(st.floats(0.0, 1.0)),
         ),
-        match_tolerance_s=draw(st.floats(0.0, 1.0)),
         windows=Windows(begin, begin + lengths),
         joules=energies,
         hit_miss=hit_miss,
@@ -182,7 +182,7 @@ def report_doc(report: SessionReport) -> dict:
             "relay_threshold_w": report.params.relay_threshold_w,
             "min_window_samples": report.params.min_window_samples,
             "trigger_logic_threshold_v": report.params.trigger_logic_threshold_v,
-            "match_tolerance_s": report.match_tolerance_s,
+            "match_tolerance_s": report.params.match_tolerance_s,
         },
         "results": results,
         "total_joules": sum(report.joules.tolist(), 0.0),
@@ -255,7 +255,6 @@ def test_written_reports_keep_every_kind_of_leaf():
         rate_hz=1000.0,
         shunt=ShuntConfig(),
         params=SegmentationParams(),
-        match_tolerance_s=1e-3,
         windows=Windows([0, 10], [5, 20]),
         joules=np.array([math.nan, 2.0]),
         hit_miss=HitMissReport(np.array([40, 41]), np.array([0.0, 0.01]), np.array([0.005, 0.02]), np.array([0, -1])),

@@ -223,6 +223,20 @@ class TestSegmentationParams:
         params = SegmentationParams(min_window_samples=np.int64(3))
         assert type(params.min_window_samples) is int and params.min_window_samples == 3
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("relay_threshold_w", "relay threshold must be finite and positive"),
+            ("trigger_logic_threshold_v", "trigger logic threshold must be finite"),
+            ("match_tolerance_s", "match tolerance must be finite and >= 0"),
+        ],
+    )
+    def test_float_fields_reject_a_bool(self, name, message, value):
+        # the report would hold true or false where its params hold numbers
+        with pytest.raises(ValueError, match=rf"^{message}, got {value}$"):
+            SegmentationParams(**{name: value})
+
 
 class TestSegmentationProperties:
     @staticmethod
@@ -402,10 +416,10 @@ class TestAnalyze:
 
     def test_signature_is_the_cli_pipeline(self):
         params = inspect.signature(analyze).parameters
-        assert list(params) == ["trace", "mode", "params", "expected", "match_tolerance_s"]
+        assert list(params) == ["trace", "mode", "params", "expected"]
         assert params["params"].default == SegmentationParams()
         assert params["expected"].default is None
-        assert params["match_tolerance_s"].default == 1e-3
+        assert SegmentationParams().match_tolerance_s == 1e-3
 
     def test_results_are_each_window_integrated(self):
         power = np.concatenate(
@@ -496,7 +510,7 @@ class TestAnalyze:
         trace = self.two_runs()
         assert analyze(trace, TRIGGER).hit_miss is None
         log = self.two_runs_log()
-        report = analyze(trace, TRIGGER, expected=log, match_tolerance_s=2e-4)
+        report = analyze(trace, TRIGGER, SegmentationParams(match_tolerance_s=2e-4), log)
         assert report.hit_miss == match_toggles(log, segment_trigger(trace), 20_000.0, 2e-4)
         assert (report.hit_miss.hits, report.hit_miss.misses) == (1, 1)
         assert written(report)["params"]["match_tolerance_s"] == 2e-4
@@ -523,7 +537,7 @@ class TestAnalyze:
     def test_reports_compare_by_content(self):
         trace = self.two_runs()
         assert analyze(trace, TRIGGER) == analyze(trace, TRIGGER)
-        assert analyze(trace, TRIGGER) != analyze(trace, TRIGGER, match_tolerance_s=2e-3)
+        assert analyze(trace, TRIGGER) != analyze(trace, TRIGGER, SegmentationParams(match_tolerance_s=2e-3))
         shifted = replace(trace, vs=trace.vs * 2)
         assert analyze(trace, TRIGGER) != analyze(shifted, TRIGGER)
 
@@ -585,6 +599,31 @@ class TestAnalyze:
         with pytest.raises(ValueError) as caught:
             analyze(trace, TRIGGER)
         assert str(caught.value) == violation
+
+    @pytest.mark.parametrize(
+        "vs, rate, params, message",
+        [
+            # power and energy overflow, so both segmenter and integrator warn
+            # without the analysis' own errstate
+            ([1e307] * 10, 20_000.0, SegmentationParams(), "window 0 [0, 10): joules is inf, not finite"),
+            # the window ends at 4e310 s
+            ([1.0] * 4 + [0.0], 1e-310, SegmentationParams(),
+             "window 0 [0, 4): end_s is inf, not finite"),
+            # two windows of 9.6e307 J each
+            ([2e305] * 4 + [0.0] * 5 + [2e305] * 4, 1.0, SegmentationParams(),
+             "total_joules is inf, not finite"),
+            # the second sample lies at 1e310 s
+            ([0.0, 1.0, 1.0, 1.0, 1.0], 1e-310, SegmentationParams(),
+             "window 0 [1, 5): begin_s is inf, not finite"),
+        ],
+    )
+    def test_overflowing_results_are_refused(self, vs, rate, params, message):
+        trace = PowerTrace(rate_hz=rate, vs=np.array(vs), shunt=SHUNT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                analyze(trace, RELAY, params)
+        assert str(caught.value) == message
 
     def test_each_violation_is_one_line(self):
         trace = self.two_runs()

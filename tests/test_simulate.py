@@ -470,6 +470,7 @@ class TestScenarioConstruction:
 FINITE_FIELDS = [
     ("nominal_latency_s", lambda v: SwitchingModel(nominal_latency_s=v), ValueError),
     ("full_confidence_s", lambda v: SwitchingModel(full_confidence_s=v), ValueError),
+    ("floor_hit_prob", lambda v: SwitchingModel(floor_hit_prob=v), ValueError),
     ("idle_power_bound_w", lambda v: NoiseModel(idle_power_bound_w=v), ValueError),
     ("watts", lambda v: ConstantPower(v), ValueError),
     ("w0", lambda v: RampPower(v, 1.0), ValueError),
@@ -485,12 +486,35 @@ FINITE_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+# a bool passes the range checks as 0 or 1, but save_scenario would write it
+# as true or false, which load_scenario rejects
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, False])
 @pytest.mark.parametrize("name,build,error", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
 def test_non_finite_number_is_rejected_by_its_constructor(name, build, error, value):
     with pytest.raises(error) as info:
         build(value)
     assert str(info.value) == f"{name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: one_window_scenario(RELAY, workload=WorkloadProfile.constant(v, 0.0, 3.0)),
+        lambda v: one_window_scenario(RELAY, switching=SwitchingModel(nominal_latency_s=v)),
+        lambda v: one_window_scenario(RELAY, switching=SwitchingModel(floor_hit_prob=v)),
+        lambda v: one_window_scenario(RELAY, noise=NoiseModel(v)),
+    ],
+    ids=["watts", "nominal_latency_s", "floor_hit_prob", "idle_power_bound_w"],
+)
+@pytest.mark.parametrize("value", [True, False, 0, 5e-4], ids=repr)
+def test_a_scenario_that_builds_reads_back_as_saved(tmp_path, build, value):
+    try:
+        scenario = build(value)
+    except ValueError:
+        assert isinstance(value, bool)
+        return
+    save_scenario(scenario, tmp_path / "s.json")
+    assert load_scenario(tmp_path / "s.json") == scenario
 
 
 class TestSimulateTrigger:

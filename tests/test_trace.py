@@ -46,6 +46,21 @@ class TestShuntConfig:
         with pytest.raises(ValueError):
             ShuntConfig(vf=vf, rs=rs)
 
+    @pytest.mark.parametrize(
+        "value", [True, False, 1, 7, 0.25, 1e300, math.nan, -3.0], ids=repr
+    )
+    @pytest.mark.parametrize("name", ["vf", "rs"])
+    def test_a_shunt_that_builds_round_trips_through_the_trace_csv(self, tmp_path, name, value):
+        # "# vf=True" is not a number to the reader
+        try:
+            shunt = ShuntConfig(**{name: value})
+        except ValueError as exc:
+            assert str(exc).endswith(f", got {value}")
+            return
+        path = tmp_path / "trace.csv"
+        write_trace_csv(PowerTrace(rate_hz=1000.0, vs=np.zeros(3), shunt=shunt), path)
+        assert read_trace_csv(path).shunt == shunt
+
 
 class TestSampleToPower:
     def test_100mv_drop_is_one_amp_hence_12_watts(self):
@@ -127,6 +142,12 @@ class TestValidateTrace:
     def test_flags_non_positive_rate(self):
         result = validate_trace(PowerTrace(rate_hz=0.0, vs=np.zeros(10)))
         assert any("non-positive rate" in str(v) for v in result.violations)
+
+    @pytest.mark.parametrize("rate", [True, False])
+    def test_flags_a_bool_rate(self, rate):
+        # analyze() would write it into the report as true or false
+        result = validate_trace(PowerTrace(rate_hz=rate, vs=np.zeros(10)))
+        assert result.violations == (f"bool rate: {rate}",)
 
     @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
     def test_flags_non_finite_rate_as_such(self, rate):
