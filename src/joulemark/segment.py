@@ -12,7 +12,6 @@ whole pipeline: segment by mode, integrate each window, match.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import TextIO
@@ -25,7 +24,7 @@ from .instrument import GpioCommandLog
 from .jsonio import LEAF, Records
 from .stats import CampaignSummary
 from .trace import (
-    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, row_blocks, sample_to_power
+    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, row_blocks, sample_to_power
 )
 
 
@@ -42,7 +41,8 @@ class SegmentationParams:
     bounded noise can never cross it; min_window_samples, an integer >= 1,
     provides run-length hysteresis for the relay mode.  match_tolerance_s
     is how far a window's start may lie from its commanded start: 2x the
-    relay latency.  No float field takes a bool.
+    relay latency.  Each field is held by :func:`~joulemark.trace.number`'s
+    rule.
     """
 
     relay_threshold_w: float = 0.005
@@ -51,17 +51,10 @@ class SegmentationParams:
     match_tolerance_s: float = 1e-3
 
     def __post_init__(self):
-        w, n = self.relay_threshold_w, self.min_window_samples
-        v, s = self.trigger_logic_threshold_v, self.match_tolerance_s
-        if isinstance(w, bool) or not (math.isfinite(w) and w > 0):
-            raise ValueError(f"relay threshold must be finite and positive, got {w}")
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"min window length must be an integer >= 1, got {n!r}")
-        object.__setattr__(self, "min_window_samples", int(n))
-        if isinstance(v, bool) or not math.isfinite(v):
-            raise ValueError(f"trigger logic threshold must be finite, got {v}")
-        if isinstance(s, bool) or not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"match tolerance must be finite and >= 0, got {s}")
+        hold_number(self, "relay_threshold_w", "relay threshold must be finite and positive, got {}", ok=lambda w: w > 0)
+        hold_number(self, "min_window_samples", "min window length must be an integer >= 1, got {!r}", ok=lambda n: n >= 1, kind=int)
+        hold_number(self, "trigger_logic_threshold_v", "trigger logic threshold must be finite, got {}")
+        hold_number(self, "match_tolerance_s", "match tolerance must be finite and >= 0, got {}", ok=lambda s: s >= 0)
 
 
 def _runs(mask: np.ndarray) -> Windows:

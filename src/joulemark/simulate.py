@@ -34,7 +34,7 @@ from .acquisition import DEFAULT_AGGREGATE_RATE_HZ, AcquisitionConfig, channel_r
 from .instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog, _ACTIONS
 from .jsonio import LEAF, Records, save_json
 from .trace import (
-    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, index_at_or_after, row_blocks
+    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, index_at_or_after, row_blocks
 )
 
 _CIRCUITS = (RELAY, TRIGGER)
@@ -72,14 +72,12 @@ TRIGGER_FULL_CONFIDENCE_S = (
 
 
 def _finite(owner, *names: str, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the first of ``owner``'s fields that is NaN,
-    infinite or a bool; NaN passes every range check, since each comparison
-    is false, and a bool passes them as 0 or 1 but is written as JSON's
-    ``true`` or ``false``, which the scenario reader rejects."""
+    """Hold each of ``owner``'s fields ``names`` as a finite float, by
+    :func:`~joulemark.trace.number`'s rule, or raise ``error`` naming the
+    first that is not one: a bool would be written as JSON's ``true`` or
+    ``false``, which the scenario reader rejects."""
     for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not abs(value) <= sys.float_info.max:
-            raise error(f"{name} must be finite, got {value}")
+        hold_number(owner, name, f"{name} must be finite, got {{}}", error=error)
 
 
 @dataclass(frozen=True)
@@ -367,8 +365,7 @@ class Scenario:
                     f"workload segment [{seg.start_s}, {seg.end_s}]s extends "
                     f"past the {self.duration_s}s session"
                 )
-        if type(self.seed) is not int:
-            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        hold_number(self, "seed", "seed must be an integer, got {!r}", kind=int, error=ScenarioError)
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -44,22 +45,42 @@ class TraceFormatError(ValueError):
         self.line = line
 
 
+def number(value, message: str, ok=None, kind: type = float, error: type[ValueError] = ValueError):
+    """``value`` held as a Python ``kind`` (float or int) by the one rule of
+    the package's number fields: a real number (an integer for int), numpy
+    scalars included, but not a bool (numpy's bool is no ``numbers.Real``),
+    finite, and passing ``ok``; else ``error(message.format(value))``.  NaN
+    would pass any range check, and no writer can write a bool as a number."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        try:
+            held = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if (kind is int or math.isfinite(held)) and (ok is None or ok(held)):
+                return held
+    raise error(message.format(value))
+
+
+def hold_number(owner, name: str, message: str, **rule) -> None:
+    """Hold field ``name`` of the frozen dataclass ``owner`` as :func:`number`."""
+    object.__setattr__(owner, name, number(getattr(owner, name), message, **rule))
+
+
 @dataclass(frozen=True)
 class ShuntConfig:
     """Supply voltage (volts) and shunt resistance (ohms) of the circuit.
 
-    Defaults model a 12 V supply fed through a 0.1 ohm shunt.  Neither
-    takes a bool, which the trace CSV could not hold.
+    Defaults model a 12 V supply fed through a 0.1 ohm shunt.  Both are
+    held as floats by :func:`number`'s rule.
     """
 
     vf: float = 12.0
     rs: float = 0.1
 
     def __post_init__(self):
-        if isinstance(self.vf, bool) or not (math.isfinite(self.vf) and self.vf > 0.0):
-            raise ValueError(f"source voltage must be positive, got {self.vf}")
-        if isinstance(self.rs, bool) or not (math.isfinite(self.rs) and self.rs > 0.0):
-            raise ValueError(f"shunt resistance must be positive, got {self.rs}")
+        hold_number(self, "vf", "source voltage must be positive, got {}", ok=lambda v: v > 0)
+        hold_number(self, "rs", "shunt resistance must be positive, got {}", ok=lambda v: v > 0)
 
 
 @dataclass(frozen=True)
@@ -121,11 +142,11 @@ class PowerTrace:
     arrays of its own, so a caller's later writes never reach the trace.
     Traces the package builds itself (read from CSV, drained from a stream,
     simulated) adopt their freshly built arrays instead of copying them;
-    those arrays are read-only too.  Structural invariants (positive rate,
-    finite values, matching channel lengths) are not checked at
-    construction, so that an invalid trace stays representable for
-    :func:`validate_trace` to report on; :func:`~joulemark.segment.analyze`
-    refuses one.
+    those arrays are read-only too.  Either way the trace is checked when it
+    is built: its rate is held as a finite, positive float by
+    :func:`number`'s rule, and a trigger channel has the length of ``vs``.
+    Its samples may still be non-finite, which :func:`validate_trace`
+    reports and :func:`~joulemark.segment.analyze` refuses.
     """
 
     rate_hz: float
@@ -134,13 +155,18 @@ class PowerTrace:
     shunt: ShuntConfig = field(default_factory=ShuntConfig)
 
     def __post_init__(self):
-        vs = np.array(self.vs, dtype=np.float64, copy=True).reshape(-1)
-        vs.flags.writeable = False
-        object.__setattr__(self, "vs", vs)
-        if self.trig is not None:
-            trig = np.array(self.trig, dtype=np.float64, copy=True).reshape(-1)
-            trig.flags.writeable = False
-            object.__setattr__(self, "trig", trig)
+        trig = None if self.trig is None else np.array(self.trig, dtype=np.float64, copy=True).reshape(-1)
+        self._hold(self.rate_hz, np.array(self.vs, dtype=np.float64, copy=True).reshape(-1), trig, self.shunt)
+
+    def _hold(self, rate_hz: float, vs: np.ndarray, trig: np.ndarray | None, shunt: ShuntConfig) -> None:
+        """Take the arrays as they are and make them read-only, then check."""
+        for name, value in (("rate_hz", rate_hz), ("vs", vs), ("trig", trig), ("shunt", shunt)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        hold_number(self, "rate_hz", "sampling rate must be finite and positive, got {}", ok=lambda v: v > 0)
+        if trig is not None and len(trig) != len(vs):
+            raise ValueError(f"trigger channel has {len(trig)} samples, shunt channel has {len(vs)}")
 
     @classmethod
     def _adopt(
@@ -154,10 +180,7 @@ class PowerTrace:
         no copy, and makes them read-only.  Only for arrays the package has
         just built and nothing else writes to, or arrays of another trace."""
         trace = object.__new__(cls)
-        for name, value in (("rate_hz", rate_hz), ("vs", vs), ("trig", trig), ("shunt", shunt)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(trace, name, value)
+        trace._hold(rate_hz, vs, trig, shunt)
         return trace
 
     @property
@@ -208,31 +231,15 @@ class TraceValidation:
 
 
 def validate_trace(trace: PowerTrace) -> TraceValidation:
-    """Check trace invariants; returns violations instead of raising.
-
-    Checks: non-empty, positive finite rate that is not a bool, finite
-    voltages, and matching channel lengths when a trigger channel is
-    present.  Non-finite samples make one violation per channel, at the
-    first of them, with their count.
+    """The defects a built trace can still carry, as violations instead of
+    an error: no samples, and non-finite samples, one violation per channel
+    at the first of them, with their count.  Rate and channel lengths are
+    checked when the trace is built.
     """
     violations: list[str] = []
     if len(trace) == 0:
         violations.append("empty trace")
-    if isinstance(trace.rate_hz, bool):
-        violations.append(f"bool rate: {trace.rate_hz}")
-    elif not math.isfinite(trace.rate_hz):
-        violations.append(f"non-finite rate: {trace.rate_hz}")
-    elif not trace.rate_hz > 0:
-        violations.append(f"non-positive rate: {trace.rate_hz}")
-    channels = {"shunt": trace.vs}
-    if trace.trig is not None:
-        if trace.trig.shape[0] != trace.vs.shape[0]:
-            violations.append(
-                f"trigger channel has {trace.trig.shape[0]} samples, "
-                f"shunt channel has {trace.vs.shape[0]}"
-            )
-        channels["trigger"] = trace.trig
-    for name, samples in channels.items():
+    for name, samples in zip(("shunt", "trigger"), (trace.vs, trace.trig)[: trace.channels]):
         bad = ~np.isfinite(samples)
         count = int(np.count_nonzero(bad))
         if count:
@@ -245,10 +252,10 @@ def validate_trace(trace: PowerTrace) -> TraceValidation:
 def downsample(trace: PowerTrace, factor: int) -> PowerTrace:
     """Keep every factor-th sample starting at index 0; rate divides by factor.
 
-    Pure decimation: no anti-alias filtering is applied.
+    Pure decimation: no anti-alias filtering is applied.  ``factor`` is an
+    integer by :func:`number`'s rule.
     """
-    if factor < 1:
-        raise ValueError(f"decimation factor must be >= 1, got {factor}")
+    factor = number(factor, "decimation factor must be an integer >= 1, got {!r}", ok=lambda v: v > 0, kind=int)
     if factor > len(trace):
         raise ValueError(
             f"decimation factor {factor} exceeds trace length {len(trace)}"
@@ -339,8 +346,6 @@ def write_csv_rows(f: TextIO, rate_hz: float, rows: Sequence[int], columns: Sequ
 def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
     """(m, k) with ``1 / rate_hz == m / 10**k`` exactly, for the smallest k
     in 1..18, or None when there is none (rates such as 44100 or 3.3)."""
-    if not (math.isfinite(rate_hz) and rate_hz > 0):
-        return None
     period = 1 / Fraction(rate_hz)
     for k in range(1, 19):
         scaled = period * 10**k

@@ -61,11 +61,21 @@ class TestChannelRate:
         with pytest.raises(ValueError):
             AcquisitionConfig(0.0, 1)
 
-    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), True, np.True_, "40000", None, pytest.param(10**400, id="10**400")])
     def test_rate_must_be_finite(self, rate):
         with pytest.raises(ValueError) as raised:
             AcquisitionConfig(rate, 1)
         assert str(raised.value) == f"aggregate rate must be finite and positive, got {rate}"
+
+    @pytest.mark.parametrize("channels", [True, 1.0, np.True_, "1"])
+    def test_channels_is_an_integer(self, channels):
+        with pytest.raises(ValueError, match=f"^channels must be 1 or 2, got {channels}$"):
+            AcquisitionConfig(40_000.0, channels)
+
+    def test_numpy_numbers_are_held_as_python_numbers(self):
+        config = AcquisitionConfig(np.float32(40_000.0), np.int64(2))
+        assert type(config.aggregate_rate_hz) is float and type(config.channels) is int
+        assert channel_rate(config) == 20_000.0
 
 
 def csv_text(trace: PowerTrace, tmp_path) -> str:

@@ -345,7 +345,7 @@ class TestAnalyzeCommand:
         assert not analyzed.vs.flags.writeable and not analyzed.trig.flags.writeable
 
     @pytest.mark.parametrize(
-        "rate, message",
+        "rate, defect",
         [
             ("0", "non-positive rate"),
             ("-20000", "non-positive rate"),
@@ -353,12 +353,14 @@ class TestAnalyzeCommand:
             ("nan", "non-finite rate"),
         ],
     )
-    def test_rate_override_is_validated(self, tmp_path, capsys, rate, message):
+    def test_rate_override_is_validated(self, tmp_path, capsys, rate, defect):
+        # refused when the overridden trace is built, as --vf and --shunt-r are
         trace_path = self._simulate(tmp_path)
         out = tmp_path / "r.json"
+        capsys.readouterr()
         code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), "--rate", rate])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err == f"error: sampling rate must be finite and positive, got {float(rate)}\n"
         assert not out.exists()
 
     def test_each_violation_is_an_error_line(self, tmp_path, capsys):
@@ -367,13 +369,15 @@ class TestAnalyzeCommand:
         row = lines.index("t_s,vs_v,trig_v") + 5
         t_s, _, trig = lines[row].split(",")
         lines[row] = f"{t_s},inf,{trig}"
+        t_s, vs, _ = lines[row + 2].split(",")
+        lines[row + 2] = f"{t_s},{vs},nan"
         trace_path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "r.json"
         capsys.readouterr()
-        code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), "--rate", "0"])
+        code = main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out)])
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
-            "error: non-positive rate: 0.0\nerror: sample 4: non-finite shunt voltage\n"
+            "error: sample 4: non-finite shunt voltage\nerror: sample 6: non-finite trigger voltage\n"
         )
 
     @pytest.mark.parametrize(

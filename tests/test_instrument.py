@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -449,10 +450,18 @@ class TestTimeRule:
         with pytest.raises(ValueError, match=rf"^command time must be a number, got {re.escape(repr(t))}$"):
             GpioCommand(t, 40, ACTIVATE)
 
-    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, 10**400])
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, 10**400, np.float32(-0.5), np.float32(math.inf)])
     def test_a_negative_or_unbounded_time_is_rejected(self, t):
         with pytest.raises(ValueError, match=rf"^command time must be finite and >= 0, got {re.escape(str(t))}$"):
             GpioCommand(t, 40, ACTIVATE)
+
+    @pytest.mark.parametrize("t", [np.float32(0.5), np.float64(0.5), np.int64(1), 1])
+    def test_a_numpy_time_is_held_as_a_float_without_a_warning(self, t):
+        # numpy compares a float32 with the float range in float32, which overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            command = GpioCommand(t, 40, ACTIVATE)
+        assert type(command.t_s) is float and command.t_s == t
 
 
 # one defect each: a line of two or four columns, a port that int() rejects

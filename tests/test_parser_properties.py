@@ -8,6 +8,7 @@ so that traces of a few dozen rows span many blocks.
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 from chunking import chunk_rows
 from hypothesis import given, settings
@@ -37,8 +38,9 @@ values = st.one_of(
 def traces(draw, min_size=0):
     n = draw(st.integers(min_size, 40))
     column = st.lists(values, min_size=n, max_size=n)
+    rate = draw(st.floats(min_value=1e-3, max_value=1e7))
     return PowerTrace(
-        rate_hz=draw(st.floats(min_value=1e-3, max_value=1e7)),
+        rate_hz=np.float64(rate) if draw(st.booleans()) else rate,  # held as a float
         vs=draw(column),
         trig=draw(column) if draw(st.booleans()) else None,
         shunt=ShuntConfig(vf=draw(st.floats(1e-3, 1e3)), rs=draw(st.floats(1e-4, 10.0))),

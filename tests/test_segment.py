@@ -3,7 +3,7 @@ import io
 import json
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -223,7 +223,7 @@ class TestSegmentationParams:
         params = SegmentationParams(min_window_samples=np.int64(3))
         assert type(params.min_window_samples) is int and params.min_window_samples == 3
 
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1", None, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize(
         "name, message",
         [
@@ -233,7 +233,8 @@ class TestSegmentationParams:
         ],
     )
     def test_float_fields_reject_a_bool(self, name, message, value):
-        # the report would hold true or false where its params hold numbers
+        # the report would hold true or false where its params hold numbers;
+        # a string or None is no number, and 10**400 no float
         with pytest.raises(ValueError, match=rf"^{message}, got {value}$"):
             SegmentationParams(**{name: value})
 
@@ -579,21 +580,16 @@ class TestAnalyze:
         [
             # sample 150 lies in the first trigger run: its joules would be NaN
             ("nan_sample_in_window", "sample 150: non-finite shunt voltage"),
-            ("nan_rate", "non-finite rate: nan"),
-            ("long_trigger", "trigger channel has 1005 samples, shunt channel has 1000"),
             ("empty", "empty trace"),
         ],
     )
     def test_invalid_trace_is_refused(self, defect, violation):
+        # a bad rate or channel length cannot be built (see test_trace.TestPowerTrace)
         trace = self.two_runs()
         if defect == "nan_sample_in_window":
             vs = trace.vs.copy()
             vs[150] = np.nan
             trace = replace(trace, vs=vs)
-        elif defect == "nan_rate":
-            trace = replace(trace, rate_hz=float("nan"))
-        elif defect == "long_trigger":
-            trace = replace(trace, trig=np.concatenate([trace.trig, np.zeros(5)]))
         else:
             trace = replace(trace, vs=np.zeros(0), trig=np.zeros(0))
         with pytest.raises(ValueError) as caught:
@@ -627,14 +623,27 @@ class TestAnalyze:
 
     def test_each_violation_is_one_line(self):
         trace = self.two_runs()
-        vs = trace.vs.copy()
-        vs[3] = np.inf
+        vs, trig = trace.vs.copy(), trace.trig.copy()
+        vs[3], trig[7] = np.inf, np.nan
         with pytest.raises(ValueError) as caught:
-            analyze(replace(trace, rate_hz=0.0, vs=vs), TRIGGER)
+            analyze(replace(trace, vs=vs, trig=trig), TRIGGER)
         assert str(caught.value).split("\n") == [
-            "non-positive rate: 0.0",
             "sample 3: non-finite shunt voltage",
+            "sample 7: non-finite trigger voltage",
         ]
+
+    def test_float32_params_write_a_report_that_parses(self):
+        params = SegmentationParams(
+            relay_threshold_w=np.float32(0.005),
+            min_window_samples=np.int64(4),
+            trigger_logic_threshold_v=np.float32(0.9),
+            match_tolerance_s=np.float64(1e-3),
+        )
+        assert [type(v) for v in asdict(params).values()] == [float, int, float, float]
+        report = analyze(self.two_runs(), TRIGGER, params)
+        text = io.StringIO()
+        report.write_json(text)
+        assert json.loads(text.getvalue())["params"] == asdict(params)
 
 
 def merge_loop(mask: list[bool], min_window_samples: int) -> list[MeasurementWindow]:

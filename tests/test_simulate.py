@@ -392,7 +392,7 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             one_window_scenario("oscilloscope")
 
-    @pytest.mark.parametrize("seed", [True, 1.5, "7", None])
+    @pytest.mark.parametrize("seed", [True, 1.5, "7", None, np.True_, np.float64(7.0)])
     def test_seed_that_is_not_an_integer_rejected(self, seed):
         with pytest.raises(ScenarioError) as raised:
             one_window_scenario(RELAY, seed=seed)
@@ -488,12 +488,31 @@ FINITE_FIELDS = [
 
 # a bool passes the range checks as 0 or 1, but save_scenario would write it
 # as true or false, which load_scenario rejects
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, False])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, False, np.True_, "1", None])
 @pytest.mark.parametrize("name,build,error", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
 def test_non_finite_number_is_rejected_by_its_constructor(name, build, error, value):
     with pytest.raises(error) as info:
         build(value)
     assert str(info.value) == f"{name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value", [np.float64(1.0), np.float32(1.0), np.int64(1)], ids=repr)
+@pytest.mark.parametrize("name,build,error", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
+def test_numpy_number_is_held_as_a_python_float(name, build, error, value):
+    held = getattr(build(value), name)
+    assert type(held) is float and held == value
+
+
+def test_a_scenario_of_numpy_numbers_reads_back_as_saved(tmp_path):
+    scenario = one_window_scenario(
+        RELAY,
+        workload=WorkloadProfile.constant(np.float32(12.5), 0.0, np.float64(3.0)),
+        noise=NoiseModel(np.float32(0.001)),
+        seed=np.int64(7),
+    )
+    assert type(scenario.seed) is int and scenario.seed == 7
+    save_scenario(scenario, tmp_path / "s.json")
+    assert load_scenario(tmp_path / "s.json") == scenario
 
 
 @pytest.mark.parametrize(

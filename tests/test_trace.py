@@ -14,6 +14,7 @@ from joulemark import cli, floattext
 from joulemark import trace as trace_module
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
 from joulemark.cli import _skyline_rows, _write_skyline_csv
+from joulemark.energy import compare_resolution
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.simulate import RELAY, TRIGGER, Scenario, simulate_session
 from joulemark.trace import (
@@ -47,11 +48,13 @@ class TestShuntConfig:
             ShuntConfig(vf=vf, rs=rs)
 
     @pytest.mark.parametrize(
-        "value", [True, False, 1, 7, 0.25, 1e300, math.nan, -3.0], ids=repr
+        "value",
+        [True, False, 1, 7, 0.25, 1e300, math.nan, -3.0, np.float64(12.0), np.float32(0.1), np.float32(-1.0)],
+        ids=repr,
     )
     @pytest.mark.parametrize("name", ["vf", "rs"])
     def test_a_shunt_that_builds_round_trips_through_the_trace_csv(self, tmp_path, name, value):
-        # "# vf=True" is not a number to the reader
+        # "# vf=True" and "# vf=np.float64(12.0)" are not numbers to the reader
         try:
             shunt = ShuntConfig(**{name: value})
         except ValueError as exc:
@@ -139,20 +142,22 @@ class TestValidateTrace:
         assert not result.ok
         assert any(v.startswith("sample 7: ") for v in result.violations)
 
+    # A bad rate or channel length is refused when the trace is built, so
+    # validate_trace never meets one (see TestPowerTrace).
     def test_flags_non_positive_rate(self):
-        result = validate_trace(PowerTrace(rate_hz=0.0, vs=np.zeros(10)))
-        assert any("non-positive rate" in str(v) for v in result.violations)
+        with pytest.raises(ValueError, match="^sampling rate must be finite and positive, got 0.0$"):
+            PowerTrace(rate_hz=0.0, vs=np.zeros(10))
 
     @pytest.mark.parametrize("rate", [True, False])
     def test_flags_a_bool_rate(self, rate):
         # analyze() would write it into the report as true or false
-        result = validate_trace(PowerTrace(rate_hz=rate, vs=np.zeros(10)))
-        assert result.violations == (f"bool rate: {rate}",)
+        with pytest.raises(ValueError, match=f"^sampling rate must be finite and positive, got {rate}$"):
+            PowerTrace(rate_hz=rate, vs=np.zeros(10))
 
     @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
     def test_flags_non_finite_rate_as_such(self, rate):
-        result = validate_trace(PowerTrace(rate_hz=rate, vs=np.zeros(10)))
-        assert [str(v) for v in result.violations] == [f"non-finite rate: {rate}"]
+        with pytest.raises(ValueError, match=f"^sampling rate must be finite and positive, got {rate}$"):
+            PowerTrace(rate_hz=rate, vs=np.zeros(10))
 
     def test_counts_non_finite_samples_once_per_channel(self):
         vs, trig = np.zeros(50), np.zeros(50)
@@ -169,11 +174,43 @@ class TestValidateTrace:
         assert not result.ok
 
     def test_flags_channel_length_mismatch(self):
-        trace = PowerTrace(rate_hz=40_000.0, vs=np.zeros(10), trig=np.zeros(9))
-        assert not validate_trace(trace).ok
+        with pytest.raises(ValueError, match="^trigger channel has 9 samples, shunt channel has 10$"):
+            PowerTrace(rate_hz=40_000.0, vs=np.zeros(10), trig=np.zeros(9))
+
+
+def built(how: str, rate_hz, vs, trig=None) -> PowerTrace:
+    """A trace built by the constructor, or adopting the arrays."""
+    if how == "adopt":
+        return PowerTrace._adopt(rate_hz, np.asarray(vs, dtype=float), trig, ShuntConfig())
+    return PowerTrace(rate_hz, vs, trig)
 
 
 class TestPowerTrace:
+    @pytest.mark.parametrize("how", ["constructor", "adopt"])
+    @pytest.mark.parametrize(
+        "rate",
+        [0.0, -1.0, math.nan, math.inf, True, np.True_, "x", None, pytest.param(10**400, id="10**400")],
+        ids=repr,
+    )
+    def test_a_bad_rate_is_refused_when_built(self, how, rate):
+        with pytest.raises(ValueError) as raised:
+            built(how, rate, np.zeros(3))
+        assert str(raised.value) == f"sampling rate must be finite and positive, got {rate}"
+
+    @pytest.mark.parametrize("how", ["constructor", "adopt"])
+    @pytest.mark.parametrize("trig", [np.zeros(2), np.zeros(4), np.zeros(0)], ids=len)
+    def test_a_trigger_channel_of_another_length_is_refused_when_built(self, how, trig):
+        with pytest.raises(ValueError, match=f"^trigger channel has {len(trig)} samples, shunt channel has 3$"):
+            built(how, 40_000.0, np.zeros(3), trig)
+
+    @pytest.mark.parametrize("how", ["constructor", "adopt"])
+    @pytest.mark.parametrize("rate", [np.float64(40000.0), np.float32(0.5), np.int64(20), 3], ids=repr)
+    def test_a_numpy_or_integer_rate_is_held_as_a_float_and_round_trips(self, tmp_path, how, rate):
+        trace = built(how, rate, np.arange(3.0))
+        assert type(trace.rate_hz) is float and trace.rate_hz == rate
+        write_trace_csv(trace, tmp_path / "t.csv")
+        assert read_trace_csv(tmp_path / "t.csv").rate_hz == rate
+
     def test_arrays_are_read_only(self):
         trace = PowerTrace(rate_hz=40_000.0, vs=np.zeros(10))
         with pytest.raises(ValueError):
@@ -255,6 +292,14 @@ class TestDownsample:
             downsample(trace, 0)
         with pytest.raises(ValueError):
             downsample(trace, 11)
+        # a factor is an integer, numpy's included, and never a bool or a float
+        for factor in (2.0, True, np.True_, np.float64(2.0), "2", None):
+            with pytest.raises(ValueError, match="decimation factor must be an integer >= 1"):
+                downsample(trace, factor)
+            with pytest.raises(ValueError, match="decimation factor must be an integer >= 2"):
+                compare_resolution(PowerTrace(rate_hz=10.0, vs=np.zeros(11)), factor)
+        assert downsample(trace, np.int64(2)).rate_hz == 5.0
+        assert compare_resolution(PowerTrace(rate_hz=10.0, vs=np.ones(11)), np.int64(2)).factor == 2
 
     def test_keeps_trigger_channel(self):
         trace = PowerTrace(
@@ -652,10 +697,6 @@ def test_times_on_both_sides_of_the_digit_limit(rate, scale):
         (3.3, None),
         (0.1, None),
         (2.0**20, None),  # 1/2**20 needs 20 decimals
-        (math.inf, None),
-        (math.nan, None),
-        (0.0, None),
-        (-40000.0, None),
     ],
 )
 def test_decimal_step_of_a_rate(rate, step):
