@@ -37,15 +37,13 @@ class EnergyResult:
 
 def window_energies(trace: PowerTrace, windows: Windows) -> np.ndarray:
     """Sample-and-hold energy of each window, in joules, in window order;
-    negative samples add as-is.  Windows must be non-empty, disjoint and in
-    begin order, as the segmenters return them."""
+    negative samples add as-is.  A window past the trace's end raises
+    ValueError; a Windows is checked to be disjoint when it is built."""
     begin, end = windows.begin, windows.end
     past = np.flatnonzero(end > len(trace))
     if past.size:
         k = past[0]
         raise ValueError(f"window [{begin[k]}, {end[k]}) exceeds trace length {len(trace)}")
-    if np.any(begin >= end) or np.any(begin[1:] < end[:-1]) or np.any(begin < 0):
-        raise ValueError("windows must be non-empty, disjoint and in begin order")
     # the last window runs to the slice's end: no index equals its length
     idx = np.stack((begin, end), axis=1).ravel()[:-1]
     sums = np.add.reduceat(trace.vs[: end.max(initial=0)], idx)[0::2]

@@ -159,21 +159,17 @@ def match_toggles(
 ) -> HitMissReport:
     """Greedy in-order matching of commanded toggles to recovered windows.
 
-    ``found`` must be in ``begin`` order, as the segmenters return it; a
-    window that begins before the one ahead of it raises ValueError.  Each
-    commanded pair, in order of its start t_on, takes the first unmatched
-    window whose ``begin / rate_hz`` lies within tolerance_s of t_on.
-    Unmatched pairs are misses.
+    Each commanded pair, in order of its start t_on, takes the first
+    unmatched window whose ``begin / rate_hz`` lies within tolerance_s of
+    t_on.  Unmatched pairs are misses.
 
     Runs in O(n + m) for n pairs and m windows.  The pairs' starts never
-    decrease, so a window more than tolerance_s behind one pair's start is
-    behind every later pair's too: one pointer moves past such windows and
-    past each window that is matched.  Both tests are written as
-    ``begin / rate_hz - t_on`` against tolerance_s, so that they round as
-    ``abs(begin / rate_hz - t_on) <= tolerance_s`` does.
+    decrease, nor do a Windows' begins, so a window more than tolerance_s
+    behind one pair's start is behind every later pair's too: one pointer
+    moves past such windows and past each window that is matched.  Both
+    tests are written as ``begin / rate_hz - t_on`` against tolerance_s, so
+    that they round as ``abs(begin / rate_hz - t_on) <= tolerance_s`` does.
     """
-    if np.any(found.begin[1:] < found.begin[:-1]):
-        raise ValueError("windows must be in begin order")
     starts = (found.begin / rate_hz).tolist()
     t_on, t_off, port = intended.windows()
     p = 0  # the first window that no earlier pair matched or left behind
@@ -191,7 +187,8 @@ def match_toggles(
 
 @dataclass(frozen=True, eq=False)
 class SessionReport:
-    """Everything one analysis produced, self-describing enough to rerun."""
+    """Everything one analysis produced, self-describing enough to rerun;
+    one energy per window, or ValueError when it is built."""
 
     mode: str
     rate_hz: float
@@ -202,6 +199,10 @@ class SessionReport:
     hit_miss: HitMissReport | None = None
     campaign: CampaignSummary | None = None
     warnings: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if len(self.joules) != len(self.windows):
+            raise ValueError(f"report has {len(self.joules)} joules for {len(self.windows)} windows")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SessionReport):

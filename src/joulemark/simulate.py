@@ -34,7 +34,7 @@ from .acquisition import DEFAULT_AGGREGATE_RATE_HZ, AcquisitionConfig, channel_r
 from .instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog, _ACTIONS
 from .jsonio import LEAF, Records, save_json
 from .trace import (
-    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, index_at_or_after, row_blocks
+    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, index_at_or_after, number, row_blocks
 )
 
 _CIRCUITS = (RELAY, TRIGGER)
@@ -537,11 +537,6 @@ _SHAPES = {"constant": ConstantPower, "ramp": RampPower, "spiky": SpikyPower}
 _SHAPE_NAMES = {cls: name for name, cls in _SHAPES.items()}
 
 
-# what JSON must hold for a field of each numeric annotation, and how it is
-# stored; bool is never a number here
-_NUMBERS = {"float": ((int, float), "a number", float), "int": (int, "an integer", int)}
-
-
 def _build(cls, path: str, **values):
     try:
         return cls(**values)
@@ -553,7 +548,8 @@ def _read(cls, obj, path: str, default=None, **given):
     """Build the dataclass ``cls`` from the JSON object ``obj`` at ``path``.
 
     Fields in ``given`` are used as they are; each other field is read from
-    ``obj`` and checked against its annotation.  A field absent from ``obj``
+    ``obj`` and held by :func:`~joulemark.trace.number`'s rule for its
+    annotation, ``int`` or ``float``.  A field absent from ``obj``
     takes its value in the ``cls`` instance ``default``, if one is given,
     or else its own dataclass default; a field with neither is reported as
     missing.  A key that names no field is an error, the first such key in
@@ -570,15 +566,9 @@ def _read(cls, obj, path: str, default=None, **given):
         if f.name in given:
             values[f.name] = given[f.name]
         elif f.name in obj:
-            value = obj[f.name]
-            accepted, kind, convert = _NUMBERS[f.type]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ScenarioError(f"{path}.{f.name}: expected {kind}, got {value!r}")
-            # json reads Infinity and NaN as floats, and digits beyond the
-            # float range as an int
-            if convert is float and not abs(value) <= sys.float_info.max:
-                raise ScenarioError(f"{path}.{f.name}: expected a finite number, got {value!r}")
-            values[f.name] = convert(value)
+            kind, what = (int, "an integer") if f.type == "int" else (float, "a finite number")
+            message = f"{path}.{f.name}: expected {what}, got {{!r}}"
+            values[f.name] = number(obj[f.name], message, kind=kind, error=ScenarioError)
         elif default is not None:
             values[f.name] = getattr(default, f.name)
         elif f.default is MISSING and f.default_factory is MISSING:

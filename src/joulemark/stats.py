@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
+from .trace import number
+
 
 class InsufficientSamplesError(ValueError):
     pass
@@ -24,12 +26,10 @@ class UndefinedVariationError(ValueError):
 def t_critical(df: int, confidence: float = 0.95) -> float:
     """Two-sided critical value of Student's t, by G. W. Hill's closed form
     (CACM Algorithm 396, 1970): exact for df 1 and 2, within about 1e-5
-    relative beyond.  It is far less accurate at non-integer df near 1."""
-    if not float(df).is_integer() or df < 1:
-        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    n, p = int(df), 1.0 - confidence  # p: two-tailed probability
+    relative beyond.  df and confidence are held by trace.number's rule."""
+    n = number(df, "degrees of freedom must be an integer >= 1, got {}", ok=lambda d: d >= 1, kind=int)
+    confidence = number(confidence, "confidence must be in (0, 1), got {}", ok=lambda c: 0.0 < c < 1.0)
+    p = 1.0 - confidence  # two-tailed probability
     if n == 1:
         return 1.0 / math.tan(p * math.pi / 2)
     if n == 2:
@@ -121,17 +121,16 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
 
     me = t_critical(n - 1, confidence) * sd / sqrt(n)
 
-    Raises ValueError where the mean, deviation, margin or variation is
-    beyond the float range, though every sample is finite.
+    Samples are held by :func:`~joulemark.trace.number`'s rule, confidence
+    by t_critical's.  Raises ValueError where the mean, deviation, margin or
+    variation is beyond the float range, though every sample is finite.
     """
-    values = [float(x) for x in samples]
+    values = [number(x, "campaign samples must be finite numbers, got {!r}") for x in samples]
     n = len(values)
     if n < 2:
         raise InsufficientSamplesError(
             f"campaign summary needs at least 2 samples, got {n}"
         )
-    if not all(math.isfinite(x) for x in values):
-        raise ValueError("campaign samples must be finite")
     try:
         mean = math.fsum(values) / n
         sd = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
@@ -151,5 +150,5 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
         sd_j=sd,
         me_j=me,
         variation_pct=variation,
-        confidence=confidence,
+        confidence=float(confidence),
     )

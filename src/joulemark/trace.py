@@ -85,16 +85,15 @@ class ShuntConfig:
 
 @dataclass(frozen=True)
 class MeasurementWindow:
-    """Half-open sample-index interval [begin, end) of active measurement."""
+    """Half-open sample-index interval [begin, end) of active measurement,
+    its bounds held as Python ints by :func:`number`'s rule."""
 
     begin: int
     end: int
 
     def __post_init__(self):
-        if self.begin < 0 or self.end <= self.begin:
-            raise ValueError(
-                f"window must satisfy 0 <= begin < end, got [{self.begin}, {self.end})"
-            )
+        hold_number(self, "begin", "window begin must be an integer >= 0, got {!r}", ok=lambda b: b >= 0, kind=int)
+        hold_number(self, "end", f"window end must be an integer > {self.begin}, got {{!r}}", ok=lambda e: e > self.begin, kind=int)
 
     def __len__(self) -> int:
         return self.end - self.begin
@@ -110,15 +109,27 @@ def fields_equal(a, b) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Windows:
-    """Windows as int64 arrays, window i being [begin[i], end[i]); iterates as
+    """Windows as read-only int64 copies of 1-D integer bounds of one length,
+    window i being [begin[i], end[i]), non-empty, disjoint and in begin order
+    from sample 0 on, or ValueError when built; iterates as
     MeasurementWindows, equal to a Windows or list of the same ones in order."""
 
     begin: np.ndarray
     end: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "begin", np.asarray(self.begin, dtype=np.int64))
-        object.__setattr__(self, "end", np.asarray(self.end, dtype=np.int64))
+        for name in ("begin", "end"):
+            bounds = np.array(getattr(self, name))
+            if bounds.ndim != 1 or (bounds.size and bounds.dtype.kind not in "iu"):
+                raise ValueError(f"window {name}s must be a 1-D array of integers, got {bounds!r}")
+            bounds = bounds.astype(np.int64, copy=False)
+            bounds.flags.writeable = False
+            object.__setattr__(self, name, bounds)
+        begin, end = self.begin, self.end
+        if len(begin) != len(end):
+            raise ValueError(f"windows have {len(begin)} begins and {len(end)} ends")
+        if np.any(begin >= end) or np.any(begin[1:] < end[:-1]) or np.any(begin < 0):
+            raise ValueError("windows must be non-empty, disjoint and in begin order")
 
     def __len__(self) -> int:
         return len(self.begin)

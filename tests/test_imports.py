@@ -86,38 +86,62 @@ def test_package_imports_are_found():
     assert "simulate" in imported_modules("cli") and "trace" in imported_modules("segment")
 
 
-# A value type holds its number fields by trace.number's rule, not by checks
-# of its own.  GpioCommand is the one exception: a log may be built one
-# command at a time, and the rule for both of its fields measured 3.9 us a
-# command against 0.8 us for its inline check (one Xeon core, Python 3.11).
-OWN_NUMBER_CHECKS = {"GpioCommand"}
+# A function holds numbers by trace.number's rule, not by checks of its own.
+# Two functions keep their own check, each on a path run once per command of
+# a log, where the rule measured several times slower (best of 15 runs over
+# 16,000 commands, one Xeon core, Python 3.11): GpioCommand.__post_init__,
+# since a log may be built one command at a time (3.9 us a command by the
+# rule for both fields against 0.8 us inline), and the scenario reader's
+# gpio fast path simulate._gpio (3.7 us against 1.0 us).
+OWN_NUMBER_CHECKS = {"instrument.GpioCommand.__post_init__", "simulate._gpio"}
+
+
+def functions(tree: ast.Module):
+    """Each module-level function and method, with its name (``Class.method``)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method
 
 
 def own_number_checks(tree: ast.Module) -> dict[str, set[str]]:
-    """For each class whose ``__post_init__`` checks a number itself, what it
-    uses: ``math.isfinite``, ``sys.float_info`` or ``isinstance(..., bool)``."""
+    """For each function that checks a number itself, what it uses:
+    ``.is_integer()``, ``sys.float_info`` or ``isinstance(..., bool)``, and
+    in a ``__post_init__`` also ``math.isfinite`` (elsewhere it checks
+    outputs, such as an analysis's energies)."""
     found: dict[str, set[str]] = {}
-    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-        for method in cls.body:
-            if not (isinstance(method, ast.FunctionDef) and method.name == "__post_init__"):
-                continue
-            for node in ast.walk(method):
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    name = f"{node.value.id}.{node.attr}"
-                    if name in ("math.isfinite", "sys.float_info"):
-                        found.setdefault(cls.name, set()).add(name)
-                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-                    kinds = node.args[1]
-                    kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-                    if any(getattr(kind, "id", None) == "bool" for kind in kinds):
-                        found.setdefault(cls.name, set()).add("isinstance(..., bool)")
+    for name, function in functions(tree):
+        for node in ast.walk(function):
+            use = None
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                attribute = f"{node.value.id}.{node.attr}"
+                if attribute == "sys.float_info" or attribute == "math.isfinite" and name.endswith(".__post_init__"):
+                    use = attribute
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "is_integer":
+                use = ".is_integer()"
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                    use = "isinstance(..., bool)"
+            if use:
+                found.setdefault(name, set()).add(use)
     return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_value_types_hold_numbers_by_the_one_rule(path):
+def test_functions_hold_numbers_by_the_one_rule(path):
     found = own_number_checks(ast.parse(path.read_text(), filename=str(path)))
-    assert {name: uses for name, uses in found.items() if name not in OWN_NUMBER_CHECKS} == {}
+    assert {f"{path.stem}.{name}" for name in found} - OWN_NUMBER_CHECKS - {"trace.number"} == set()
+
+
+def test_each_listed_exception_checks_a_number_itself():
+    for qualified in OWN_NUMBER_CHECKS | {"trace.number"}:
+        module, _, name = qualified.partition(".")
+        assert name in own_number_checks(ast.parse((PACKAGE / f"{module}.py").read_text()))
 
 
 def test_own_number_checks_are_found():
@@ -126,8 +150,13 @@ def test_own_number_checks_are_found():
         "class A:\n    def __post_init__(self):\n        math.isfinite(self.x)\n"
         "class B:\n    def __post_init__(self):\n        isinstance(self.x, (int, bool)) or sys.float_info.max\n"
         "class C:\n    def __post_init__(self):\n        hold_number(self, 'x', '{}')\n"
-        "    def check(self):\n        math.isfinite(self.x)\n"
+        "    def check(self):\n        return math.isfinite(self.x) or float(self.x).is_integer()\n"
+        "def read(x):\n    return isinstance(x, bool) or abs(x) <= sys.float_info.max\n"
+        "def report(total):\n    return math.isfinite(total)\n"
     )
     assert own_number_checks(tree) == {
-        "A": {"math.isfinite"}, "B": {"isinstance(..., bool)", "sys.float_info"}
+        "A.__post_init__": {"math.isfinite"},
+        "B.__post_init__": {"isinstance(..., bool)", "sys.float_info"},
+        "C.check": {".is_integer()"},
+        "read": {"isinstance(..., bool)", "sys.float_info"},
     }

@@ -56,8 +56,11 @@ def column(draw, elements, n: int, dtype) -> np.ndarray:
 @st.composite
 def reports(draw):
     n = draw(st.integers(0, 7))
-    begin = column(draw, st.integers(0, 10**6), n, np.int64)
+    # windows that are non-empty, disjoint and in begin order: each begins a
+    # gap after the end of the one before
+    gaps = column(draw, st.integers(0, 10**5), n, np.int64)
     lengths = column(draw, st.integers(1, 10**4), n, np.int64)
+    begin = np.cumsum(gaps) + np.cumsum(lengths) - lengths
     energies = column(draw, joules, n, np.float64)
     hit_miss = None
     if draw(st.booleans()):

@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+import math
 import threading
 import warnings
 from dataclasses import asdict, replace
@@ -326,14 +327,6 @@ class TestMatchToggles:
         assert report.hits == 1
         assert report.window_index.tolist() == [0, -1]
 
-    def test_windows_out_of_begin_order_raise(self):
-        log = GpioCommandLog((*pair(0.07, 0.1, 40), *pair(0.2, 0.3, 43)))
-        for begins in ([1410, 1400], [0, 5, 5, 4]):
-            with pytest.raises(ValueError, match="^windows must be in begin order$"):
-                match_toggles(log, Windows(begins, [b + 30 for b in begins]), 20_000.0)
-        # equal begins are in order
-        assert match_toggles(log, Windows([1400, 1400], [1410, 1420]), 20_000.0).hits == 1
-
     def test_json_shape(self):
         report = analyze(relay_trace(np.zeros(500)), RELAY, expected=self._log([1.0]))
         d = written(report)["hit_miss"]
@@ -389,8 +382,10 @@ def match_cases(draw):
             if draw(st.booleans()):
                 near = int(edge * rate) if abs(edge) < 1e6 else 0
                 begins += [b for b in range(near - 1, near + 3) if b >= 0]
-    begins.sort()
-    found = [MeasurementWindow(b, b + draw(st.integers(1, 50))) for b in begins]
+    # disjoint windows, as a Windows holds them: each ends by the next begin
+    begins = sorted(set(begins))
+    ends = [min(b + draw(st.integers(1, 50)), after) for b, after in zip(begins, [*begins[1:], math.inf])]
+    found = [MeasurementWindow(b, e) for b, e in zip(begins, ends)]
     return log, found, rate, tolerance
 
 
@@ -541,6 +536,17 @@ class TestAnalyze:
         assert analyze(trace, TRIGGER) != analyze(trace, TRIGGER, SegmentationParams(match_tolerance_s=2e-3))
         shifted = replace(trace, vs=trace.vs * 2)
         assert analyze(trace, TRIGGER) != analyze(shifted, TRIGGER)
+
+    def test_a_report_whose_joules_do_not_match_its_windows_is_refused(self):
+        report = analyze(self.two_runs(), TRIGGER)
+        for joules in (np.array([1.0, 2.0, 3.0]), np.array([1.0]), np.array([])):
+            with pytest.raises(ValueError, match=rf"^report has {len(joules)} joules for 2 windows$"):
+                replace(report, joules=joules)
+        with pytest.raises(ValueError, match="^report has 2 joules for 1 windows$"):
+            SessionReport(
+                mode=RELAY, rate_hz=10.0, shunt=SHUNT, params=SegmentationParams(),
+                windows=Windows([0], [5]), joules=np.array([1.0, 2.0]),
+            )
 
     def test_equality_writes_no_record(self, monkeypatch):
         def refuse(*args):

@@ -880,6 +880,14 @@ class TestScenarioJson:
             load_scenario(scenario_path)
         assert str(info.value) == f"{path}: expected a finite number, got {value!r}"
 
+    @pytest.mark.parametrize("value", ["x", True, None, [], {}])
+    def test_a_float_field_that_is_no_number_asks_for_a_finite_number(self, value):
+        obj = written_scenario(every_block_scenario())
+        obj["shunt"]["vf"] = value
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(obj)
+        assert str(info.value) == f"$.shunt.vf: expected a finite number, got {value!r}"
+
     def test_dangling_activate_is_a_scenario_error(self):
         obj = written_scenario(self._scenario())
         obj["gpio"] = obj["gpio"][:3]  # drop the final deactivate

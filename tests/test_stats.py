@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -35,20 +36,24 @@ class TestTCritical:
         assert t_critical(4, 0.90) == pytest.approx(2.132, abs=1e-3)
         assert t_critical(4, 0.99) == pytest.approx(4.604, abs=1e-3)
 
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf, True, np.True_, "0.95", None])
     def test_rejects_confidence_outside_the_open_unit_interval(self, confidence):
-        with pytest.raises(ValueError, match="confidence"):
+        with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\), got "):
             t_critical(4, confidence)
+        with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\), got "):
+            summarize_campaign([1.0, 2.0], confidence)
 
     def test_rejects_zero_df(self):
         with pytest.raises(ValueError):
             t_critical(0, 0.95)
 
-    def test_rejects_non_integer_df(self):
-        with pytest.raises(ValueError, match="integer"):
-            t_critical(2.5, 0.95)
-        with pytest.raises(ValueError, match="integer"):
-            t_critical(math.inf, 0.95)
+    @pytest.mark.parametrize("df", [2.5, math.inf, 2.0, True, np.True_, "2", None])
+    def test_rejects_non_integer_df(self, df):
+        with pytest.raises(ValueError, match=r"^degrees of freedom must be an integer >= 1, got "):
+            t_critical(df, 0.95)
+
+    def test_numpy_arguments_are_held_as_python_numbers(self):
+        assert t_critical(np.int64(4), np.float64(0.95)) == t_critical(4, 0.95)
 
     def test_any_confidence_inside_the_unit_interval(self):
         # two-sided t table, df 4
@@ -98,6 +103,17 @@ class TestSummarizeCampaign:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             summarize_campaign([1.0, math.nan])
+
+    @pytest.mark.parametrize("samples", [["1.5", "2.5"], [True, False], [1.0, np.True_], [1.0, None]])
+    def test_rejects_samples_that_are_not_numbers(self, samples):
+        with pytest.raises(ValueError, match=r"^campaign samples must be finite numbers, got "):
+            summarize_campaign(samples)
+
+    def test_numpy_numbers_are_written_as_python_floats(self):
+        summary = summarize_campaign([np.float32(1.0), 2.0], np.float32(0.95))
+        assert type(summary.confidence) is float and summary.confidence == float(np.float32(0.95))
+        assert json.loads(json.dumps(summary.to_json_dict()))["confidence"] == summary.confidence
+        assert all(type(x) is float for x in summary.samples)
 
     @pytest.mark.parametrize(
         "samples",

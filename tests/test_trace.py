@@ -103,6 +103,17 @@ class TestMeasurementWindow:
     def test_duration(self):
         assert MeasurementWindow(100, 300).duration_s(20_000.0) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize(
+        "begin, end", [(0.5, 3.5), (True, 3), (0, 3.0), (np.float64(1.0), 3), (np.True_, 3), ("0", 3), (0, None)]
+    )
+    def test_bounds_that_are_not_integers_are_refused(self, begin, end):
+        with pytest.raises(ValueError, match=r"^window (begin|end) must be an integer"):
+            MeasurementWindow(begin, end)
+
+    def test_numpy_integer_bounds_are_held_as_ints(self):
+        window = MeasurementWindow(np.int64(1), np.uint8(3))
+        assert (type(window.begin), type(window.end)) == (int, int) and window == MeasurementWindow(1, 3)
+
 
 class TestWindows:
     def test_int64_arrays_length_and_iteration(self):
@@ -120,6 +131,61 @@ class TestWindows:
         assert Windows([], []) == [] and Windows([], []) == Windows([], [])
         assert windows != (1, 3, 5, 9)
 
+    def test_bounds_are_read_only_copies(self):
+        begin, end = np.array([1, 5]), np.array([3, 9])
+        windows = Windows(begin, end)
+        begin[0], end[0] = 2, 4
+        assert windows == Windows([1, 5], [3, 9])
+        with pytest.raises(ValueError, match="read-only"):
+            windows.begin[0] = 0
+        assert not windows.end.flags.writeable
+        # a window may begin where the one before it ends
+        assert list(Windows([0, 3], [3, 5])) == [MeasurementWindow(0, 3), MeasurementWindow(3, 5)]
+
+    @pytest.mark.parametrize(
+        "begin, end",
+        [
+            ([0.7, 5.9], [3.2, 9]),
+            ([0.0], [3]),
+            ([True], [3]),
+            ([0], [np.True_]),
+            (np.array([0], dtype=object), [3]),
+            (["0"], [3]),
+            ([[0]], [[3]]),
+            (0, 3),
+        ],
+        ids=["fractions", "integral-floats", "bool", "numpy-bool", "objects", "strings", "2-D", "scalars"],
+    )
+    def test_bounds_that_are_not_integers_are_refused(self, begin, end):
+        with pytest.raises(ValueError, match=r"^window (begin|end)s must be a 1-D array of integers, got "):
+            Windows(begin, end)
+
+    @pytest.mark.parametrize("begin, end", [([0, 1, 2], [5]), ([0], [1, 2]), ([], [1])])
+    def test_bounds_of_different_lengths_are_refused(self, begin, end):
+        with pytest.raises(ValueError, match=rf"^windows have {len(begin)} begins and {len(end)} ends$"):
+            Windows(begin, end)
+
+    @pytest.mark.parametrize(
+        "begin, end",
+        [
+            ([3], [3]),
+            ([4], [3]),
+            ([0, 5], [6, 8]),
+            ([0, 0], [5, 3]),
+            ([5, 0], [6, 2]),
+            ([1410, 1400], [1440, 1430]),
+            ([-1], [2]),
+            (np.uint64([2**63]), np.uint64([2**63 + 1])),
+        ],
+        ids=[
+            "empty", "reversed", "overlapping", "overlapping-equal-begins", "out-of-order",
+            "begins-out-of-order", "negative", "uint64-beyond-int64",
+        ],
+    )
+    def test_windows_must_be_non_empty_disjoint_and_ordered(self, begin, end):
+        with pytest.raises(ValueError, match="^windows must be non-empty, disjoint and in begin order$"):
+            Windows(begin, end)
+
     def test_windows_compare_by_their_arrays(self, monkeypatch):
         def refuse(self):
             raise AssertionError("equality iterated the windows")
@@ -128,6 +194,57 @@ class TestWindows:
         assert Windows([0], [3]) == Windows(np.int32([0]), [3])
         assert Windows([0, 4], [3, 6]) != Windows([0, 4], [3, 7])
         assert Windows([0], [3]) != Windows([0, 4], [3, 6])
+
+
+def held_windows(begin, end) -> list[tuple[int, int]] | None:
+    """The windows of the bounds by the rule, in plain Python, or None where
+    a Windows refuses them: integers (not bools) of one count, each window
+    non-empty, disjoint from the one before and in begin order from 0 on."""
+    values = [*begin.tolist(), *end.tolist()]
+    if not all(type(v) is int for v in values) or len(begin) != len(end):
+        return None
+    pairs = list(zip(begin.tolist(), end.tolist()))
+    ends = [0] + [e for _, e in pairs]
+    if not all(after <= b < e for (b, e), after in zip(pairs, ends)):
+        return None
+    return pairs
+
+
+@st.composite
+def window_bounds(draw):
+    """begin and end arrays of int, float or bool dtype; half of them windows
+    laid out from gaps and lengths, which one nudged bound or a dropped end
+    may break, the others drawn bound by bound."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n))
+        # a gap of 0 or more before each window, a length of 1 or more
+        edges = np.cumsum([step + k % 2 for k, step in enumerate(steps)], dtype=np.int64)
+        begin, end = edges[0::2], edges[1::2]
+        if n and draw(st.booleans()):
+            bounds = draw(st.sampled_from([begin, end]))
+            bounds[draw(st.integers(0, n - 1))] += draw(st.integers(-2, 2))
+        if n and draw(st.booleans()):
+            end = end[:-1]
+    else:
+        begin, end = (np.array(draw(st.lists(st.integers(-2, 20), min_size=n, max_size=n))) for _ in range(2))
+    dtypes = st.sampled_from([np.int64, np.int32, np.uint8, np.float64, bool])
+    return begin.astype(draw(dtypes)), end.astype(draw(dtypes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_bounds())
+def test_windows_hold_integer_bounds_in_order_or_refuse_them(bounds):
+    begin, end = bounds
+    expected = held_windows(begin, end)
+    if expected is None:
+        with pytest.raises(ValueError):
+            Windows(begin, end)
+        return
+    windows = Windows(begin, end)
+    assert windows.begin.dtype == windows.end.dtype == np.int64
+    assert not (windows.begin.flags.writeable or windows.end.flags.writeable)
+    assert list(zip(windows.begin.tolist(), windows.end.tolist())) == expected
 
 
 class TestValidateTrace:
