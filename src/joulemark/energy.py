@@ -2,7 +2,13 @@
 
 Energy over a window is
 
-    E = (vf / rs) * integral of vs(t) dt.
+    E = (vf / rs) * integral of vs(t) dt,
+
+the energy drawn from the supply, which every ``joules`` here and in a
+report is.  It includes the shunt's own dissipation, vs**2 / rs; the board
+itself gets (vf - vs) * vs / rs.  At 12 V and 0.1 ohm, under constant board
+power, the supply's energy exceeds the board's by 0.28% at 4 W, 0.63% at
+9 W and 0.85% at 12 W.
 
 ``window_energies``, which ``analyze`` uses, holds each sample for one
 sample period: a window [begin, end) spans end-begin periods, one-sample

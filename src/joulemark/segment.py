@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
 from typing import TextIO
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import energy, jsonio
 from . import trace as trace_module
 from .instrument import GpioCommandLog
-from .jsonio import LEAF, Records
+from .jsonio import Records
 from .stats import CampaignSummary
 from .trace import (
     RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, row_blocks, sample_to_power
@@ -106,12 +105,6 @@ def segment_trigger(trace: PowerTrace, params: SegmentationParams = Segmentation
     return _runs(trace.trig >= params.trigger_logic_threshold_v)
 
 
-# a verdict's JSON record, missed or hit: its port and commanded seconds as
-# leaves, then its window's index as a leaf, or null
-_VERDICT_MISS = {"port": LEAF, "begin_s": LEAF, "end_s": LEAF, "hit": False, "window_index": None}
-_VERDICT_HIT = _VERDICT_MISS | {"hit": True, "window_index": LEAF}
-
-
 @dataclass(frozen=True, eq=False)
 class HitMissReport:
     """One row per commanded toggle pair, in the order of
@@ -140,14 +133,14 @@ class HitMissReport:
         return self.expected - self.hits
 
     def _json_doc(self) -> dict:
-        columns, hit = (self.port, self.begin_s, self.end_s), self.window_index >= 0
+        # a verdict's JSON record, missed or hit: its window's index or null
+        miss = {"port": self.port, "begin_s": self.begin_s, "end_s": self.end_s, "hit": False, "window_index": None}
+        hit = miss | {"hit": True, "window_index": self.window_index}
         return {
             "expected": self.expected,
             "hits": self.hits,
             "misses": self.misses,
-            "verdicts": Records(
-                (_VERDICT_MISS, _VERDICT_HIT), (columns, (*columns, self.window_index)), hit
-            ),
+            "verdicts": Records((miss, hit), self.window_index >= 0),
         }
 
 
@@ -205,12 +198,7 @@ class SessionReport:
             raise ValueError(f"report has {len(self.joules)} joules for {len(self.windows)} windows")
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SessionReport):
-            return NotImplemented
-        key = attrgetter(
-            "mode", "rate_hz", "shunt", "params", "windows", "hit_miss", "campaign", "warnings"
-        )
-        return key(self) == key(other) and np.array_equal(self.joules, other.joules)
+        return fields_equal(self, other) if isinstance(other, SessionReport) else NotImplemented
 
     @property
     def total_joules(self) -> float:
@@ -228,7 +216,7 @@ class SessionReport:
             "rate_hz": self.rate_hz,
             "shunt": asdict(self.shunt),
             "params": asdict(self.params),
-            "results": Records((_RESULT,), (_result_columns(self.windows, self.joules, self.rate_hz),)),
+            "results": Records((_result_record(self.windows, self.joules, self.rate_hz),)),
             "total_joules": self.total_joules,
             "hit_miss": self.hit_miss._json_doc() if self.hit_miss else None,
             "campaign": self.campaign.to_json_dict() if self.campaign else None,
@@ -236,17 +224,14 @@ class SessionReport:
         }
 
 
-# a window's JSON record: its sample span, then its seconds and energy
-_RESULT = {
-    "window": {"begin_idx": LEAF, "end_idx": LEAF},
-    "energy": {"begin_s": LEAF, "end_s": LEAF, "joules": LEAF, "mean_watts": LEAF},
-}
-
-
-def _result_columns(windows: Windows, joules: np.ndarray, rate_hz: float) -> tuple[np.ndarray, ...]:
-    """The columns of the windows' JSON records, in _RESULT's leaf order."""
+def _result_record(windows: Windows, joules: np.ndarray, rate_hz: float) -> dict:
+    """The windows' JSON record template: each window's sample span, then its
+    seconds and energy, a column of every window in place of each value."""
     b, e, j = windows.begin, windows.end, joules
-    return b, e, b / rate_hz, e / rate_hz, j, j / ((e - b) / rate_hz)
+    return {
+        "window": {"begin_idx": b, "end_idx": e},
+        "energy": {"begin_s": b / rate_hz, "end_s": e / rate_hz, "joules": j, "mean_watts": j / ((e - b) / rate_hz)},
+    }
 
 
 def _check_finite(windows: Windows, joules: np.ndarray, rate_hz: float) -> None:
@@ -254,13 +239,12 @@ def _check_finite(windows: Windows, joules: np.ndarray, rate_hz: float) -> None:
     mean watts are not finite, or else a total that is not: JSON has no
     text for infinity or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, *floats = _result_columns(windows, joules, rate_hz)
+        names, floats = zip(*_result_record(windows, joules, rate_hz)["energy"].items())
     bad = ~np.isfinite(np.stack(floats))
     for k in np.flatnonzero(bad.any(axis=0))[:1].tolist():
         i = int(np.argmax(bad[:, k]))
         raise ValueError(
-            f"window {k} [{windows.begin[k]}, {windows.end[k]}): "
-            f"{list(_RESULT['energy'])[i]} is {floats[i][k]}, not finite"
+            f"window {k} [{windows.begin[k]}, {windows.end[k]}): {names[i]} is {floats[i][k]}, not finite"
         )
     total = sum(joules.tolist(), 0.0)
     if not math.isfinite(total):
@@ -278,11 +262,11 @@ def analyze(
     commanded toggles if `expected` is given.  A trace violation raises
     ValueError, one violation per line, and so does a window whose seconds,
     energy or mean power, or a total energy, is not finite.  A truncated
-    trigger window (the last window ends at ``len(trace)``) and finding no
-    window go into the report's warnings.  The segmenters, validate_trace
-    and window_energies are looked up on their modules at each call, so
-    that a wrapper installed there (a profiler's, say) sees every
-    analysis."""
+    window (the first begins at sample 0, or the last ends at
+    ``len(trace)``), in either mode, and finding no window go into the
+    report's warnings.  The segmenters, validate_trace and window_energies
+    are looked up on their modules at each call, so that a wrapper
+    installed there (a profiler's, say) sees every analysis."""
     validation = trace_module.validate_trace(trace)
     if not validation.ok:
         raise ValueError("\n".join(validation.violations))
@@ -295,7 +279,9 @@ def analyze(
         joules = energy.window_energies(trace, windows)
     _check_finite(windows, joules, trace.rate_hz)
     warnings = []
-    if mode == TRIGGER and windows and windows.end[-1] == len(trace):
+    if windows and windows.begin[0] == 0:
+        warnings.append("trace starts mid-window; first window truncated at trace start")
+    if windows and windows.end[-1] == len(trace):
         warnings.append("trace ends mid-window; final window truncated at trace end")
     if not windows:
         warnings.append("no measurement windows found")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .acquisition import DEFAULT_AGGREGATE_RATE_HZ, AcquisitionConfig, channel_rate
 from .instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog, _ACTIONS
-from .jsonio import LEAF, Records, save_json
+from .jsonio import Records, save_json
 from .trace import (
     RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, index_at_or_after, number, row_blocks
 )
@@ -393,14 +393,6 @@ class Scenario:
         return replace(self, seed=seed)
 
 
-# a toggle pair's JSON record, unrealized or realized: its columns as leaves,
-# with its realized window as null or [begin, end]
-_ENTRY_MISS = {
-    "port": LEAF, "begin_s": LEAF, "end_s": LEAF, "hit": LEAF, "realized": None, "true_joules": LEAF
-}
-_ENTRY_HIT = _ENTRY_MISS | {"realized": [LEAF, LEAF]}
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """What each commanded toggle pair actually did, one row per pair in the
@@ -438,13 +430,13 @@ class GroundTruth:
     def write_json(self, path: str | Path) -> None:
         """Write the ground truth as the CLI's truth JSON: json's
         ``indent=2`` text and a newline."""
-        head = (self.port, self.begin_s, self.end_s, self.hit)
-        realized = (self.realized_begin, self.realized_end)
-        entries = Records(
-            (_ENTRY_MISS, _ENTRY_HIT),
-            ((*head, self.true_joules), (*head, *realized, self.true_joules)),
-            self.realized_begin >= 0,
-        )
+        # a toggle pair's JSON record, its realized window null or [begin, end]
+        miss = {
+            "port": self.port, "begin_s": self.begin_s, "end_s": self.end_s, "hit": self.hit,
+            "realized": None, "true_joules": self.true_joules,
+        }
+        realized = miss | {"realized": [self.realized_begin, self.realized_end]}
+        entries = Records((miss, realized), self.realized_begin >= 0)
         save_json({"rate_hz": self.rate_hz, "seed": self.seed, "entries": entries}, path)
 
 
@@ -618,7 +610,7 @@ def _gpio(items: list, path: str) -> GpioCommandLog:
     """The gpio array read in one pass: a command that is not an object of
     exactly its three keys holding valid values goes to _command, which
     raises its error or reads it."""
-    keys = _COMMANDS[0].keys()
+    keys = {f.name for f in fields(GpioCommand)}
     t_s, port, deactivate = [], [], []
     for i, c in enumerate(items):
         if not (
@@ -663,13 +655,6 @@ def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:
     )
 
 
-# a GPIO command's JSON record, one shape per action
-_COMMANDS = tuple(
-    {f.name: LEAF for f in fields(GpioCommand)} | {"action": action}
-    for action in (ACTIVATE, DEACTIVATE)
-)
-
-
 def _scenario_doc(scenario: Scenario) -> dict:
     obj = asdict(scenario)
     obj["workload"] = [
@@ -677,8 +662,9 @@ def _scenario_doc(scenario: Scenario) -> dict:
         for seg in scenario.workload.segments
     ]
     gpio = scenario.gpio
-    columns = (gpio.t_s.tolist(), gpio.port.tolist())
-    obj["gpio"] = Records(_COMMANDS, (columns, columns), gpio.deactivate)
+    # a GPIO command's JSON record, one template per action
+    commands = [{"t_s": gpio.t_s, "port": gpio.port, "action": action} for action in (ACTIVATE, DEACTIVATE)]
+    obj["gpio"] = Records(commands, gpio.deactivate)
     return obj
 
 

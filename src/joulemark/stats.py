@@ -53,9 +53,15 @@ def t_critical(df: int, confidence: float = 0.95) -> float:
     return math.sqrt(n * math.expm1(a * y * y))
 
 
+def _held(samples) -> list[float]:
+    """Each sample held as a float by :func:`~joulemark.trace.number`'s rule."""
+    return [number(x, "campaign samples must be finite numbers, got {!r}") for x in samples]
+
+
 def variation_pct(samples) -> float:
-    """Spread of the samples relative to their mean: (max - min) / mean * 100."""
-    values = [float(x) for x in samples]
+    """Spread of the samples relative to their mean: (max - min) / mean * 100.
+    Samples are held as summarize_campaign holds them."""
+    values = _held(samples)
     if len(values) < 2:
         raise InsufficientSamplesError(
             f"variation needs at least 2 samples, got {len(values)}"
@@ -125,7 +131,7 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
     by t_critical's.  Raises ValueError where the mean, deviation, margin or
     variation is beyond the float range, though every sample is finite.
     """
-    values = [number(x, "campaign samples must be finite numbers, got {!r}") for x in samples]
+    values = _held(samples)
     n = len(values)
     if n < 2:
         raise InsufficientSamplesError(

@@ -95,6 +95,14 @@ class MeasurementWindow:
         hold_number(self, "begin", "window begin must be an integer >= 0, got {!r}", ok=lambda b: b >= 0, kind=int)
         hold_number(self, "end", f"window end must be an integer > {self.begin}, got {{!r}}", ok=lambda e: e > self.begin, kind=int)
 
+    @classmethod
+    def _checked(cls, begin: int, end: int) -> "MeasurementWindow":
+        """The window [begin, end) of ints already held to the rule, as a
+        Windows holds its bounds, built without checking them again."""
+        window = object.__new__(cls)
+        window.__dict__.update(begin=begin, end=end)
+        return window
+
     def __len__(self) -> int:
         return self.end - self.begin
 
@@ -103,8 +111,11 @@ class MeasurementWindow:
 
 
 def fields_equal(a, b) -> bool:
-    """Whether dataclasses a and b hold equal fields, arrays compared by value."""
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    """Whether dataclasses a and b hold equal fields: arrays by value, every
+    other field by ``==`` (as a numpy array, a string would lose a trailing
+    NUL)."""
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y for x, y in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +146,7 @@ class Windows:
         return len(self.begin)
 
     def __iter__(self) -> Iterator[MeasurementWindow]:
-        return map(MeasurementWindow, self.begin.tolist(), self.end.tolist())
+        return map(MeasurementWindow._checked, self.begin.tolist(), self.end.tolist())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Windows):

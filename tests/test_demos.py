@@ -1,5 +1,6 @@
 """Every script in demos/ runs to completion against the package in src/ and
-prints what it printed when its digest was pinned."""
+prints what it printed when its digest was pinned, and README's library
+quick start runs and prints what it says it prints."""
 
 import hashlib
 import json
@@ -19,18 +20,33 @@ def test_every_demo_has_a_golden_entry():
     assert sorted(GOLDEN_STDOUT) == [demo.name for demo in DEMOS]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
+def run_python(args: list[str], cwd: Path) -> bytes:
+    """The standard output of a Python run of args against src/, which must
+    exit 0.  -W error fails it on any warning, as the suite's own policy
+    would; -X dev adds the interpreter's debug checks."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    # -W error fails the demo on any warning, as the suite's own policy
-    # would; -X dev adds the interpreter's debug checks
     done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
-        cwd=tmp_path,
+        [sys.executable, "-X", "dev", "-W", "error", *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_STDOUT[demo.name]
+    return done.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    stdout = run_python([str(demo)], tmp_path)
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN_STDOUT[demo.name]
+
+
+def test_readme_quick_start_prints_joules_that_agree(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # the block prints the recovered and the true joules of its one window
+    assert "simulate_session" in code
+    recovered, true = map(float, run_python(["-c", code], tmp_path).split())
+    assert true == pytest.approx(12.0) and abs(recovered - true) <= 0.01 * true

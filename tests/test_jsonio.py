@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunking import chunk_rows
-from joulemark.jsonio import LEAF, Records, write_json
+from joulemark.jsonio import Records, write_json
 from joulemark.segment import HitMissReport, SegmentationParams, SessionReport
 from joulemark.simulate import (
     RELAY,
@@ -276,11 +276,13 @@ def test_written_reports_keep_every_kind_of_leaf():
 
 
 # record shapes of any nesting, with keys and values of their own around
-# their leaves; no key or string of a shape holds the leaf marker
+# their COLUMN leaves; no key or string of a shape holds the writer's own
+# leaf marker, the character "\x00"
+COLUMN = object()
 shape_text = st.text(st.sampled_from(['"', "%", "s", "\n", "\\", ",", "é", "☃", "a"]))
 baked = st.none() | st.booleans() | st.integers() | any_float | shape_text
 record_shapes = st.recursive(
-    st.just(LEAF) | baked,
+    st.just(COLUMN) | baked,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(shape_text, inner, max_size=3),
     max_leaves=6,
 )
@@ -292,16 +294,16 @@ def count_leaves(shape) -> int:
         return sum(map(count_leaves, shape.values()))
     if isinstance(shape, list):
         return sum(map(count_leaves, shape))
-    return int(shape == LEAF)
+    return int(shape is COLUMN)
 
 
 def fill(shape, leaves):
-    """A copy of the shape with its leaves taken from the iterator."""
+    """A copy of the shape with its COLUMN leaves taken from the iterator."""
     if isinstance(shape, dict):
         return {key: fill(value, leaves) for key, value in shape.items()}
     if isinstance(shape, list):
         return [fill(value, leaves) for value in shape]
-    return next(leaves) if shape == LEAF else shape
+    return next(leaves) if shape is COLUMN else shape
 
 
 @st.composite
@@ -315,18 +317,20 @@ def records(draw):
     ]
 
     # each shape's columns, holding a marker that must not be written where
-    # a record of another shape stands
+    # a record of another shape stands, and its template: the shape with its
+    # columns in place of its leaves
     columns = [
         [np.full(len(kinds), "unused", dtype=object) for _ in range(count_leaves(shape))] for shape in shapes
     ]
     for r, (k, row) in enumerate(zip(kinds, rows)):
         for i, leaf in enumerate(row):
             columns[k][i][r] = leaf
+    templates = [fill(shape, iter(own)) for shape, own in zip(shapes, columns)]
     expected = [fill(shapes[k], iter(row)) for k, row in zip(kinds, rows)]
     # without kinds, every record has the first shape, which has a leaf
     if not any(kinds) and count_leaves(shapes[0]) and draw(st.booleans()):
-        return Records(shapes, columns), expected
-    return Records(shapes, columns, np.array(kinds, dtype=np.intp)), expected
+        return Records(templates), expected
+    return Records(templates, np.array(kinds, dtype=np.intp)), expected
 
 
 def unzip_list(items):

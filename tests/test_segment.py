@@ -447,6 +447,32 @@ class TestAnalyze:
         assert report.windows == [MeasurementWindow(300, 400)]
         assert report.warnings == ["trace ends mid-window; final window truncated at trace end"]
 
+    START = "trace starts mid-window; first window truncated at trace start"
+    END = "trace ends mid-window; final window truncated at trace end"
+
+    @pytest.mark.parametrize(
+        "mode, levels, windows, expected",
+        [
+            # a trigger window from sample 0, ending inside the trace
+            (TRIGGER, [1.8] * 3 + [0.0] * 7, [(0, 3)], [START]),
+            # a relay window from sample 0, and one up to the trace's end
+            (RELAY, [12.0] * 5 + [0.0] * 11, [(0, 5)], [START]),
+            (RELAY, [0.0] * 10 + [12.0] * 6, [(10, 16)], [END]),
+            # one window over the whole trace is truncated at both ends
+            (RELAY, [12.0] * 10, [(0, 10)], [START, END]),
+            (TRIGGER, [1.8] * 16, [(0, 16)], [START, END]),
+            # interior windows are not truncated
+            (RELAY, [0.0] * 3 + [12.0] * 8 + [0.0] * 5, [(3, 11)], []),
+            (TRIGGER, [0.0, 1.8, 1.8] + [0.0] * 7, [(1, 3)], []),
+        ],
+    )
+    def test_a_window_at_either_end_of_the_trace_is_a_report_warning(self, mode, levels, windows, expected):
+        levels = np.array(levels)
+        trace = relay_trace(levels) if mode == RELAY else trigger_trace(levels)
+        report = analyze(trace, mode)
+        assert report.windows == [MeasurementWindow(b, e) for b, e in windows]
+        assert report.warnings == expected
+
     def test_overlapping_analyses_each_report_their_truncated_window(self, monkeypatch):
         # the first thread segments while the second is inside analyze(), as
         # two instrumented program parts analysed at once can
@@ -573,6 +599,8 @@ class TestAnalyze:
         for other in others:
             assert other != report and report != other
         assert replace(report) == report
+        # warnings compare as Python strings, which keep a trailing NUL
+        assert replace(report, warnings=["w"]) != replace(report, warnings=["w\x00"])
         assert report != written(report)
 
     def test_wrong_mode_and_unknown_mode_are_rejected(self):

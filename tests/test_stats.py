@@ -192,6 +192,17 @@ class TestVariationPct:
         with pytest.raises(InsufficientSamplesError):
             variation_pct([1.0])
 
+    @pytest.mark.parametrize("samples", [["1", "3"], [True, 3], [np.True_, 3.0], [1.0, math.inf], [math.nan, 1.0]])
+    def test_samples_are_held_as_summarize_campaign_holds_them(self, samples):
+        message = r"^campaign samples must be finite numbers, got "
+        for summary in (variation_pct, summarize_campaign):
+            with pytest.raises(ValueError, match=message):
+                summary(samples)
+
+    def test_numpy_samples_are_accepted(self):
+        assert variation_pct([np.float32(1.0), np.int64(3)]) == 100.0
+        assert variation_pct(np.array([1.0, 3.0])) == 100.0
+
 
 class TestSerialization:
     def test_csv_row_is_samples_then_mean_then_margin(self):

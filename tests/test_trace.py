@@ -123,6 +123,18 @@ class TestWindows:
         assert list(windows) == [MeasurementWindow(1, 3), MeasurementWindow(5, 9)]
         assert all(type(w.begin) is int for w in windows)
 
+    def test_iteration_does_not_check_the_bounds_again(self):
+        windows = Windows([0, 5, 2**40], [3, 9, 2**40 + 1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("iterating a Windows checked a number")
+
+        with mock.patch.object(trace_module, "number", refuse):
+            iterated = list(windows)
+        checked = [MeasurementWindow(0, 3), MeasurementWindow(5, 9), MeasurementWindow(2**40, 2**40 + 1)]
+        assert iterated == checked and list(map(hash, iterated)) == list(map(hash, checked))
+        assert [(type(w.begin), type(w.end)) for w in iterated] == [(int, int)] * 3
+
     def test_equal_to_the_same_windows_in_order(self):
         windows = Windows([1, 5], [3, 9])
         as_list = [MeasurementWindow(1, 3), MeasurementWindow(5, 9)]
