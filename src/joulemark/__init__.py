@@ -81,12 +81,12 @@ from .trace import (
     TRIGGER,
     MeasurementWindow,
     PowerTrace,
+    SampleClock,
     ShuntConfig,
     TraceFormatError,
     TraceValidation,
     Windows,
     downsample,
-    index_at_or_after,
     power_to_shunt_volts,
     read_trace_csv,
     sample_to_power,

@@ -23,7 +23,7 @@ from .instrument import GpioCommandLog
 from .jsonio import Records
 from .stats import CampaignSummary
 from .trace import (
-    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, row_blocks, sample_to_power
+    RELAY, TRIGGER, PowerTrace, SampleClock, ShuntConfig, Windows, fields_equal, hold_number, row_blocks, sample_to_power
 )
 
 
@@ -153,17 +153,17 @@ def match_toggles(
     """Greedy in-order matching of commanded toggles to recovered windows.
 
     Each commanded pair, in order of its start t_on, takes the first
-    unmatched window whose ``begin / rate_hz`` lies within tolerance_s of
-    t_on.  Unmatched pairs are misses.
+    unmatched window whose start, ``SampleClock(rate_hz).time_of(begin)``,
+    lies within tolerance_s of t_on.  Unmatched pairs are misses.
 
     Runs in O(n + m) for n pairs and m windows.  The pairs' starts never
     decrease, nor do a Windows' begins, so a window more than tolerance_s
     behind one pair's start is behind every later pair's too: one pointer
     moves past such windows and past each window that is matched.  Both
-    tests are written as ``begin / rate_hz - t_on`` against tolerance_s, so
-    that they round as ``abs(begin / rate_hz - t_on) <= tolerance_s`` does.
+    tests are written as ``start - t_on`` against tolerance_s, so that they
+    round as ``abs(start - t_on) <= tolerance_s`` does.
     """
-    starts = (found.begin / rate_hz).tolist()
+    starts = SampleClock(rate_hz).time_of(found.begin).tolist()
     t_on, t_off, port = intended.windows()
     p = 0  # the first window that no earlier pair matched or left behind
     matched: list[int] = []

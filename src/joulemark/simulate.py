@@ -34,7 +34,7 @@ from .acquisition import DEFAULT_AGGREGATE_RATE_HZ, AcquisitionConfig, channel_r
 from .instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog, _ACTIONS
 from .jsonio import Records, save_json
 from .trace import (
-    RELAY, TRIGGER, PowerTrace, ShuntConfig, Windows, fields_equal, hold_number, index_at_or_after, number, row_blocks
+    RELAY, TRIGGER, PowerTrace, SampleClock, ShuntConfig, Windows, fields_equal, hold_number, number, row_blocks
 )
 
 _CIRCUITS = (RELAY, TRIGGER)
@@ -457,15 +457,16 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     t_on, t_off, port = scenario.gpio.windows()
     hit = rng.random(len(t_on)) < hit_probability(t_off - t_on, scenario.switching)
     latency = scenario.switching.nominal_latency_s
-    begin = index_at_or_after(t_on + latency, rate)
-    end = np.minimum(index_at_or_after(t_off + latency, rate), n)
+    clock = SampleClock(rate)
+    begin = clock.first_index_at_or_after(t_on + latency)
+    end = np.minimum(clock.first_index_at_or_after(t_off + latency), n)
     realized = hit & (end - begin >= 1)
     truth = GroundTruth(
         rate, scenario.seed, port, t_on, t_off, hit, np.where(realized, begin, -1),
         np.where(realized, end, -1), scenario.workload.integral(t_on, t_off),
     )
     # the realized windows are disjoint and in order, since a Scenario rejects
-    # overlapping commanded windows and index_at_or_after is monotone: their
+    # overlapping commanded windows and the clock's map is monotone: their
     # interleaved edges cut the session into idle and live runs
     edges = np.concatenate(([0], np.column_stack((begin, end))[realized].ravel(), [n]))
     live = np.repeat(np.arange(len(edges) - 1) % 2 == 1, np.diff(edges))
@@ -479,7 +480,7 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     shunt = scenario.shunt
     for start, stop in row_blocks(n):
         block = vs[start:stop]
-        t = np.arange(start, stop) / rate
+        t = clock.time_of(np.arange(start, stop))
         read = live[start:stop] if relay else slice(None)
         block[read] = scenario.workload.power_at(t[read])
         block *= shunt.rs

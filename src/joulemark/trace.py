@@ -234,11 +234,34 @@ def power_to_shunt_volts(power_w, shunt: ShuntConfig):
     return power_w * shunt.rs / shunt.vf
 
 
-def index_at_or_after(t_s, rate_hz: float):
-    """First sample index whose time is >= t_s, robust to float grid noise:
-    an int, or an int64 array for an array of times."""
-    index = np.maximum(0, np.ceil(np.multiply(t_s, rate_hz) - 1e-9)).astype(np.int64)
-    return index if index.ndim else int(index)
+@dataclass(frozen=True)
+class SampleClock:
+    """Sample i of a channel at ``rate_hz`` is taken at command-log (host)
+    time ``i / rate_hz``.  The simulator's realized edges and workload times
+    and the matcher's window starts all map through a clock; a trace's own
+    axis (the CSV's ``t_s``, a report's seconds) is ``i / rate_hz`` by its
+    format.  The rate is held as a finite, positive float by
+    :func:`number`'s rule."""
+
+    rate_hz: float
+
+    def __post_init__(self):
+        hold_number(self, "rate_hz", "sampling rate must be finite and positive, got {}", ok=lambda v: v > 0)
+
+    def time_of(self, index):
+        """Host seconds of a sample index, or of an int array of them."""
+        return index / self.rate_hz
+
+    def first_index_at_or_after(self, t_s):
+        """First sample index whose time is >= t_s, an int or an int64 array,
+        where a time up to max(1e-9, 4 eps |t_s * rate_hz|) samples past a
+        sample's, float grid noise, counts as that sample's: so
+        first_index_at_or_after(time_of(i)) == i up to i of 10**12, which a
+        fixed 1e-9 fails from about 10**7 samples on."""
+        samples = np.multiply(t_s, self.rate_hz)
+        slack = np.maximum(1e-9, 4 * np.finfo(np.float64).eps * np.abs(samples))
+        index = np.maximum(0, np.ceil(samples - slack)).astype(np.int64)
+        return index if index.ndim else int(index)
 
 
 @dataclass(frozen=True)
@@ -495,17 +518,19 @@ def _parse_block(
 ) -> np.ndarray | None:
     """Vectorised parse of data lines; None if any check fails, so that the
     caller re-parses with :func:`_parse_rows` and gets its verdict."""
-    nonblank = len(lines) - lines.count("\n")
-    if nonblank == 0:
+    # loadtxt would warn of a block of blank lines that it holds no data
+    if lines[0] == "\n" and lines.count("\n") == len(lines):
         return None
     try:
         data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if data.shape != (nonblank, ncols):
+    # loadtxt skips blank lines; they are counted only when it skipped some
+    rows = len(data)
+    if data.shape[1] != ncols or (rows != len(lines) and rows != len(lines) - lines.count("\n")):
         return None
     # (row + arange) / rate is the per-line row / rate, bit for bit
-    expected_t = (row + np.arange(nonblank)) / rate
+    expected_t = (row + np.arange(rows)) / rate
     if np.any(np.abs(data[:, 0] - expected_t) > TIME_GRID_TOLERANCE_S):
         return None
     return data

@@ -327,6 +327,11 @@ class TestMatchToggles:
         assert report.hits == 1
         assert report.window_index.tolist() == [0, -1]
 
+    @pytest.mark.parametrize("rate", [0.0, -20_000.0, math.inf, math.nan], ids=repr)
+    def test_a_rate_that_is_not_finite_and_positive_is_refused(self, rate):
+        with pytest.raises(ValueError, match="sampling rate must be finite and positive"):
+            match_toggles(self._log([1.0]), Windows([20_000], [25_000]), rate)
+
     def test_json_shape(self):
         report = analyze(relay_trace(np.zeros(500)), RELAY, expected=self._log([1.0]))
         d = written(report)["hit_miss"]
@@ -397,6 +402,56 @@ class TestMatchTogglesAgainstGreedy:
         report = match_toggles(log, as_windows(found), rate, tolerance)
         assert report == greedy_verdicts(log, found, rate, tolerance)
         assert report.hits == sum(i != -1 for i in report.window_index.tolist())
+
+
+@st.composite
+def spaced_sessions(draw) -> Scenario:
+    """One to six toggle pairs of any length up to 3 ms, from up to 0.5 s
+    into the session, on a constant 12 W load, at an aggregate rate that may
+    be 44.1 kHz or 3,300.3 Hz, whose periods are no short decimal.  Pairs
+    start 2.5 ms or more apart, more than a match tolerance beyond a sample
+    period plus the latency, so a window that starts at one pair's realized
+    begin is out of every other pair's reach; a pair may end where the next
+    starts, so realized windows may touch."""
+    cmds, t_on = [], draw(st.floats(0.0, 0.5))
+    for _ in range(draw(st.integers(1, 6))):
+        t_off = t_on + draw(st.floats(0.0, 3e-3))
+        cmds += [GpioCommand(t_on, 40, ACTIVATE), GpioCommand(t_off, 40, DEACTIVATE)]
+        t_on = max(t_on + 2.5e-3, t_off + draw(st.sampled_from([0.0, 1e-4, 5e-4, 1e-3])))
+    duration = t_off + draw(st.floats(1e-3, 3e-3))
+    return Scenario(
+        duration,
+        draw(st.sampled_from([RELAY, TRIGGER])),
+        aggregate_rate_hz=draw(st.one_of(st.sampled_from([3_300.3, 44_100.0, 40_000.0]), st.floats(3_000.0, 1e5))),
+        workload=WorkloadProfile.constant(12.0, 0.0, duration),
+        gpio=GpioCommandLog(tuple(cmds)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestSimulatorAndMatcherAgree:
+    @settings(max_examples=150, deadline=None)
+    @given(spaced_sessions())
+    def test_each_recoverable_window_matches_its_own_pair(self, scenario):
+        params = SegmentationParams()
+        trace, truth = simulate_session(scenario)
+        assert 1 / trace.rate_hz + scenario.switching.nominal_latency_s <= params.match_tolerance_s
+        report = analyze(trace, scenario.circuit, params, expected=scenario.gpio)
+        verdict = report.hit_miss.window_index
+        # a hit is a window that starts at the pair's own realized begin
+        hits = np.flatnonzero(verdict >= 0)
+        assert np.array_equal(report.windows.begin[verdict[hits]], truth.realized_begin[hits])
+        # the segmenter's run-length rule: trigger runs that touch are one
+        # run; relay runs closer than min_window_samples merge, and shorter
+        # ones are dropped
+        least = params.min_window_samples if scenario.circuit == RELAY else 1
+        pairs = np.flatnonzero(truth.realized_begin >= 0)
+        begin, end = truth.realized_begin[pairs], truth.realized_end[pairs]
+        apart = np.concatenate(([True], begin[1:] - end[:-1] >= least, [True]))
+        admitted = apart[:-1] & apart[1:] & (end - begin >= least)
+        found = dict(zip(zip(report.windows.begin.tolist(), report.windows.end.tolist()), range(len(report.windows))))
+        for k, b, e in zip(pairs[admitted].tolist(), begin[admitted].tolist(), end[admitted].tolist()):
+            assert verdict[k] == found[b, e]
 
 
 class TestAnalyze:

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+import sys
 import tempfile
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
@@ -47,7 +48,6 @@ from joulemark.trace import (
     MeasurementWindow,
     PowerTrace,
     ShuntConfig,
-    index_at_or_after,
     power_to_shunt_volts,
     validate_trace,
 )
@@ -995,6 +995,13 @@ def test_scenario_json_round_trip(scenario):
     assert scenario_from_dict(obj) == scenario
 
 
+def at_or_after(t: float, rate: float) -> int:
+    """The first sample index whose time is >= t, written out apart from the
+    simulator's clock: ceil(t * rate) less a slack of float grid noise."""
+    samples = t * rate
+    return max(0, math.ceil(samples - max(1e-9, 4 * sys.float_info.epsilon * abs(samples))))
+
+
 def whole_array_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     """Reference simulator: the workload evaluated over the whole session at
     once and every realized window copied in, as simulate_session did before
@@ -1011,8 +1018,8 @@ def whole_array_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
         hit = bool(rng.random() < hit_probability(off - on, scenario.switching))
         b = e = -1
         if hit:
-            b = index_at_or_after(on + latency, rate)
-            e = min(index_at_or_after(off + latency, rate), n)
+            b = at_or_after(on + latency, rate)
+            e = min(at_or_after(off + latency, rate), n)
             if e - b < 1:
                 b = e = -1
         hits.append(hit)

@@ -20,12 +20,12 @@ from joulemark.simulate import RELAY, TRIGGER, Scenario, simulate_session
 from joulemark.trace import (
     MeasurementWindow,
     PowerTrace,
+    SampleClock,
     ShuntConfig,
     TraceFormatError,
     Windows,
     concat_traces,
     downsample,
-    index_at_or_after,
     iter_trace_chunks,
     power_to_shunt_volts,
     read_trace_csv,
@@ -438,15 +438,73 @@ class TestDownsample:
         assert out.trig.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
 
 
-class TestIndexAtOrAfter:
+# rates log-uniform on 1 Hz to 10 MHz, and the package's usual rates with
+# two whose periods are no short decimal
+CLOCK_RATES = st.one_of(
+    st.sampled_from([20_000.0, 40_000.0, 44_100.0, 3.3]),
+    st.floats(0.0, 7.0).map(lambda e: 10.0**e),
+)
+
+
+class TestSampleClock:
     def test_on_grid_times_map_exactly(self):
-        assert index_at_or_after(1.0, 20_000.0) == 20_000
+        clock = SampleClock(20_000.0)
+        assert clock.first_index_at_or_after(1.0) == 20_000
         # 0.3 * 20000 rounds up to 6000.000000000001 in floats
-        assert index_at_or_after(0.3, 20_000.0) == 6_000
+        assert clock.first_index_at_or_after(0.3) == 6_000
 
     def test_between_grid_times_round_up(self):
-        assert index_at_or_after(1.00001, 20_000.0) == 20_001
-        assert index_at_or_after(-0.5, 20_000.0) == 0
+        clock = SampleClock(20_000.0)
+        assert clock.first_index_at_or_after(1.00001) == 20_001
+        assert clock.first_index_at_or_after(-0.5) == 0
+
+    def test_times_are_index_over_rate_bit_for_bit(self):
+        clock = SampleClock(44_100)
+        assert type(clock.rate_hz) is float
+        index = np.arange(0, 10**9, 999_983)
+        assert clock.time_of(index).tobytes() == (index / 44_100.0).tobytes()
+        assert clock.time_of(7) == 7 / 44_100.0
+
+    def test_an_array_of_times_maps_to_int64_indices(self):
+        index = SampleClock(10.0).first_index_at_or_after(np.array([-1.0, 0.0, 0.05, 0.1, 0.3]))
+        assert index.dtype == np.int64 and index.tolist() == [0, 0, 1, 1, 3]
+        assert type(SampleClock(10.0).first_index_at_or_after(0.3)) is int
+
+    @pytest.mark.parametrize("rate", [0.0, -20_000.0, math.inf, math.nan, True, "20000"], ids=repr)
+    def test_a_rate_that_is_not_finite_and_positive_is_refused(self, rate):
+        with pytest.raises(ValueError, match="sampling rate must be finite and positive"):
+            SampleClock(rate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**12 - 1), min_size=1, max_size=50), CLOCK_RATES)
+    def test_an_index_maps_back_to_itself_from_its_time(self, indices, rate):
+        clock = SampleClock(rate)
+        index = np.array(indices, dtype=np.int64)
+        assert np.array_equal(clock.first_index_at_or_after(clock.time_of(index)), index)
+        assert clock.first_index_at_or_after(clock.time_of(indices[0])) == indices[0]
+
+    def test_the_inverse_holds_where_a_fixed_slack_fails(self):
+        # sample 100,000,004 at 40 kHz, 42 minutes in: (i / rate) * rate
+        # exceeds i by more than 1e-9, so a fixed slack of 1e-9 samples gave
+        # i + 1
+        clock = SampleClock(40_000.0)
+        i = 100_000_004
+        assert math.ceil(clock.time_of(i) * 40_000.0 - 1e-9) == i + 1
+        assert clock.first_index_at_or_after(clock.time_of(i)) == i
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 10**12 - 1), st.floats(-1.0, 1.0)), min_size=2, max_size=20),
+        CLOCK_RATES,
+    )
+    def test_both_maps_are_monotone(self, points, rate):
+        clock = SampleClock(rate)
+        grid = clock.time_of(np.sort(np.array([i for i, _ in points], dtype=np.int64)))
+        assert np.all(np.diff(grid) >= 0)
+        # times on the grid, a float step to either side of it, and between
+        between = clock.time_of(np.array([i + f for i, f in points]))
+        times = np.sort(np.concatenate([grid, np.nextafter(grid, math.inf), np.nextafter(grid, -math.inf), between]))
+        assert np.all(np.diff(clock.first_index_at_or_after(times)) >= 0)
 
 
 # a rate, supply voltage or shunt resistance that is not finite and positive
