@@ -71,13 +71,9 @@ TRIGGER_FULL_CONFIDENCE_S = (
 )
 
 
-def _finite(owner, *names: str, error: type[ValueError] = ValueError) -> None:
-    """Hold each of ``owner``'s fields ``names`` as a finite float, by
-    :func:`~joulemark.trace.number`'s rule, or raise ``error`` naming the
-    first that is not one: a bool would be written as JSON's ``true`` or
-    ``false``, which the scenario reader rejects."""
-    for name in names:
-        hold_number(owner, name, f"{name} must be finite, got {{}}", error=error)
+# The largest idle-noise bound: the noise draw spans twice it, and that span
+# must stay within the float range.
+MAX_NOISE_BOUND_W = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -95,19 +91,9 @@ class SwitchingModel:
     floor_hit_prob: float = 0.3
 
     def __post_init__(self):
-        _finite(self, "nominal_latency_s", "full_confidence_s", "floor_hit_prob")
-        if not 0.0 <= self.floor_hit_prob <= 1.0:
-            raise ValueError(
-                f"floor hit probability must be in [0, 1], got {self.floor_hit_prob}"
-            )
-        if not self.full_confidence_s > 0:
-            raise ValueError(
-                f"full-confidence duration must be positive, got {self.full_confidence_s}"
-            )
-        if self.nominal_latency_s < 0:
-            raise ValueError(
-                f"latency must be >= 0, got {self.nominal_latency_s}"
-            )
+        hold_number(self, "nominal_latency_s", "latency must be finite and >= 0, got {}", ok=lambda s: s >= 0)
+        hold_number(self, "full_confidence_s", "full-confidence duration must be finite and positive, got {}", ok=lambda s: s > 0)
+        hold_number(self, "floor_hit_prob", "floor hit probability must be a number in [0, 1], got {}", ok=lambda p: 0 <= p <= 1)
 
     @classmethod
     def relay_default(cls) -> "SwitchingModel":
@@ -149,11 +135,10 @@ class NoiseModel:
     idle_power_bound_w: float = 0.001
 
     def __post_init__(self):
-        _finite(self, "idle_power_bound_w")
-        if self.idle_power_bound_w < 0:
-            raise ValueError(
-                f"noise bound must be >= 0, got {self.idle_power_bound_w}"
-            )
+        hold_number(
+            self, "idle_power_bound_w", f"noise bound must be a number in [0, {MAX_NOISE_BOUND_W}], got {{}}",
+            ok=lambda b: 0 <= b <= MAX_NOISE_BOUND_W,
+        )
 
     def draw_power(self, rng: np.random.Generator, n: int) -> np.ndarray:
         b = self.idle_power_bound_w
@@ -168,9 +153,7 @@ class ConstantPower:
     watts: float
 
     def __post_init__(self):
-        _finite(self, "watts")
-        if self.watts < 0:
-            raise ValueError(f"power must be >= 0, got {self.watts}")
+        hold_number(self, "watts", "power must be finite and >= 0, got {}", ok=lambda w: w >= 0)
 
     def power(self, t: np.ndarray, duration: float) -> np.ndarray:
         return np.full_like(t, self.watts)
@@ -187,9 +170,8 @@ class RampPower:
     w1: float
 
     def __post_init__(self):
-        _finite(self, "w0", "w1")
-        if self.w0 < 0 or self.w1 < 0:
-            raise ValueError(f"power must be >= 0, got ({self.w0}, {self.w1})")
+        hold_number(self, "w0", "ramp start power must be finite and >= 0, got {}", ok=lambda w: w >= 0)
+        hold_number(self, "w1", "ramp end power must be finite and >= 0, got {}", ok=lambda w: w >= 0)
 
     def power(self, t: np.ndarray, duration: float) -> np.ndarray:
         return self.w0 + (self.w1 - self.w0) * (t / duration)
@@ -215,13 +197,9 @@ class SpikyPower:
     period_s: float
 
     def __post_init__(self):
-        _finite(self, "base_w", "peak_w", "period_s")
-        if not 0 <= self.base_w <= self.peak_w:
-            raise ValueError(
-                f"need 0 <= base <= peak, got ({self.base_w}, {self.peak_w})"
-            )
-        if not self.period_s > 0:
-            raise ValueError(f"period must be positive, got {self.period_s}")
+        hold_number(self, "base_w", "base power must be finite and >= 0, got {}", ok=lambda w: w >= 0)
+        hold_number(self, "peak_w", f"peak power must be finite and >= {self.base_w}, got {{}}", ok=lambda w: w >= self.base_w)
+        hold_number(self, "period_s", "period must be finite and positive, got {}", ok=lambda s: s > 0)
 
     def power(self, t: np.ndarray, duration: float) -> np.ndarray:
         amp = self.peak_w - self.base_w
@@ -246,12 +224,8 @@ class WorkloadSegment:
     shape: PowerShape
 
     def __post_init__(self):
-        _finite(self, "start_s", "end_s")
-        if not self.end_s > self.start_s >= 0:
-            raise ValueError(
-                f"segment must satisfy 0 <= start < end, "
-                f"got [{self.start_s}, {self.end_s}]"
-            )
+        hold_number(self, "start_s", "segment start must be finite and >= 0, got {}", ok=lambda s: s >= 0)
+        hold_number(self, "end_s", f"segment end must be finite and > {self.start_s}, got {{}}", ok=lambda s: s > self.start_s)
 
 
 @dataclass(frozen=True)
@@ -325,20 +299,19 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        hold_number(self, "duration_s", "duration must be finite and positive, got {}", ok=lambda s: s > 0, error=ScenarioError)
         if self.circuit not in _CIRCUITS:
             raise ScenarioError(
                 f"circuit must be one of {_CIRCUITS}, got {self.circuit!r}"
             )
-        _finite(self, "duration_s", "aggregate_rate_hz", "logic_high_v", error=ScenarioError)
+        hold_number(
+            self, "aggregate_rate_hz", "aggregate rate must be finite and positive, got {}", ok=lambda r: r > 0, error=ScenarioError
+        )
+        hold_number(self, "logic_high_v", "logic high must be finite, got {}", error=ScenarioError)
+        hold_number(self, "seed", "seed must be an integer >= 0, got {!r}", ok=lambda s: s >= 0, kind=int, error=ScenarioError)
         if self.switching is None:
             object.__setattr__(
                 self, "switching", SwitchingModel.for_circuit(self.circuit)
-            )
-        if not self.duration_s > 0:
-            raise ScenarioError(f"duration must be positive, got {self.duration_s}")
-        if not self.aggregate_rate_hz > 0:
-            raise ScenarioError(
-                f"aggregate rate must be positive, got {self.aggregate_rate_hz}"
             )
         gpio = self.gpio
         for i in np.flatnonzero((gpio.t_s < 0.0) | (gpio.t_s > self.duration_s))[:1].tolist():
@@ -365,9 +338,6 @@ class Scenario:
                     f"workload segment [{seg.start_s}, {seg.end_s}]s extends "
                     f"past the {self.duration_s}s session"
                 )
-        hold_number(self, "seed", "seed must be an integer, got {!r}", kind=int, error=ScenarioError)
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def create(
@@ -503,10 +473,9 @@ def repeated_toggle_scenario(
     whole session and each activate/deactivate pair brackets an event of
     ``event_duration_s``.
     """
-    if tries < 1:
-        raise ValueError(f"tries must be >= 1, got {tries}")
-    if event_duration_s < 0:
-        raise ValueError(f"event duration must be >= 0, got {event_duration_s}")
+    tries = number(tries, "tries must be an integer >= 1, got {!r}", ok=lambda n: n >= 1, kind=int)
+    event_duration_s = number(event_duration_s, "event duration must be finite and >= 0, got {}", ok=lambda s: s >= 0)
+    gap_s = number(gap_s, "gap must be finite and >= 0, got {}", ok=lambda s: s >= 0)
     cmds: list[GpioCommand] = []
     cursor = gap_s
     for _ in range(tries):

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +589,30 @@ class TestValidateCommand:
         del obj["duration_s"]
         path.write_text(json.dumps(obj))
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "campaign"])
+    def test_noise_bound_above_half_the_float_range_exits_2(self, tmp_path, capsys, command):
+        """Such a bound's noise draw would span more than the float range."""
+        path = write_scenario(tmp_path, circuit=RELAY)
+        obj = read_json(path)
+        obj["noise"]["idle_power_bound_w"] = 1e308
+        path.write_text(json.dumps(obj))
+        flags = {
+            "validate": [],
+            "simulate": ["--out-trace", str(tmp_path / "o.csv"), "--out-truth", str(tmp_path / "t.json")],
+            "campaign": ["--runs", "3", "--out", str(tmp_path / "c.csv")],
+        }[command]
+        assert main([command, str(path), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.noise: noise bound must be a number in [0, {sys.float_info.max / 2}], got 1e+308\n"
+        )
+
+    def test_largest_noise_bound_simulates(self, tmp_path):
+        path = write_scenario(tmp_path, circuit=RELAY, noise_bound=sys.float_info.max / 2)
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "o.csv"
+        assert main(["simulate", str(path), "--out-trace", str(out), "--out-truth", str(tmp_path / "t.json")]) == 0
+        assert main(["validate", str(out)]) == 0
 
     def test_scenario_with_dangling_activate_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

@@ -48,6 +48,7 @@ from joulemark.trace import (
     MeasurementWindow,
     PowerTrace,
     ShuntConfig,
+    number,
     power_to_shunt_volts,
     validate_trace,
 )
@@ -396,13 +397,13 @@ class TestScenarioValidation:
     def test_seed_that_is_not_an_integer_rejected(self, seed):
         with pytest.raises(ScenarioError) as raised:
             one_window_scenario(RELAY, seed=seed)
-        assert str(raised.value) == f"seed must be an integer, got {seed!r}"
+        assert str(raised.value) == f"seed must be an integer >= 0, got {seed!r}"
 
 
 # one defect each of one_window_scenario's fields, and the error it raises
 SCENARIO_DEFECTS = [
-    ("duration_s", 0.0, "duration must be positive, got 0.0"),
-    ("aggregate_rate_hz", -1.0, "aggregate rate must be positive, got -1.0"),
+    ("duration_s", 0.0, "duration must be finite and positive, got 0.0"),
+    ("aggregate_rate_hz", -1.0, "aggregate rate must be finite and positive, got -1.0"),
     (
         "gpio",
         GpioCommandLog(pair(1.0, 3.5)),
@@ -419,7 +420,7 @@ SCENARIO_DEFECTS = [
         WorkloadProfile.constant(1.0, 0.0, 5.0),
         "workload segment [0.0, 5.0]s extends past the 3.0s session",
     ),
-    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
 ]
 
 
@@ -465,42 +466,171 @@ class TestScenarioConstruction:
         assert channel_rate(config) == rate
 
 
-# each float field a constructor checks for finiteness, the value built with
-# a bad number there, and the error it raises
+# each float field of the scenario model: the value built with a number
+# there, the error it raises, the field's one message, which states its whole
+# rule, and finite values outside the field's range
 FINITE_FIELDS = [
-    ("nominal_latency_s", lambda v: SwitchingModel(nominal_latency_s=v), ValueError),
-    ("full_confidence_s", lambda v: SwitchingModel(full_confidence_s=v), ValueError),
-    ("floor_hit_prob", lambda v: SwitchingModel(floor_hit_prob=v), ValueError),
-    ("idle_power_bound_w", lambda v: NoiseModel(idle_power_bound_w=v), ValueError),
-    ("watts", lambda v: ConstantPower(v), ValueError),
-    ("w0", lambda v: RampPower(v, 1.0), ValueError),
-    ("w1", lambda v: RampPower(1.0, v), ValueError),
-    ("base_w", lambda v: SpikyPower(v, 2.0, 0.1), ValueError),
-    ("peak_w", lambda v: SpikyPower(1.0, v, 0.1), ValueError),
-    ("period_s", lambda v: SpikyPower(1.0, 2.0, v), ValueError),
-    ("start_s", lambda v: WorkloadSegment(v, 2.0, ConstantPower(1.0)), ValueError),
-    ("end_s", lambda v: WorkloadSegment(0.0, v, ConstantPower(1.0)), ValueError),
-    ("duration_s", lambda v: Scenario(duration_s=v, circuit=RELAY), ScenarioError),
-    ("aggregate_rate_hz", lambda v: Scenario(duration_s=1.0, circuit=TRIGGER, aggregate_rate_hz=v), ScenarioError),
-    ("logic_high_v", lambda v: Scenario(duration_s=1.0, circuit=TRIGGER, logic_high_v=v), ScenarioError),
+    ("nominal_latency_s", lambda v: SwitchingModel(nominal_latency_s=v), ValueError, "latency must be finite and >= 0", (-1e-3, -5e-324)),
+    (
+        "full_confidence_s", lambda v: SwitchingModel(full_confidence_s=v), ValueError,
+        "full-confidence duration must be finite and positive", (0.0, -0.0, -1e-4),
+    ),
+    (
+        "floor_hit_prob", lambda v: SwitchingModel(floor_hit_prob=v), ValueError,
+        "floor hit probability must be a number in [0, 1]", (-0.1, 1.0000000000000002, 2),
+    ),
+    (
+        "idle_power_bound_w", lambda v: NoiseModel(idle_power_bound_w=v), ValueError,
+        f"noise bound must be a number in [0, {sys.float_info.max / 2}]", (-1e-3, 1e308, sys.float_info.max),
+    ),
+    ("watts", lambda v: ConstantPower(v), ValueError, "power must be finite and >= 0", (-1.0,)),
+    ("w0", lambda v: RampPower(v, 1.0), ValueError, "ramp start power must be finite and >= 0", (-1.0,)),
+    ("w1", lambda v: RampPower(1.0, v), ValueError, "ramp end power must be finite and >= 0", (-1.0,)),
+    ("base_w", lambda v: SpikyPower(v, 2.0, 0.1), ValueError, "base power must be finite and >= 0", (-1.0,)),
+    ("peak_w", lambda v: SpikyPower(1.0, v, 0.1), ValueError, "peak power must be finite and >= 1.0", (0.5, -1.0)),
+    ("period_s", lambda v: SpikyPower(1.0, 2.0, v), ValueError, "period must be finite and positive", (0.0, -0.1)),
+    ("start_s", lambda v: WorkloadSegment(v, 2.0, ConstantPower(1.0)), ValueError, "segment start must be finite and >= 0", (-1.0,)),
+    ("end_s", lambda v: WorkloadSegment(0.0, v, ConstantPower(1.0)), ValueError, "segment end must be finite and > 0.0", (0.0, -1.0)),
+    ("duration_s", lambda v: Scenario(duration_s=v, circuit=RELAY), ScenarioError, "duration must be finite and positive", (0.0, -1.0)),
+    (
+        "aggregate_rate_hz", lambda v: Scenario(duration_s=1.0, circuit=TRIGGER, aggregate_rate_hz=v), ScenarioError,
+        "aggregate rate must be finite and positive", (0.0, -1.0),
+    ),
+    ("logic_high_v", lambda v: Scenario(duration_s=1.0, circuit=TRIGGER, logic_high_v=v), ScenarioError, "logic high must be finite", ()),
 ]
 
 
-# a bool passes the range checks as 0 or 1, but save_scenario would write it
-# as true or false, which load_scenario rejects
+# a bool passes a range check as 0 or 1, but save_scenario would write it as
+# true or false, which load_scenario rejects
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, False, np.True_, "1", None])
-@pytest.mark.parametrize("name,build,error", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
-def test_non_finite_number_is_rejected_by_its_constructor(name, build, error, value):
+@pytest.mark.parametrize("name,build,error,message,_", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
+def test_non_finite_number_is_rejected_by_its_constructor(name, build, error, message, _, value):
     with pytest.raises(error) as info:
         build(value)
-    assert str(info.value) == f"{name} must be finite, got {value}"
+    assert str(info.value) == f"{message}, got {value}"
+
+
+OUT_OF_RANGE = [(name, build, error, message, v) for name, build, error, message, values in FINITE_FIELDS for v in values]
+
+
+@pytest.mark.parametrize("name,build,error,message,value", OUT_OF_RANGE, ids=[f"{c[0]}-{c[-1]}" for c in OUT_OF_RANGE])
+def test_out_of_range_number_is_rejected_by_its_constructor(name, build, error, message, value):
+    with pytest.raises(error) as info:
+        build(value)
+    assert str(info.value) == f"{message}, got {value}"
 
 
 @pytest.mark.parametrize("value", [np.float64(1.0), np.float32(1.0), np.int64(1)], ids=repr)
-@pytest.mark.parametrize("name,build,error", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
-def test_numpy_number_is_held_as_a_python_float(name, build, error, value):
+@pytest.mark.parametrize("name,build,error,_,__", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
+def test_numpy_number_is_held_as_a_python_float(name, build, error, _, __, value):
     held = getattr(build(value), name)
     assert type(held) is float and held == value
+
+
+# the seven value types of the scenario model: each built from its number
+# fields, the error it raises, and the range branches each type ran, on the
+# held values, after holding every field finite
+TWO_STEP_RULES = [
+    (
+        SwitchingModel, ("nominal_latency_s", "full_confidence_s", "floor_hit_prob"), ValueError,
+        lambda v: 0.0 <= v["floor_hit_prob"] <= 1.0 and v["full_confidence_s"] > 0 and not v["nominal_latency_s"] < 0,
+    ),
+    (NoiseModel, ("idle_power_bound_w",), ValueError, lambda v: not v["idle_power_bound_w"] < 0),
+    (ConstantPower, ("watts",), ValueError, lambda v: not v["watts"] < 0),
+    (RampPower, ("w0", "w1"), ValueError, lambda v: not (v["w0"] < 0 or v["w1"] < 0)),
+    (SpikyPower, ("base_w", "peak_w", "period_s"), ValueError, lambda v: 0 <= v["base_w"] <= v["peak_w"] and v["period_s"] > 0),
+    (
+        functools.partial(WorkloadSegment, shape=ConstantPower(1.0)), ("start_s", "end_s"), ValueError,
+        lambda v: v["end_s"] > v["start_s"] >= 0,
+    ),
+    (
+        functools.partial(Scenario, circuit=RELAY), ("duration_s", "aggregate_rate_hz", "logic_high_v", "seed"), ScenarioError,
+        lambda v: v["duration_s"] > 0 and v["aggregate_rate_hz"] > 0 and not v["seed"] < 0,
+    ),
+]
+
+# values at and beyond every edge of the number rule, and plain ones that
+# pass it, so that most draws build
+ANY_VALUE = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0000000000000002, sys.float_info.max, -sys.float_info.max,
+        sys.float_info.max / 2, math.nextafter(sys.float_info.max / 2, math.inf), math.inf, -math.inf, math.nan,
+        10**400, True, False, np.True_, np.False_, "1", None,
+    ]),
+    st.floats(),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.integers(),
+    st.integers(min_value=0, max_value=10),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+)
+
+
+def two_step_rule(values: dict, error: type[ValueError], in_range) -> dict:
+    """The held values, by the rule the seven types followed before each field
+    was held by one call: every field held finite by number's rule (``seed``
+    as an integer), and then the type's range branches, each raising
+    ``error``."""
+    held = {name: number(v, "", kind=int if name == "seed" else float, error=error) for name, v in values.items()}
+    if not in_range(held):
+        raise error
+    return held
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("build,names,error,in_range", TWO_STEP_RULES, ids=[", ".join(case[1]) for case in TWO_STEP_RULES])
+def test_one_call_rule_accepts_what_the_two_step_rule_accepted(build, names, error, in_range, data):
+    """A value is refused where the two-step rule refused it, and held as it
+    held it; the one value newly refused is a noise bound above half the
+    float range, whose draw would span more than the float range."""
+    values = {name: data.draw(ANY_VALUE, label=name) for name in names}
+    try:
+        expected = two_step_rule(values, error, in_range)
+    except ValueError as exc:
+        expected = type(exc)
+    if isinstance(expected, dict) and expected.get("idle_power_bound_w", 0.0) > sys.float_info.max / 2:
+        expected = ValueError
+    try:
+        built = build(**values)
+    except ValueError as exc:
+        assert type(exc) is expected
+    else:
+        held = {name: getattr(built, name) for name in names}
+        assert held == expected
+        assert [type(v) for v in held.values()] == [type(v) for v in expected.values()]
+
+
+def test_the_largest_noise_bound_simulates():
+    scenario = Scenario(duration_s=0.01, circuit=RELAY, noise=NoiseModel(sys.float_info.max / 2))
+    trace, _ = simulate_session(scenario)
+    assert np.all(np.isfinite(trace.vs)) and np.max(np.abs(trace.vs)) > 1e300
+
+
+@pytest.mark.parametrize(
+    "args,gap_s,message",
+    [
+        ((1e-3, 2.5), 2e-3, "tries must be an integer >= 1, got 2.5"),
+        ((1e-3, True), 2e-3, "tries must be an integer >= 1, got True"),
+        ((1e-3, 0), 2e-3, "tries must be an integer >= 1, got 0"),
+        ((math.nan, 2), 2e-3, "event duration must be finite and >= 0, got nan"),
+        ((-1e-3, 2), 2e-3, "event duration must be finite and >= 0, got -0.001"),
+        ((1e-3, 2), -1e-3, "gap must be finite and >= 0, got -0.001"),
+        ((1e-3, 2), math.inf, "gap must be finite and >= 0, got inf"),
+    ],
+    ids=lambda case: case if isinstance(case, str) else None,
+)
+def test_repeated_toggle_arguments_are_each_held_by_their_rule(args, gap_s, message):
+    with pytest.raises(ValueError) as raised:
+        repeated_toggle_scenario(*args, RELAY, gap_s=gap_s)
+    assert str(raised.value) == message
+
+
+def test_repeated_toggle_scenario_takes_numpy_numbers():
+    scenario = repeated_toggle_scenario(np.float64(1e-3), np.int64(3), RELAY, gap_s=np.float32(2e-3))
+    assert scenario == repeated_toggle_scenario(1e-3, 3, RELAY, gap_s=float(np.float32(2e-3)))
+    assert len(scenario.gpio) == 6
 
 
 def test_a_scenario_of_numpy_numbers_reads_back_as_saved(tmp_path):
@@ -849,7 +979,7 @@ class TestScenarioJson:
     def test_non_positive_rate_is_a_scenario_error(self, rate):
         obj = written_scenario(self._scenario())
         obj["aggregate_rate_hz"] = rate
-        with pytest.raises(ScenarioError, match="aggregate rate must be positive"):
+        with pytest.raises(ScenarioError, match=f"^\\$: aggregate rate must be finite and positive, got {rate}$"):
             scenario_from_dict(obj)
 
     @pytest.mark.parametrize(
