@@ -476,13 +476,20 @@ def repeated_toggle_scenario(
     tries = number(tries, "tries must be an integer >= 1, got {!r}", ok=lambda n: n >= 1, kind=int)
     event_duration_s = number(event_duration_s, "event duration must be finite and >= 0, got {}", ok=lambda s: s >= 0)
     gap_s = number(gap_s, "gap must be finite and >= 0, got {}", ok=lambda s: s >= 0)
-    cmds: list[GpioCommand] = []
-    cursor = gap_s
+    starts = [gap_s]
     for _ in range(tries):
-        cmds.append(GpioCommand(cursor, 40, ACTIVATE))
-        cmds.append(GpioCommand(cursor + event_duration_s, 40, DEACTIVATE))
-        cursor += event_duration_s + gap_s
-    duration = cursor + gap_s
+        starts.append(starts[-1] + (event_duration_s + gap_s))
+    duration = starts.pop() + gap_s
+    # every command time is at most the session's end, which sums them all
+    if not math.isfinite(duration):
+        raise ValueError(
+            f"event_duration_s={event_duration_s!r} and gap_s={gap_s!r} over tries={tries}"
+            " give a session longer than the float range"
+        )
+    cmds: list[GpioCommand] = []
+    for start in starts:
+        cmds.append(GpioCommand(start, 40, ACTIVATE))
+        cmds.append(GpioCommand(start + event_duration_s, 40, DEACTIVATE))
     return Scenario(
         duration_s=duration,
         circuit=circuit,

@@ -49,8 +49,10 @@ def number(value, message: str, ok=None, kind: type = float, error: type[ValueEr
     """``value`` held as a Python ``kind`` (float or int) by the one rule of
     the package's number fields: a real number (an integer for int), numpy
     scalars included, but not a bool (numpy's bool is no ``numbers.Real``),
-    finite, and passing ``ok``; else ``error(message.format(value))``.  NaN
-    would pass any range check, and no writer can write a bool as a number."""
+    finite, and passing ``ok``; else ``error(message.format(value))``, where
+    a value that is no real number shows as its ``repr`` (``got '1'``, not
+    ``got 1``).  NaN would pass any range check, and no writer can write a
+    bool as a number."""
     if not isinstance(value, bool) and isinstance(value, numbers.Integral if kind is int else numbers.Real):
         try:
             held = kind(value)
@@ -59,7 +61,13 @@ def number(value, message: str, ok=None, kind: type = float, error: type[ValueEr
         else:
             if (kind is int or math.isfinite(held)) and (ok is None or ok(held)):
                 return held
-    raise error(message.format(value))
+    raise error(message.format(value if isinstance(value, numbers.Real) else _Shown(repr(value))))
+
+
+class _Shown(str):
+    """A text that formats as itself under ``{}`` and ``{!r}`` alike."""
+
+    __repr__ = str.__str__
 
 
 def hold_number(owner, name: str, message: str, **rule) -> None:
@@ -370,22 +378,23 @@ def write_csv_rows(f: TextIO, rate_hz: float, rows: Sequence[int], columns: Sequ
     ``rows`` holds increasing sample indices: ``range(n)`` for every sample
     of a trace, or an int array for some of them, whose lines are then
     those of the same samples in the full series.  The text of a block of
-    CHUNK_ROWS rows is laid out as one uint8 matrix, a column per row and a
-    slot per character, with 0 in the slots a number leaves out (see
-    floattext), and written at once, so a long trace is never held as text.
+    CHUNK_ROWS rows is laid out row by row: each column as an (n, w) uint8
+    matrix of only the character slots its rows use, 0 in a slot a number
+    leaves out (see floattext), side by side with the commas and newlines.
+    The block's non-zero bytes are its text, written at once, so a long
+    trace is never held as text.  A data column lays out each run of equal
+    values once and repeats its text row; ``t_s`` comes from one period's
+    fraction table where the rate's period is a short decimal (see
+    :func:`_time_rows`).
     """
-    step = _decimal_step(rate_hz)
-    cell = floattext.WIDTH + 1
+    fractions = _fraction_table(rate_hz, len(rows))
     for start, stop in row_blocks(len(rows)):
-        text = np.empty((cell * (1 + len(columns)), stop - start), dtype=np.uint8)
-        _times_into(text[: cell - 1], rows[start:stop], rate_hz, step)
-        for j, column in enumerate(columns, start=1):
-            _floats_into(text[j * cell : (j + 1) * cell - 1], column[start:stop])
-        text[cell - 1 :: cell] = ord(",")
-        text[-1] = ord("\n")
-        # only the slots some row of the block uses, one row after another
-        text = np.ascontiguousarray(text[text.max(axis=1) != 0].T)
-        f.write(text[text != 0].tobytes().decode())
+        comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
+        parts = _time_rows(rows[start:stop], rate_hz, fractions)
+        for column in columns:
+            parts += [comma, _value_rows(column[start:stop])]
+        text = np.concatenate([*parts, np.full_like(comma, ord("\n"))], axis=1)
+        f.write(text.tobytes().translate(None, b"\0").decode())
 
 
 def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
@@ -399,43 +408,113 @@ def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
     return None
 
 
-def _times_into(text: np.ndarray, rows: Sequence[int], rate_hz: float, step: tuple[int, int] | None) -> None:
-    """Lay out ``repr(i / rate_hz)`` for each of the increasing sample
-    indices i in ``rows``, a range or an int array, one per column of
-    ``text``, as floattext does.
+def _fraction_table(rate_hz: float, rows: int) -> tuple[int, int, np.ndarray] | None:
+    """(m, k, table) for writing ``rows`` times at ``rate_hz``, where
+    ``1 / rate_hz == m / 10**k`` (:func:`_decimal_step`): row r of the
+    (P, k + 1) uint8 ``table`` is the text after the whole seconds of the
+    decimal ``i * m / 10**k`` for every i with ``i % P == r``, a point and
+    its digits up to the last non-zero one (``.0`` for none), 0 after.  P
+    is ``10**k / gcd(m, 10**k)``: 40,000 at 40 kHz.  None where the rate
+    has no such step, where ``m >= 10**15`` (only row 0 could take its time
+    from the table, and ``i * m`` may overflow), or where the table would
+    have more rows than there are times to write, or more bytes than the
+    float slots of one block's times, ``CHUNK_ROWS * floattext.WIDTH``."""
+    step = _decimal_step(rate_hz)
+    if step is None or step[0] >= 10**15:
+        return None
+    m, k = step
+    g = math.gcd(m, 10**k)
+    period = 10**k // g
+    if period > rows or period * (k + 1) > CHUNK_ROWS * floattext.WIDTH:
+        return None
+    # (r * m) % 10**k, which is g times (r * (m / g)) % period, without overflow
+    fraction = g * (np.arange(period, dtype=np.int64) * (m // g % period) % period)
+    table = np.empty((period, k + 1), dtype=np.uint8)
+    for slot in range(k, 0, -1):
+        fraction, table[:, slot] = np.divmod(fraction, 10)
+    last = np.max((table[:, 1:] != 0) * np.arange(1, k + 1), axis=1, initial=1)
+    table[:, 1:] += ord("0")
+    table[:, 0] = ord(".")
+    table[np.arange(k + 1) > last[:, None]] = 0
+    return m, k, table
 
-    Where ``step`` is (m, k), ``i / rate_hz`` is the float nearest the
-    decimal ``i * m / 10**k``.  While ``i * m < 10**15`` that decimal has at
-    most 15 significant digits, and no two such decimals round to the same
-    float, so it is the shortest text that reads back as the float: what
-    ``repr`` prints.  Those rows are written from the digits of ``i * m``;
-    the others, and every row when ``step`` is None, from the float.
+
+def _time_rows(rows: Sequence[int], rate_hz: float, fractions: tuple[int, int, np.ndarray] | None) -> list[np.ndarray]:
+    """``repr(i / rate_hz)`` for each of the increasing sample indices i in
+    ``rows``, a range or an int array, as uint8 matrices of text rows, one
+    row per index, whose rows side by side are the texts; 0 in the slots a
+    text leaves out.
+
+    With ``fractions`` (m, k, table) from :func:`_fraction_table`,
+    ``i / rate_hz`` is the float nearest the decimal ``i * m / 10**k``.
+    While ``i * m < 10**15`` that decimal has at most 15 significant digits,
+    and no two such decimals round to the same float, so it is the shortest
+    text that reads back as the float: what ``repr`` prints.  From 1e-4 s on
+    ``repr`` prints it in fixed notation, the whole seconds and then a
+    fraction that repeats every P rows.  So row 0 and the rows from 1e-4 s
+    while ``i * m < 10**15`` are written by :func:`_table_rows`; every other
+    row, and every row without ``fractions``, from the float.
     """
     if isinstance(rows, range):  # numpy would iterate a range in Python
         rows = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
-    cut = 0
-    # from m = 10**15 on only row 0 could qualify, and i * m may overflow
-    if step is not None and step[0] < 10**15:
-        m, k = step
-        cut = int(np.searchsorted(rows, -(-(10**15) // m)))
-        floattext.decimals_into(text[:, :cut], False, rows[:cut] * m, -k)
     with np.errstate(over="ignore"):  # a time beyond the float range is inf, as in Python
-        times = rows[cut:] / rate_hz
-    floattext.floats_into(text[:, cut:], times)
+        times = rows / rate_hz
+    if fractions is None:
+        return [_float_rows(times)]
+    m, k, _ = fractions
+    # rows[:first] is row 0 or nothing, and rows[low:high] the rows from
+    # 1e-4 s (i * m * 10**4 >= 10**k) while i * m < 10**15
+    first, low, high = np.searchsorted(rows, [1, -(-(10**k) // (m * 10**4)), -(-(10**15) // m)]).tolist()
+    if first == low and high == len(rows):
+        return _table_rows(rows, fractions)
+    spans = ((0, first, True), (first, low, False), (low, high, True), (high, len(rows), False))
+    pieces = [
+        (begin, np.concatenate(_table_rows(rows[begin:end], fractions), axis=1) if from_table else _float_rows(times[begin:end]))
+        for begin, end, from_table in spans
+        if begin < end
+    ]
+    text = np.zeros((len(rows), max(piece.shape[1] for _, piece in pieces)), dtype=np.uint8)
+    for begin, piece in pieces:
+        text[begin : begin + len(piece), : piece.shape[1]] = piece
+    return [text]
 
 
-def _floats_into(text: np.ndarray, block: np.ndarray) -> None:
-    """Lay out ``repr`` of each value of a block as float64, formatting each
-    run of equal values once: constant loads and trigger levels hold one
-    value over many consecutive rows.  Values are told apart by their bits,
-    so that -0.0 and 0.0 keep their own text."""
+def _table_rows(rows: np.ndarray, fractions: tuple[int, int, np.ndarray]) -> list[np.ndarray]:
+    """The whole seconds and the fraction of each time ``i * m / 10**k`` of
+    the sample indices i in ``rows``, as two matrices of text rows: the
+    whole seconds laid out once per distinct value, the fraction gathered
+    from the table at ``i % P``."""
+    m, k, table = fractions
+    whole = rows * m // 10**k
+    heads, counts = _runs(whole)
+    texts = np.array([str(w) for w in whole[heads].tolist()], dtype="S").view(np.uint8)
+    return [np.repeat(texts.reshape(len(heads), -1), counts, axis=0), np.take(table, rows % len(table), axis=0)]
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of each run of equal keys."""
+    heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return heads, np.diff(heads, append=len(keys))
+
+
+def _float_rows(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of ``values``, as floattext lays it out, as
+    an (n, w) uint8 matrix of text rows with only the slots some value
+    uses."""
+    text = np.empty((floattext.WIDTH, len(values)), dtype=np.uint8)
+    floattext.floats_into(text, values)
+    return np.ascontiguousarray(text[text.any(axis=1)].T)
+
+
+def _value_rows(block: np.ndarray) -> np.ndarray:
+    """:func:`_float_rows` of a block as float64, formatting each run of
+    equal values once and repeating its row: constant loads and trigger
+    levels hold one value over many consecutive rows.  Values are told
+    apart by their bits, so that -0.0 and 0.0 keep their own text."""
     block = np.ascontiguousarray(block, dtype=np.float64)
-    bits = block.view(np.int64)
-    heads = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
-    distinct = np.empty((len(text), len(heads)), dtype=np.uint8)
-    floattext.floats_into(distinct, block[heads])
-    text[:] = np.repeat(distinct, np.diff(heads, append=len(bits)), axis=1)
+    heads, counts = _runs(block.view(np.int64))
+    return np.repeat(_float_rows(block[heads]), counts, axis=0)
 
 
 def _parse_float(text: str, what: str, line: int) -> float:

@@ -1,4 +1,5 @@
 import io
+import numbers
 import sys
 
 import numpy as np
@@ -65,12 +66,15 @@ class TestChannelRate:
     def test_rate_must_be_finite(self, rate):
         with pytest.raises(ValueError) as raised:
             AcquisitionConfig(rate, 1)
-        assert str(raised.value) == f"aggregate rate must be finite and positive, got {rate}"
+        shown = rate if isinstance(rate, numbers.Real) else repr(rate)
+        assert str(raised.value) == f"aggregate rate must be finite and positive, got {shown}"
 
     @pytest.mark.parametrize("channels", [True, 1.0, np.True_, "1"])
     def test_channels_is_an_integer(self, channels):
-        with pytest.raises(ValueError, match=f"^channels must be 1 or 2, got {channels}$"):
+        with pytest.raises(ValueError) as raised:
             AcquisitionConfig(40_000.0, channels)
+        shown = channels if isinstance(channels, numbers.Real) else repr(channels)
+        assert str(raised.value) == f"channels must be 1 or 2, got {shown}"
 
     def test_numpy_numbers_are_held_as_python_numbers(self):
         config = AcquisitionConfig(np.float32(40_000.0), np.int64(2))

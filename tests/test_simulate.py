@@ -2,6 +2,7 @@ import contextlib
 import functools
 import json
 import math
+import numbers
 import operator
 import sys
 import tempfile
@@ -497,6 +498,8 @@ FINITE_FIELDS = [
         "aggregate rate must be finite and positive", (0.0, -1.0),
     ),
     ("logic_high_v", lambda v: Scenario(duration_s=1.0, circuit=TRIGGER, logic_high_v=v), ScenarioError, "logic high must be finite", ()),
+    ("vf", lambda v: ShuntConfig(vf=v), ValueError, "source voltage must be positive", (0.0, -1.0)),
+    ("rs", lambda v: ShuntConfig(rs=v), ValueError, "shunt resistance must be positive", (0.0, -0.1)),
 ]
 
 
@@ -505,9 +508,12 @@ FINITE_FIELDS = [
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, False, np.True_, "1", None])
 @pytest.mark.parametrize("name,build,error,message,_", FINITE_FIELDS, ids=[case[0] for case in FINITE_FIELDS])
 def test_non_finite_number_is_rejected_by_its_constructor(name, build, error, message, _, value):
+    """A refused value that is no real number shows as its repr, so that
+    ``ConstantPower("1")`` and ``ShuntConfig(vf="1")`` say ``got '1'``."""
     with pytest.raises(error) as info:
         build(value)
-    assert str(info.value) == f"{message}, got {value}"
+    shown = value if isinstance(value, numbers.Real) else repr(value)
+    assert str(info.value) == f"{message}, got {shown}"
 
 
 OUT_OF_RANGE = [(name, build, error, message, v) for name, build, error, message, values in FINITE_FIELDS for v in values]
@@ -618,6 +624,10 @@ def test_the_largest_noise_bound_simulates():
         ((-1e-3, 2), 2e-3, "event duration must be finite and >= 0, got -0.001"),
         ((1e-3, 2), -1e-3, "gap must be finite and >= 0, got -0.001"),
         ((1e-3, 2), math.inf, "gap must be finite and >= 0, got inf"),
+        # finite arguments whose running sum of command times overflows
+        ((1e308, 2), 2e-3, "event_duration_s=1e+308 and gap_s=0.002 over tries=2 give a session longer than the float range"),
+        ((6e307, 3), 0.0, "event_duration_s=6e+307 and gap_s=0.0 over tries=3 give a session longer than the float range"),
+        ((1.0, 1), 1e308, "event_duration_s=1.0 and gap_s=1e+308 over tries=1 give a session longer than the float range"),
     ],
     ids=lambda case: case if isinstance(case, str) else None,
 )

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import replace
 from unittest import mock
@@ -10,13 +12,13 @@ from chunking import chunk_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joulemark import cli, floattext
+from joulemark import cli
 from joulemark import trace as trace_module
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
 from joulemark.cli import _skyline_rows, _write_skyline_csv
 from joulemark.energy import compare_resolution
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
-from joulemark.simulate import RELAY, TRIGGER, Scenario, simulate_session
+from joulemark.simulate import RELAY, TRIGGER, Scenario, repeated_toggle_scenario, simulate_session
 from joulemark.trace import (
     MeasurementWindow,
     PowerTrace,
@@ -324,7 +326,8 @@ class TestPowerTrace:
     def test_a_bad_rate_is_refused_when_built(self, how, rate):
         with pytest.raises(ValueError) as raised:
             built(how, rate, np.zeros(3))
-        assert str(raised.value) == f"sampling rate must be finite and positive, got {rate}"
+        shown = rate if isinstance(rate, numbers.Real) else repr(rate)
+        assert str(raised.value) == f"sampling rate must be finite and positive, got {shown}"
 
     @pytest.mark.parametrize("how", ["constructor", "adopt"])
     @pytest.mark.parametrize("trig", [np.zeros(2), np.zeros(4), np.zeros(0)], ids=len)
@@ -739,6 +742,19 @@ class TestCsvGoldenBytes:
         _write_skyline_csv(PowerTrace(rate_hz=3.3, vs=self.VS), path)
         assert path.read_bytes() == self.SKYLINE.encode()
 
+    @pytest.mark.parametrize("block", [None, 1_000, 40_000])
+    def test_simulated_relay_trace_over_several_fraction_periods(self, tmp_path, block):
+        """A 2.4 s relay trace at 40 kHz with idle noise and six windows:
+        96,000 rows, more than the 40,000 of one period of its times'
+        fractions, with whole-second steps inside blocks.  Its sha256 is the
+        one the column-per-row writer gave it."""
+        trace, _ = simulate_session(repeated_toggle_scenario(0.2, 6, RELAY, gap_s=0.15, seed=11))
+        path = tmp_path / "relay.csv"
+        with chunk_rows(block) if block else nullcontext():
+            write_trace_csv(trace, path)
+        assert len(trace) == 96_000
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == "cda74b68ed6ba15cc789a783082e030f0fc4189b6c03c0cddbd2aec5cdd4705c"
+
 
 def per_cell_csv_rows(f, rate_hz, rows, columns):
     """Reference writer: the ``repr`` of every cell, formatted one by one."""
@@ -749,12 +765,10 @@ def per_cell_csv_rows(f, rate_hz, rows, columns):
         f.write("\n".join(map(",".join, lines)) + "\n")
 
 
-def laid_out(fill, n: int) -> list[str]:
-    """The texts that ``fill(text)`` lays out in the columns of a (WIDTH, n)
-    matrix."""
-    text = np.empty((floattext.WIDTH, n), dtype=np.uint8)
-    fill(text)
-    return [column[column != 0].tobytes().decode() for column in text.T]
+def row_texts(parts) -> list[str]:
+    """The text of each row of matrices of text rows laid side by side."""
+    text = np.concatenate(parts, axis=1)
+    return [row[row != 0].tobytes().decode() for row in text]
 
 
 def float_bits(*bits: int) -> np.ndarray:
@@ -778,14 +792,15 @@ POOL = np.concatenate(
 @st.composite
 def repeating_columns(draw, rows: int) -> np.ndarray:
     """``rows`` values, most of them from POOL, so that a block repeats
-    values; the rest from a few arbitrary floats."""
+    values; the rest from a few arbitrary floats.  Past 40 rows the first
+    40 values repeat."""
     values = np.concatenate([POOL, draw(st.lists(st.floats(), min_size=1, max_size=4))])
-    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
-    return values[picks]
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=min(rows, 40), max_size=min(rows, 40)))
+    return values[np.resize(picks, rows)]
 
 
 # rates 2**a * 5**b * 10**c, whose sample period is a terminating decimal,
-# so that their times are written from integer digits; 12.5 and 0.625 too
+# so that their times may come from a fraction table; 12.5 and 0.625 too
 terminating_rates = st.builds(
     lambda a, b, c: math.ldexp(5**b * 10**c, a),
     st.integers(-8, 8),
@@ -793,27 +808,21 @@ terminating_rates = st.builds(
     st.integers(0, 6),
 )
 
+# rates whose fraction period is short: 25 rows at 12.5 Hz, 1,000 at 1 kHz,
+# and 12,500 at 12.5 kHz, whose sample 1 is below 1e-4 s
+short_period_rates = st.sampled_from([12.5, 1000.0, 12500.0])
 
-@settings(max_examples=300, deadline=None)
-@given(
-    data=st.data(),
-    rows=st.integers(1, 40),
-    width=st.integers(1, 3),
-    block=st.sampled_from([1, 3, 7, None]),
-    rate=terminating_rates | st.floats(min_value=1e-3, max_value=1e7),
-)
-def test_writer_matches_per_cell_reference(data, rows, width, block, rate):
-    columns = [data.draw(repeating_columns(rows)) for _ in range(width)]
-    got, want = io.StringIO(), io.StringIO()
-    with chunk_rows(block) if block else nullcontext():
-        write_csv_rows(got, rate, range(rows), columns)
-        per_cell_csv_rows(want, rate, range(rows), columns)
-    assert got.getvalue() == want.getvalue()
+
+def fraction_period(rate: float) -> int | None:
+    """P = 10**k / gcd(m, 10**k) of a rate with 1 / rate == m / 10**k, the
+    rows of its fraction table; None for a rate with no such step."""
+    step = trace_module._decimal_step(rate)
+    return None if step is None else 10 ** step[1] // math.gcd(step[0], 10 ** step[1])
 
 
 def row_anchor(draw, rate: float) -> int:
     """Row 0, the last row below 1e-4 s, a whole second, or, for a
-    terminating rate, the last row whose time is written from digits."""
+    terminating rate, the last row whose time comes from the fraction table."""
     anchors = [0.0, rate * 1e-4, rate * draw(st.integers(1, 10**6))]
     step = trace_module._decimal_step(rate)
     if step is not None:
@@ -824,13 +833,41 @@ def row_anchor(draw, rate: float) -> int:
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
+    width=st.integers(1, 3),
+    rate=terminating_rates | short_period_rates | st.floats(min_value=1e-3, max_value=1e7),
+)
+def test_writer_matches_per_cell_reference(data, width, rate):
+    """Consecutive rows from near a row_anchor, and for a rate whose
+    fraction period is at most 20,000 rows, as many rows as one period and
+    more, so that its times come from the table where it fits the block
+    (25 rows at 12.5 Hz fit blocks of 3 rows and more, 1,000 at 1 kHz
+    blocks of 100)."""
+    period = fraction_period(rate)
+    counts = st.integers(1, 40)
+    if period is not None and period <= 20_000:
+        counts |= st.integers(period, period + 100)
+    start = max(0, row_anchor(data.draw, rate) + data.draw(st.integers(-100, 0)))
+    rows = range(start, start + data.draw(counts))
+    block = data.draw(st.sampled_from([1, 3, 7, 100, None] if len(rows) <= 40 else [3, 100, None]))
+    columns = [data.draw(repeating_columns(len(rows))) for _ in range(width)]
+    got, want = io.StringIO(), io.StringIO()
+    with chunk_rows(block) if block else nullcontext():
+        write_csv_rows(got, rate, rows, columns)
+        per_cell_csv_rows(want, rate, rows, columns)
+    assert got.getvalue() == want.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
     gaps=st.lists(st.integers(1, 50) | st.integers(1, 2**53), min_size=1, max_size=40),
     block=st.sampled_from([1, 3, 7, None]),
-    rate=terminating_rates | st.floats(min_value=1e-3, max_value=1e7),
+    rate=terminating_rates | short_period_rates | st.floats(min_value=1e-3, max_value=1e7),
 )
 def test_writer_at_chosen_rows_matches_per_cell_reference(data, gaps, block, rate):
     """Increasing, non-consecutive rows, some of them on both sides of the
-    last row whose time is written from digits, and some far beyond it."""
+    last row whose time comes from the fraction table, and some far beyond
+    it."""
     start = max(0, row_anchor(data.draw, rate) + data.draw(st.integers(-200, 0)))
     rows = start + np.cumsum(gaps) - gaps[0]
     column = data.draw(repeating_columns(len(rows)))
@@ -848,28 +885,58 @@ def time_rows(draw, rate: float) -> range:
     return range(start, start + draw(st.integers(0, 200)))
 
 
+def times_laid_out(rows, rate: float) -> list[str]:
+    """The texts of ``rows``' times, with the rate's fraction table wherever
+    it fits a block, however few the rows."""
+    if not len(rows):
+        return []
+    return row_texts(trace_module._time_rows(rows, rate, trace_module._fraction_table(rate, 2**62)))
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     data=st.data(),
-    rate=terminating_rates | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    rate=terminating_rates | short_period_rates | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
 )
 def test_times_are_the_repr_of_each_row_time(data, rate):
     rows = data.draw(time_rows(rate))
-    step = trace_module._decimal_step(rate)
-    got = laid_out(lambda text: trace_module._times_into(text, rows, rate, step), len(rows))
-    assert got == [repr(i / rate) for i in rows]
+    assert times_laid_out(rows, rate) == [repr(i / rate) for i in rows]
 
 
-@pytest.mark.parametrize("rate", [1e6, 40000.0])
+@pytest.mark.parametrize("rate", [1e6, 40000.0, 12500.0, 1000.0, 12.5])
 @pytest.mark.parametrize("scale", [10**15, 2**52, 2**53, 10**16])
 def test_times_on_both_sides_of_the_digit_limit(rate, scale):
-    """Rows whose i * m is near 10**15, where the writer stops writing
-    times from digits, and further up, where two decimals of that many
-    digits can round to one float."""
+    """Rows whose i * m is near 10**15, where the writer stops taking times
+    from the fraction table, and further up, where two decimals of that
+    many digits can round to one float."""
     step = trace_module._decimal_step(rate)
     rows = range(scale // step[0] - 100, scale // step[0] + 100)
-    got = laid_out(lambda text: trace_module._times_into(text, rows, rate, step), len(rows))
-    assert got == [repr(i / rate) for i in rows]
+    assert times_laid_out(rows, rate) == [repr(i / rate) for i in rows]
+
+
+@pytest.mark.parametrize(
+    "rate, rows, period",
+    [
+        (40000.0, 40_000, 40_000),
+        (20000.0, 20_000, 20_000),
+        (12.5, 25, 25),
+        (1000.0, 1_000, 1_000),
+        (1e6, 10**7, None),
+        (2.0**-60, 10, None),
+        (5e-324, 10, None),
+    ],
+)
+def test_fraction_table_is_one_period_where_it_fits(rate, rows, period):
+    """One row per residue of i modulo P; none where the table would have
+    more rows than the times it serves, or more bytes than one block's
+    float slots (7 MB at 1 MHz), or where m >= 10**15, whose i * m
+    overflows int64 (a period of 2**60 s gives m = 10 * 2**60, P = 1)."""
+    fractions = trace_module._fraction_table(rate, rows)
+    assert (None if fractions is None else len(fractions[2])) == period
+    assert trace_module._fraction_table(rate, rows - 1) is None
+    if period is not None:
+        m, k, table = fractions
+        assert row_texts([table]) == ["." + (f"{i * m % 10**k:0{k}d}".rstrip("0") or "0") for i in range(period)]
 
 
 @pytest.mark.parametrize(
