@@ -27,13 +27,15 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .trace import fields_equal
+from .trace import fields_equal, int_rows, row_blocks, value_rows, write_rows
 
 KNOWN_PINS: tuple[int, ...] = (40, 43, 46, 49, 52, 55, 58, 50)
 
 ACTIVATE = "activate"
 DEACTIVATE = "deactivate"
 _ACTIONS = (ACTIVATE, DEACTIVATE)
+# the end of a command-log line of each action, as a text row padded with 0
+_ACTION_ENDS = np.array([f",{action}\n".encode() for action in _ACTIONS]).view(np.uint8).reshape(len(_ACTIONS), -1)
 
 
 class UnknownPortError(ValueError):
@@ -184,10 +186,16 @@ class GpioCommandLog:
         return pairs
 
     def write_csv(self, path: str | Path) -> None:
-        rows = zip(self.t_s.tolist(), self.port.tolist(), self.deactivate.tolist())
+        """Write the log as a command-log CSV: the header, then a line
+        ``t_s,port,action`` per command, its time as ``repr`` writes it.
+        Each block of rows is written as the trace CSV writer writes its
+        rows, the action's text taken from one piece per action."""
         with Path(path).open("w", newline="\n") as f:
             f.write("t_s,port,action\n")
-            f.writelines([f"{t!r},{port},{_ACTIONS[off]}\n" for t, port, off in rows])
+            for start, stop in row_blocks(len(self)):
+                actions = _ACTION_ENDS[self.deactivate[start:stop].astype(np.intp)]
+                parts = [value_rows(self.t_s[start:stop]), b",", int_rows(self.port[start:stop]), actions]
+                write_rows(f, stop - start, [(slice(None), parts)])
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "GpioCommandLog":

@@ -6,16 +6,17 @@ small string per token and joins them all.  For a report of thousands of
 windows that costs several times the text in memory.  A document given to
 ``write_json`` may hold ``Records`` in place of such a list: a few record
 templates, each a record with a column in place of every leaf that varies.
-Each template's text is taken once from ``json.dumps(..., indent=2)``, with
-``%s`` in place of each column.  The records are written in blocks of about
-``trace.CHUNK_ROWS`` leaves: in each block, every column of a template is
-encoded by the C encoder in one call over that template's records, and each
-record is its template's text filled by one ``%``.
+Each template's text is taken once from ``json.dumps(..., indent=2)`` and
+split at its columns into constant pieces.  The records are written in
+blocks of about ``trace.CHUNK_ROWS`` leaves, each block laid out as the
+trace CSV writer lays out its rows (:func:`trace.write_rows`): one row of
+text a record, its template's pieces side by side with the texts of its
+leaves, every column of a template laid out as a matrix of text rows over
+that template's records at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,8 @@ from . import trace
 _LEAF = "\x00"
 _LEAF_TEXT = json.dumps(_LEAF)
 
+_BOOLS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
+
 
 @dataclass(frozen=True, eq=False)
 class Records:
@@ -43,6 +46,10 @@ class Records:
     ``kinds`` gives each record's template index, or is None when every
     record has the first template, whose first column then gives the record
     count.  Column items are ints, floats, bools or None only.
+
+    A record is written as one row of text: its template's constant pieces
+    with the text of each of its leaves between them, and ``,\\n`` after
+    every record but the last.
     """
 
     templates: Sequence[Any]
@@ -51,18 +58,17 @@ class Records:
     def write(self, f: TextIO, indent: int) -> None:
         """Write the array as json's ``indent=2`` encoder would, where its
         opening bracket follows a line indented by ``indent`` spaces.  Each
-        block encodes a template's columns over that template's records
-        only, and fills each record's text with one ``%``."""
+        block lays out a template's columns over that template's records
+        only, and places their rows at those records' rows of the block."""
         pad = " " * (indent + 2)
         columns: list[list[np.ndarray]] = [[] for _ in self.templates]
         # json calls default at each array of a template, in the order it
         # writes the leaves: the arrays are the columns, in that order
-        formats = [
-            pad
-            + json.dumps(template, indent=2, default=lambda column, own=own: own.append(column) or _LEAF)
-            .replace("%", "%%")
+        pieces = [
+            (pad + json.dumps(template, indent=2, default=lambda column, own=own: own.append(column) or _LEAF))
             .replace("\n", "\n" + pad)
-            .replace(_LEAF_TEXT, "%s")
+            .encode()
+            .split(_LEAF_TEXT.encode())
             for template, own in zip(self.templates, columns)
         ]
         kinds = np.zeros(len(columns[0][0])) if self.kinds is None else self.kinds
@@ -70,22 +76,41 @@ class Records:
         if not len(kinds):
             f.write("[]")
             return
+        f.write("[\n")
         # blocks of as many records as hold trace.CHUNK_ROWS leaves of the
         # widest template, and at least one
         step = max(1, trace.CHUNK_ROWS // max(1, *map(len, columns)))
         for start in range(0, len(kinds), step):
             kind = kinds[start : start + step]
-            leaves = []  # per template, its records' leaf texts, one tuple a record
-            for k, own in enumerate(columns):
+            ends = np.tile(np.frombuffer(b",\n", dtype=np.uint8), (len(kind), 1))
+            if start + step >= len(kinds):
+                ends[-1, 0] = 0  # the last record ends in a newline alone
+            groups = []
+            for k, (texts, own) in enumerate(zip(pieces, columns)):
                 rows = np.flatnonzero(kind == k)
-                # numbers, bools and None hold no comma, so the C encoder's
-                # compact text of a column splits into one text per item
-                picked = (column[start : start + step][rows].tolist() for column in own)
-                texts = [json.dumps(items, separators=(",", ":"))[1:-1].split(",") for items in picked]
-                leaves.append(zip(*texts) if texts else itertools.repeat(()))
-            f.write(",\n" if start else "[\n")
-            f.write(",\n".join(formats[k] % next(leaves[k]) for k in kind.tolist()))
-        f.write("\n" + " " * indent + "]")
+                if len(rows):
+                    leaves = [_leaf_rows(column[start : start + step][rows]) for column in own]
+                    parts = [part for pair in zip(texts, leaves) for part in pair]
+                    groups.append((rows, [*parts, texts[-1], ends[rows]]))
+            trace.write_rows(f, len(kind), groups)
+        f.write(" " * indent + "]")
+
+
+def _leaf_rows(items: np.ndarray) -> np.ndarray:
+    """json's text of each item of a column, as an (n, w) uint8 matrix of
+    text rows, 0 in the slots a text leaves out: bools, integers that int64
+    holds and finite floats laid out as whole columns, any other item
+    encoded by ``json.dumps`` on its own, which spells NaN and infinity as
+    json does."""
+    kind = items.dtype.kind
+    if kind == "b":
+        return _BOOLS[items.astype(np.intp)]
+    if kind in "iu" and np.can_cast(items.dtype, np.int64):
+        return trace.int_rows(items)
+    if kind == "f" and np.can_cast(items.dtype, np.float64) and np.isfinite(items).all():
+        return trace.value_rows(items)
+    texts = np.array([json.dumps(item) for item in items.tolist()], dtype="S")
+    return texts.view(np.uint8).reshape(len(texts), -1)
 
 
 def write_json(doc, f: TextIO) -> None:

@@ -50,9 +50,10 @@ def number(value, message: str, ok=None, kind: type = float, error: type[ValueEr
     the package's number fields: a real number (an integer for int), numpy
     scalars included, but not a bool (numpy's bool is no ``numbers.Real``),
     finite, and passing ``ok``; else ``error(message.format(value))``, where
-    a value that is no real number shows as its ``repr`` (``got '1'``, not
-    ``got 1``).  NaN would pass any range check, and no writer can write a
-    bool as a number."""
+    a numpy number shows as the Python number it holds (``got -1``, not
+    ``got np.int64(-1)``) and a value that is no real number as its
+    ``repr`` (``got '1'``, not ``got 1``).  NaN would pass any range check,
+    and no writer can write a bool as a number."""
     if not isinstance(value, bool) and isinstance(value, numbers.Integral if kind is int else numbers.Real):
         try:
             held = kind(value)
@@ -61,7 +62,8 @@ def number(value, message: str, ok=None, kind: type = float, error: type[ValueEr
         else:
             if (kind is int or math.isfinite(held)) and (ok is None or ok(held)):
                 return held
-    raise error(message.format(value if isinstance(value, numbers.Real) else _Shown(repr(value))))
+    shown = value.item() if isinstance(value, np.number) else value
+    raise error(message.format(shown if isinstance(shown, numbers.Real) else _Shown(repr(shown))))
 
 
 class _Shown(str):
@@ -377,24 +379,49 @@ def write_csv_rows(f: TextIO, rate_hz: float, rows: Sequence[int], columns: Sequ
 
     ``rows`` holds increasing sample indices: ``range(n)`` for every sample
     of a trace, or an int array for some of them, whose lines are then
-    those of the same samples in the full series.  The text of a block of
-    CHUNK_ROWS rows is laid out row by row: each column as an (n, w) uint8
-    matrix of only the character slots its rows use, 0 in a slot a number
-    leaves out (see floattext), side by side with the commas and newlines.
-    The block's non-zero bytes are its text, written at once, so a long
-    trace is never held as text.  A data column lays out each run of equal
-    values once and repeats its text row; ``t_s`` comes from one period's
-    fraction table where the rate's period is a short decimal (see
-    :func:`_time_rows`).
+    those of the same samples in the full series.  Each block of
+    CHUNK_ROWS rows is written by :func:`write_rows`, each column as the
+    matrix of text rows that floattext lays out.  A data column lays out
+    each run of equal values once and repeats its text row; ``t_s`` comes
+    from one period's fraction table where the rate's period is a short
+    decimal (see :func:`_time_rows`).
     """
     fractions = _fraction_table(rate_hz, len(rows))
     for start, stop in row_blocks(len(rows)):
-        comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
         parts = _time_rows(rows[start:stop], rate_hz, fractions)
         for column in columns:
-            parts += [comma, _value_rows(column[start:stop])]
-        text = np.concatenate([*parts, np.full_like(comma, ord("\n"))], axis=1)
-        f.write(text.tobytes().translate(None, b"\0").decode())
+            parts += [b",", value_rows(column[start:stop])]
+        write_rows(f, stop - start, [(slice(None), [*parts, b"\n"])])
+
+
+def write_rows(f: TextIO, n: int, groups: Iterable[tuple[slice | np.ndarray, Sequence[np.ndarray | bytes]]]) -> None:
+    """Write a block of n rows of ASCII text, the one text layout of every
+    table the package writes.
+
+    Each group ``(rows, parts)`` lays out the block's rows that ``rows``
+    indexes as its parts side by side: a part is an (len(rows), w) uint8
+    matrix of text rows, 0 in a slot a text leaves out, or the bytes that
+    every row of the group shares.  The rows are placed in one (n, w)
+    uint8 matrix, and its non-zero bytes, row after row, are the block's
+    text, written at once, so that no row is ever a Python object.
+    """
+    groups = [
+        (rows, [np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part for part in parts])
+        for rows, parts in groups
+    ]
+    width = max(sum(part.shape[-1] for part in parts) for _, parts in groups)
+    block = bytearray(n * width)  # 0 in every slot that no part fills
+    text = np.frombuffer(block, dtype=np.uint8).reshape(n, width)
+    for rows, parts in groups:
+        at = 0
+        for part in parts:
+            text[rows, at : at + part.shape[-1]] = part
+            at += part.shape[-1]
+    # the matrix goes before its text is decoded: two copies of the block
+    # at most are held at once
+    data = block.translate(None, b"\0")
+    del text, block
+    f.write(data.decode())
 
 
 def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
@@ -507,7 +534,7 @@ def _float_rows(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(text[text.any(axis=1)].T)
 
 
-def _value_rows(block: np.ndarray) -> np.ndarray:
+def value_rows(block: np.ndarray) -> np.ndarray:
     """:func:`_float_rows` of a block as float64, formatting each run of
     equal values once and repeating its row: constant loads and trigger
     levels hold one value over many consecutive rows.  Values are told
@@ -515,6 +542,31 @@ def _value_rows(block: np.ndarray) -> np.ndarray:
     block = np.ascontiguousarray(block, dtype=np.float64)
     heads, counts = _runs(block.view(np.int64))
     return np.repeat(_float_rows(block[heads]), counts, axis=0)
+
+
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 to 10**19, all a uint64 holds
+
+
+def int_rows(values: np.ndarray) -> np.ndarray:
+    """``str`` of each integer of an array that int64 holds, as an (n, w)
+    uint8 matrix of text rows: a sign slot where some value is negative,
+    then the digits flush right, 0 in the slots a text leaves out."""
+    values = np.asarray(values, dtype=np.int64)
+    neg = values < 0
+    # the magnitudes as uint64, whose negation wraps: -2**63 has 2**63
+    magnitude = values.view(np.uint64)
+    magnitude = np.where(neg, -magnitude, magnitude)
+    digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
+    width = int(digits.max(initial=1))
+    sign = int(neg.any())
+    text = np.empty((len(values), sign + width), dtype=np.uint8)
+    for slot in range(sign + width - 1, sign - 1, -1):
+        magnitude, text[:, slot] = np.divmod(magnitude, 10)
+    text[:, sign:] += ord("0")
+    text[:, sign:][np.arange(width) < (width - digits)[:, None]] = 0  # the zeros ahead of the digits
+    if sign:
+        text[:, 0] = neg * ord("-")
+    return text
 
 
 def _parse_float(text: str, what: str, line: int) -> float:

@@ -2,12 +2,14 @@ import math
 import re
 import threading
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunking import chunk_rows
 from joulemark.instrument import (
     ACTIVATE,
     DEACTIVATE,
@@ -557,6 +559,34 @@ def test_one_pass_csv_reader_reads_what_the_line_reader_reads(lines, csv_path):
     csv_path.write_text("t_s,port,action\n" + body)
     by_line = read_outcome(lambda: GpioCommandLog(csv_commands(body.split("\n"))))
     assert read_outcome(lambda: GpioCommandLog.read_csv(csv_path)) == by_line
+
+
+def per_row_csv(log: GpioCommandLog) -> str:
+    """The command-log CSV written a row at a time, each line one f-string:
+    the reference for write_csv."""
+    rows = zip(log.t_s.tolist(), log.port.tolist(), log.deactivate.tolist())
+    return "t_s,port,action\n" + "".join(f"{t!r},{port},{(ACTIVATE, DEACTIVATE)[off]}\n" for t, port, off in rows)
+
+
+# any command a log holds, in any order: the writer does not validate
+any_commands = st.lists(
+    st.builds(
+        GpioCommand,
+        st.floats(0.0, allow_nan=False, allow_infinity=False) | st.just(-0.0) | st.integers(0, 10**20),
+        st.integers(-(2**63), 2**63 - 1) | st.sampled_from(KNOWN_PINS),
+        st.sampled_from([ACTIVATE, DEACTIVATE]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commands=any_commands, block=st.sampled_from([1, 3, 7, None]))
+def test_csv_writer_writes_what_the_per_row_writer_wrote(commands, block, csv_path):
+    log = GpioCommandLog(commands)
+    with chunk_rows(block) if block else nullcontext():
+        log.write_csv(csv_path)
+    assert csv_path.read_text() == per_row_csv(log)
 
 
 class TestConcurrency:

@@ -275,6 +275,32 @@ def test_written_reports_keep_every_kind_of_leaf():
         check_written(out.replace('"hit": false', '"hit": 0'), report_doc(report))
 
 
+# a column of each kind of item the writer lays out in its own way, with
+# values on both sides of a boundary between blocks of three records: the
+# NaN and infinities of a float column leave json to write the items of
+# their block, and 2**64 and None those of an object column
+INT64 = np.iinfo(np.int64)
+LEAF_COLUMNS = {
+    "finite floats": np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5e-300, 1.7976931348623157e308]),
+    "floats with NaN and infinities": np.array([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 1e-5]),
+    "float32": np.array([0.1, 1e-5, 3.4e38, -0.0], dtype=np.float32),
+    "int64 extremes": np.array([INT64.min, 0, INT64.max, -1, 10, 7], dtype=np.int64),
+    "uint8": np.array([0, 255, 7, 10], dtype=np.uint8),
+    "uint64 beyond int64": np.array([0, 2**64 - 1, 2**63, 5], dtype=np.uint64),
+    "bools": np.array([True, False, False, True, True]),
+    "objects beyond int64 and None": np.array([2**64, None, -(2**64), None, 1.5, True], dtype=object),
+}
+
+
+@pytest.mark.parametrize("values", LEAF_COLUMNS.values(), ids=LEAF_COLUMNS.keys())
+def test_each_kind_of_column_is_written_as_json_dumps_writes_it(values):
+    doc = {"records": Records(({"leaf": values, "tag": "x"},)), "after": 1}
+    with chunk_rows(3):
+        out = written(lambda f: write_json(doc, f))
+    records = [{"leaf": value, "tag": "x"} for value in values.tolist()]
+    assert out == json.dumps({"records": records, "after": 1}, indent=2) + "\n"
+
+
 # record shapes of any nesting, with keys and values of their own around
 # their COLUMN leaves; no key or string of a shape holds the writer's own
 # leaf marker, the character "\x00"

@@ -35,18 +35,23 @@ each verdict was an object, about 500 bytes when each window was also a
 MeasurementWindow and an EnergyResult).
 
 Writing that report, 3,000 windows and verdicts, peaks at 0.18x the bytes
-it writes in blocks of 512 leaves: one block's leaf texts, a column of one
-shape at a time, its records and their text, and the results' seconds and
-mean watts derived as whole columns (0.17x when a block's leaves were first
-gathered into one object array; 0.10x when the seconds and watts were
-derived block by block, 0.52x in blocks of 512 records, 7.9x when
-``json.dumps(indent=2)`` encoded the whole report at once).  The default
-block of 16,384 leaves costs about 160 bytes a leaf, 2.7 MB, whatever the
-report's size: the same report peaks at 2.33x (2.75x, about 190 bytes a
-leaf, with the one object array), and an 8,000-window report, as large as
-the benchmark's, at 0.92x (1.07x; 1.0x when the seconds and watts were
-derived block by block; 2.8x when a block was 16,384 records, and so the
-whole report).
+it writes in blocks of 512 leaves: one block's records as a matrix of text
+rows and their text, the formatting kernel's arrays for one column, and
+the results' seconds and mean watts derived as whole columns (0.18x too
+when each record was its template's text filled by one ``%``; 0.17x when a
+block's leaves were first gathered into one object array; 0.10x when the
+seconds and watts were derived block by block, 0.52x in blocks of 512
+records, 7.9x when ``json.dumps(indent=2)`` encoded the whole report at
+once).  The default block of 16,384 leaves costs about 150 bytes a leaf,
+2.4 MB, whatever the report's size: the same report peaks at 2.06x (2.33x
+with the ``%`` fill, 2.75x with the one object array), and an 8,000-window
+report, as large as the benchmark's, at 0.85x (0.92x with the ``%`` fill,
+1.07x with the object array; 1.0x when the seconds and watts were derived
+block by block; 2.8x when a block was 16,384 records, and so the whole
+report).  The ground truth and the scenario of that 8,000-toggle session
+peak at 1.19x and 2.14x (1.39x and 2.26x with the ``%`` fill): a command
+record holds two leaves, so a block holds 8,192 of them, and less text
+per leaf than a window's.
 """
 
 import tracemalloc
@@ -59,7 +64,7 @@ from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, 
 from joulemark.cli import SKYLINE_BUCKETS, _write_skyline_csv
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import analyze
-from joulemark.simulate import RELAY, TRIGGER, Scenario, WorkloadProfile, simulate_session
+from joulemark.simulate import RELAY, TRIGGER, Scenario, WorkloadProfile, save_scenario, simulate_session
 from joulemark.trace import read_trace_csv, write_trace_csv
 
 SAMPLES = 100_000
@@ -175,20 +180,25 @@ def retained_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def toggled(toggles: int):
-    """A trigger session of ``toggles`` toggles, every one captured, and its
-    log."""
+def toggled_scenario(toggles: int) -> Scenario:
+    """A trigger scenario of ``toggles`` toggles, every one captured."""
     cmds = []
     for k in range(toggles):
         cmds += [GpioCommand(1e-3 + 2e-3 * k, 40, ACTIVATE), GpioCommand(2e-3 + 2e-3 * k, 40, DEACTIVATE)]
     duration = 2e-3 * toggles + 1e-3
-    scenario = Scenario(
+    return Scenario(
         duration_s=duration,
         circuit=TRIGGER,
         workload=WorkloadProfile.constant(9.0, 0.0, duration),
         gpio=GpioCommandLog(tuple(cmds)),
         seed=5,
     )
+
+
+def toggled(toggles: int):
+    """A trigger session of ``toggles`` toggles, every one captured, and its
+    log."""
+    scenario = toggled_scenario(toggles)
     trace, _ = simulate_session(scenario)
     return trace, scenario.gpio
 
@@ -239,4 +249,35 @@ def test_report_writer_of_a_smaller_report_at_the_default_block_size(toggled_ses
     """3,000 windows, whose results fill a default block almost whole."""
     path = tmp_path / "report.json"
     peak = report_writer_peak(toggled_session, path)
+    assert peak <= 2.5 * path.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def toggled_truth():
+    """The scenario of 8,000 toggles, as many as the benchmark's trigger
+    session, and its ground truth."""
+    scenario = toggled_scenario(8_000)
+    _, truth = simulate_session(scenario)
+    return scenario, truth
+
+
+def document_writer_peak(write, path) -> int:
+    """The peak memory of write(path) at the package's block size, after
+    one write to warm up."""
+    write(path)
+    _, peak = peak_bytes(write, path)
+    return peak
+
+
+def test_truth_writer_at_the_default_block_size(toggled_truth, tmp_path):
+    _, truth = toggled_truth
+    path = tmp_path / "truth.json"
+    peak = document_writer_peak(truth.write_json, path)
+    assert peak <= 2.0 * path.stat().st_size
+
+
+def test_scenario_writer_at_the_default_block_size(toggled_truth, tmp_path):
+    scenario, _ = toggled_truth
+    path = tmp_path / "scenario.json"
+    peak = document_writer_peak(lambda p: save_scenario(scenario, p), path)
     assert peak <= 2.5 * path.stat().st_size

@@ -398,7 +398,9 @@ class TestScenarioValidation:
     def test_seed_that_is_not_an_integer_rejected(self, seed):
         with pytest.raises(ScenarioError) as raised:
             one_window_scenario(RELAY, seed=seed)
-        assert str(raised.value) == f"seed must be an integer >= 0, got {seed!r}"
+        # a numpy number shows as the Python number it holds: got 7.0
+        shown = seed.item() if isinstance(seed, np.number) else seed
+        assert str(raised.value) == f"seed must be an integer >= 0, got {shown!r}"
 
 
 # one defect each of one_window_scenario's fields, and the error it raises
@@ -628,6 +630,8 @@ def test_the_largest_noise_bound_simulates():
         ((1e308, 2), 2e-3, "event_duration_s=1e+308 and gap_s=0.002 over tries=2 give a session longer than the float range"),
         ((6e307, 3), 0.0, "event_duration_s=6e+307 and gap_s=0.0 over tries=3 give a session longer than the float range"),
         ((1.0, 1), 1e308, "event_duration_s=1.0 and gap_s=1e+308 over tries=1 give a session longer than the float range"),
+        # a numpy number shows as the number it holds, not as np.int64(0)
+        ((1e-3, np.int64(0)), 2e-3, "tries must be an integer >= 1, got 0"),
     ],
     ids=lambda case: case if isinstance(case, str) else None,
 )

@@ -112,6 +112,19 @@ class TestMeasurementWindow:
         with pytest.raises(ValueError, match=r"^window (begin|end) must be an integer"):
             MeasurementWindow(begin, end)
 
+    @pytest.mark.parametrize(
+        "begin, end, message",
+        [
+            (np.int64(-1), 3, "window begin must be an integer >= 0, got -1"),
+            (np.uint8(3), np.int32(3), "window end must be an integer > 3, got 3"),
+            (np.float64(1.5), 3, "window begin must be an integer >= 0, got 1.5"),
+        ],
+    )
+    def test_numpy_bounds_show_as_the_numbers_they_hold(self, begin, end, message):
+        with pytest.raises(ValueError) as raised:
+            MeasurementWindow(begin, end)
+        assert str(raised.value) == message
+
     def test_numpy_integer_bounds_are_held_as_ints(self):
         window = MeasurementWindow(np.int64(1), np.uint8(3))
         assert (type(window.begin), type(window.end)) == (int, int) and window == MeasurementWindow(1, 3)
