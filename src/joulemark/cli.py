@@ -248,7 +248,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    # numpy's MemoryError names the array it could not allocate
+    except (ValueError, OSError, MemoryError) as exc:
         for line in str(exc).split("\n"):  # analyze() gives a line per violation
             print(f"error: {line}", file=sys.stderr)
         return 2

@@ -27,7 +27,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .trace import fields_equal, int_rows, row_blocks, value_rows, write_rows
+from .textrows import int_rows, text_rows, value_rows, write_rows
+from .trace import fields_equal, row_blocks
 
 KNOWN_PINS: tuple[int, ...] = (40, 43, 46, 49, 52, 55, 58, 50)
 
@@ -35,7 +36,7 @@ ACTIVATE = "activate"
 DEACTIVATE = "deactivate"
 _ACTIONS = (ACTIVATE, DEACTIVATE)
 # the end of a command-log line of each action, as a text row padded with 0
-_ACTION_ENDS = np.array([f",{action}\n".encode() for action in _ACTIONS]).view(np.uint8).reshape(len(_ACTIONS), -1)
+_ACTION_ENDS = text_rows([f",{action}\n" for action in _ACTIONS])
 
 
 class UnknownPortError(ValueError):

@@ -8,11 +8,11 @@ windows that costs several times the text in memory.  A document given to
 templates, each a record with a column in place of every leaf that varies.
 Each template's text is taken once from ``json.dumps(..., indent=2)`` and
 split at its columns into constant pieces.  The records are written in
-blocks of about ``trace.CHUNK_ROWS`` leaves, each block laid out as the
-trace CSV writer lays out its rows (:func:`trace.write_rows`): one row of
-text a record, its template's pieces side by side with the texts of its
-leaves, every column of a template laid out as a matrix of text rows over
-that template's records at once.
+blocks of about ``trace.CHUNK_ROWS`` leaves, one line of text a record, in
+the row layout of every table the package writes (:mod:`textrows`): a
+block's records are text rows, each its template's pieces side by side with
+the texts of its leaves and its ``,\\n`` or final ``\\n``, every column of a
+template laid out over that template's records at once.
 """
 
 from __future__ import annotations
@@ -24,14 +24,16 @@ from typing import Any, Sequence, TextIO
 
 import numpy as np
 
-from . import trace
+from . import textrows, trace
 
 # stands for a column in a template's text; json writes it as below, so no
 # key or string of a template may hold this character
 _LEAF = "\x00"
 _LEAF_TEXT = json.dumps(_LEAF)
 
-_BOOLS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
+_BOOLS = textrows.text_rows(["false", "true"])
+# what ends each record but the last, and the last
+_ENDS = textrows.text_rows([",\n", "\n"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,17 +84,15 @@ class Records:
         step = max(1, trace.CHUNK_ROWS // max(1, *map(len, columns)))
         for start in range(0, len(kinds), step):
             kind = kinds[start : start + step]
-            ends = np.tile(np.frombuffer(b",\n", dtype=np.uint8), (len(kind), 1))
-            if start + step >= len(kinds):
-                ends[-1, 0] = 0  # the last record ends in a newline alone
             groups = []
             for k, (texts, own) in enumerate(zip(pieces, columns)):
                 rows = np.flatnonzero(kind == k)
                 if len(rows):
                     leaves = [_leaf_rows(column[start : start + step][rows]) for column in own]
                     parts = [part for pair in zip(texts, leaves) for part in pair]
-                    groups.append((rows, [*parts, texts[-1], ends[rows]]))
-            trace.write_rows(f, len(kind), groups)
+                    ends = _ENDS[(start + rows == len(kinds) - 1).astype(np.intp)]
+                    groups.append((rows, [*parts, texts[-1], ends]))
+            textrows.write_rows(f, len(kind), groups)
         f.write(" " * indent + "]")
 
 
@@ -106,11 +106,10 @@ def _leaf_rows(items: np.ndarray) -> np.ndarray:
     if kind == "b":
         return _BOOLS[items.astype(np.intp)]
     if kind in "iu" and np.can_cast(items.dtype, np.int64):
-        return trace.int_rows(items)
+        return textrows.int_rows(items)
     if kind == "f" and np.can_cast(items.dtype, np.float64) and np.isfinite(items).all():
-        return trace.value_rows(items)
-    texts = np.array([json.dumps(item) for item in items.tolist()], dtype="S")
-    return texts.view(np.uint8).reshape(len(texts), -1)
+        return textrows.value_rows(items)
+    return textrows.text_rows([json.dumps(item) for item in items.tolist()])
 
 
 def write_json(doc, f: TextIO) -> None:

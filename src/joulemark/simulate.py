@@ -418,11 +418,11 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     idle-noise array for relay sessions.
     """
     rate = channel_rate(scenario.config)
-    n = int(round(scenario.duration_s * rate))
-    if n < 1:
-        raise ScenarioError(
-            f"session of {scenario.duration_s}s at {rate}Hz has no samples"
-        )
+    # n = round(samples) is 1 to 2**63 - 1, a count whose indices int64 holds
+    samples = scenario.duration_s * rate
+    if not 0.5 < samples < 2**63:
+        raise ScenarioError(f"session of {scenario.duration_s}s at {rate}Hz spans {samples} samples, not 1 to 2**63 - 1")
+    n = round(samples)
     rng = np.random.default_rng(scenario.seed)
     t_on, t_off, port = scenario.gpio.windows()
     hit = rng.random(len(t_on)) < hit_probability(t_off - t_on, scenario.switching)

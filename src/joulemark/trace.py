@@ -17,13 +17,12 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import floattext
+from . import textrows
 
 # Writers emit t_s = i / rate_hz; readers re-derive it and must agree to
 # within this many seconds.
@@ -267,8 +266,10 @@ class SampleClock:
         where a time up to max(1e-9, 4 eps |t_s * rate_hz|) samples past a
         sample's, float grid noise, counts as that sample's: so
         first_index_at_or_after(time_of(i)) == i up to i of 10**12, which a
-        fixed 1e-9 fails from about 10**7 samples on."""
-        samples = np.multiply(t_s, self.rate_hz)
+        fixed 1e-9 fails from about 10**7 samples on.  A time from sample
+        2**63 on, past every int64 index, maps to 2**63 - 8192."""
+        with np.errstate(over="ignore"):  # an overflow is inf, clipped here
+            samples = np.clip(np.multiply(t_s, self.rate_hz), -1.0, 2.0**63)
         slack = np.maximum(1e-9, 4 * np.finfo(np.float64).eps * np.abs(samples))
         index = np.maximum(0, np.ceil(samples - slack)).astype(np.int64)
         return index if index.ndim else int(index)
@@ -380,193 +381,18 @@ def write_csv_rows(f: TextIO, rate_hz: float, rows: Sequence[int], columns: Sequ
     ``rows`` holds increasing sample indices: ``range(n)`` for every sample
     of a trace, or an int array for some of them, whose lines are then
     those of the same samples in the full series.  Each block of
-    CHUNK_ROWS rows is written by :func:`write_rows`, each column as the
-    matrix of text rows that floattext lays out.  A data column lays out
-    each run of equal values once and repeats its text row; ``t_s`` comes
-    from one period's fraction table where the rate's period is a short
-    decimal (see :func:`_time_rows`).
+    CHUNK_ROWS rows is written by :func:`textrows.write_rows`, a data
+    column as :func:`textrows.value_rows`, which lays out each run of equal
+    values once, and ``t_s`` as :func:`textrows.time_rows`, from one
+    period's fraction table where the rate's period is a short decimal and
+    the table holds no more bytes than the float slots of one block.
     """
-    fractions = _fraction_table(rate_hz, len(rows))
+    fractions = textrows.fraction_table(rate_hz, len(rows), CHUNK_ROWS * textrows.WIDTH)
     for start, stop in row_blocks(len(rows)):
-        parts = _time_rows(rows[start:stop], rate_hz, fractions)
+        parts = [textrows.time_rows(rows[start:stop], rate_hz, fractions)]
         for column in columns:
-            parts += [b",", value_rows(column[start:stop])]
-        write_rows(f, stop - start, [(slice(None), [*parts, b"\n"])])
-
-
-def write_rows(f: TextIO, n: int, groups: Iterable[tuple[slice | np.ndarray, Sequence[np.ndarray | bytes]]]) -> None:
-    """Write a block of n rows of ASCII text, the one text layout of every
-    table the package writes.
-
-    Each group ``(rows, parts)`` lays out the block's rows that ``rows``
-    indexes as its parts side by side: a part is an (len(rows), w) uint8
-    matrix of text rows, 0 in a slot a text leaves out, or the bytes that
-    every row of the group shares.  The rows are placed in one (n, w)
-    uint8 matrix, and its non-zero bytes, row after row, are the block's
-    text, written at once, so that no row is ever a Python object.
-    """
-    groups = [
-        (rows, [np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part for part in parts])
-        for rows, parts in groups
-    ]
-    width = max(sum(part.shape[-1] for part in parts) for _, parts in groups)
-    block = bytearray(n * width)  # 0 in every slot that no part fills
-    text = np.frombuffer(block, dtype=np.uint8).reshape(n, width)
-    for rows, parts in groups:
-        at = 0
-        for part in parts:
-            text[rows, at : at + part.shape[-1]] = part
-            at += part.shape[-1]
-    # the matrix goes before its text is decoded: two copies of the block
-    # at most are held at once
-    data = block.translate(None, b"\0")
-    del text, block
-    f.write(data.decode())
-
-
-def _decimal_step(rate_hz: float) -> tuple[int, int] | None:
-    """(m, k) with ``1 / rate_hz == m / 10**k`` exactly, for the smallest k
-    in 1..18, or None when there is none (rates such as 44100 or 3.3)."""
-    period = 1 / Fraction(rate_hz)
-    for k in range(1, 19):
-        scaled = period * 10**k
-        if scaled.denominator == 1:
-            return scaled.numerator, k
-    return None
-
-
-def _fraction_table(rate_hz: float, rows: int) -> tuple[int, int, np.ndarray] | None:
-    """(m, k, table) for writing ``rows`` times at ``rate_hz``, where
-    ``1 / rate_hz == m / 10**k`` (:func:`_decimal_step`): row r of the
-    (P, k + 1) uint8 ``table`` is the text after the whole seconds of the
-    decimal ``i * m / 10**k`` for every i with ``i % P == r``, a point and
-    its digits up to the last non-zero one (``.0`` for none), 0 after.  P
-    is ``10**k / gcd(m, 10**k)``: 40,000 at 40 kHz.  None where the rate
-    has no such step, where ``m >= 10**15`` (only row 0 could take its time
-    from the table, and ``i * m`` may overflow), or where the table would
-    have more rows than there are times to write, or more bytes than the
-    float slots of one block's times, ``CHUNK_ROWS * floattext.WIDTH``."""
-    step = _decimal_step(rate_hz)
-    if step is None or step[0] >= 10**15:
-        return None
-    m, k = step
-    g = math.gcd(m, 10**k)
-    period = 10**k // g
-    if period > rows or period * (k + 1) > CHUNK_ROWS * floattext.WIDTH:
-        return None
-    # (r * m) % 10**k, which is g times (r * (m / g)) % period, without overflow
-    fraction = g * (np.arange(period, dtype=np.int64) * (m // g % period) % period)
-    table = np.empty((period, k + 1), dtype=np.uint8)
-    for slot in range(k, 0, -1):
-        fraction, table[:, slot] = np.divmod(fraction, 10)
-    last = np.max((table[:, 1:] != 0) * np.arange(1, k + 1), axis=1, initial=1)
-    table[:, 1:] += ord("0")
-    table[:, 0] = ord(".")
-    table[np.arange(k + 1) > last[:, None]] = 0
-    return m, k, table
-
-
-def _time_rows(rows: Sequence[int], rate_hz: float, fractions: tuple[int, int, np.ndarray] | None) -> list[np.ndarray]:
-    """``repr(i / rate_hz)`` for each of the increasing sample indices i in
-    ``rows``, a range or an int array, as uint8 matrices of text rows, one
-    row per index, whose rows side by side are the texts; 0 in the slots a
-    text leaves out.
-
-    With ``fractions`` (m, k, table) from :func:`_fraction_table`,
-    ``i / rate_hz`` is the float nearest the decimal ``i * m / 10**k``.
-    While ``i * m < 10**15`` that decimal has at most 15 significant digits,
-    and no two such decimals round to the same float, so it is the shortest
-    text that reads back as the float: what ``repr`` prints.  From 1e-4 s on
-    ``repr`` prints it in fixed notation, the whole seconds and then a
-    fraction that repeats every P rows.  So row 0 and the rows from 1e-4 s
-    while ``i * m < 10**15`` are written by :func:`_table_rows`; every other
-    row, and every row without ``fractions``, from the float.
-    """
-    if isinstance(rows, range):  # numpy would iterate a range in Python
-        rows = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    with np.errstate(over="ignore"):  # a time beyond the float range is inf, as in Python
-        times = rows / rate_hz
-    if fractions is None:
-        return [_float_rows(times)]
-    m, k, _ = fractions
-    # rows[:first] is row 0 or nothing, and rows[low:high] the rows from
-    # 1e-4 s (i * m * 10**4 >= 10**k) while i * m < 10**15
-    first, low, high = np.searchsorted(rows, [1, -(-(10**k) // (m * 10**4)), -(-(10**15) // m)]).tolist()
-    if first == low and high == len(rows):
-        return _table_rows(rows, fractions)
-    spans = ((0, first, True), (first, low, False), (low, high, True), (high, len(rows), False))
-    pieces = [
-        (begin, np.concatenate(_table_rows(rows[begin:end], fractions), axis=1) if from_table else _float_rows(times[begin:end]))
-        for begin, end, from_table in spans
-        if begin < end
-    ]
-    text = np.zeros((len(rows), max(piece.shape[1] for _, piece in pieces)), dtype=np.uint8)
-    for begin, piece in pieces:
-        text[begin : begin + len(piece), : piece.shape[1]] = piece
-    return [text]
-
-
-def _table_rows(rows: np.ndarray, fractions: tuple[int, int, np.ndarray]) -> list[np.ndarray]:
-    """The whole seconds and the fraction of each time ``i * m / 10**k`` of
-    the sample indices i in ``rows``, as two matrices of text rows: the
-    whole seconds laid out once per distinct value, the fraction gathered
-    from the table at ``i % P``."""
-    m, k, table = fractions
-    whole = rows * m // 10**k
-    heads, counts = _runs(whole)
-    texts = np.array([str(w) for w in whole[heads].tolist()], dtype="S").view(np.uint8)
-    return [np.repeat(texts.reshape(len(heads), -1), counts, axis=0), np.take(table, rows % len(table), axis=0)]
-
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index and the length of each run of equal keys."""
-    heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return heads, np.diff(heads, append=len(keys))
-
-
-def _float_rows(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float64 of ``values``, as floattext lays it out, as
-    an (n, w) uint8 matrix of text rows with only the slots some value
-    uses."""
-    text = np.empty((floattext.WIDTH, len(values)), dtype=np.uint8)
-    floattext.floats_into(text, values)
-    return np.ascontiguousarray(text[text.any(axis=1)].T)
-
-
-def value_rows(block: np.ndarray) -> np.ndarray:
-    """:func:`_float_rows` of a block as float64, formatting each run of
-    equal values once and repeating its row: constant loads and trigger
-    levels hold one value over many consecutive rows.  Values are told
-    apart by their bits, so that -0.0 and 0.0 keep their own text."""
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    heads, counts = _runs(block.view(np.int64))
-    return np.repeat(_float_rows(block[heads]), counts, axis=0)
-
-
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 to 10**19, all a uint64 holds
-
-
-def int_rows(values: np.ndarray) -> np.ndarray:
-    """``str`` of each integer of an array that int64 holds, as an (n, w)
-    uint8 matrix of text rows: a sign slot where some value is negative,
-    then the digits flush right, 0 in the slots a text leaves out."""
-    values = np.asarray(values, dtype=np.int64)
-    neg = values < 0
-    # the magnitudes as uint64, whose negation wraps: -2**63 has 2**63
-    magnitude = values.view(np.uint64)
-    magnitude = np.where(neg, -magnitude, magnitude)
-    digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
-    width = int(digits.max(initial=1))
-    sign = int(neg.any())
-    text = np.empty((len(values), sign + width), dtype=np.uint8)
-    for slot in range(sign + width - 1, sign - 1, -1):
-        magnitude, text[:, slot] = np.divmod(magnitude, 10)
-    text[:, sign:] += ord("0")
-    text[:, sign:][np.arange(width) < (width - digits)[:, None]] = 0  # the zeros ahead of the digits
-    if sign:
-        text[:, 0] = neg * ord("-")
-    return text
+            parts += [b",", textrows.value_rows(column[start:stop])]
+        textrows.write_rows(f, stop - start, [(slice(None), [*parts, b"\n"])])
 
 
 def _parse_float(text: str, what: str, line: int) -> float:

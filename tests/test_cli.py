@@ -607,6 +607,32 @@ class TestValidateCommand:
             f"error: $.noise: noise bound must be a number in [0, {sys.float_info.max / 2}], got 1e+308\n"
         )
 
+    @pytest.mark.parametrize(
+        "duration_s, message",
+        [
+            (1e16, "session of 1e+16s at 40000.0Hz spans 4e+20 samples, not 1 to 2**63 - 1"),
+            # 4e14 samples fit an int64 index but no memory: numpy names the
+            # array it could not allocate
+            (1e10, "Unable to allocate "),
+        ],
+        ids=["past-the-index", "past-memory"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "campaign"])
+    def test_a_session_too_long_to_simulate_exits_2(self, tmp_path, capsys, command, duration_s, message):
+        path = write_scenario(tmp_path, circuit=RELAY)
+        obj = read_json(path)
+        obj["duration_s"] = duration_s
+        path.write_text(json.dumps(obj))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        flags = {
+            "simulate": ["--out-trace", str(tmp_path / "o.csv"), "--out-truth", str(tmp_path / "t.json")],
+            "campaign": ["--runs", "3", "--out", str(tmp_path / "c.csv")],
+        }[command]
+        assert main([command, str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_largest_noise_bound_simulates(self, tmp_path):
         path = write_scenario(tmp_path, circuit=RELAY, noise_bound=sys.float_info.max / 2)
         assert main(["validate", str(path)]) == 0

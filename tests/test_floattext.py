@@ -1,4 +1,4 @@
-"""floattext lays out exactly the text of ``repr`` for every float64."""
+"""textrows lays out exactly the text of ``repr`` for every float64."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joulemark import floattext
+from joulemark import textrows
 
 
 def reprs(values) -> list[str]:
@@ -15,8 +15,8 @@ def reprs(values) -> list[str]:
     texts = []
     for start in range(0, len(values), 2**16):
         block = values[start : start + 2**16]
-        text = np.empty((floattext.WIDTH + 1, len(block)), dtype=np.uint8)
-        floattext.floats_into(text[:-1], block)
+        text = np.empty((textrows.WIDTH + 1, len(block)), dtype=np.uint8)
+        textrows.floats_into(text[:-1], block)
         text[-1] = ord("\n")
         text = text.T
         texts += text[text != 0].tobytes().decode().split("\n")[:-1]
@@ -73,19 +73,19 @@ def test_sweep_of_hard_cases():
 
 
 def test_decimals_from_their_digits():
-    text = np.empty((floattext.WIDTH, 5), dtype=np.uint8)
+    text = np.empty((textrows.WIDTH, 5), dtype=np.uint8)
     f = np.array([0, 1500, 25, 1, 1000], dtype=np.uint64)
     e = np.array([3, -3, -6, 16, -7])
-    floattext.decimals_into(text, np.array([True, False, False, False, True]), f, e)
+    textrows.decimals_into(text, np.array([True, False, False, False, True]), f, e)
     got = [column[column != 0].tobytes().decode() for column in text.T]
     assert got == ["-0.0", "1.5", "2.5e-05", "1e+16", "-0.0001"]
 
 
 def test_table_of_g():
     """2**125 <= g < 2**126 and g - 1 <= 10**-k * 2**-r < g, in integers."""
-    assert len(floattext.G) == floattext.K_MAX - floattext.K_MIN + 1 == 617
-    for k, g in enumerate(floattext.G, start=floattext.K_MIN):
-        r = floattext._flog2pow10(-k) - 125
+    assert len(textrows.G) == textrows.K_MAX - textrows.K_MIN + 1 == 617
+    for k, g in enumerate(textrows.G, start=textrows.K_MIN):
+        r = textrows._flog2pow10(-k) - 125
         exact = Fraction(10) ** -k * Fraction(2) ** -r
         assert 2**125 <= g < 2**126
         assert g - 1 <= exact < g
@@ -95,10 +95,10 @@ def test_floor_logarithms():
     """Exact over every binary and decimal exponent the kernel meets."""
     ten, two = Fraction(10), Fraction(2)
     for e in range(-1100, 1100):
-        j = floattext._flog10pow2(e)
+        j = textrows._flog10pow2(e)
         assert ten**j <= two**e < ten ** (j + 1)
-        j = floattext._flog10_three_quarters_pow2(e)
+        j = textrows._flog10_three_quarters_pow2(e)
         assert ten**j <= two**e * 3 / 4 < ten ** (j + 1)
     for e in range(-400, 400):
-        j = floattext._flog2pow10(e)
+        j = textrows._flog2pow10(e)
         assert two**j <= ten**e < two ** (j + 1)

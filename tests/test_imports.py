@@ -11,7 +11,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "joulemark"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-ANALYSIS = ["trace", "floattext", "energy", "jsonio", "stats", "segment"]
+ANALYSIS = ["trace", "textrows", "energy", "jsonio", "stats", "segment"]
 ABOVE_ANALYSIS = {"simulate", "acquisition", "cli"}
 
 
@@ -87,13 +87,14 @@ def test_package_imports_are_found():
 
 
 # A function holds numbers by trace.number's rule, not by checks of its own.
-# Two functions keep their own check, each on a path run once per command of
-# a log, where the rule measured several times slower (best of 15 runs over
-# 16,000 commands, one Xeon core, Python 3.11): GpioCommand.__post_init__,
+# Three functions keep their own check, each on a path run once per command
+# of a log, where the rule measured several times slower (best of 15 runs
+# over 16,000 commands, one Xeon core, Python 3.11): GpioCommand.__post_init__,
 # since a log may be built one command at a time (3.9 us a command by the
-# rule for both fields against 0.8 us inline), and the scenario reader's
-# gpio fast path simulate._gpio (3.7 us against 1.0 us).
-OWN_NUMBER_CHECKS = {"instrument.GpioCommand.__post_init__", "simulate._gpio"}
+# rule for both fields against 0.8 us inline), the scenario reader's gpio
+# fast path simulate._gpio (3.7 us against 1.0 us), and the command-log CSV
+# reader GpioCommandLog.read_csv (2.5 us a line against 0.9 us).
+OWN_NUMBER_CHECKS = {"instrument.GpioCommand.__post_init__", "simulate._gpio", "instrument.GpioCommandLog.read_csv"}
 
 
 def functions(tree: ast.Module):
@@ -109,16 +110,17 @@ def functions(tree: ast.Module):
 
 def own_number_checks(tree: ast.Module) -> dict[str, set[str]]:
     """For each function that checks a number itself, what it uses:
-    ``.is_integer()``, ``sys.float_info`` or ``isinstance(..., bool)``, and
-    in a ``__post_init__`` also ``math.isfinite`` (elsewhere it checks
-    outputs, such as an analysis's energies)."""
+    ``.is_integer()``, ``sys.float_info``, ``math.inf`` or ``isinstance(...,
+    bool)``, and in a ``__post_init__`` also ``math.isfinite`` (elsewhere it
+    checks outputs, such as an analysis's energies, which may also be
+    written as ``float("inf")``)."""
     found: dict[str, set[str]] = {}
     for name, function in functions(tree):
         for node in ast.walk(function):
             use = None
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 attribute = f"{node.value.id}.{node.attr}"
-                if attribute == "sys.float_info" or attribute == "math.isfinite" and name.endswith(".__post_init__"):
+                if attribute in ("sys.float_info", "math.inf") or attribute == "math.isfinite" and name.endswith(".__post_init__"):
                     use = attribute
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "is_integer":
                 use = ".is_integer()"
@@ -153,10 +155,34 @@ def test_own_number_checks_are_found():
         "    def check(self):\n        return math.isfinite(self.x) or float(self.x).is_integer()\n"
         "def read(x):\n    return isinstance(x, bool) or abs(x) <= sys.float_info.max\n"
         "def report(total):\n    return math.isfinite(total)\n"
+        "def parse(t):\n    return 0 <= float(t) < math.inf\n"
+        "def ratio(a, b):\n    return a / b if b else float('inf')\n"
     )
     assert own_number_checks(tree) == {
         "A.__post_init__": {"math.isfinite"},
         "B.__post_init__": {"isinstance(..., bool)", "sys.float_info"},
         "C.check": {".is_integer()"},
         "read": {"isinstance(..., bool)", "sys.float_info"},
+        "parse": {"math.inf"},
     }
+
+
+# Text is laid out as uint8 matrices of text rows in one module, textrows.py;
+# every other module hands it numbers and texts.
+def uses_uint8(tree: ast.Module) -> bool:
+    """Whether a module names numpy's uint8, as an attribute or a dtype string."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "uint8" or isinstance(node, ast.Constant) and node.value == "uint8"
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_textrows_lays_out_text_rows(path):
+    assert uses_uint8(ast.parse(path.read_text(), filename=str(path))) == (path.name == "textrows.py")
+
+
+def test_uint8_uses_are_found():
+    assert uses_uint8(ast.parse("import numpy as np\nnp.zeros(3, dtype=np.uint8)\n"))
+    assert uses_uint8(ast.parse("import numpy\nnumpy.frombuffer(b'', 'uint8')\n"))
+    assert not uses_uint8(ast.parse("import numpy as np\nnp.zeros(3, dtype=np.int64)\n"))

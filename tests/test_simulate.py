@@ -616,6 +616,30 @@ def test_the_largest_noise_bound_simulates():
     assert np.all(np.isfinite(trace.vs)) and np.max(np.abs(trace.vs)) > 1e300
 
 
+@pytest.mark.parametrize("duration_s", [1e-5, 1.25e-5, 1e16, 2.0**63 / 40_000.0, 1e300])
+def test_a_session_outside_the_sample_index_range_is_refused(duration_s):
+    """A session is 1 to 2**63 - 1 samples, so that every sample index is an
+    int64; beyond that its edges would overflow the index instead.  0.5
+    samples round to none."""
+    with pytest.raises(ScenarioError) as raised:
+        simulate_session(Scenario(duration_s=duration_s, circuit=RELAY))
+    samples = duration_s * 40_000.0
+    assert str(raised.value) == f"session of {duration_s}s at 40000.0Hz spans {samples} samples, not 1 to 2**63 - 1"
+
+
+def test_a_session_of_one_sample_simulates():
+    trace, _ = simulate_session(Scenario(duration_s=1.5e-5, circuit=RELAY))
+    assert len(trace) == 1
+
+
+def test_a_latency_past_the_sample_index_range_realizes_no_window():
+    """Its edges map to the clock's last index instead of wrapping to a
+    negative one."""
+    scenario = replace(repeated_toggle_scenario(0.01, 3, RELAY), switching=SwitchingModel(nominal_latency_s=1e300))
+    trace, truth = simulate_session(scenario)
+    assert len(trace) == 1600 and truth.realized_begin.tolist() == truth.realized_end.tolist() == [-1, -1, -1]
+
+
 @pytest.mark.parametrize(
     "args,gap_s,message",
     [

@@ -12,7 +12,7 @@ from chunking import chunk_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joulemark import cli
+from joulemark import cli, textrows
 from joulemark import trace as trace_module
 from joulemark.acquisition import AcquisitionConfig, StreamSource, open_source, read_all
 from joulemark.cli import _skyline_rows, _write_skyline_csv
@@ -486,6 +486,15 @@ class TestSampleClock:
         assert index.dtype == np.int64 and index.tolist() == [0, 0, 1, 1, 3]
         assert type(SampleClock(10.0).first_index_at_or_after(0.3)) is int
 
+    @pytest.mark.parametrize("rate", [20_000.0, 1e300])
+    def test_a_time_past_the_int64_range_maps_to_the_last_index(self, rate):
+        """1e300 s is 2e304 samples at 20 kHz and overflows to inf at 1e300
+        Hz; either way the index is 2**63 - 8192, not a wrapped one."""
+        clock = SampleClock(rate)
+        assert clock.first_index_at_or_after(1e300) == 2**63 - 8192
+        index = clock.first_index_at_or_after(np.array([1e300, math.inf, -math.inf, 2.0**63 / rate]))
+        assert index.tolist() == [2**63 - 8192, 2**63 - 8192, 0, 2**63 - 8192]
+
     @pytest.mark.parametrize("rate", [0.0, -20_000.0, math.inf, math.nan, True, "20000"], ids=repr)
     def test_a_rate_that_is_not_finite_and_positive_is_refused(self, rate):
         with pytest.raises(ValueError, match="sampling rate must be finite and positive"):
@@ -829,7 +838,7 @@ short_period_rates = st.sampled_from([12.5, 1000.0, 12500.0])
 def fraction_period(rate: float) -> int | None:
     """P = 10**k / gcd(m, 10**k) of a rate with 1 / rate == m / 10**k, the
     rows of its fraction table; None for a rate with no such step."""
-    step = trace_module._decimal_step(rate)
+    step = textrows._decimal_step(rate)
     return None if step is None else 10 ** step[1] // math.gcd(step[0], 10 ** step[1])
 
 
@@ -837,7 +846,7 @@ def row_anchor(draw, rate: float) -> int:
     """Row 0, the last row below 1e-4 s, a whole second, or, for a
     terminating rate, the last row whose time comes from the fraction table."""
     anchors = [0.0, rate * 1e-4, rate * draw(st.integers(1, 10**6))]
-    step = trace_module._decimal_step(rate)
+    step = textrows._decimal_step(rate)
     if step is not None:
         anchors.append(10**15 / step[0])
     return int(min(draw(st.sampled_from(anchors)), 2.0**53))
@@ -903,7 +912,8 @@ def times_laid_out(rows, rate: float) -> list[str]:
     it fits a block, however few the rows."""
     if not len(rows):
         return []
-    return row_texts(trace_module._time_rows(rows, rate, trace_module._fraction_table(rate, 2**62)))
+    fractions = textrows.fraction_table(rate, 2**62, trace_module.CHUNK_ROWS * textrows.WIDTH)
+    return row_texts([textrows.time_rows(rows, rate, fractions)])
 
 
 @settings(max_examples=500, deadline=None)
@@ -922,7 +932,7 @@ def test_times_on_both_sides_of_the_digit_limit(rate, scale):
     """Rows whose i * m is near 10**15, where the writer stops taking times
     from the fraction table, and further up, where two decimals of that
     many digits can round to one float."""
-    step = trace_module._decimal_step(rate)
+    step = textrows._decimal_step(rate)
     rows = range(scale // step[0] - 100, scale // step[0] + 100)
     assert times_laid_out(rows, rate) == [repr(i / rate) for i in rows]
 
@@ -944,9 +954,10 @@ def test_fraction_table_is_one_period_where_it_fits(rate, rows, period):
     more rows than the times it serves, or more bytes than one block's
     float slots (7 MB at 1 MHz), or where m >= 10**15, whose i * m
     overflows int64 (a period of 2**60 s gives m = 10 * 2**60, P = 1)."""
-    fractions = trace_module._fraction_table(rate, rows)
+    max_bytes = trace_module.CHUNK_ROWS * textrows.WIDTH
+    fractions = textrows.fraction_table(rate, rows, max_bytes)
     assert (None if fractions is None else len(fractions[2])) == period
-    assert trace_module._fraction_table(rate, rows - 1) is None
+    assert textrows.fraction_table(rate, rows - 1, max_bytes) is None
     if period is not None:
         m, k, table = fractions
         assert row_texts([table]) == ["." + (f"{i * m % 10**k:0{k}d}".rstrip("0") or "0") for i in range(period)]
@@ -967,7 +978,7 @@ def test_fraction_table_is_one_period_where_it_fits(rate, rows, period):
     ],
 )
 def test_decimal_step_of_a_rate(rate, step):
-    assert trace_module._decimal_step(rate) == step
+    assert textrows._decimal_step(rate) == step
 
 
 # --- the skyline's M4 envelope ------------------------------------------------
