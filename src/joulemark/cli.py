@@ -18,13 +18,15 @@ from . import trace as trace_module
 from .instrument import GpioCommandLog
 from .jsonio import save_json, write_json
 from .segment import SegmentationParams, analyze
-from .simulate import load_scenario, simulate_session
+from .simulate import _session_samples, load_scenario, simulate_session
 from .stats import InsufficientSamplesError, summarize_campaign, t_critical
 from .trace import (
     RELAY,
     TRIGGER,
     PowerTrace,
     ShuntConfig,
+    concat_traces,
+    iter_trace_chunks,
     read_trace_csv,
     sample_to_power,
     validate_trace,
@@ -90,7 +92,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = read_trace_csv(args.trace)
+    if args.trace == "-":  # a trace CSV on standard input, parsed as from a file
+        trace = concat_traces(list(iter_trace_chunks(sys.stdin)))
+    else:
+        trace = read_trace_csv(args.trace)
     if args.rate is not None or args.vf is not None or args.shunt_r is not None:
         shunt = ShuntConfig(
             vf=args.vf if args.vf is not None else trace.shunt.vf,
@@ -163,7 +168,8 @@ def _cmd_stats(args) -> int:
 def _cmd_validate(args) -> int:
     path = Path(args.path)
     if path.suffix == ".json":
-        load_scenario(path)  # raises ScenarioError on any defect
+        # raises ScenarioError on any defect, and on a session too long to simulate
+        _session_samples(load_scenario(path))
         print(f"{path}: scenario ok")
         return 0
     trace = read_trace_csv(path)
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="segment a trace and integrate each window")
-    p.add_argument("trace", help="trace CSV file")
+    p.add_argument("trace", help="trace CSV file, or - for standard input")
     p.add_argument("--mode", required=True, choices=[RELAY, TRIGGER])
     p.add_argument("--out", required=True, help="output report JSON path")
     p.add_argument("--skyline", default=None, help="also write the trace's power as a plot-sized skyline CSV here")

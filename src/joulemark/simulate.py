@@ -410,6 +410,16 @@ class GroundTruth:
         save_json({"rate_hz": self.rate_hz, "seed": self.seed, "entries": entries}, path)
 
 
+def _session_samples(scenario: Scenario) -> int:
+    """The session's sample count, ``round(duration_s * rate)``, which must
+    be 1 to 2**63 - 1, a count whose indices int64 holds."""
+    rate = channel_rate(scenario.config)
+    samples = scenario.duration_s * rate
+    if not 0.5 < samples < 2**63:
+        raise ScenarioError(f"session of {scenario.duration_s}s at {rate}Hz spans {samples} samples, not 1 to 2**63 - 1")
+    return round(samples)
+
+
 def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     """Synthesize the acquired trace and per-toggle ground truth.
 
@@ -418,11 +428,7 @@ def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:
     idle-noise array for relay sessions.
     """
     rate = channel_rate(scenario.config)
-    # n = round(samples) is 1 to 2**63 - 1, a count whose indices int64 holds
-    samples = scenario.duration_s * rate
-    if not 0.5 < samples < 2**63:
-        raise ScenarioError(f"session of {scenario.duration_s}s at {rate}Hz spans {samples} samples, not 1 to 2**63 - 1")
-    n = round(samples)
+    n = _session_samples(scenario)
     rng = np.random.default_rng(scenario.seed)
     t_on, t_off, port = scenario.gpio.windows()
     hit = rng.random(len(t_on)) < hit_probability(t_off - t_on, scenario.switching)

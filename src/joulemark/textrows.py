@@ -14,7 +14,9 @@ are computed for every finite normal value at once with Schubfach
 fixed-width integer arithmetic: 64x64-bit products built from 32-bit
 halves.  Zeros are written directly.  Non-finite values and subnormals go
 through ``repr`` itself; Schubfach as published keeps at least two digits on
-subnormals, and prints 4.9e-324 where ``repr`` prints 5e-324.
+subnormals, and prints 4.9e-324 where ``repr`` prints 5e-324.  Integers and
+floats alike are laid out once per run of equal values, their digits by one
+loop.
 """
 
 from __future__ import annotations
@@ -67,42 +69,46 @@ _POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 to 10**19, all a uint64 holds
 
 def int_rows(values: np.ndarray) -> np.ndarray:
     """``str`` of each integer of an array that int64 holds, as text rows: a
-    sign slot where some value is negative, then the digits flush right."""
+    sign slot where some value is negative, then the digits flush right;
+    each run of equal values laid out once and its row repeated."""
     values = np.asarray(values, dtype=np.int64)
+    heads, counts = _runs(values)
+    values = values[heads]
     neg = values < 0
     # the magnitudes as uint64, whose negation wraps: -2**63 has 2**63
     magnitude = values.view(np.uint64)
-    magnitude = np.where(neg, -magnitude, magnitude)
+    np.negative(magnitude, out=magnitude, where=neg)
     digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
     width = int(digits.max(initial=1))
     sign = int(neg.any())
-    text = np.empty((len(values), sign + width), dtype=np.uint8)
-    for slot in range(sign + width - 1, sign - 1, -1):
-        magnitude, text[:, slot] = np.divmod(magnitude, 10)
-    text[:, sign:] += ord("0")
-    text[:, sign:][np.arange(width) < (width - digits)[:, None]] = 0  # the zeros ahead of the digits
+    text = np.empty((sign + width, len(values)), dtype=np.uint8)
+    _digits_into(text[sign:], magnitude)
+    text[sign:] += ord("0")
+    text[sign:][np.arange(width)[:, None] < width - digits] = 0  # the zeros ahead of the digits
     if sign:
-        text[:, 0] = neg * ord("-")
-    return text
-
-
-def value_rows(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float64 of ``values`` as text rows with only the
-    slots some value uses, each run of equal values laid out once and its
-    row repeated: constant loads and trigger levels hold one value over many
-    consecutive rows.  Values are told apart by their bits, so that -0.0 and
-    0.0 keep their own text."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    heads, counts = _runs(values.view(np.int64))
-    text = np.empty((WIDTH, len(heads)), dtype=np.uint8)
-    floats_into(text, values[heads])
-    return np.repeat(text[text.any(axis=1)].T, counts, axis=0)
+        text[0] = neg * ord("-")
+    return np.repeat(text.T, counts, axis=0)
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first index and the length of each run of equal keys."""
-    heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    heads = np.flatnonzero(starts)
     return heads, np.diff(heads, append=len(keys))
+
+
+def _digits_into(out: np.ndarray, f: np.ndarray) -> None:
+    """Write the ``len(out)`` digits of each uint64 of ``f`` below
+    ``10**len(out)``, leading zeros too, as numbers into the rows of ``out``,
+    the first in row 0: nine digits, which a uint32 holds, at a time."""
+    for end in range(len(out), 0, -9):
+        f, part = np.divmod(f, _POW10[9]) if end > 9 else (0, f)
+        part = part.astype(np.uint32)
+        for row in range(end - 1, max(end - 9, 0) - 1, -1):
+            quotient = part // 10
+            out[row] = part - quotient * 10
+            part = quotient
 
 
 # --- repr of float64 --------------------------------------------------------
@@ -191,9 +197,9 @@ def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, k) such that f * 10**k is the text ``repr`` gives each finite
-    normal float64 whose bits (as uint64) are ``bits``, sign aside.  f has
-    at most 17 digits and may end in zeros.  Lanes of other values hold
-    meaningless numbers."""
+    normal float64 whose bits (as uint64) are ``bits``, sign aside, and
+    f == 0 for zeros, subnormals and non-finite values.  f has at most 17
+    digits and may end in zeros."""
     t = bits & _T_MASK
     bq = bits >> _T_BITS & 0x7FF
     q = bq.astype(np.int64) + (_Q_MIN - 1)
@@ -225,38 +231,38 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shorter = upin != wpin
     lower = np.where(uin != win, uin, closer)
     f = np.where(shorter, np.where(upin, sp10, sp10 + 10), np.where(lower, s, s + 1))
+    f[(bq == 0) | (bq == 0x7FF)] = 0
     return f, k
 
 
-def decimals_into(text: np.ndarray, neg: np.ndarray, f: np.ndarray, e: np.ndarray) -> None:
-    """Lay out the text of each (-1)**neg * f * 10**e, f below 10**17, as
-    ``repr`` writes a float: column i of the (WIDTH, n) uint8 ``text`` gets
-    the characters of number i in order, and 0 in the slots it leaves out.
-    Trailing zeros of f are dropped; f == 0 is ``0.0``."""
-    f = np.asarray(f, dtype=np.uint64)
+def value_rows(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of ``values`` as text rows with only the
+    slots some value uses, each run of equal values laid out once and its
+    row repeated: constant loads and trigger levels hold one value over many
+    consecutive rows.  Values are told apart by their bits, so that -0.0 and
+    0.0 keep their own text."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    heads, counts = _runs(values.view(np.int64))
+    bits = values.view(np.uint64)[heads]
+    f, k = _shortest(bits)  # subnormal and non-finite values go through repr below
     n = np.searchsorted(_POW10, f, side="right")  # digits of f, 0 for f == 0
-    exp10 = np.where(f == 0, 0, e + n - 1)
+    exp10 = np.where(f == 0, 0, k + n - 1)
     fixed = (exp10 >= -4) & (exp10 < 16)
 
     # row j holds digit j of f, the first in row 0 and zeros after the
     # last; only the rows up to the longest f are worked out
     width = int(n.max(initial=1))
     digits = np.zeros((_DIGITS, len(f)), dtype=np.uint8)
-    split = max(width - 9, 0)  # nine digits fit a uint32
-    hi, lo = np.divmod(f * _POW10[width - n], _POW10[9])
-    for part, rows in ((hi, range(split)), (lo, range(split, width))):
-        part = part.astype(np.uint32)
-        for row in reversed(rows):
-            quotient = part // 10
-            digits[row] = part - quotient * 10
-            part = quotient
+    _digits_into(digits[:width], f * _POW10[width - n])
     # the last significant digit, 0 for f == 0
     last = ((digits[:width] != 0) * _SLOTS[:width]).max(axis=0, initial=0)
     digits += ord("0")
 
-    # digits 0 to `before` go before the point, and the digits after it up
-    # to `after`; fixed notation keeps the zeros up to the units digit and
-    # one after the point, and has no point below 1
+    # column i of text gets the characters of value i in order: digits 0 to
+    # `before` go before the point, and the digits after it up to `after`;
+    # fixed notation keeps the zeros up to the units digit and one after
+    # the point, and has no point below 1
+    text = np.empty((WIDTH, len(f)), dtype=np.uint8)
     whole = fixed & (exp10 >= 0)
     units = np.clip(exp10, 0, _DIGITS).astype(np.uint8)
     before = np.where(whole, units, np.where(fixed, last, 0))
@@ -265,26 +271,16 @@ def decimals_into(text: np.ndarray, neg: np.ndarray, f: np.ndarray, e: np.ndarra
     text[_POINT] = (after > before) * ord(".")
     np.multiply(digits, (_SLOTS > before) & (_SLOTS <= after), out=text[_AFTER:_EXPONENT])
 
-    text[0] = neg * ord("-")
+    text[0] = (bits >> 63) * ord("-")
     lead = np.where(fixed & (exp10 < 0), -exp10, 0)
     np.take(_LEADS, lead, axis=1, out=text[_LEAD:_BEFORE], mode="clip")
     exponent = np.where(fixed, _EXP_MAX + 1, exp10) - _EXP_MIN
     np.take(_EXPONENTS, exponent, axis=1, out=text[_EXPONENT:], mode="clip")
-
-
-def floats_into(text: np.ndarray, values: np.ndarray) -> None:
-    """Lay out ``repr(v)`` of each float64 v of ``values`` as
-    :func:`decimals_into` does."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    f, k = _shortest(bits)
-    bq = bits >> _T_BITS & 0x7FF
-    other = (bq == 0) | (bq == 0x7FF)
-    f[other] = 0
-    decimals_into(text, bits >> 63 != 0, f, k)
-    for i in np.flatnonzero(other & (bits << 1 != 0)).tolist():
-        chars = np.frombuffer(repr(float(values[i])).encode(), dtype=np.uint8)
+    for i in np.flatnonzero((f == 0) & (bits << 1 != 0)).tolist():
+        chars = np.frombuffer(repr(float(values[heads[i]])).encode(), dtype=np.uint8)
         text[:, i] = 0
         text[: len(chars), i] = chars
+    return np.repeat(text[text.any(axis=1)].T, counts, axis=0)
 
 
 # --- repr of sample times -----------------------------------------------------
@@ -339,9 +335,10 @@ def time_rows(rows: Sequence[int], rate_hz: float, fractions: tuple[int, int, np
     and no two such decimals round to the same float, so it is the shortest
     text that reads back as the float: what ``repr`` prints.  From 1e-4 s on
     ``repr`` prints it in fixed notation, the whole seconds and then a
-    fraction that repeats every P rows.  So every row is laid out by
-    :func:`_table_rows`, and then the rows below 1e-4 s but row 0, and those
-    from ``i * m >= 10**15`` on, are laid out again from the float.
+    fraction that repeats every P rows.  So every row is laid out as its
+    whole seconds and the table's row ``i % P``, and then the rows below
+    1e-4 s but row 0, and those from ``i * m >= 10**15`` on (where ``i * m``
+    may overflow), are laid out again from the float.
     """
     if isinstance(rows, range):  # numpy would iterate a range in Python
         rows = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
@@ -350,11 +347,11 @@ def time_rows(rows: Sequence[int], rate_hz: float, fractions: tuple[int, int, np
         times = rows / rate_hz
     if fractions is None:
         return value_rows(times)
-    m, k, _ = fractions
+    m, k, table = fractions
     # rows[first:low] are those from row 1 below 1e-4 s (i * m * 10**4 <
     # 10**k), and rows[high:] those from i * m >= 10**15 on
     first, low, high = np.searchsorted(rows, [1, -(-(10**k) // (m * 10**4)), -(-(10**15) // m)]).tolist()
-    text = _table_rows(rows, fractions)
+    text = np.concatenate([int_rows(rows * m // 10**k), np.take(table, rows % len(table), axis=0)], axis=1)
     redo = np.r_[first:low, high : len(rows)]
     if len(redo):
         floats = value_rows(times[redo])
@@ -362,15 +359,3 @@ def time_rows(rows: Sequence[int], rate_hz: float, fractions: tuple[int, int, np
         text[redo] = 0
         text[redo, : floats.shape[1]] = floats
     return text
-
-
-def _table_rows(rows: np.ndarray, fractions: tuple[int, int, np.ndarray]) -> np.ndarray:
-    """The whole seconds and the fraction of each time ``i * m / 10**k`` of
-    the sample indices i in ``rows`` as text rows: the whole seconds laid
-    out once per distinct value, the fraction gathered from the table at
-    ``i % P``.  Where ``i * m`` overflows int64 the text is meaningless."""
-    m, k, table = fractions
-    whole = rows * m // 10**k
-    heads, counts = _runs(whole)
-    whole_text = np.repeat(int_rows(whole[heads]), counts, axis=0)
-    return np.concatenate([whole_text, np.take(table, rows % len(table), axis=0)], axis=1)

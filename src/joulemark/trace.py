@@ -267,9 +267,14 @@ class SampleClock:
         sample's, float grid noise, counts as that sample's: so
         first_index_at_or_after(time_of(i)) == i up to i of 10**12, which a
         fixed 1e-9 fails from about 10**7 samples on.  A time from sample
-        2**63 on, past every int64 index, maps to 2**63 - 8192."""
+        2**63 on, past every int64 index, maps to 2**63 - 8192.  A NaN time,
+        which has no index, raises ValueError."""
         with np.errstate(over="ignore"):  # an overflow is inf, clipped here
             samples = np.clip(np.multiply(t_s, self.rate_hz), -1.0, 2.0**63)
+        nan = np.flatnonzero(np.isnan(samples))  # NaN passes the clip
+        if len(nan):
+            which = f"item {nan[0]} of t_s" if np.ndim(samples) else "t_s"
+            raise ValueError(f"{which} is nan, a time with no sample index")
         slack = np.maximum(1e-9, 4 * np.finfo(np.float64).eps * np.abs(samples))
         index = np.maximum(0, np.ceil(samples - slack)).astype(np.int64)
         return index if index.ndim else int(index)

@@ -220,6 +220,35 @@ class TestAnalyzeCommand:
         assert params == inspect.signature(analyze).parameters["params"].default == SegmentationParams()
         assert args.match_tolerance_s == inspect.signature(match_toggles).parameters["tolerance_s"].default
 
+    @pytest.mark.parametrize("skyline", [False, True], ids=["report", "skyline"])
+    @pytest.mark.parametrize("scenario", DEMO_SCENARIOS, ids=lambda p: p.stem)
+    def test_a_trace_on_standard_input_gives_the_bytes_of_its_file(self, tmp_path, monkeypatch, scenario, skyline):
+        trace_path = tmp_path / "trace.csv"
+        code = main(["simulate", str(scenario), "--out-trace", str(trace_path), "--out-truth", str(tmp_path / "t.json")])
+        assert code == 0
+        written = {}
+        for source in (str(trace_path), "-"):
+            out = tmp_path / ("stdin" if source == "-" else "file")
+            out.mkdir()
+            flags = ["--skyline", str(out / "skyline.csv")] if skyline else []
+            with trace_path.open() as f:
+                monkeypatch.setattr("sys.stdin", f)
+                args = ["analyze", source, "--mode", load_scenario(scenario).circuit, "--out", str(out / "report.json")]
+                assert main([*args, *flags]) == 0
+            written[source] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(written["-"]) == (["report.json", "skyline.csv"] if skyline else ["report.json"])
+        assert written["-"] == written[str(trace_path)]
+
+    def test_a_two_channel_trace_on_standard_input_in_relay_mode_exits_2(self, tmp_path, monkeypatch, capsys):
+        trace_path = self._simulate(tmp_path)  # a trigger session: two channels
+        monkeypatch.setattr("sys.stdin", io.StringIO(trace_path.read_text()))
+        capsys.readouterr()
+        assert main(["analyze", "-", "--mode", RELAY, "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: relay segmentation expects a single-channel trace; this trace has a trigger channel\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_trigger_analysis_recovers_12_joules(self, tmp_path):
         trace_path = self._simulate(tmp_path)
         report_path = tmp_path / "report.json"
@@ -608,23 +637,25 @@ class TestValidateCommand:
         )
 
     @pytest.mark.parametrize(
-        "duration_s, message",
+        "duration_s, message, validated",
         [
-            (1e16, "session of 1e+16s at 40000.0Hz spans 4e+20 samples, not 1 to 2**63 - 1"),
+            (1e16, "session of 1e+16s at 40000.0Hz spans 4e+20 samples, not 1 to 2**63 - 1", False),
             # 4e14 samples fit an int64 index but no memory: numpy names the
-            # array it could not allocate
-            (1e10, "Unable to allocate "),
+            # array it could not allocate, and validate does not bound a
+            # session by memory
+            (1e10, "Unable to allocate ", True),
         ],
         ids=["past-the-index", "past-memory"],
     )
     @pytest.mark.parametrize("command", ["simulate", "campaign"])
-    def test_a_session_too_long_to_simulate_exits_2(self, tmp_path, capsys, command, duration_s, message):
+    def test_a_session_too_long_to_simulate_exits_2(self, tmp_path, capsys, command, duration_s, message, validated):
         path = write_scenario(tmp_path, circuit=RELAY)
         obj = read_json(path)
         obj["duration_s"] = duration_s
         path.write_text(json.dumps(obj))
-        assert main(["validate", str(path)]) == 0
         capsys.readouterr()
+        assert main(["validate", str(path)]) == (0 if validated else 2)
+        assert capsys.readouterr().err == ("" if validated else f"error: {message}\n")
         flags = {
             "simulate": ["--out-trace", str(tmp_path / "o.csv"), "--out-truth", str(tmp_path / "t.json")],
             "campaign": ["--runs", "3", "--out", str(tmp_path / "c.csv")],

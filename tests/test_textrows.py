@@ -1,4 +1,5 @@
-"""textrows lays out exactly the text of ``repr`` for every float64."""
+"""textrows lays out exactly the text of ``repr`` for every float64, and of
+``str`` for every int64."""
 
 from fractions import Fraction
 
@@ -9,18 +10,16 @@ from hypothesis import strategies as st
 from joulemark import textrows
 
 
+def texts(rows: np.ndarray) -> list[str]:
+    """The text of each text row."""
+    return [row[row != 0].tobytes().decode() for row in rows]
+
+
 def reprs(values) -> list[str]:
-    """The texts floats_into lays out, one per value, 65,536 at a time."""
+    """The texts value_rows lays out, one per value, 65,536 at a time."""
     values = np.asarray(values, dtype=np.float64)
-    texts = []
-    for start in range(0, len(values), 2**16):
-        block = values[start : start + 2**16]
-        text = np.empty((textrows.WIDTH + 1, len(block)), dtype=np.uint8)
-        textrows.floats_into(text[:-1], block)
-        text[-1] = ord("\n")
-        text = text.T
-        texts += text[text != 0].tobytes().decode().split("\n")[:-1]
-    return texts
+    blocks = (textrows.value_rows(values[start : start + 2**16]) for start in range(0, len(values), 2**16))
+    return [text for rows in blocks for text in texts(rows)]
 
 
 def from_bits(bits) -> np.ndarray:
@@ -73,12 +72,20 @@ def test_sweep_of_hard_cases():
 
 
 def test_decimals_from_their_digits():
-    text = np.empty((textrows.WIDTH, 5), dtype=np.uint8)
-    f = np.array([0, 1500, 25, 1, 1000], dtype=np.uint64)
-    e = np.array([3, -3, -6, 16, -7])
-    textrows.decimals_into(text, np.array([True, False, False, False, True]), f, e)
-    got = [column[column != 0].tobytes().decode() for column in text.T]
+    got = reprs([-0.0, 1.5, 2.5e-5, 1e16, -1e-4])
     assert got == ["-0.0", "1.5", "2.5e-05", "1e+16", "-0.0001"]
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(INT64 | st.sampled_from([-(2**63), 2**63 - 1, -1, 0]), st.integers(1, 200)), max_size=20))
+def test_int_text_is_the_str(runs):
+    """Runs of one value, single items and the int64 extremes alike; an
+    empty array has no rows."""
+    values = np.repeat(np.array([v for v, _ in runs], dtype=np.int64), [n for _, n in runs])
+    assert texts(textrows.int_rows(values)) == list(map(str, values.tolist()))
 
 
 def test_table_of_g():

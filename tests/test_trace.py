@@ -495,6 +495,15 @@ class TestSampleClock:
         index = clock.first_index_at_or_after(np.array([1e300, math.inf, -math.inf, 2.0**63 / rate]))
         assert index.tolist() == [2**63 - 8192, 2**63 - 8192, 0, 2**63 - 8192]
 
+    def test_a_nan_time_is_refused_before_the_cast(self):
+        """NaN passes the clip, and its cast to int64 would warn and give
+        -2**63; the suite turns the warning into an error."""
+        clock = SampleClock(40_000.0)
+        with pytest.raises(ValueError, match="^t_s is nan, a time with no sample index$"):
+            clock.first_index_at_or_after(math.nan)
+        with pytest.raises(ValueError, match="^item 1 of t_s is nan, a time with no sample index$"):
+            clock.first_index_at_or_after(np.array([0.0, math.nan, 1.0, math.nan]))
+
     @pytest.mark.parametrize("rate", [0.0, -20_000.0, math.inf, math.nan, True, "20000"], ids=repr)
     def test_a_rate_that_is_not_finite_and_positive_is_refused(self, rate):
         with pytest.raises(ValueError, match="sampling rate must be finite and positive"):
