@@ -25,8 +25,6 @@ from .trace import (
     TRIGGER,
     PowerTrace,
     ShuntConfig,
-    concat_traces,
-    iter_trace_chunks,
     read_trace_csv,
     sample_to_power,
     validate_trace,
@@ -92,10 +90,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.trace == "-":  # a trace CSV on standard input, parsed as from a file
-        trace = concat_traces(list(iter_trace_chunks(sys.stdin)))
-    else:
-        trace = read_trace_csv(args.trace)
+    trace = read_trace_csv(sys.stdin if args.trace == "-" else args.trace)
     if args.rate is not None or args.vf is not None or args.shunt_r is not None:
         shunt = ShuntConfig(
             vf=args.vf if args.vf is not None else trace.shunt.vf,
@@ -150,11 +145,14 @@ def _cmd_campaign(args) -> int:
 
 
 def _read_joules(path_arg: str) -> list[float]:
-    if path_arg == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path_arg).read_text()
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    text = sys.stdin.read() if path_arg == "-" else Path(path_arg).read_text()
+    joules = []
+    for position, token in enumerate(text.replace(",", " ").split(), start=1):
+        try:
+            joules.append(float(token))
+        except ValueError:
+            raise ValueError(f"{path_arg}: value {position} is not a number: {token!r}") from None
+    return joules
 
 
 def _cmd_stats(args) -> int:

@@ -13,9 +13,11 @@ and ``vs`` the measured drop across the shunt.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -335,14 +337,15 @@ def downsample(trace: PowerTrace, factor: int) -> PowerTrace:
 # --- trace CSV format -------------------------------------------------------
 #
 # A comment preamble of `# key=value` lines carries rate_hz, vf and rs, each
-# finite and positive, and no other key; then a header line `t_s,vs_v`
-# (single channel) or `t_s,vs_v,trig_v` (with trigger channel), then one row
-# per sample.  t_s of row i must equal i / rate_hz within
-# TIME_GRID_TOLERANCE_S.
+# finite and positive, and no other key; then a header line, the columns of
+# the trace's channel layout joined by commas, then one row per sample.
+# t_s of row i must equal i / rate_hz within TIME_GRID_TOLERANCE_S.
 
 _PREAMBLE_KEYS = ("rate_hz", "vf", "rs")
-_HEADER_1CH = "t_s,vs_v"
-_HEADER_2CH = "t_s,vs_v,trig_v"
+
+# The columns of each channel layout, by channel count: t_s, the shunt
+# channel, and the trigger channel when the trace has one.
+_COLUMNS = {1: ("t_s", "vs_v"), 2: ("t_s", "vs_v", "trig_v")}
 
 
 # Rows per block of every blocked loop in the package: the CSV writers,
@@ -364,18 +367,11 @@ def row_blocks(n: int) -> Iterator[tuple[int, int]]:
 
 def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
     """Write a trace in the canonical CSV format (deterministic bytes)."""
-    path = Path(path)
-    rate = trace.rate_hz
-    with path.open("w", newline="\n") as f:
-        f.write(f"# rate_hz={rate!r}\n")
-        f.write(f"# vf={trace.shunt.vf!r}\n")
-        f.write(f"# rs={trace.shunt.rs!r}\n")
-        if trace.trig is not None:
-            f.write(_HEADER_2CH + "\n")
-            write_csv_rows(f, rate, range(len(trace)), [trace.vs, trace.trig])
-        else:
-            f.write(_HEADER_1CH + "\n")
-            write_csv_rows(f, rate, range(len(trace)), [trace.vs])
+    preamble = zip(_PREAMBLE_KEYS, (trace.rate_hz, trace.shunt.vf, trace.shunt.rs))
+    with Path(path).open("w", newline="\n") as f:
+        f.write("".join(f"# {key}={value!r}\n" for key, value in preamble))
+        f.write(",".join(_COLUMNS[trace.channels]) + "\n")
+        write_csv_rows(f, trace.rate_hz, range(len(trace)), (trace.vs, trace.trig)[: trace.channels])
 
 
 def write_csv_rows(f: TextIO, rate_hz: float, rows: Sequence[int], columns: Sequence[np.ndarray]) -> None:
@@ -430,29 +426,28 @@ def _read_header(lines: Iterator[str]) -> tuple[PowerTrace, int]:
                     f"preamble {key!r} must be finite and positive, got {value!r}", lineno
                 )
             continue
-        if text == _HEADER_1CH:
-            trig = None
-        elif text == _HEADER_2CH:
-            trig = np.empty(0)
-        else:
+        channels = {",".join(names): n for n, names in _COLUMNS.items()}.get(text)
+        if channels is None:
             raise TraceFormatError(f"unrecognized header: {text!r}", lineno)
         for key in _PREAMBLE_KEYS:
             if key not in meta:
                 raise TraceFormatError(f"preamble is missing '# {key}=...'", lineno)
-        rate = meta["rate_hz"]
         shunt = ShuntConfig(vf=meta["vf"], rs=meta["rs"])
-        return PowerTrace(rate_hz=rate, vs=np.empty(0), trig=trig, shunt=shunt), lineno
+        # one empty channel array for vs, and one more for trig
+        return PowerTrace(meta["rate_hz"], *np.empty((channels, 0)), shunt=shunt), lineno
     raise TraceFormatError("file has no header line")
 
 
 def _parse_rows(
-    lines: list[str], first_line: int, row: int, ncols: int, rate: float
+    lines: list[str], first_line: int, row: int, names: Sequence[str], rate: float
 ) -> np.ndarray:
     """Parse data lines one by one: the reference for every row error.
 
-    ``first_line`` is the line number of ``lines[0]`` and ``row`` the sample
-    index of its first row.  Returns the rows as a (k, ncols) array.
+    ``first_line`` is the line number of ``lines[0]``, ``row`` the sample
+    index of its first row and ``names`` the layout's columns, t_s first.
+    Returns the rows as a (k, len(names)) array.
     """
+    ncols = len(names)
     out: list[list[float]] = []
     for lineno, raw in enumerate(lines, start=first_line):
         text = raw.rstrip("\n")
@@ -461,16 +456,13 @@ def _parse_rows(
         parts = text.split(",")
         if len(parts) != ncols:
             raise TraceFormatError(f"expected {ncols} columns, got {len(parts)}", lineno)
-        t = _parse_float(parts[0], "t_s", lineno)
+        t = _parse_float(parts[0], names[0], lineno)
         expected_t = row / rate
         if abs(t - expected_t) > TIME_GRID_TOLERANCE_S:
             raise TraceFormatError(
-                f"t_s={t!r} deviates from uniform grid value {expected_t!r}", lineno
+                f"{names[0]}={t!r} deviates from uniform grid value {expected_t!r}", lineno
             )
-        values = [t, _parse_float(parts[1], "vs_v", lineno)]
-        if ncols == 3:
-            values.append(_parse_float(parts[2], "trig_v", lineno))
-        out.append(values)
+        out.append([t, *(_parse_float(part, name, lineno) for part, name in zip(parts[1:], names[1:]))])
         row += 1
     return np.array(out, dtype=np.float64).reshape(-1, ncols)
 
@@ -512,20 +504,16 @@ def iter_trace_chunks(fileobj: Iterable[str]) -> Iterator[PowerTrace]:
     lines = iter(fileobj)
     head, lineno = _read_header(lines)
     yield head
-    ncols = head.channels + 1
+    names = _COLUMNS[head.channels]
     row = 0
     while block := list(itertools.islice(lines, n)):
-        data = _parse_block(block, row, ncols, head.rate_hz)
+        data = _parse_block(block, row, len(names), head.rate_hz)
         if data is None:
-            data = _parse_rows(block, lineno + 1, row, ncols, head.rate_hz)
+            data = _parse_rows(block, lineno + 1, row, names, head.rate_hz)
         lineno += len(block)
         row += len(data)
-        yield PowerTrace(
-            rate_hz=head.rate_hz,
-            vs=data[:, 1],
-            trig=data[:, 2] if ncols == 3 else None,
-            shunt=head.shunt,
-        )
+        # the columns after t_s are vs, then trig
+        yield PowerTrace(head.rate_hz, *data[:, 1:].T, shunt=head.shunt)
 
 
 def concat_traces(blocks: Sequence[PowerTrace]) -> PowerTrace:
@@ -537,7 +525,9 @@ def concat_traces(blocks: Sequence[PowerTrace]) -> PowerTrace:
     return PowerTrace._adopt(first.rate_hz, vs, trig, first.shunt)
 
 
-def read_trace_csv(path: str | Path) -> PowerTrace:
-    """Parse a trace CSV, verifying the preamble, header and time grid."""
-    with Path(path).open("r") as f:
+def read_trace_csv(source: str | os.PathLike | TextIO) -> PowerTrace:
+    """Parse a trace CSV, from a path or an open text stream, verifying the
+    preamble, header and time grid."""
+    opened = Path(source).open("r") if isinstance(source, (str, os.PathLike)) else contextlib.nullcontext(source)
+    with opened as f:
         return concat_traces(list(iter_trace_chunks(f)))

@@ -330,10 +330,12 @@ class TestAnalyzeCommand:
         ],
         ids=["rate", "vf", "all"],
     )
-    def test_overrides_share_the_read_trace(self, tmp_path, monkeypatch, overrides):
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_overrides_share_the_read_trace(self, tmp_path, monkeypatch, overrides, stdin):
         """An overridden analysis writes the bytes of an analysis of a file
         that holds the same samples at the new rate, supply and shunt, and
-        the trace it analyzes shares the read trace's arrays."""
+        the trace it analyzes shares the read trace's arrays; a trace on
+        standard input is read by the same reader as a file."""
         trace_path = self._simulate(tmp_path)
         trace = read_trace_csv(trace_path)
         relabelled = tmp_path / "relabelled.csv"
@@ -355,14 +357,20 @@ class TestAnalyzeCommand:
 
         seen = {}
         read, analyze = cli.read_trace_csv, cli.analyze
-        monkeypatch.setattr(cli, "read_trace_csv", lambda path: seen.setdefault("read", read(path)))
+        monkeypatch.setattr(
+            cli, "read_trace_csv", lambda source: seen.setdefault("read", read(seen.setdefault("source", source)))
+        )
         monkeypatch.setattr(
             cli, "analyze", lambda trace, *a: analyze(seen.setdefault("analyzed", trace), *a)
         )
         out = tmp_path / "overridden.json"
         flags = [part for pair in overrides.items() for part in pair]
         flags += ["--skyline", str(out.with_suffix(".skyline.csv"))]
-        assert main(["analyze", str(trace_path), "--mode", "trigger", "--out", str(out), *flags]) == 0
+        with trace_path.open() as f:
+            monkeypatch.setattr("sys.stdin", f)
+            source = "-" if stdin else str(trace_path)
+            assert main(["analyze", source, "--mode", "trigger", "--out", str(out), *flags]) == 0
+        assert seen["source"] is f if stdin else seen["source"] == str(trace_path)
         assert out.read_bytes() == expected.read_bytes()
         assert (
             out.with_suffix(".skyline.csv").read_bytes()
@@ -553,6 +561,18 @@ class TestStatsCommand:
         assert main(["stats", "-", "--out", str(out)]) == 0
         for payload in (strict_json(capsys.readouterr().out), read_json(out)):
             assert payload["mean_j"] == 0.0 and payload["variation_pct"] is None
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_a_value_that_is_no_number_names_its_input_and_position(self, tmp_path, capsys, monkeypatch, stdin):
+        text = "26.7, 29.6\n27.5 abc 28.6\n"
+        values = tmp_path / "joules.txt"
+        values.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        source = "-" if stdin else str(values)
+        assert main(["stats", source]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {source}: value 4 is not a number: 'abc'\n"
 
     @pytest.mark.parametrize("values", ["1e200 1.5e200", "1e308 1.7e308"])
     def test_summary_beyond_the_float_range_is_a_data_error(self, capsys, monkeypatch, values):

@@ -715,6 +715,79 @@ class TestTraceCsv:
             read_all(open_source(AcquisitionConfig(channels=1, source=source)))
         assert err.value.line == 2
 
+    @staticmethod
+    def _two_rows(header: str, second: list[str]) -> str:
+        """A trace CSV of the layout ``header`` at 10 Hz: a good first row
+        on line 5, then ``second``'s cells on line 6."""
+        first = ["0.0", "0.5", "1.8"][: header.count(",") + 1]
+        return f"# rate_hz=10.0\n# vf=12.0\n# rs=0.1\n{header}\n{','.join(first)}\n{','.join(second)}\n"
+
+    @pytest.mark.parametrize(
+        "header, column",
+        [("t_s,vs_v", 0), ("t_s,vs_v", 1), ("t_s,vs_v,trig_v", 0), ("t_s,vs_v,trig_v", 1), ("t_s,vs_v,trig_v", 2)],
+    )
+    def test_a_non_number_names_its_column_at_its_line(self, tmp_path, header, column):
+        names = header.split(",")
+        second = ["0.1", "0.5", "1.8"][: len(names)]
+        second[column] = "zap"
+        path = tmp_path / "t.csv"
+        path.write_text(self._two_rows(header, second))
+        with pytest.raises(TraceFormatError, match=f"^line 6: {names[column]} is not a number: 'zap'$") as err:
+            read_trace_csv(path)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize(
+        "header, second, message",
+        [
+            ("t_s,vs_v", ["0.2", "zap"], "t_s=0.2 deviates from uniform grid value 0.1"),
+            ("t_s,vs_v,trig_v", ["0.2", "zap", "zap"], "t_s=0.2 deviates from uniform grid value 0.1"),
+            ("t_s,vs_v,trig_v", ["0.1", "zap", "zap"], "vs_v is not a number: 'zap'"),
+        ],
+        ids=["grid-before-vs_v", "grid-before-both", "vs_v-before-trig_v"],
+    )
+    def test_a_row_reports_its_first_defect_in_column_order(self, tmp_path, header, second, message):
+        path = tmp_path / "t.csv"
+        path.write_text(self._two_rows(header, second))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace_csv(path)
+        assert str(err.value) == f"line 6: {message}"
+
+    @pytest.mark.parametrize("header, channels", [("t_s,vs_v", 1), ("t_s,vs_v,trig_v", 2)])
+    def test_each_header_reads_back_to_its_channel_count(self, tmp_path, header, channels):
+        path = tmp_path / "t.csv"
+        path.write_text(self._two_rows(header, ["0.1", "0.25", "0.0"][: channels + 1]))
+        trace = read_trace_csv(path)
+        assert (trace.channels, len(trace), trace.vs.tolist()) == (channels, 2, [0.5, 0.25])
+
+    @pytest.mark.parametrize("with_trigger", [False, True])
+    def test_an_open_text_stream_reads_as_its_path(self, tmp_path, with_trigger):
+        path = tmp_path / "t.csv"
+        write_trace_csv(self._trace(with_trigger), path)
+        from_path = read_trace_csv(path)
+        text = path.read_text()
+        for open_stream in (lambda: io.StringIO(text), path.open):
+            with open_stream() as stream:
+                trace = read_trace_csv(stream)
+            assert (trace.rate_hz, trace.shunt) == (from_path.rate_hz, from_path.shunt)
+            assert trace.vs.tobytes() == from_path.vs.tobytes()
+            assert (trace.trig is None) == (from_path.trig is None) == (not with_trigger)
+            if with_trigger:
+                assert trace.trig.tobytes() == from_path.trig.tobytes()
+
+    def test_an_open_text_stream_reports_a_corrupt_row_as_its_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace_csv(self._trace(True), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[200] = lines[200].replace(",", ",zap", 1)
+        path.write_text("".join(lines))
+        errors = []
+        for source in (path, io.StringIO(path.read_text())):
+            with pytest.raises(TraceFormatError) as err:
+                read_trace_csv(source)
+            errors.append((err.value.line, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 201 and "vs_v is not a number" in errors[0][1]
+
 
 class TestCsvGoldenBytes:
     """Exact bytes of the trace and skyline writers, pinned on small traces
