@@ -37,6 +37,8 @@ DEACTIVATE = "deactivate"
 _ACTIONS = (ACTIVATE, DEACTIVATE)
 # the end of a command-log line of each action, as a text row padded with 0
 _ACTION_ENDS = text_rows([f",{action}\n" for action in _ACTIONS])
+# a command-log line as loadtxt reads it
+_CSV_ROW = [("t_s", np.float64), ("port", np.int64), ("action", f"U{len(DEACTIVATE)}")]
 
 
 class UnknownPortError(ValueError):
@@ -200,13 +202,29 @@ class GpioCommandLog:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "GpioCommandLog":
-        """Read a command-log CSV in one pass; a line in error raises,
-        naming its line."""
+        """Read a command-log CSV by columns; a log that is not clean (a
+        blank or respelt line, or a line in error) is read in one pass,
+        where a line in error raises, naming its line."""
         header, _, body = Path(path).read_text().partition("\n")
         if header != "t_s,port,action":
             raise ValueError(f"unrecognized command-log header: {header!r}")
+        if not body.endswith("\n"):
+            body += "\n"
+        lines = body.split("\n")[:-1]
+        # by columns where every line ends in an action and loadtxt reads
+        # it as three columns: of the spellings float() and int() read,
+        # loadtxt reads some (no "1_0"), each to the same number
+        if body.count(",activate\n") + body.count(",deactivate\n") == len(lines):
+            try:
+                rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                pass
+            else:
+                t_s = rows["t_s"]
+                if ((t_s >= 0) & (t_s < math.inf)).all():
+                    return cls._of_columns(t_s, rows["port"], rows["action"] == DEACTIVATE)
         t_s, port, deactivate = [], [], []
-        for lineno, raw in enumerate(body.split("\n"), start=2):
+        for lineno, raw in enumerate(lines, start=2):
             text = raw.strip()
             if not text:
                 continue

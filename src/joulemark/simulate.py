@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -590,9 +591,19 @@ def _command(obj, path: str) -> GpioCommand:
 
 
 def _gpio(items: list, path: str) -> GpioCommandLog:
-    """The gpio array read in one pass: a command that is not an object of
-    exactly its three keys holding valid values goes to _command, which
-    raises its error or reads it."""
+    """The gpio array read by columns where every command is an object of
+    exactly its three keys holding valid values; otherwise in one pass,
+    where a command that is not goes to _command, which raises its error or
+    reads it."""
+    try:
+        if set(map(type, items)) <= {dict} and set(map(len, items)) <= {3}:
+            t_s, port, action = (list(map(itemgetter(key), items)) for key in ("t_s", "port", "action"))
+            if set(map(type, t_s)) <= {float, int} and set(map(type, port)) <= {int} and set(action) <= set(_ACTIONS):
+                t_s, port = np.array(t_s, dtype=np.float64), np.array(port, dtype=np.int64)
+                if ((t_s >= 0) & (t_s < math.inf)).all():
+                    return GpioCommandLog._of_columns(t_s, port, list(map(DEACTIVATE.__eq__, action)))
+    except (KeyError, TypeError, OverflowError):
+        pass  # another key, an unhashable action, a number beyond the columns' types
     keys = {f.name for f in fields(GpioCommand)}
     t_s, port, deactivate = [], [], []
     for i, c in enumerate(items):

@@ -3,6 +3,7 @@ import re
 import threading
 import warnings
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -478,6 +479,7 @@ CSV_DEFECTS = {
     "wide port": lambda t, p, a: f"{t},{2**63},{a}",
     "narrow port": lambda t, p, a: f"{t},{-(2**63) - 1},{a}",
     "nan": lambda t, p, a: f"nan,{p},{a}",
+    "huge": lambda t, p, a: f"1e400,{p},{a}",
     "infinity": lambda t, p, a: f"Infinity,{p},{a}",
     "negative": lambda t, p, a: f"-{t or 1},{p},{a}",
     "action": lambda t, p, a: f"{t},{p},toggle",
@@ -500,7 +502,8 @@ CSV_SPELLINGS = [
 @st.composite
 def command_csv_lines(draw):
     """Data lines of a command-log CSV, from line 2 on, as write_csv writes
-    them, with maybe one or two lines respelt or given one defect each."""
+    them: a clean log, read by columns, half the time, and otherwise one or
+    two lines respelt or given one defect each."""
     rows = draw(
         st.lists(
             st.tuples(
@@ -512,7 +515,8 @@ def command_csv_lines(draw):
         )
     )
     lines = [f"{t!r},{p},{a}" for t, p, a in rows]
-    changed = draw(st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)) if lines else []
+    clean = not lines or draw(st.booleans())
+    changed = [] if clean else draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=2, unique=True))
     for i in changed:
         change = draw(st.sampled_from(CSV_SPELLINGS + list(CSV_DEFECTS.values())))
         lines[i] = change(*rows[i])
@@ -551,14 +555,25 @@ def csv_path(tmp_path_factory):
 
 
 @settings(max_examples=500, deadline=None)
-@given(lines=command_csv_lines())
-def test_one_pass_csv_reader_reads_what_the_line_reader_reads(lines, csv_path):
+@given(lines=command_csv_lines(), newline=st.sampled_from(["\n", "\r\n"]))
+def test_one_pass_csv_reader_reads_what_the_line_reader_reads(lines, newline, csv_path):
     """Columns of the same bits, or the same error at the same line, the
-    first in error."""
+    first in error, whether lines end in LF or CRLF."""
     body = "\n".join(lines)
-    csv_path.write_text("t_s,port,action\n" + body)
+    csv_path.write_bytes(("t_s,port,action\n" + body).replace("\n", newline).encode())
     by_line = read_outcome(lambda: GpioCommandLog(csv_commands(body.split("\n"))))
     assert read_outcome(lambda: GpioCommandLog.read_csv(csv_path)) == by_line
+
+
+def test_a_clean_log_is_read_by_columns(csv_path):
+    """16,000 commands reach the log as loadtxt's arrays: the one-pass
+    reader, which builds no GpioCommand for a clean log either, hands over
+    lists."""
+    log = GpioCommandLog._of_columns(np.arange(16_000) / 1e3, np.full(16_000, 40), np.arange(16_000) % 2 == 1)
+    log.write_csv(csv_path)
+    with mock.patch.object(GpioCommandLog, "_of_columns", wraps=GpioCommandLog._of_columns) as of_columns:
+        assert GpioCommandLog.read_csv(csv_path) == log
+    assert all(isinstance(column, np.ndarray) for column in of_columns.call_args.args)
 
 
 def per_row_csv(log: GpioCommandLog) -> str:

@@ -9,6 +9,7 @@ import tempfile
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1278,7 +1279,8 @@ def test_simulation_matches_whole_array_reference(scenario, rows):
 # one defect each: a missing or extra key, a port that is a bool, a string,
 # a float or beyond 64 bits, a time that is a bool, NaN, infinite, negative
 # or beyond the float range, an unknown action, or a command that is not an
-# object
+# object; and a time at the top of the float range, or an integer just
+# beyond it, which reads as the top
 GPIO_DEFECTS = [
     lambda cmd: {k: v for k, v in cmd.items() if k != "t_s"},
     lambda cmd: {k: v for k, v in cmd.items() if k != "action"},
@@ -1293,6 +1295,8 @@ GPIO_DEFECTS = [
     lambda cmd: {**cmd, "t_s": math.inf},
     lambda cmd: {**cmd, "t_s": -0.5},
     lambda cmd: {**cmd, "t_s": 10**400},
+    lambda cmd: {**cmd, "t_s": int(sys.float_info.max) + 1},
+    lambda cmd: {**cmd, "t_s": sys.float_info.max},
     lambda cmd: {**cmd, "t_s": "0.5"},
     lambda cmd: {**cmd, "action": "toggle"},
     lambda cmd: {**cmd, "action": ["activate"]},
@@ -1303,8 +1307,9 @@ GPIO_DEFECTS = [
 @st.composite
 def gpio_arrays(draw):
     """The gpio array of a scenario as json reads it: times as floats, or as
-    ints up to beyond 2**64 (json reads digits without a point as an int),
-    with maybe one or two commands given one defect each."""
+    ints up to beyond 2**64 (json reads digits without a point as an int);
+    a clean array, read by columns, half the time, and otherwise one or two
+    commands given one defect each."""
     items = draw(
         st.lists(
             st.fixed_dictionaries(
@@ -1317,7 +1322,8 @@ def gpio_arrays(draw):
             max_size=8,
         )
     )
-    changed = draw(st.lists(st.integers(0, len(items) - 1), max_size=2, unique=True)) if items else []
+    clean = not items or draw(st.booleans())
+    changed = [] if clean else draw(st.lists(st.integers(0, len(items) - 1), min_size=1, max_size=2, unique=True))
     for i in changed:
         items[i] = draw(st.sampled_from(GPIO_DEFECTS))(items[i])
     return items
@@ -1340,3 +1346,14 @@ def test_one_pass_gpio_reader_reads_what_the_command_reader_reads(items):
         lambda items: GpioCommandLog(_command(cmd, f"$.gpio[{i}]") for i, cmd in enumerate(items)), items
     )
     assert gpio_outcome(lambda items: _gpio(items, "$"), items) == by_command
+
+
+def test_a_clean_gpio_array_is_read_by_columns():
+    """16,000 commands reach the log as arrays: the one-pass reader, which
+    builds no GpioCommand for a clean array either, hands over lists."""
+    items = [{"t_s": i / 1e3, "port": 40, "action": (ACTIVATE, DEACTIVATE)[i % 2]} for i in range(16_000)]
+    with mock.patch.object(GpioCommandLog, "_of_columns", wraps=GpioCommandLog._of_columns) as of_columns:
+        log = _gpio(items, "$")
+    assert log.t_s.tolist() == [i / 1e3 for i in range(16_000)]
+    t_s, port, _ = of_columns.call_args.args
+    assert isinstance(t_s, np.ndarray) and isinstance(port, np.ndarray)

@@ -1,13 +1,18 @@
 """textrows lays out exactly the text of ``repr`` for every float64, and of
 ``str`` for every int64."""
 
+import io
+import math
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
+from chunking import chunk_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joulemark import textrows
+from joulemark.trace import write_csv_rows
 
 
 def texts(rows: np.ndarray) -> list[str]:
@@ -36,10 +41,40 @@ def assert_reprs(values):
         raise AssertionError(f"{len(wrong)} differ, such as {wrong[:5]}")
 
 
+# both zeros, the smallest and a larger subnormal, the smallest normal, both
+# infinities and NaN
+EDGES = [0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def few_valued(draw) -> np.ndarray:
+    """Runs over a handful of values, as constant loads and trigger levels
+    hold them: from one long run to more runs, or more distinct values,
+    than a block that lays out each distinct value once may hold."""
+    values = draw(st.lists(st.floats(allow_subnormal=True) | st.sampled_from(EDGES), min_size=1, max_size=80))
+    runs = draw(st.sampled_from([1, 2, 40, 1024, 1025, 3000]))
+    longest = min(draw(st.sampled_from([2, 30, 5000])), 60_000 // runs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    picks = rng.integers(0, len(values), runs)
+    return np.repeat(np.array(values)[picks], rng.integers(1, longest, runs, endpoint=True))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=50))
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=50) | few_valued())
 def test_text_is_the_repr(values):
     assert_reprs(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(column=few_valued(), block=st.sampled_from([1, 7, 1000, 1025, None]))
+def test_trace_writer_writes_the_repr_of_few_valued_columns(column, block):
+    """Blocks of chunking's sizes fall on both sides of the rule: few runs
+    over few values, each laid out once, or the kernel."""
+    got = io.StringIO()
+    with chunk_rows(block) if block else nullcontext():
+        write_csv_rows(got, 1000.0, range(len(column)), [column, column[::-1]])
+    lines = zip(range(len(column)), column.tolist(), column[::-1].tolist())
+    assert got.getvalue() == "".join(f"{i / 1000.0!r},{a!r},{b!r}\n" for i, a, b in lines)
 
 
 def neighbours(x: np.ndarray, steps: int) -> np.ndarray:
