@@ -203,8 +203,8 @@ class GpioCommandLog:
     @classmethod
     def read_csv(cls, path: str | Path) -> "GpioCommandLog":
         """Read a command-log CSV by columns; a log that is not clean (a
-        blank or respelt line, or a line in error) is read in one pass,
-        where a line in error raises, naming its line."""
+        blank or respelt line, or a line in error) is read a command at a
+        time, where a line in error raises, naming its line."""
         header, _, body = Path(path).read_text().partition("\n")
         if header != "t_s,port,action":
             raise ValueError(f"unrecognized command-log header: {header!r}")
@@ -212,18 +212,20 @@ class GpioCommandLog:
             body += "\n"
         lines = body.split("\n")[:-1]
         # by columns where every line ends in an action and loadtxt reads
-        # it as three columns: of the spellings float() and int() read,
-        # loadtxt reads some (no "1_0"), each to the same number
+        # it as three columns: of the times float() reads, loadtxt reads
+        # some (no "1_0"), each to the same number; ports are read by int()
+        # itself, as a numpy that reads an integer field through float
+        # (port "40.5" as 40) only warns that it does so
         if body.count(",activate\n") + body.count(",deactivate\n") == len(lines):
             try:
-                rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1, converters={1: int})
             except ValueError:
                 pass
             else:
                 t_s = rows["t_s"]
                 if ((t_s >= 0) & (t_s < math.inf)).all():
                     return cls._of_columns(t_s, rows["port"], rows["action"] == DEACTIVATE)
-        t_s, port, deactivate = [], [], []
+        commands = []
         for lineno, raw in enumerate(lines, start=2):
             text = raw.strip()
             if not text:
@@ -232,15 +234,10 @@ class GpioCommandLog:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 columns")
             try:
-                t, p, action = float(parts[0]), int(parts[1]), parts[2]
-                if not (0 <= t < math.inf and -(2**63) <= p < 2**63 and action in _ACTIONS):
-                    GpioCommand(t, p, action)  # raises the command's own error
+                commands.append(GpioCommand(float(parts[0]), int(parts[1]), parts[2]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            t_s.append(t)
-            port.append(p)
-            deactivate.append(action == DEACTIVATE)
-        return cls._of_columns(t_s, port, deactivate)
+        return cls(commands)
 
 
 # --- GPIO backends ----------------------------------------------------------

@@ -592,9 +592,8 @@ def _command(obj, path: str) -> GpioCommand:
 
 def _gpio(items: list, path: str) -> GpioCommandLog:
     """The gpio array read by columns where every command is an object of
-    exactly its three keys holding valid values; otherwise in one pass,
-    where a command that is not goes to _command, which raises its error or
-    reads it."""
+    exactly its three keys holding valid values; otherwise a command at a
+    time by _command, which raises the first command's error."""
     try:
         if set(map(type, items)) <= {dict} and set(map(len, items)) <= {3}:
             t_s, port, action = (list(map(itemgetter(key), items)) for key in ("t_s", "port", "action"))
@@ -604,21 +603,7 @@ def _gpio(items: list, path: str) -> GpioCommandLog:
                     return GpioCommandLog._of_columns(t_s, port, list(map(DEACTIVATE.__eq__, action)))
     except (KeyError, TypeError, OverflowError):
         pass  # another key, an unhashable action, a number beyond the columns' types
-    keys = {f.name for f in fields(GpioCommand)}
-    t_s, port, deactivate = [], [], []
-    for i, c in enumerate(items):
-        if not (
-            type(c) is dict and c.keys() == keys
-            and type(t := c["t_s"]) in (float, int) and 0 <= t <= sys.float_info.max
-            and type(p := c["port"]) is int and -(2**63) <= p < 2**63
-            and (action := c["action"]) in _ACTIONS
-        ):
-            cmd = _command(c, f"{path}.gpio[{i}]")
-            t, p, action = cmd.t_s, cmd.port, cmd.action
-        t_s.append(t)
-        port.append(p)
-        deactivate.append(action == DEACTIVATE)
-    return GpioCommandLog._of_columns(t_s, port, deactivate)
+    return GpioCommandLog(_command(c, f"{path}.gpio[{i}]") for i, c in enumerate(items))
 
 
 def scenario_from_dict(obj: dict, path: str = "$") -> Scenario:

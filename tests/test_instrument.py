@@ -467,12 +467,15 @@ class TestTimeRule:
         assert type(command.t_s) is float and command.t_s == t
 
 
-# one defect each: a line of two or four columns, a port that int() rejects
+# one defect each: a line of two or four columns (the extra one anywhere,
+# so that a line ending in an action reaches loadtxt), a port that int() rejects
 # or that does not fit in 64 bits, a time that is NaN, infinite or negative,
 # an unknown action, or a blank line, which is skipped
 CSV_DEFECTS = {
     "short": lambda t, p, a: f"{t},{p}",
     "long": lambda t, p, a: f"{t},{p},{a},x",
+    "inner column": lambda t, p, a: f"{t},{p},1,{a}",
+    "leading column": lambda t, p, a: f"1,{t},{p},{a}",
     "bool port": lambda t, p, a: f"{t},True,{a}",
     "text port": lambda t, p, a: f"{t},x,{a}",
     "float port": lambda t, p, a: f"{t},{p}.5,{a}",
@@ -566,14 +569,27 @@ def test_one_pass_csv_reader_reads_what_the_line_reader_reads(lines, newline, cs
 
 
 def test_a_clean_log_is_read_by_columns(csv_path):
-    """16,000 commands reach the log as loadtxt's arrays: the one-pass
-    reader, which builds no GpioCommand for a clean log either, hands over
-    lists."""
+    """16,000 commands reach the log as loadtxt's arrays, no GpioCommand
+    built."""
     log = GpioCommandLog._of_columns(np.arange(16_000) / 1e3, np.full(16_000, 40), np.arange(16_000) % 2 == 1)
     log.write_csv(csv_path)
-    with mock.patch.object(GpioCommandLog, "_of_columns", wraps=GpioCommandLog._of_columns) as of_columns:
+    with mock.patch.object(GpioCommand, "__post_init__", side_effect=AssertionError("GpioCommand built")):
         assert GpioCommandLog.read_csv(csv_path) == log
-    assert all(isinstance(column, np.ndarray) for column in of_columns.call_args.args)
+
+
+@pytest.mark.parametrize(
+    "port, error",
+    [("40.5", "invalid literal for int() with base 10: '40.5'"), (str(2**63), f"port must fit in 64 bits, got {2**63}")],
+)
+def test_a_port_that_int_refuses_is_an_error_with_warnings_ignored(port, error, csv_path):
+    """A numpy that reads an integer field through float only warns that it
+    does; with every warning ignored, as outside a test run, the log still
+    falls back to the line reader and its error."""
+    csv_path.write_text(f"t_s,port,action\n0.5,40,activate\n1.0,{port},deactivate\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=f"^line 3: {re.escape(error)}$"):
+            GpioCommandLog.read_csv(csv_path)
 
 
 def per_row_csv(log: GpioCommandLog) -> str:

@@ -10,7 +10,9 @@ metric it prints each side's median, first and third quartile, and the
 pairs in which the change was better (ties count for neither); ``--json``
 writes the same table.  A gain holds where the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
-quartile distance.  A run that fails or prints no result stops the script.
+quartile distance.  A run that exits in error, prints no result or reports
+a failed job stops the script, so that every pair compares two correct
+runs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {workload} exited {done.returncode}\n{done.stderr}")
     result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {workload}: {result['failed']} of {result['attempted']} jobs failed\n{done.stdout}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
