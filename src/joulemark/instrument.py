@@ -110,14 +110,18 @@ class GpioCommandLog:
         self._hold([c.t_s for c in entries], [c.port for c in entries], [c.action == DEACTIVATE for c in entries])
 
     def _hold(self, *columns) -> None:
+        """Hold the columns as read-only float64, int64 and bool arrays: a time
+        not finite and >= 0 raises ValueError, a port beyond int64 OverflowError."""
         for name, column, dtype in zip(("t_s", "port", "deactivate"), columns, (np.float64, np.int64, bool)):
             column = np.array(column, dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        for i in np.flatnonzero(~((self.t_s >= 0) & (self.t_s < math.inf)))[:1].tolist():
+            raise ValueError(f"command {i}: time must be finite and >= 0, got {self.t_s[i].item()}")
 
     @classmethod
     def _of_columns(cls, t_s, port, deactivate) -> "GpioCommandLog":
-        """The log of columns of checked times, ports and deactivate flags."""
+        """The log of columns of times, ports and deactivate flags, checked."""
         log = object.__new__(cls)
         log._hold(t_s, port, deactivate)
         return log
@@ -219,12 +223,9 @@ class GpioCommandLog:
         if body.count(",activate\n") + body.count(",deactivate\n") == len(lines):
             try:
                 rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1, converters={1: int})
+                return cls._of_columns(rows["t_s"], rows["port"], rows["action"] == DEACTIVATE)
             except ValueError:
                 pass
-            else:
-                t_s = rows["t_s"]
-                if ((t_s >= 0) & (t_s < math.inf)).all():
-                    return cls._of_columns(t_s, rows["port"], rows["action"] == DEACTIVATE)
         commands = []
         for lineno, raw in enumerate(lines, start=2):
             text = raw.strip()

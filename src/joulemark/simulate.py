@@ -315,7 +315,7 @@ class Scenario:
                 self, "switching", SwitchingModel.for_circuit(self.circuit)
             )
         gpio = self.gpio
-        for i in np.flatnonzero((gpio.t_s < 0.0) | (gpio.t_s > self.duration_s))[:1].tolist():
+        for i in np.flatnonzero(gpio.t_s > self.duration_s)[:1].tolist():  # a log's times are >= 0
             action = DEACTIVATE if gpio.deactivate[i] else ACTIVATE
             raise ScenarioError(
                 f"gpio entry {i} ({action} port {gpio.port[i].item()} at "
@@ -598,11 +598,9 @@ def _gpio(items: list, path: str) -> GpioCommandLog:
         if set(map(type, items)) <= {dict} and set(map(len, items)) <= {3}:
             t_s, port, action = (list(map(itemgetter(key), items)) for key in ("t_s", "port", "action"))
             if set(map(type, t_s)) <= {float, int} and set(map(type, port)) <= {int} and set(action) <= set(_ACTIONS):
-                t_s, port = np.array(t_s, dtype=np.float64), np.array(port, dtype=np.int64)
-                if ((t_s >= 0) & (t_s < math.inf)).all():
-                    return GpioCommandLog._of_columns(t_s, port, list(map(DEACTIVATE.__eq__, action)))
-    except (KeyError, TypeError, OverflowError):
-        pass  # another key, an unhashable action, a number beyond the columns' types
+                return GpioCommandLog._of_columns(t_s, port, list(map(DEACTIVATE.__eq__, action)))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass  # another key, an unhashable action, a number the log refuses or its columns' types cannot hold
     return GpioCommandLog(_command(c, f"{path}.gpio[{i}]") for i, c in enumerate(items))
 
 

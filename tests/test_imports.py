@@ -87,14 +87,13 @@ def test_package_imports_are_found():
 
 
 # A function holds numbers by trace.number's rule, not by checks of its own.
-# Three functions keep their own check, each on a path run once per command
-# of a log, where the rule measured several times slower (best of 15 runs
-# over 16,000 commands, one Xeon core, Python 3.11): GpioCommand.__post_init__,
-# since a log may be built one command at a time (3.9 us a command by the
-# rule for both fields against 0.8 us inline), the scenario reader's gpio
-# fast path simulate._gpio (3.7 us against 1.0 us), and the command-log CSV
-# reader GpioCommandLog.read_csv (2.5 us a line against 0.9 us).
-OWN_NUMBER_CHECKS = {"instrument.GpioCommand.__post_init__", "simulate._gpio", "instrument.GpioCommandLog.read_csv"}
+# Two keep their own check. GpioCommand.__post_init__ runs once per command,
+# since a log may be built one command at a time, and the rule for both its
+# fields measured over four times slower (best of 15 runs over 16,000
+# commands, one Xeon core, Python 3.11: 3.6-3.8 us a command against
+# 0.83-0.89 us inline). GpioCommandLog._hold checks a log's whole time column
+# at once, which the rule, made for one number, does not.
+OWN_NUMBER_CHECKS = {"instrument.GpioCommand.__post_init__", "instrument.GpioCommandLog._hold"}
 
 
 def functions(tree: ast.Module):

@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+import types
 import warnings
 from contextlib import nullcontext
 from unittest import mock
@@ -465,6 +466,31 @@ class TestTimeRule:
             warnings.simplefilter("error")
             command = GpioCommand(t, 40, ACTIVATE)
         assert type(command.t_s) is float and command.t_s == t
+
+
+class TestLogColumns:
+    """A log checks its columns when it is built, by whatever path."""
+
+    @pytest.mark.parametrize("t", [-0.5, math.inf, math.nan])
+    def test_a_negative_or_unbounded_time_is_refused_naming_the_first_bad_command(self, t):
+        with pytest.raises(ValueError, match=rf"^command 1: time must be finite and >= 0, got {re.escape(str(t))}$"):
+            GpioCommandLog._of_columns([0.5, t, -1.0], [40, 40, 40], [False, True, False])
+
+    @pytest.mark.parametrize("port", [2**63, -(2**63) - 1])
+    def test_a_port_beyond_int64_is_refused(self, port):
+        with pytest.raises(OverflowError):
+            GpioCommandLog._of_columns([0.5], [port], [False])
+
+    def test_commands_that_were_not_checked_are_checked_by_the_log(self):
+        unchecked = types.SimpleNamespace(t_s=-1.0, port=40, action=ACTIVATE)
+        with pytest.raises(ValueError, match=r"^command 0: time must be finite and >= 0, got -1.0$"):
+            GpioCommandLog([unchecked])
+
+    def test_checked_columns_are_held_read_only(self):
+        log = GpioCommandLog._of_columns([0, 0.5], np.array([40, 40], dtype=np.int32), [0, 1])
+        assert [column.dtype for column in (log.t_s, log.port, log.deactivate)] == [np.float64, np.int64, bool]
+        assert not any(column.flags.writeable for column in (log.t_s, log.port, log.deactivate))
+        assert log == GpioCommandLog((GpioCommand(0.0, 40, ACTIVATE), GpioCommand(0.5, 40, DEACTIVATE)))
 
 
 # one defect each: a line of two or four columns (the extra one anywhere,

@@ -10,9 +10,13 @@ metric it prints each side's median, first and third quartile, and the
 pairs in which the change was better (ties count for neither); ``--json``
 writes the same table.  A gain holds where the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
-quartile distance.  A run that exits in error, prints no result or reports
-a failed job stops the script, so that every pair compares two correct
-runs.
+quartile distance.  Beside it stand the no-regression verdicts, each against
+the metric's ``bound`` in ``BENCHMARK.json`` as a fraction of the parent's
+median: ``worse`` where the change's median is worse than the parent's by
+more than the bound, and ``unresolved`` where the parent's quartile distance
+exceeds the bound, unless every change run reads better than every parent
+run.  A run that exits in error, prints no result or reports a failed job
+stops the script, so that every pair compares two correct runs.
 """
 
 from __future__ import annotations
@@ -46,20 +50,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
-    """One row per metric: each side's quartiles and the change's wins."""
+def compare(parent: list[dict], change: list[dict], spec: dict[str, dict]) -> list[dict]:
+    """One row per metric: each side's quartiles, the change's wins and the
+    verdicts; ``spec`` maps a metric to its ``better`` and ``bound``."""
     rows = []
     for name in parent[0]:
         before = [run[name] for run in parent]
         after = [run[name] for run in change]
-        sign = -1 if better.get(name, "lower") == "lower" else 1
+        sign = -1 if spec[name]["better"] == "lower" else 1
+        bound = spec[name]["bound"]
         wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
         (p1, pm, p3), (c1, cm, c3) = quartiles(before), quartiles(after)
+        separated = min(sign * a for a in after) > max(sign * b for b in before)
         rows.append({
             "metric": name, "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
             "change_median": cm, "change_q1": c1, "change_q3": c3,
             "change_wins": wins, "pairs": len(before),
             "gain": wins >= 0.9 * len(before) and sign * (cm - pm) > p3 - p1,
+            "worse": sign * (pm - cm) > bound * abs(pm),
+            "unresolved": p3 - p1 > bound * abs(pm) and not separated,
         })
     return rows
 
@@ -77,7 +86,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
     table = {}
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
@@ -88,14 +97,14 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(checkout, workload, args.seed, args.seconds))
             print(f"{workload} pair {pair + 1}: job_s parent {runs['parent'][-1]['job_s']:.4f} "
                   f"change {runs['change'][-1]['job_s']:.4f}", file=sys.stderr)
-        table[workload] = compare(runs["parent"], runs["change"], better)
+        table[workload] = compare(runs["parent"], runs["change"], metrics)
         print(f"{workload} (seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s runs)")
-        print(f"  {'metric':18s} {'parent Q1/median/Q3':>32s} {'change Q1/median/Q3':>32s}  wins")
+        print(f"  {'metric':18s} {'parent Q1/median/Q3':>32s} {'change Q1/median/Q3':>32s}  wins, verdicts")
         for row in table[workload]:
             parent = f"{row['parent_q1']:.4g}/{row['parent_median']:.4g}/{row['parent_q3']:.4g}"
             change = f"{row['change_q1']:.4g}/{row['change_median']:.4g}/{row['change_q3']:.4g}"
-            gain = "  gain" if row["gain"] else ""
-            print(f"  {row['metric']:18s} {parent:>32s} {change:>32s}  {row['change_wins']}/{row['pairs']}{gain}")
+            verdicts = "".join(f"  {verdict}" for verdict in ("gain", "worse", "unresolved") if row[verdict])
+            print(f"  {row['metric']:18s} {parent:>32s} {change:>32s}  {row['change_wins']}/{row['pairs']}{verdicts}")
     if args.json:
         args.json.write_text(json.dumps({"seed": args.seed, "seconds": args.seconds, "workloads": table}, indent=2) + "\n")
     return 0
