@@ -39,6 +39,13 @@ _ACTIONS = (ACTIVATE, DEACTIVATE)
 _ACTION_ENDS = text_rows([f",{action}\n" for action in _ACTIONS])
 # a command-log line as loadtxt reads it
 _CSV_ROW = [("t_s", np.float64), ("port", np.int64), ("action", f"U{len(DEACTIVATE)}")]
+# a log's columns: each one's attribute, dtype, the dtype kinds of the
+# values it holds (objects only as integers) and that rule in words
+_LOG_COLUMNS = (
+    ("t_s", np.float64, "iuf", "times must be real numbers"),
+    ("port", np.int64, "iuO", "ports must be integers"),
+    ("deactivate", np.bool_, "biu", "deactivate flags must be bools or integers"),
+)
 
 
 class UnknownPortError(ValueError):
@@ -107,13 +114,30 @@ class GpioCommandLog:
 
     def __init__(self, entries: Iterable[GpioCommand] = ()):
         entries = tuple(entries)
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, GpioCommand):
+                raise TypeError(f"entry {i} is not a GpioCommand: {entry!r}")
         self._hold([c.t_s for c in entries], [c.port for c in entries], [c.action == DEACTIVATE for c in entries])
 
     def _hold(self, *columns) -> None:
-        """Hold the columns as read-only float64, int64 and bool arrays: a time
-        not finite and >= 0 raises ValueError, a port beyond int64 OverflowError."""
-        for name, column, dtype in zip(("t_s", "port", "deactivate"), columns, (np.float64, np.int64, bool)):
-            column = np.array(column, dtype=dtype)
+        """Hold the columns as read-only float64, int64 and bool arrays of one
+        length.  Columns of unequal length, a column of values its dtype
+        does not hold (a text or bool time, a fractional port) and a time
+        not finite and >= 0 raise ValueError; a port beyond int64 raises
+        OverflowError."""
+        given = [np.asarray(column) for column in columns]
+        if len(set(map(len, given))) > 1:
+            raise ValueError("command columns differ in length: {} times, {} ports and {} flags".format(*map(len, given)))
+        for (name, dtype, kinds, rule), column in zip(_LOG_COLUMNS, given):
+            kind = column.dtype.kind if column.size else kinds[0]
+            # numpy holds Python ints beyond 64 bits as objects
+            if kind not in kinds or kind == "O" and not all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in column.tolist()
+            ):
+                raise ValueError(f"command {rule}, got a column of {column.dtype}")
+            if kind == "u" and dtype is np.int64 and column.max() > np.iinfo(dtype).max:  # a cast would wrap it
+                raise OverflowError(f"command port {column.max()} does not fit in 64 bits")
+            column = column.astype(dtype)  # an object beyond int64 raises OverflowError
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         for i in np.flatnonzero(~((self.t_s >= 0) & (self.t_s < math.inf)))[:1].tolist():

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from operator import itemgetter
@@ -411,14 +412,33 @@ class GroundTruth:
         save_json({"rate_hz": self.rate_hz, "seed": self.seed, "entries": entries}, path)
 
 
+def _physical_memory() -> int | None:
+    """The host's physical memory in bytes, or None where os.sysconf cannot say."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
 def _session_samples(scenario: Scenario) -> int:
     """The session's sample count, ``round(duration_s * rate)``, which must
-    be 1 to 2**63 - 1, a count whose indices int64 holds."""
+    be 1 to 2**63 - 1, a count whose indices int64 holds, and whose arrays,
+    8 bytes a sample a channel and a one-byte window mask, must fit in
+    physical memory."""
     rate = channel_rate(scenario.config)
     samples = scenario.duration_s * rate
     if not 0.5 < samples < 2**63:
         raise ScenarioError(f"session of {scenario.duration_s}s at {rate}Hz spans {samples} samples, not 1 to 2**63 - 1")
-    return round(samples)
+    samples = round(samples)
+    needed = samples * (8 * scenario.config.channels + 1)
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise ScenarioError(
+            f"session of {scenario.duration_s}s at {rate}Hz needs {needed} bytes of samples, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    return samples
 
 
 def simulate_session(scenario: Scenario) -> tuple[PowerTrace, GroundTruth]:

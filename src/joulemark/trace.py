@@ -18,6 +18,7 @@ import itertools
 import math
 import numbers
 import os
+import stat
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -490,16 +491,10 @@ def _parse_block(
     return data
 
 
-def iter_trace_chunks(fileobj: Iterable[str]) -> Iterator[PowerTrace]:
-    """Parse trace CSV text, yielding it as consecutive PowerTrace blocks.
-
-    The first block is empty: it carries the preamble's rate and shunt and
-    the header's channel layout, so that a trace without rows still
-    describes itself.  Each later block holds the rows of the next
-    CHUNK_ROWS lines (fewer samples where lines are blank).  Errors are
-    :class:`TraceFormatError` with the file's line number.  Only one block
-    of lines is held at a time.
-    """
+def _parsed_blocks(fileobj: Iterable[str]) -> Iterator[PowerTrace | np.ndarray]:
+    """Parse trace CSV text: yield the header's empty trace, then each
+    block's rows as a (k, columns) array, t_s first.  This is the one
+    parse loop of every trace reader."""
     n = CHUNK_ROWS
     lines = iter(fileobj)
     head, lineno = _read_header(lines)
@@ -512,6 +507,23 @@ def iter_trace_chunks(fileobj: Iterable[str]) -> Iterator[PowerTrace]:
             data = _parse_rows(block, lineno + 1, row, names, head.rate_hz)
         lineno += len(block)
         row += len(data)
+        yield data
+
+
+def iter_trace_chunks(fileobj: Iterable[str]) -> Iterator[PowerTrace]:
+    """Parse trace CSV text, yielding it as consecutive PowerTrace blocks.
+
+    The first block is empty: it carries the preamble's rate and shunt and
+    the header's channel layout, so that a trace without rows still
+    describes itself.  Each later block holds the rows of the next
+    CHUNK_ROWS lines (fewer samples where lines are blank).  Errors are
+    :class:`TraceFormatError` with the file's line number.  Only one block
+    of lines is held at a time.
+    """
+    blocks = _parsed_blocks(fileobj)
+    head = next(blocks)
+    yield head
+    for data in blocks:
         # the columns after t_s are vs, then trig
         yield PowerTrace(head.rate_hz, *data[:, 1:].T, shunt=head.shunt)
 
@@ -525,9 +537,51 @@ def concat_traces(blocks: Sequence[PowerTrace]) -> PowerTrace:
     return PowerTrace._adopt(first.rate_hz, vs, trig, first.shunt)
 
 
+def _newlines(path: str | os.PathLike) -> int:
+    """The number of newline bytes in the file at ``path``, read 256 KiB at
+    a time into one buffer and compared as int8, whose 10 is the newline
+    byte too."""
+    buffer = np.empty(1 << 18, dtype=np.int8)
+    count = 0
+    with open(path, "rb", buffering=0) as f:
+        while size := f.readinto(buffer):
+            count += int(np.count_nonzero(buffer[:size] == ord("\n")))
+    return count
+
+
+def _read_into_columns(f: TextIO, bound: int) -> PowerTrace:
+    """Parse trace CSV text into one (channels, bound) array, each block's
+    data columns copied in as they are parsed, and adopt views of its first
+    rows.  ``bound`` is the expected number of rows at most; the array
+    grows where the text holds more."""
+    blocks = _parsed_blocks(f)
+    head = next(blocks)
+    columns = np.empty((head.channels, bound))
+    rows = 0
+    for data in blocks:
+        stop = rows + len(data)
+        if stop > columns.shape[1]:  # lines added after the count, or ending in a lone \r
+            grown = np.empty((head.channels, max(stop, 2 * columns.shape[1])))
+            grown[:, :rows] = columns[:, :rows]
+            columns = grown
+        columns[:, rows:stop] = data[:, 1:].T
+        rows = stop
+    held = columns[:, :rows]
+    return PowerTrace._adopt(head.rate_hz, held[0], held[1] if head.has_trigger else None, head.shunt)
+
+
 def read_trace_csv(source: str | os.PathLike | TextIO) -> PowerTrace:
     """Parse a trace CSV, from a path or an open text stream, verifying the
-    preamble, header and time grid."""
-    opened = Path(source).open("r") if isinstance(source, (str, os.PathLike)) else contextlib.nullcontext(source)
-    with opened as f:
+    preamble, header and time grid.
+
+    A path to a regular file is read once to count its lines, and then
+    parsed into columns of that many rows, so that each sample is held
+    once.  A stream, or a path that is not a regular file (a pipe, a
+    device), is read once, and its blocks are joined.
+    """
+    is_path = isinstance(source, (str, os.PathLike))
+    with Path(source).open("r") if is_path else contextlib.nullcontext(source) as f:
+        if is_path and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            # a last line without a newline is a line too
+            return _read_into_columns(f, _newlines(source) + 1)
         return concat_traces(list(iter_trace_chunks(f)))

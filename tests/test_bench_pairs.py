@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py's verdicts on synthetic runs; no benchmark is run."""
+"""tools/bench_pairs.py's verdicts and JSON file on synthetic runs; no
+benchmark is run."""
 
 import importlib.util
 import json
@@ -63,3 +64,32 @@ def test_ties():
     runs = [1.0, 1.0, 1.0, 1.0, 1.0]
     assert verdicts(runs, runs) == {"gain": False, "worse": False, "unresolved": False, "wins": 0}
     assert verdicts(runs, runs, "samples_per_s") == {"gain": False, "worse": False, "unresolved": False, "wins": 0}
+
+
+def test_the_json_file_holds_every_run_of_both_sides(tmp_path, monkeypatch):
+    made = []  # (side, workload, metrics) of each run, in the order run
+
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {"job_s": 1.0 + len(made) / 1000, "peak_rss_mb": 60.0 - (checkout.name == "change")}
+        made.append((checkout.name, workload, metrics))
+        return metrics
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "pairs.json"
+    argv = [str(parent), str(change), "--pairs", "3", "--workloads", "relay-file", "relay-stream", "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    # the parent first in even pairs, the change first in odd ones
+    assert [side for side, workload, _ in made if workload == "relay-file"] == [
+        "parent", "change", "change", "parent", "parent", "change"
+    ]
+    document = json.loads(out.read_text())
+    assert document["runs"] == {
+        workload: {side: [m for s, w, m in made if (s, w) == (side, workload)] for side in ("parent", "change")}
+        for workload in ("relay-file", "relay-stream")
+    }
+    assert [row["metric"] for row in document["workloads"]["relay-file"]] == ["job_s", "peak_rss_mb"]
+    assert document["workloads"]["relay-file"][1]["change_wins"] == 3

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from joulemark import cli
+from joulemark import cli, simulate
 from joulemark.cli import main
 from joulemark.instrument import ACTIVATE, DEACTIVATE, GpioCommand, GpioCommandLog
 from joulemark.segment import SegmentationParams, analyze, match_toggles
@@ -657,32 +657,60 @@ class TestValidateCommand:
         )
 
     @pytest.mark.parametrize(
-        "duration_s, message, validated",
+        "duration_s, message",
         [
-            (1e16, "session of 1e+16s at 40000.0Hz spans 4e+20 samples, not 1 to 2**63 - 1", False),
-            # 4e14 samples fit an int64 index but no memory: numpy names the
-            # array it could not allocate, and validate does not bound a
-            # session by memory
-            (1e10, "Unable to allocate ", True),
+            (1e16, "session of 1e+16s at 40000.0Hz spans 4e+20 samples, not 1 to 2**63 - 1"),
+            # 4e14 samples fit an int64 index but no memory: 9 bytes a
+            # sample, the shunt channel's 8 and the window mask's 1
+            (1e10, "session of 10000000000.0s at 40000.0Hz needs 3600000000000000 bytes of samples, "
+                   "more than the {memory} bytes of physical memory"),
         ],
         ids=["past-the-index", "past-memory"],
     )
-    @pytest.mark.parametrize("command", ["simulate", "campaign"])
-    def test_a_session_too_long_to_simulate_exits_2(self, tmp_path, capsys, command, duration_s, message, validated):
+    @pytest.mark.parametrize("command", ["validate", "simulate", "campaign"])
+    def test_a_session_too_long_to_simulate_exits_2(self, tmp_path, capsys, command, duration_s, message):
+        memory = simulate._physical_memory()
+        if memory is None and "{memory}" in message:
+            pytest.skip("os.sysconf does not give this host's physical memory")
         path = write_scenario(tmp_path, circuit=RELAY)
         obj = read_json(path)
         obj["duration_s"] = duration_s
         path.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert main(["validate", str(path)]) == (0 if validated else 2)
-        assert capsys.readouterr().err == ("" if validated else f"error: {message}\n")
         flags = {
+            "validate": [],
             "simulate": ["--out-trace", str(tmp_path / "o.csv"), "--out-truth", str(tmp_path / "t.json")],
             "campaign": ["--runs", "3", "--out", str(tmp_path / "c.csv")],
         }[command]
+        capsys.readouterr()
         assert main([command, str(path), *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+        assert capsys.readouterr().err == f"error: {message.format(memory=memory)}\n"
+
+    @pytest.mark.parametrize("circuit, samples, per_sample", [(RELAY, 120_000, 9), (TRIGGER, 60_000, 17)])
+    def test_a_session_is_held_to_the_physical_memory(self, tmp_path, capsys, monkeypatch, circuit, samples, per_sample):
+        """8 bytes a sample a channel and a one-byte window mask must fit."""
+        path = write_scenario(tmp_path, circuit=circuit)
+        rate = 40_000.0 / (1 if circuit == RELAY else 2)
+        needed = samples * per_sample
+        monkeypatch.setattr(simulate, "_physical_memory", lambda: needed - 1)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: session of 3.0s at {rate}Hz needs {needed} bytes of samples, "
+            f"more than the {needed - 1} bytes of physical memory\n"
+        )
+        monkeypatch.setattr(simulate, "_physical_memory", lambda: needed)
+        assert main(["validate", str(path)]) == 0
+
+    def test_a_host_that_cannot_say_its_memory_is_not_checked(self, tmp_path, monkeypatch):
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(simulate.os, "sysconf", unknown)
+        assert simulate._physical_memory() is None
+        path = write_scenario(tmp_path, circuit=RELAY)
+        obj = read_json(path)
+        obj["duration_s"] = 1e10
+        path.write_text(json.dumps(obj))
+        assert main(["validate", str(path)]) == 0
 
     def test_largest_noise_bound_simulates(self, tmp_path):
         path = write_scenario(tmp_path, circuit=RELAY, noise_bound=sys.float_info.max / 2)

@@ -476,15 +476,30 @@ class TestLogColumns:
         with pytest.raises(ValueError, match=rf"^command 1: time must be finite and >= 0, got {re.escape(str(t))}$"):
             GpioCommandLog._of_columns([0.5, t, -1.0], [40, 40, 40], [False, True, False])
 
-    @pytest.mark.parametrize("port", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("port", [2**63, -(2**63) - 1, np.uint64(2**63)])
     def test_a_port_beyond_int64_is_refused(self, port):
         with pytest.raises(OverflowError):
             GpioCommandLog._of_columns([0.5], [port], [False])
 
-    def test_commands_that_were_not_checked_are_checked_by_the_log(self):
+    def test_entries_that_are_not_commands_are_refused_naming_the_first(self):
         unchecked = types.SimpleNamespace(t_s=-1.0, port=40, action=ACTIVATE)
-        with pytest.raises(ValueError, match=r"^command 0: time must be finite and >= 0, got -1.0$"):
-            GpioCommandLog([unchecked])
+        with pytest.raises(TypeError, match=r"^entry 1 is not a GpioCommand: namespace\(t_s=-1.0, port=40, action='activate'\)$"):
+            GpioCommandLog([GpioCommand(0.5, 41, ACTIVATE), unchecked, unchecked])
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("t_s", "0.5", "command times must be real numbers, got a column of <U3"),
+        ("t_s", True, "command times must be real numbers, got a column of bool"),
+        ("port", 40.5, "command ports must be integers, got a column of float64"),
+        ("port", 40.0, "command ports must be integers, got a column of float64"),
+    ], ids=["text time", "bool time", "fractional port", "whole float port"])
+    def test_a_column_of_another_kind_is_refused(self, column, value, message):
+        columns = {"t_s": [0.5], "port": [40], "deactivate": [False]} | {column: [value]}
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            GpioCommandLog._of_columns(**columns)
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match=r"^command columns differ in length: 1 times, 2 ports and 1 flags$"):
+            GpioCommandLog._of_columns([0.5], [40, 40], [False])
 
     def test_checked_columns_are_held_read_only(self):
         log = GpioCommandLog._of_columns([0, 0.5], np.array([40, 40], dtype=np.int32), [0, 1])

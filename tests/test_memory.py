@@ -10,9 +10,13 @@ the trace copied what it was given:
 
 - simulate_session: relay 1.16x, the shunt channel and its one-byte window
   mask (5.0x); trigger 1.01x (3.0x);
-- read_trace_csv: 2.1x, the parsed blocks and their concatenation, which
-  the trace adopts (3.05x);
-- read_all of a stream: 2.1x, the same blocks and concatenation;
+- read_trace_csv of a path: relay 1.15x, trigger 1.08x, the columns sized
+  by the file's newline count, which the trace adopts, and one block's
+  parse (2.1x when the parsed blocks were kept and concatenated; 3.05x);
+  the count's 256 KiB buffer and its comparison are freed before the
+  columns exist, and would add 0.33x each to the relay trace's 800 KB;
+- read_trace_csv of an open stream, and read_all of a stream: 2.1x, the
+  parsed blocks and their concatenation;
 - the trace writer: relay 0.20x, trigger 0.10x, one block's text as a
   byte matrix and the formatting kernel's integer arrays for one column
   (0.18x and 0.08x when each distinct value of a block went through
@@ -128,12 +132,27 @@ def test_simulate_session_holds_the_trace_once(simulated):
     assert peak <= 1.3 * trace_bytes(trace)
 
 
-def test_read_trace_csv_holds_blocks_and_one_concatenation(simulated, tmp_path):
+def test_read_trace_csv_of_a_path_holds_the_trace_once(simulated, tmp_path):
     _, trace, _ = simulated
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     with chunk_rows(BLOCK_ROWS):
         read, peak = peak_bytes(read_trace_csv, path)
+    assert read.vs.tobytes() == trace.vs.tobytes()
+    assert peak <= 1.3 * trace_bytes(read)
+
+
+def read_open_file(path):
+    with open(path) as f:
+        return read_trace_csv(f)
+
+
+def test_read_trace_csv_of_a_stream_holds_blocks_and_one_concatenation(simulated, tmp_path):
+    _, trace, _ = simulated
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    with chunk_rows(BLOCK_ROWS):
+        read, peak = peak_bytes(read_open_file, path)
     assert read.vs.tobytes() == trace.vs.tobytes()
     assert peak <= 2.3 * trace_bytes(read)
 

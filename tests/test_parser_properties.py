@@ -1,11 +1,16 @@
-"""Properties of the trace-CSV parser, read through both of its users: the
-file reader (read_trace_csv) and the stream reader (StreamSource, read_all).
+"""Properties of the trace-CSV parser, read through all of its users: the
+file reader (read_trace_csv of a path, parsed into columns sized by the
+file's line count), read_trace_csv of an open stream, and the stream reader
+(StreamSource, read_all).
 
 Both readers parse in blocks of CHUNK_ROWS lines; the tests shrink the block
 so that traces of a few dozen rows span many blocks.
 """
 
+import contextlib
 import io
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -146,3 +151,84 @@ def test_valid_blocks_take_the_vectorised_path(csv_path):
     ):
         assert_same_bits(read_trace_csv(csv_path), trace)
         assert_same_bits(read_stream(text, 2), trace)
+
+
+def read_or_error(read):
+    """read(), or the TraceFormatError it raises."""
+    try:
+        return read()
+    except TraceFormatError as error:
+        return error
+
+
+@settings(deadline=None)
+@given(
+    trace=traces(),
+    data=st.data(),
+    kind=st.sampled_from([None, "cell", "grid", "fewer columns", "more columns"]),
+    rows=st.integers(1, 8),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),  # a lone \r is no newline byte, so the count is short
+    last_newline=st.booleans(),
+)
+def test_a_path_reads_as_its_open_stream(csv_path, trace, data, kind, rows, line_end, last_newline):
+    write_trace_csv(trace, csv_path)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    if kind and len(trace):
+        bad_row = data.draw(st.integers(0, len(trace) - 1), label="bad_row")
+        lines[HEADER_LINES + bad_row] = _corrupt(lines[HEADER_LINES + bad_row], kind, trace.rate_hz, bad_row)
+    for at in data.draw(st.lists(st.integers(HEADER_LINES, len(lines)), max_size=5), label="blank lines"):
+        lines.insert(at, "\n")
+    text = "".join(lines)[: None if last_newline else -1]
+    csv_path.write_bytes(text.replace("\n", line_end).encode())
+    with chunk_rows(rows), mock.patch.object(trace_module, "_newlines", wraps=trace_module._newlines) as count:
+        from_path = read_or_error(lambda: read_trace_csv(csv_path))
+        count.assert_called_once()
+        with open(csv_path) as f:
+            from_stream = read_or_error(lambda: read_trace_csv(f))
+        count.assert_called_once()
+    if isinstance(from_stream, TraceFormatError):
+        assert isinstance(from_path, TraceFormatError)
+        assert (from_path.line, str(from_path)) == (from_stream.line, str(from_stream))
+    else:
+        assert_same_bits(from_path, from_stream)
+        if kind is None:
+            assert_same_bits(from_path, trace)
+
+
+@pytest.mark.parametrize("count", [0, 1, 20])
+def test_a_file_longer_than_its_count_is_read_whole(csv_path, count):
+    """The columns grow where the file has more lines than were counted."""
+    trace = PowerTrace(rate_hz=1000.0, vs=np.arange(50) / 7, trig=np.arange(50) / 3)
+    write_trace_csv(trace, csv_path)
+    with chunk_rows(8), mock.patch.object(trace_module, "_newlines", return_value=count):
+        assert_same_bits(read_trace_csv(csv_path), trace)
+
+
+def test_the_count_is_of_newline_bytes(csv_path):
+    csv_path.write_bytes(b"a\nb\r\n\n" * 100_000 + b"c")
+    assert trace_module._newlines(csv_path) == 300_000
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_a_fifo_path_is_read_once_and_not_counted(tmp_path):
+    trace = PowerTrace(rate_hz=1000.0, vs=np.arange(50) / 7)
+    write_trace_csv(trace, tmp_path / "t.csv")
+    text = (tmp_path / "t.csv").read_bytes()  # less than a pipe's buffer
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+            f.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with chunk_rows(8), mock.patch.object(trace_module, "_newlines", side_effect=AssertionError("counted")):
+            read = read_trace_csv(fifo)
+    finally:
+        if writer.is_alive():  # the reader failed before it opened the pipe
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_bits(read, trace)

@@ -8,9 +8,9 @@ first in even pairs and the change first in odd ones, so that a drift of the
 host's speed does not favour one side.  For each workload and end-to-end
 metric it prints each side's median, first and third quartile, and the
 pairs in which the change was better (ties count for neither); ``--json``
-writes the same table.  A gain holds where the change wins at least nine
-tenths of the pairs and the medians differ by more than the parent's
-quartile distance.  Beside it stand the no-regression verdicts, each against
+writes the same table, and every run's metrics for both sides.  A gain
+holds where the change wins at least nine tenths of the pairs and the
+medians differ by more than the parent's quartile distance.  Beside it stand the no-regression verdicts, each against
 the metric's ``bound`` in ``BENCHMARK.json`` as a fraction of the parent's
 median: ``worse`` where the change's median is worse than the parent's by
 more than the bound, and ``unresolved`` where the parent's quartile distance
@@ -87,9 +87,9 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
-    table = {}
+    table, every_run = {}, {}
     for workload in args.workloads:
-        runs = {"parent": [], "change": []}
+        runs = every_run[workload] = {"parent": [], "change": []}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
@@ -106,7 +106,8 @@ def main(argv=None) -> int:
             verdicts = "".join(f"  {verdict}" for verdict in ("gain", "worse", "unresolved") if row[verdict])
             print(f"  {row['metric']:18s} {parent:>32s} {change:>32s}  {row['change_wins']}/{row['pairs']}{verdicts}")
     if args.json:
-        args.json.write_text(json.dumps({"seed": args.seed, "seconds": args.seconds, "workloads": table}, indent=2) + "\n")
+        document = {"seed": args.seed, "seconds": args.seconds, "workloads": table, "runs": every_run}
+        args.json.write_text(json.dumps(document, indent=2) + "\n")
     return 0
 
 
