@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .trace import PowerTrace, concat_traces, hold_number, iter_trace_chunks
+from .trace import PowerTrace, hold_number, iter_trace_chunks, join_blocks
 
 DEFAULT_AGGREGATE_RATE_HZ = 40_000.0
 
@@ -93,4 +93,4 @@ def _positioned(blocks: Iterator[PowerTrace]) -> Iterator[PowerTrace]:
 
 def read_all(stream: Iterable[PowerTrace]) -> PowerTrace:
     """Drain a stream into one PowerTrace."""
-    return concat_traces(list(stream))
+    return join_blocks(stream)

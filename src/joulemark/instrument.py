@@ -46,6 +46,7 @@ _LOG_COLUMNS = (
     ("port", np.int64, "iuO", "ports must be integers"),
     ("deactivate", np.bool_, "biu", "deactivate flags must be bools or integers"),
 )
+_BOOLS = {bool, np.bool_}
 
 
 class UnknownPortError(ValueError):
@@ -122,19 +123,23 @@ class GpioCommandLog:
     def _hold(self, *columns) -> None:
         """Hold the columns as read-only float64, int64 and bool arrays of one
         length.  Columns of unequal length, a column of values its dtype
-        does not hold (a text or bool time, a fractional port) and a time
-        not finite and >= 0 raise ValueError; a port beyond int64 raises
-        OverflowError."""
+        does not hold (a text or bool time, a fractional port, a bool among
+        the times or ports) and a time not finite and >= 0 raise
+        ValueError; a port beyond int64 raises OverflowError."""
         given = [np.asarray(column) for column in columns]
         if len(set(map(len, given))) > 1:
             raise ValueError("command columns differ in length: {} times, {} ports and {} flags".format(*map(len, given)))
-        for (name, dtype, kinds, rule), column in zip(_LOG_COLUMNS, given):
+        for (name, dtype, kinds, rule), column, raw in zip(_LOG_COLUMNS, given, columns):
             kind = column.dtype.kind if column.size else kinds[0]
             # numpy holds Python ints beyond 64 bits as objects
             if kind not in kinds or kind == "O" and not all(
                 isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in column.tolist()
             ):
                 raise ValueError(f"command {rule}, got a column of {column.dtype}")
+            # np.asarray holds a bool among numbers as a number
+            if "b" not in kinds and not isinstance(raw, np.ndarray) and not _BOOLS.isdisjoint(map(type, raw)):
+                i, value = next((i, v) for i, v in enumerate(raw) if type(v) in _BOOLS)
+                raise ValueError(f"command {rule}, got {value!r} at command {i}")
             if kind == "u" and dtype is np.int64 and column.max() > np.iinfo(dtype).max:  # a cast would wrap it
                 raise OverflowError(f"command port {column.max()} does not fit in 64 bits")
             column = column.astype(dtype)  # an object beyond int64 raises OverflowError

@@ -491,50 +491,53 @@ def _parse_block(
     return data
 
 
-def _parsed_blocks(fileobj: Iterable[str]) -> Iterator[PowerTrace | np.ndarray]:
-    """Parse trace CSV text: yield the header's empty trace, then each
-    block's rows as a (k, columns) array, t_s first.  This is the one
-    parse loop of every trace reader."""
-    n = CHUNK_ROWS
+def iter_trace_chunks(fileobj: Iterable[str]) -> Iterator[PowerTrace]:
+    """Parse trace CSV text, yielding it as consecutive PowerTrace blocks:
+    the one parse loop of every trace reader.
+
+    The first block is empty: it carries the preamble's rate and shunt and
+    the header's channel layout, so that a trace without rows still
+    describes itself.  Each later block holds the rows of the next
+    CHUNK_ROWS lines (fewer samples where lines are blank) as read-only
+    views of the block's parsed rows, so a caller that keeps blocks keeps
+    their ``t_s`` too; :func:`join_blocks` copies what it keeps.  Errors
+    are :class:`TraceFormatError` with the file's line number.
+    """
     lines = iter(fileobj)
     head, lineno = _read_header(lines)
     yield head
     names = _COLUMNS[head.channels]
     row = 0
-    while block := list(itertools.islice(lines, n)):
+    while block := list(itertools.islice(lines, CHUNK_ROWS)):
         data = _parse_block(block, row, len(names), head.rate_hz)
         if data is None:
             data = _parse_rows(block, lineno + 1, row, names, head.rate_hz)
         lineno += len(block)
         row += len(data)
-        yield data
-
-
-def iter_trace_chunks(fileobj: Iterable[str]) -> Iterator[PowerTrace]:
-    """Parse trace CSV text, yielding it as consecutive PowerTrace blocks.
-
-    The first block is empty: it carries the preamble's rate and shunt and
-    the header's channel layout, so that a trace without rows still
-    describes itself.  Each later block holds the rows of the next
-    CHUNK_ROWS lines (fewer samples where lines are blank).  Errors are
-    :class:`TraceFormatError` with the file's line number.  Only one block
-    of lines is held at a time.
-    """
-    blocks = _parsed_blocks(fileobj)
-    head = next(blocks)
-    yield head
-    for data in blocks:
         # the columns after t_s are vs, then trig
-        yield PowerTrace(head.rate_hz, *data[:, 1:].T, shunt=head.shunt)
+        yield PowerTrace._adopt(head.rate_hz, data[:, 1], data[:, 2] if head.has_trigger else None, head.shunt)
 
 
-def concat_traces(blocks: Sequence[PowerTrace]) -> PowerTrace:
+def join_blocks(blocks: Iterable[PowerTrace], bound: int = 0) -> PowerTrace:
     """Join consecutive blocks of one trace; the first gives rate, shunt and
-    channel layout."""
-    first = blocks[0]
-    trig = np.concatenate([b.trig for b in blocks]) if first.has_trigger else None
-    vs = np.concatenate([b.vs for b in blocks])
-    return PowerTrace._adopt(first.rate_hz, vs, trig, first.shunt)
+    channel layout.  Samples are copied into columns of ``bound`` rows while
+    they fit, and the trace adopts views of their first rows.  From the
+    first block that does not fit, each block is copied into a tail instead,
+    joined by one concatenation at the end, so no block is kept."""
+    blocks = iter(blocks)
+    first = next(blocks)
+    columns = np.empty((first.channels, bound))
+    rows, tail = 0, []
+    for block in itertools.chain((first,), blocks):
+        stop = rows + len(block)
+        samples = (block.vs, block.trig)[: first.channels]
+        if tail or stop > bound:
+            tail.append(np.array(samples))
+        else:
+            columns[:, rows:stop] = samples
+            rows = stop
+    held = np.concatenate([columns[:, :rows], *tail], axis=1) if tail else columns[:, :rows]
+    return PowerTrace._adopt(first.rate_hz, held[0], held[1] if first.has_trigger else None, first.shunt)
 
 
 def _newlines(path: str | os.PathLike) -> int:
@@ -549,39 +552,19 @@ def _newlines(path: str | os.PathLike) -> int:
     return count
 
 
-def _read_into_columns(f: TextIO, bound: int) -> PowerTrace:
-    """Parse trace CSV text into one (channels, bound) array, each block's
-    data columns copied in as they are parsed, and adopt views of its first
-    rows.  ``bound`` is the expected number of rows at most; the array
-    grows where the text holds more."""
-    blocks = _parsed_blocks(f)
-    head = next(blocks)
-    columns = np.empty((head.channels, bound))
-    rows = 0
-    for data in blocks:
-        stop = rows + len(data)
-        if stop > columns.shape[1]:  # lines added after the count, or ending in a lone \r
-            grown = np.empty((head.channels, max(stop, 2 * columns.shape[1])))
-            grown[:, :rows] = columns[:, :rows]
-            columns = grown
-        columns[:, rows:stop] = data[:, 1:].T
-        rows = stop
-    held = columns[:, :rows]
-    return PowerTrace._adopt(head.rate_hz, held[0], held[1] if head.has_trigger else None, head.shunt)
-
-
 def read_trace_csv(source: str | os.PathLike | TextIO) -> PowerTrace:
     """Parse a trace CSV, from a path or an open text stream, verifying the
     preamble, header and time grid.
 
-    A path to a regular file is read once to count its lines, and then
-    parsed into columns of that many rows, so that each sample is held
-    once.  A stream, or a path that is not a regular file (a pipe, a
-    device), is read once, and its blocks are joined.
+    The blocks of :func:`iter_trace_chunks` are joined by
+    :func:`join_blocks`, which copies what it keeps, so no block's ``t_s``
+    is held.  A path to a regular file is first read once to count its
+    lines, and its samples go into columns of that many rows, so each is
+    held once.  A stream, or a path that is not a regular file (a pipe, a
+    device), is read once, and its blocks are joined by one concatenation.
     """
     is_path = isinstance(source, (str, os.PathLike))
     with Path(source).open("r") if is_path else contextlib.nullcontext(source) as f:
-        if is_path and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            # a last line without a newline is a line too
-            return _read_into_columns(f, _newlines(source) + 1)
-        return concat_traces(list(iter_trace_chunks(f)))
+        regular = is_path and stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        # a last line without a newline is a line too
+        return join_blocks(iter_trace_chunks(f), _newlines(source) + 1 if regular else 0)

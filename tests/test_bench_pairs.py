@@ -3,6 +3,7 @@ benchmark is run."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,43 @@ def test_the_json_file_holds_every_run_of_both_sides(tmp_path, monkeypatch):
     }
     assert [row["metric"] for row in document["workloads"]["relay-file"]] == ["job_s", "peak_rss_mb"]
     assert document["workloads"]["relay-file"][1]["change_wins"] == 3
+
+
+def checkouts(tmp_path):
+    """Two checkouts holding the same BENCHMARK.json and bench/ files."""
+    made = []
+    for name in ("parent", "change"):
+        checkout = tmp_path / name
+        (checkout / "bench" / "data").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (checkout / "bench" / "run.py").write_text("print('run')\n")
+        (checkout / "bench" / "data" / "sizes.txt").write_text("1\n2\n")
+        made.append(checkout)
+    return made
+
+
+def no_run(*args):
+    raise AssertionError("a benchmark was run")
+
+
+@pytest.mark.parametrize("differing, edit", [
+    ("BENCHMARK.json", lambda change: (change / "BENCHMARK.json").write_text("{}\n")),
+    ("bench/data/sizes.txt", lambda change: (change / "bench" / "data" / "sizes.txt").write_text("1\n3\n")),
+    ("bench/extra.py", lambda change: (change / "bench" / "extra.py").write_text("")),
+    ("bench/run.py", lambda change: (change / "bench" / "run.py").unlink()),
+], ids=["spec", "nested file", "file in the change only", "file in the parent only"])
+def test_checkouts_of_two_benchmarks_are_not_compared(tmp_path, monkeypatch, differing, edit):
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    parent, change = checkouts(tmp_path)
+    edit(change)
+    (change / "bench" / "zzz.py").write_text("")  # a later difference is not the one named
+    with pytest.raises(SystemExit, match=f"^{re.escape(f'{differing} differs between {parent} and {change}: ')}"):
+        bench_pairs.main([str(parent), str(change), "--pairs", "2"])
+
+
+def test_compiled_bench_files_are_not_compared(tmp_path):
+    parent, change = checkouts(tmp_path)
+    for checkout, code in ((parent, b"a"), (change, b"b")):
+        (checkout / "bench" / "__pycache__").mkdir()
+        (checkout / "bench" / "__pycache__" / "run.cpython.pyc").write_bytes(code)
+    assert bench_pairs.benchmark_difference(parent, change) is None

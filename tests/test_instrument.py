@@ -497,6 +497,15 @@ class TestLogColumns:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             GpioCommandLog._of_columns(**columns)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+    @pytest.mark.parametrize("column, rule", [("t_s", "times must be real numbers"), ("port", "ports must be integers")])
+    def test_a_bool_among_numbers_is_refused_naming_the_first(self, column, rule, flag):
+        """np.asarray would hold it as a number of the column's dtype."""
+        columns = {"t_s": [0.5, 1.0, 1.5], "port": [40, 40, 41], "deactivate": [False, True, False]}
+        columns[column] = [columns[column][0], flag, flag]
+        with pytest.raises(ValueError, match=rf"^command {rule}, got {re.escape(repr(flag))} at command 1$"):
+            GpioCommandLog._of_columns(**columns)
+
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match=r"^command columns differ in length: 1 times, 2 ports and 1 flags$"):
             GpioCommandLog._of_columns([0.5], [40, 40], [False])

@@ -25,6 +25,8 @@ from joulemark.trace import (
     PowerTrace,
     ShuntConfig,
     TraceFormatError,
+    iter_trace_chunks,
+    join_blocks,
     read_trace_csv,
     write_trace_csv,
 )
@@ -195,9 +197,28 @@ def test_a_path_reads_as_its_open_stream(csv_path, trace, data, kind, rows, line
             assert_same_bits(from_path, trace)
 
 
+@settings(deadline=None)
+@given(trace=traces(min_size=1), data=st.data(), rows=st.integers(1, 8))
+def test_a_join_into_columns_of_any_bound_is_the_unbounded_join(csv_path, trace, data, rows):
+    """Bounds of 0, below, equal to and above the sample count, over blocks
+    shortened by blank lines: a block that does not fit starts the tail, and
+    no later block, however short, goes into the columns."""
+    n = len(trace)
+    bound = data.draw(st.one_of(st.just(0), st.integers(1, n), st.integers(n + 1, 2 * n + 8)), label="bound")
+    write_trace_csv(trace, csv_path)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    for at in data.draw(st.lists(st.integers(HEADER_LINES, len(lines)), max_size=5), label="blank lines"):
+        lines.insert(at, "\n")
+    with chunk_rows(rows):
+        blocks = list(iter_trace_chunks(io.StringIO("".join(lines))))
+    unbounded = join_blocks(blocks)
+    assert_same_bits(unbounded, trace)
+    assert_same_bits(join_blocks(blocks, bound), unbounded)
+
+
 @pytest.mark.parametrize("count", [0, 1, 20])
 def test_a_file_longer_than_its_count_is_read_whole(csv_path, count):
-    """The columns grow where the file has more lines than were counted."""
+    """The samples past the count are joined from the tail."""
     trace = PowerTrace(rate_hz=1000.0, vs=np.arange(50) / 7, trig=np.arange(50) / 3)
     write_trace_csv(trace, csv_path)
     with chunk_rows(8), mock.patch.object(trace_module, "_newlines", return_value=count):

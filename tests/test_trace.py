@@ -26,9 +26,9 @@ from joulemark.trace import (
     ShuntConfig,
     TraceFormatError,
     Windows,
-    concat_traces,
     downsample,
     iter_trace_chunks,
+    join_blocks,
     power_to_shunt_volts,
     read_trace_csv,
     sample_to_power,
@@ -384,7 +384,7 @@ class TestPowerTrace:
         traces = [
             two_channel,
             *blocks,
-            concat_traces(blocks),
+            join_blocks(blocks),
             read_trace_csv(path),
             downsample(two_channel, 3),
             *streamed,

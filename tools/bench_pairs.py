@@ -16,7 +16,9 @@ median: ``worse`` where the change's median is worse than the parent's by
 more than the bound, and ``unresolved`` where the parent's quartile distance
 exceeds the bound, unless every change run reads better than every parent
 run.  A run that exits in error, prints no result or reports a failed job
-stops the script, so that every pair compares two correct runs.
+stops the script, so that every pair compares two correct runs.  So does a
+``BENCHMARK.json``, or a file under ``bench/``, that differs between the
+two checkouts: a comparison measures one benchmark.
 """
 
 from __future__ import annotations
@@ -43,6 +45,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload}: {result['failed']} of {result['attempted']} jobs failed\n{done.stdout}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first of ``BENCHMARK.json`` and the files under ``bench/`` (but
+    for ``__pycache__``) that differs between the two checkouts or is in
+    one only, as a path relative to the checkout, or None."""
+    def files(root: Path) -> set[str]:
+        found = [p.relative_to(root) for p in [root / "BENCHMARK.json", *(root / "bench").rglob("*")] if p.is_file()]
+        return {p.as_posix() for p in found if "__pycache__" not in p.parts}
+
+    for name in sorted(files(parent) | files(change)):
+        a, b = parent / name, change / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return name
+    return None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -85,6 +102,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    differing = benchmark_difference(args.parent, args.change)
+    if differing is not None:
+        raise SystemExit(f"{differing} differs between {args.parent} and {args.change}: a comparison measures one benchmark")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
     table, every_run = {}, {}
