@@ -92,5 +92,5 @@ def _positioned(blocks: Iterator[PowerTrace]) -> Iterator[PowerTrace]:
 
 
 def read_all(stream: Iterable[PowerTrace]) -> PowerTrace:
-    """Drain a stream into one PowerTrace."""
+    """Drain a stream into one PowerTrace; one of no blocks raises ValueError."""
     return join_blocks(stream)

@@ -39,14 +39,8 @@ _ACTIONS = (ACTIVATE, DEACTIVATE)
 _ACTION_ENDS = text_rows([f",{action}\n" for action in _ACTIONS])
 # a command-log line as loadtxt reads it
 _CSV_ROW = [("t_s", np.float64), ("port", np.int64), ("action", f"U{len(DEACTIVATE)}")]
-# a log's columns: each one's attribute, dtype, the dtype kinds of the
-# values it holds (objects only as integers) and that rule in words
-_LOG_COLUMNS = (
-    ("t_s", np.float64, "iuf", "times must be real numbers"),
-    ("port", np.int64, "iuO", "ports must be integers"),
-    ("deactivate", np.bool_, "biu", "deactivate flags must be bools or integers"),
-)
-_BOOLS = {bool, np.bool_}
+# a log's columns: each one's attribute and dtype
+_LOG_COLUMNS = (("t_s", np.float64), ("port", np.int64), ("deactivate", np.bool_))
 
 
 class UnknownPortError(ValueError):
@@ -118,39 +112,30 @@ class GpioCommandLog:
         for i, entry in enumerate(entries):
             if not isinstance(entry, GpioCommand):
                 raise TypeError(f"entry {i} is not a GpioCommand: {entry!r}")
-        self._hold([c.t_s for c in entries], [c.port for c in entries], [c.action == DEACTIVATE for c in entries])
+        columns = [c.t_s for c in entries], [c.port for c in entries], [c.action == DEACTIVATE for c in entries]
+        self._hold(*(np.array(column, dtype=dtype) for column, (_, dtype) in zip(columns, _LOG_COLUMNS)))
 
     def _hold(self, *columns) -> None:
-        """Hold the columns as read-only float64, int64 and bool arrays of one
-        length.  Columns of unequal length, a column of values its dtype
-        does not hold (a text or bool time, a fractional port, a bool among
-        the times or ports) and a time not finite and >= 0 raise
-        ValueError; a port beyond int64 raises OverflowError."""
-        given = [np.asarray(column) for column in columns]
-        if len(set(map(len, given))) > 1:
-            raise ValueError("command columns differ in length: {} times, {} ports and {} flags".format(*map(len, given)))
-        for (name, dtype, kinds, rule), column, raw in zip(_LOG_COLUMNS, given, columns):
-            kind = column.dtype.kind if column.size else kinds[0]
-            # numpy holds Python ints beyond 64 bits as objects
-            if kind not in kinds or kind == "O" and not all(
-                isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in column.tolist()
-            ):
-                raise ValueError(f"command {rule}, got a column of {column.dtype}")
-            # np.asarray holds a bool among numbers as a number
-            if "b" not in kinds and not isinstance(raw, np.ndarray) and not _BOOLS.isdisjoint(map(type, raw)):
-                i, value = next((i, v) for i, v in enumerate(raw) if type(v) in _BOOLS)
-                raise ValueError(f"command {rule}, got {value!r} at command {i}")
-            if kind == "u" and dtype is np.int64 and column.max() > np.iinfo(dtype).max:  # a cast would wrap it
-                raise OverflowError(f"command port {column.max()} does not fit in 64 bits")
-            column = column.astype(dtype)  # an object beyond int64 raises OverflowError
+        """Hold 1-D arrays of float64 times, int64 ports and bool deactivate
+        flags, of one length, as read-only copies.  A list, or an array of
+        another dtype or shape, raises TypeError naming its column; columns
+        of unequal length and a time not finite and >= 0 raise ValueError."""
+        for (name, dtype), column in zip(_LOG_COLUMNS, columns):
+            if not (isinstance(column, np.ndarray) and column.dtype == dtype and column.ndim == 1):
+                got = f"a {column.ndim}-D {column.dtype} array" if isinstance(column, np.ndarray) else type(column).__name__
+                raise TypeError(f"command column {name} must be a 1-D {np.dtype(dtype)} array, got {got}")
+            column = np.array(column)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("command columns differ in length: {} times, {} ports and {} flags".format(*map(len, columns)))
         for i in np.flatnonzero(~((self.t_s >= 0) & (self.t_s < math.inf)))[:1].tolist():
             raise ValueError(f"command {i}: time must be finite and >= 0, got {self.t_s[i].item()}")
 
     @classmethod
     def _of_columns(cls, t_s, port, deactivate) -> "GpioCommandLog":
-        """The log of columns of times, ports and deactivate flags, checked."""
+        """The log of 1-D arrays of float64 times, int64 ports and bool
+        deactivate flags, each copied and checked as :meth:`_hold` says."""
         log = object.__new__(cls)
         log._hold(t_s, port, deactivate)
         return log

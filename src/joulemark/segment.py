@@ -23,7 +23,7 @@ from .instrument import GpioCommandLog
 from .jsonio import Records
 from .stats import CampaignSummary
 from .trace import (
-    RELAY, TRIGGER, PowerTrace, SampleClock, ShuntConfig, Windows, fields_equal, hold_number, row_blocks, sample_to_power
+    RELAY, TRIGGER, PowerTrace, SampleClock, ShuntConfig, Windows, fields_equal, hold_number, number, row_blocks, sample_to_power
 )
 
 
@@ -161,8 +161,10 @@ def match_toggles(
     behind one pair's start is behind every later pair's too: one pointer
     moves past such windows and past each window that is matched.  Both
     tests are written as ``start - t_on`` against tolerance_s, so that they
-    round as ``abs(start - t_on) <= tolerance_s`` does.
+    round as ``abs(start - t_on) <= tolerance_s`` does.  tolerance_s is
+    held by :func:`~joulemark.trace.number`'s rule, as in SegmentationParams.
     """
+    tolerance_s = number(tolerance_s, "match tolerance must be finite and >= 0, got {}", ok=lambda s: s >= 0)
     starts = SampleClock(rate_hz).time_of(found.begin).tolist()
     t_on, t_off, port = intended.windows()
     p = 0  # the first window that no earlier pair matched or left behind

@@ -618,8 +618,8 @@ def _gpio(items: list, path: str) -> GpioCommandLog:
         if set(map(type, items)) <= {dict} and set(map(len, items)) <= {3}:
             t_s, port, action = (list(map(itemgetter(key), items)) for key in ("t_s", "port", "action"))
             if set(map(type, t_s)) <= {float, int} and set(map(type, port)) <= {int} and set(action) <= set(_ACTIONS):
-                # their types are checked: as arrays, the log does not scan them for bools again
-                return GpioCommandLog._of_columns(np.asarray(t_s), np.asarray(port), list(map(DEACTIVATE.__eq__, action)))
+                # their types are checked; a number past int64 or the float range raises OverflowError
+                return GpioCommandLog._of_columns(np.array(t_s, dtype=np.float64), np.array(port, dtype=np.int64), np.array(action, dtype=str) == DEACTIVATE)
     except (KeyError, TypeError, ValueError, OverflowError):
         pass  # another key, an unhashable action, a number the log refuses or its columns' types cannot hold
     return GpioCommandLog(_command(c, f"{path}.gpio[{i}]") for i, c in enumerate(items))

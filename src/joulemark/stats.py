@@ -26,8 +26,10 @@ class UndefinedVariationError(ValueError):
 def t_critical(df: int, confidence: float = 0.95) -> float:
     """Two-sided critical value of Student's t, by G. W. Hill's closed form
     (CACM Algorithm 396, 1970): exact for df 1 and 2, within about 1e-5
-    relative beyond.  df and confidence are held by trace.number's rule."""
-    n = number(df, "degrees of freedom must be an integer >= 1, got {}", ok=lambda d: d >= 1, kind=int)
+    relative beyond.  df and confidence are held by trace.number's rule; a
+    df past 10**16, where the form has reached the normal limit, is taken as
+    10**16 (``a * a`` underflows from about 10**162)."""
+    n = min(number(df, "degrees of freedom must be an integer >= 1, got {}", ok=lambda d: d >= 1, kind=int), 10**16)
     confidence = number(confidence, "confidence must be in (0, 1), got {}", ok=lambda c: 0.0 < c < 1.0)
     p = 1.0 - confidence  # two-tailed probability
     if n == 1:
@@ -60,16 +62,23 @@ def _held(samples) -> list[float]:
 
 def variation_pct(samples) -> float:
     """Spread of the samples relative to their mean: (max - min) / mean * 100.
-    Samples are held as summarize_campaign holds them."""
+    Samples are held as summarize_campaign holds them, and a mean or
+    variation beyond the float range raises ValueError, as it does there."""
     values = _held(samples)
     if len(values) < 2:
         raise InsufficientSamplesError(
             f"variation needs at least 2 samples, got {len(values)}"
         )
-    mean = math.fsum(values) / len(values)
+    try:
+        mean = math.fsum(values) / len(values)
+    except OverflowError:  # the sum overflows; a NaN mean makes the variation NaN
+        mean = math.nan
     if mean == 0.0:
         raise UndefinedVariationError("variation is undefined for zero mean")
-    return (max(values) - min(values)) / mean * 100.0
+    variation = (max(values) - min(values)) / mean * 100.0
+    if not math.isfinite(variation):
+        raise ValueError("variation is beyond the float range: its mean or spread overflows")
+    return variation
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ def summarize_campaign(samples, confidence: float = 0.95) -> CampaignSummary:
         mean = math.fsum(values) / n
         sd = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
         me = t_critical(n - 1, confidence) * sd / math.sqrt(n)
-        variation = variation_pct(values) if mean != 0.0 else None
+        variation = (max(values) - min(values)) / mean * 100.0 if mean != 0.0 else None
         # a difference, product or quotient overflows to infinity
         in_range = all(map(math.isfinite, (sd, me, variation or 0.0)))
     except OverflowError:  # a sum or a square raises instead

@@ -523,9 +523,11 @@ def join_blocks(blocks: Iterable[PowerTrace], bound: int = 0) -> PowerTrace:
     channel layout.  Samples are copied into columns of ``bound`` rows while
     they fit, and the trace adopts views of their first rows.  From the
     first block that does not fit, each block is copied into a tail instead,
-    joined by one concatenation at the end, so no block is kept."""
+    joined by one concatenation at the end, so no block is kept.  No
+    blocks at all raise ValueError: the first is the trace's header block."""
     blocks = iter(blocks)
-    first = next(blocks)
+    if (first := next(blocks, None)) is None:
+        raise ValueError("no blocks to join: a trace needs its header block")
     columns = np.empty((first.channels, bound))
     rows, tail = 0, []
     for block in itertools.chain((first,), blocks):

@@ -4,6 +4,7 @@ benchmark is run."""
 import importlib.util
 import json
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,7 +68,7 @@ def test_ties():
     assert verdicts(runs, runs, "samples_per_s") == {"gain": False, "worse": False, "unresolved": False, "wins": 0}
 
 
-def test_the_json_file_holds_every_run_of_both_sides(tmp_path, monkeypatch):
+def test_the_json_file_holds_every_run_of_both_sides(tmp_path, monkeypatch, capsys):
     made = []  # (side, workload, metrics) of each run, in the order run
 
     def run_once(checkout, workload, seed, seconds):
@@ -80,6 +81,8 @@ def test_the_json_file_holds_every_run_of_both_sides(tmp_path, monkeypatch):
     for checkout in (parent, change):
         checkout.mkdir()
         (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (checkout / "src" / "joulemark").mkdir(parents=True)
+        (checkout / "src" / "joulemark" / "a.py").write_text("1\n2\n" * (1 + (checkout == change)))
     out = tmp_path / "pairs.json"
     argv = [str(parent), str(change), "--pairs", "3", "--workloads", "relay-file", "relay-stream", "--json", str(out)]
     assert bench_pairs.main(argv) == 0
@@ -94,6 +97,20 @@ def test_the_json_file_holds_every_run_of_both_sides(tmp_path, monkeypatch):
     }
     assert [row["metric"] for row in document["workloads"]["relay-file"]] == ["job_s", "peak_rss_mb"]
     assert document["workloads"]["relay-file"][1]["change_wins"] == 3
+    assert document["source_lines"] == {"parent": 2, "change": 4}
+    assert capsys.readouterr().out.startswith("wc -l src/joulemark/*.py: parent 2, change 4\n")
+
+
+def test_source_lines_count_newlines_of_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "joulemark"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts none
+    (package / "notes.txt").write_text("\n" * 5)
+    (package / "sub" / "c.py").write_text("\n" * 7)
+    assert bench_pairs.source_lines(tmp_path) == 3
+    total = subprocess.run("wc -l src/joulemark/*.py", shell=True, cwd=ROOT, capture_output=True, text=True, check=True)
+    assert bench_pairs.source_lines(ROOT) == int(total.stdout.splitlines()[-1].split()[0])
 
 
 def checkouts(tmp_path):

@@ -469,51 +469,70 @@ class TestTimeRule:
 
 
 class TestLogColumns:
-    """A log checks its columns when it is built, by whatever path."""
+    """A log checks its columns when it is built, by whatever path: the
+    column constructor takes 1-D arrays of exactly float64 times, int64
+    ports and bool flags."""
+
+    @staticmethod
+    def columns(t_s=(0.5,), port=(40,), deactivate=(False,)) -> dict:
+        return {
+            "t_s": np.array(t_s, dtype=np.float64),
+            "port": np.array(port, dtype=np.int64),
+            "deactivate": np.array(deactivate, dtype=bool),
+        }
 
     @pytest.mark.parametrize("t", [-0.5, math.inf, math.nan])
     def test_a_negative_or_unbounded_time_is_refused_naming_the_first_bad_command(self, t):
         with pytest.raises(ValueError, match=rf"^command 1: time must be finite and >= 0, got {re.escape(str(t))}$"):
-            GpioCommandLog._of_columns([0.5, t, -1.0], [40, 40, 40], [False, True, False])
-
-    @pytest.mark.parametrize("port", [2**63, -(2**63) - 1, np.uint64(2**63)])
-    def test_a_port_beyond_int64_is_refused(self, port):
-        with pytest.raises(OverflowError):
-            GpioCommandLog._of_columns([0.5], [port], [False])
+            GpioCommandLog._of_columns(**self.columns([0.5, t, -1.0], [40, 40, 40], [False, True, False]))
 
     def test_entries_that_are_not_commands_are_refused_naming_the_first(self):
         unchecked = types.SimpleNamespace(t_s=-1.0, port=40, action=ACTIVATE)
         with pytest.raises(TypeError, match=r"^entry 1 is not a GpioCommand: namespace\(t_s=-1.0, port=40, action='activate'\)$"):
             GpioCommandLog([GpioCommand(0.5, 41, ACTIVATE), unchecked, unchecked])
 
-    @pytest.mark.parametrize("column, value, message", [
-        ("t_s", "0.5", "command times must be real numbers, got a column of <U3"),
-        ("t_s", True, "command times must be real numbers, got a column of bool"),
-        ("port", 40.5, "command ports must be integers, got a column of float64"),
-        ("port", 40.0, "command ports must be integers, got a column of float64"),
-    ], ids=["text time", "bool time", "fractional port", "whole float port"])
-    def test_a_column_of_another_kind_is_refused(self, column, value, message):
-        columns = {"t_s": [0.5], "port": [40], "deactivate": [False]} | {column: [value]}
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            GpioCommandLog._of_columns(**columns)
+    @pytest.mark.parametrize("column, value, got", [
+        ("t_s", np.array(["0.5"]), "a 1-D <U3 array"),
+        ("t_s", np.array([True]), "a 1-D bool array"),
+        ("t_s", np.array([1]), "a 1-D int64 array"),
+        ("t_s", np.array([0.5], dtype=object), "a 1-D object array"),
+        ("port", np.array([40.5]), "a 1-D float64 array"),
+        ("port", np.array([40.0]), "a 1-D float64 array"),
+        ("port", np.array([2**63], dtype=np.uint64), "a 1-D uint64 array"),
+        ("port", np.array([40], dtype=np.int32), "a 1-D int32 array"),
+        ("deactivate", np.array([0]), "a 1-D int64 array"),
+        ("t_s", np.array([[0.5]]), "a 2-D float64 array"),
+        ("port", np.array(40), "a 0-D int64 array"),
+        ("t_s", [0.5], "list"),
+        ("deactivate", (False,), "tuple"),
+    ], ids=[
+        "text time", "bool time", "integer time", "object time", "fractional port", "whole float port",
+        "uint64 port", "int32 port", "integer flag", "2-D times", "0-D port", "list of times", "tuple of flags",
+    ])
+    def test_a_column_of_another_dtype_or_shape_is_refused_naming_it(self, column, value, got):
+        dtype = {"t_s": "float64", "port": "int64", "deactivate": "bool"}[column]
+        with pytest.raises(TypeError, match=rf"^command column {column} must be a 1-D {dtype} array, got {re.escape(got)}$"):
+            GpioCommandLog._of_columns(**self.columns() | {column: value})
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
-    @pytest.mark.parametrize("column, rule", [("t_s", "times must be real numbers"), ("port", "ports must be integers")])
-    def test_a_bool_among_numbers_is_refused_naming_the_first(self, column, rule, flag):
+    @pytest.mark.parametrize("column, values", [("t_s", [0.5, 1.0, 1.5]), ("port", [40, 40, 41])])
+    def test_a_bool_among_numbers_is_refused_as_a_list(self, column, values, flag):
         """np.asarray would hold it as a number of the column's dtype."""
-        columns = {"t_s": [0.5, 1.0, 1.5], "port": [40, 40, 41], "deactivate": [False, True, False]}
-        columns[column] = [columns[column][0], flag, flag]
-        with pytest.raises(ValueError, match=rf"^command {rule}, got {re.escape(repr(flag))} at command 1$"):
+        columns = self.columns([0.5, 1.0, 1.5], [40, 40, 41], [False, True, False])
+        columns[column] = [values[0], flag, flag]
+        with pytest.raises(TypeError, match=rf"^command column {column} must be a 1-D \w+ array, got list$"):
             GpioCommandLog._of_columns(**columns)
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match=r"^command columns differ in length: 1 times, 2 ports and 1 flags$"):
-            GpioCommandLog._of_columns([0.5], [40, 40], [False])
+            GpioCommandLog._of_columns(**self.columns(port=[40, 40]))
 
-    def test_checked_columns_are_held_read_only(self):
-        log = GpioCommandLog._of_columns([0, 0.5], np.array([40, 40], dtype=np.int32), [0, 1])
-        assert [column.dtype for column in (log.t_s, log.port, log.deactivate)] == [np.float64, np.int64, bool]
+    def test_columns_are_held_as_read_only_copies(self):
+        columns = self.columns([0, 0.5], [40, 40], [False, True])
+        log = GpioCommandLog._of_columns(**columns)
         assert not any(column.flags.writeable for column in (log.t_s, log.port, log.deactivate))
+        for column in columns.values():
+            column[0] = column[1]  # a later write to the caller's array
         assert log == GpioCommandLog((GpioCommand(0.0, 40, ACTIVATE), GpioCommand(0.5, 40, DEACTIVATE)))
 
 

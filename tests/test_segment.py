@@ -336,6 +336,18 @@ class TestMatchToggles:
         with pytest.raises(ValueError, match="sampling rate must be finite and positive"):
             match_toggles(self._log([1.0]), Windows([20_000], [25_000]), rate)
 
+    @pytest.mark.parametrize("tolerance", [-1e-3, math.nan, math.inf, True, "1e-3", None], ids=repr)
+    def test_a_tolerance_is_held_by_the_number_rule(self, tolerance):
+        """As SegmentationParams holds match_tolerance_s: a NaN or negative
+        tolerance would match nothing, an infinite one everything."""
+        with pytest.raises(ValueError, match=r"^match tolerance must be finite and >= 0, got "):
+            match_toggles(self._log([1.0, 2.0, 3.0]), Windows([20_000, 40_000], [25_000, 45_000]), 20_000.0, tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0, np.float32(1e-3), np.int64(1)], ids=repr)
+    def test_a_numpy_or_integer_tolerance_is_held_as_a_float(self, tolerance):
+        report = match_toggles(self._log([1.0]), Windows([20_000], [25_000]), 20_000.0, tolerance)
+        assert report.hits == 1
+
     def test_json_shape(self):
         report = analyze(relay_trace(np.zeros(500)), RELAY, expected=self._log([1.0]))
         d = written(report)["hit_miss"]
@@ -384,7 +396,7 @@ def match_cases(draw):
     of the commanded starts after division by the rate."""
     log = draw(gpio_logs())
     rate = draw(st.sampled_from([20_000.0, 10_000.0, 3.3, 7.77, 44_100.0, 1e6]))
-    tolerance = draw(st.sampled_from([1e-3, 5e-4, 2.5e-3, 0.0, -1e-3, 0.1, 1e9]))
+    tolerance = draw(st.sampled_from([1e-3, 5e-4, 2.5e-3, 0.0, 0.1, 1e9]))  # a negative one is refused
     begins = draw(st.lists(st.integers(0, int(130 * rate)), max_size=6))
     for t_on in log.windows()[0].tolist():
         for edge in (t_on - tolerance, t_on, t_on + tolerance):

@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -74,6 +75,27 @@ class TestTCritical:
         ours = np.array([[t_critical(int(df), float(c)) for c in confidences] for df in dfs])
         # the worst case, 1.5e-5, is at df 3
         np.testing.assert_allclose(ours, expected, rtol=2e-5, atol=0)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999999])
+    def test_past_hills_range_gives_the_normal_limit(self, confidence):
+        """a * a underflowed from about df 10**162, and n - 0.5 overflowed
+        past 10**308."""
+        normal = NormalDist().inv_cdf(1 - (1 - confidence) / 2)
+        for k in range(15, 401):
+            value = t_critical(10**k, confidence)
+            assert math.isfinite(value)
+            if k >= 16:
+                assert value == pytest.approx(normal, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("df, values", [
+        (3, (0.764892483941544, 3.182449116291139, 130.154590548558)),
+        (1000, (0.6747351646070093, 1.9623390808264076, 4.922289523423824)),
+        (10**15, (0.6744897501960819, 1.959963984540056, 4.891638475692962)),
+        (10**16 - 1, (0.6744897501960817, 1.9599639845400538, 4.891638475692934)),
+    ])
+    def test_values_below_the_cap_keep_their_bits(self, df, values):
+        assert tuple(t_critical(df, confidence) for confidence in (0.5, 0.95, 0.999999)) == values
+        assert t_critical(df + 10**300, 0.95) == t_critical(10**16, 0.95) <= values[1]
 
 
 class TestSummarizeCampaign:
@@ -198,6 +220,17 @@ class TestVariationPct:
         for summary in (variation_pct, summarize_campaign):
             with pytest.raises(ValueError, match=message):
                 summary(samples)
+
+    @pytest.mark.parametrize("samples", [
+        [1e308, 1.5e308],  # the sum overflows
+        [-1e308, 1.7e308],  # the spread overflows
+        [1e10, -1e10, 1e-300],  # the quotient overflows
+    ])
+    def test_a_variation_beyond_the_float_range_is_refused(self, samples):
+        with pytest.raises(ValueError, match=r"^variation is beyond the float range: its mean or spread overflows$"):
+            variation_pct(samples)
+        with pytest.raises(ValueError, match=r"^campaign summary is beyond the float range: "):
+            summarize_campaign(samples)
 
     def test_numpy_samples_are_accepted(self):
         assert variation_pct([np.float32(1.0), np.int64(3)]) == 100.0

@@ -399,6 +399,17 @@ class TestPowerTrace:
                     with pytest.raises(ValueError):
                         array[:1] = 0.0
 
+    @pytest.mark.parametrize("join", [join_blocks, read_all], ids=["join_blocks", "read_all"])
+    def test_joining_no_blocks_asks_for_the_header_block(self, join):
+        """A bare StopIteration would end a generator that joins, as a
+        RuntimeError."""
+        def joined():
+            yield join(iter(()))
+
+        for call in (lambda: join(iter(())), lambda: next(joined())):
+            with pytest.raises(ValueError, match=r"^no blocks to join: a trace needs its header block$"):
+                call()
+
 
 class TestDownsample:
     def test_keeps_every_factor_th_sample_from_zero(self):

@@ -18,7 +18,8 @@ exceeds the bound, unless every change run reads better than every parent
 run.  A run that exits in error, prints no result or reports a failed job
 stops the script, so that every pair compares two correct runs.  So does a
 ``BENCHMARK.json``, or a file under ``bench/``, that differs between the
-two checkouts: a comparison measures one benchmark.
+two checkouts: a comparison measures one benchmark.  The table and the
+JSON file also give each checkout's ``wc -l src/joulemark/*.py``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ def benchmark_difference(parent: Path, change: Path) -> str | None:
         if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
             return name
     return None
+
+
+def source_lines(checkout: Path) -> int:
+    """``wc -l src/joulemark/*.py`` of the checkout: the newlines of those files."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "joulemark").glob("*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -107,6 +113,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"{differing} differs between {args.parent} and {args.change}: a comparison measures one benchmark")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
+    lines = {"parent": source_lines(args.parent), "change": source_lines(args.change)}
+    print(f"wc -l src/joulemark/*.py: parent {lines['parent']}, change {lines['change']}")
     table, every_run = {}, {}
     for workload in args.workloads:
         runs = every_run[workload] = {"parent": [], "change": []}
@@ -126,7 +134,7 @@ def main(argv=None) -> int:
             verdicts = "".join(f"  {verdict}" for verdict in ("gain", "worse", "unresolved") if row[verdict])
             print(f"  {row['metric']:18s} {parent:>32s} {change:>32s}  {row['change_wins']}/{row['pairs']}{verdicts}")
     if args.json:
-        document = {"seed": args.seed, "seconds": args.seconds, "workloads": table, "runs": every_run}
+        document = {"seed": args.seed, "seconds": args.seconds, "source_lines": lines, "workloads": table, "runs": every_run}
         args.json.write_text(json.dumps(document, indent=2) + "\n")
     return 0
 
